@@ -16,7 +16,7 @@ from .errors import (BasisLookupError, ConfigError, ConvergenceError,
                      DimensionError, DomainError, TwoAtomError)
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
-                        gershgorin_floor, local_photon_observable,
+                        format_triplets, gershgorin_floor, local_photon_observable,
                         read_triplets, spectral_bounds, write_triplets)
 from .propagator import (StateVector, evolve, evolve_complex, evolve_grid,
                          expectation, expectation_grid, prepare_initial_state)
@@ -46,7 +46,7 @@ __all__ = [
     "dichotomy_scan", "evolve", "evolve_complex", "evolve_grid",
     "exchange_amplitude_series", "exchange_projector", "excitation_numbers",
     "excitation_observable_b", "expectation", "expectation_grid",
-    "gershgorin_floor", "index_of_bare_state", "local_photon_observable",
+    "format_triplets", "gershgorin_floor", "index_of_bare_state", "local_photon_observable",
     "log_integral", "make_time_grid", "mode_sum_amplitude", "mode_table",
     "oscillatory_kernel", "perturbative_vs_exact", "prepare_initial_state",
     "probability_series", "read_triplets", "resolve_observable",

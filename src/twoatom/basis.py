@@ -95,11 +95,6 @@ class FockBasis:
     def vacuum(self) -> tuple:
         return (0,) * self.num_slots
 
-    def occupation_block(self, a_level: int, b_level: int) -> slice:
-        """Index range of the occupation block for a fixed atom pair."""
-        start = (a_level * self.levels_b + b_level) * self.num_occupations
-        return slice(start, start + self.num_occupations)
-
     def __len__(self):
         return self.dimension
 

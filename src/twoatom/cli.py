@@ -44,7 +44,7 @@ from . import analysis
 from .config import AnyConfig, LatticeConfig, ModelConfig, config_items
 from .errors import (ConfigError, ConvergenceError, DimensionError,
                      DomainError, TwoAtomError)
-from .operators import write_triplets
+from .operators import format_triplets
 from .perturbation import (DEFAULT_QUAD_TOL, FREQUENCY_RANGES,
                            exchange_amplitude_series)
 
@@ -349,15 +349,8 @@ def _run_simulate(args) -> list[tuple[str, str]]:
              (os.path.join(out_dir, outputs["summary"]), canonical_json(summary) + "\n")]
     if dump:
         _, hamiltonian = analysis.build_model(config)
-        fd, tmp = tempfile.mkstemp(dir=".", prefix=".tmp-twoatom-")
-        os.close(fd)
-        try:
-            write_triplets(hamiltonian, tmp)
-            with open(tmp) as fh:
-                files.append((os.path.join(out_dir, outputs["hamiltonian"]), fh.read()))
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        files.append((os.path.join(out_dir, outputs["hamiltonian"]),
+                      format_triplets(hamiltonian)))
     return files
 
 

@@ -30,7 +30,8 @@ from .basis import FockBasis, index_of_bare_state
 from .config import LatticeConfig
 from .errors import ConvergenceError, DomainError
 
-DENSE_EIG_LIMIT = 2000
+# largest dimension handled by dense eigendecomposition, here and in the propagator
+DENSE_LIMIT = 2000
 
 
 class HermitianOperator:
@@ -341,7 +342,7 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
                              label="photon_region")
 
 
-def spectral_bounds(operator: HermitianOperator, dense_limit: int = DENSE_EIG_LIMIT):
+def spectral_bounds(operator: HermitianOperator, dense_limit: int = DENSE_LIMIT):
     """Enclosure (e_min, e_max) of the extreme eigenvalues.
 
     Dense and effectively exact up to dense_limit; above that an iterative
@@ -375,12 +376,12 @@ def spectral_bounds(operator: HermitianOperator, dense_limit: int = DENSE_EIG_LI
 TRIPLET_HEADER = "# twoatom sparse hermitian triplets v1"
 
 
-def write_triplets(operator: HermitianOperator, path) -> None:
-    """Write the matrix as text triplets: 'row col re im' per line.
+def format_triplets(operator: HermitianOperator) -> str:
+    """The matrix as text triplets: 'row col re im' per line.
 
     The header records the dimension and entry count; rows come out in CSR
-    (row-major) order with 17 significant digits, so a rewrite of the same
-    operator is byte-identical.
+    (row-major) order with 17 significant digits, so formatting the same
+    operator again gives an identical string.
     """
     coo = operator.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
@@ -390,8 +391,13 @@ def write_triplets(operator: HermitianOperator, path) -> None:
     for i in order:
         v = coo.data[i]
         lines.append(f"{coo.row[i]} {coo.col[i]} {v.real:.17g} {v.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def write_triplets(operator: HermitianOperator, path) -> None:
+    """Write format_triplets(operator) to path."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_triplets(operator))
 
 
 def read_triplets(path):

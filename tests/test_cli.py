@@ -17,7 +17,7 @@ from twoatom.cli import (
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConfigError
 from twoatom.analysis import build_model
-from twoatom.operators import read_triplets
+from twoatom.operators import read_triplets, write_triplets
 
 
 @pytest.fixture(autouse=True)
@@ -188,6 +188,23 @@ def test_simulate_dump_hamiltonian_round_trip(tmp_path, small_config):
     assert (dumped - hamiltonian.matrix).nnz == 0
 
 
+def test_simulate_dump_hamiltonian_leaves_cwd_empty(tmp_path, small_config,
+                                                    monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", small_config, "--out", str(out),
+                 "--grid", "2,10", "--dump-hamiltonian"])
+    assert code == 0
+    assert list(cwd.iterdir()) == []
+    _, hamiltonian = build_model(parse_config_text(
+        (tmp_path / "small.cfg").read_text()))
+    reference = tmp_path / "reference.txt"
+    write_triplets(hamiltonian, reference)
+    assert (out / "hamiltonian.txt").read_bytes() == reference.read_bytes()
+
+
 def test_simulate_photon_region(tmp_path, small_config):
     out = tmp_path / "run"
     code = main(["simulate", "--config", small_config, "--out", str(out),
@@ -342,6 +359,18 @@ def test_unconverged_quadrature_exits_three(tmp_path, small_config, capsys):
     out = tmp_path / "run"
     code = main(["fermi-integral", "--config", small_config, "--out", str(out),
                  "--grid", "2,4", "--quad-tol", "1e-30"])
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unconverged_propagation_exits_three(tmp_path, capsys):
+    # dim 180 (num_modes 8, n_max 2): a norm tolerance of 1e-30 is below rounding
+    cfg = tmp_path / "mid.cfg"
+    cfg.write_text("num_modes = 8\nn_max = 2\ncoupling_strength = 0.25\n")
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--grid", "2,4", "--method", "krylov", "--tol", "1e-30"])
     assert code == 3
     assert "did not converge" in capsys.readouterr().err
     assert not out.exists()

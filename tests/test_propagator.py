@@ -90,6 +90,22 @@ def test_krylov_matches_dense(mid_model):
     assert np.max(np.linalg.norm(dense - krylov, axis=1)) <= 1e-10
 
 
+@pytest.mark.parametrize("grid", [
+    # two spacings and a repeated time: one expm_multiply call per interval
+    np.concatenate([np.linspace(0.0, 2.0, 11), np.linspace(2.0, 6.0, 7)]),
+    # uniform but starting after t = 0: one call from times[0]
+    np.linspace(1.5, 6.0, 19),
+    # constant: expm_multiply's interval mode would skip the propagation
+    np.full(3, 2.0),
+], ids=["two_spacings", "offset_uniform", "constant"])
+def test_krylov_matches_dense_on_grid(mid_model, grid):
+    basis, ham = mid_model
+    psi0 = prepare_initial_state(basis)
+    dense = evolve_grid(ham, psi0, grid, method="dense")
+    krylov = evolve_grid(ham, psi0, grid, method="krylov")
+    assert np.max(np.linalg.norm(dense - krylov, axis=1)) <= 1e-10
+
+
 def test_krylov_matches_expm_multiply(mid_model):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
@@ -194,6 +210,8 @@ def test_grid_requires_monotone_times_for_krylov(mid_model):
     psi0 = prepare_initial_state(basis)
     with pytest.raises(DomainError):
         evolve_grid(ham, psi0, [0.0, 1.0, 0.5], method="krylov")
+    with pytest.raises(DomainError):
+        evolve_grid(ham, psi0, [-1.0, 0.0, 1.0], method="krylov")
 
 
 def test_state_vector_validation(small_model):
