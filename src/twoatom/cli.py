@@ -292,12 +292,12 @@ def _observable(args) -> str:
     return OBSERVABLE_CHOICES[name]
 
 
-def _common_setup(args):
+def _common_setup(args, default_steps: int = 800):
     config = load_config(_resolve(args, "config"))
     out_dir = _resolve(args, "out", default=".")
     grid_spec = _resolve(args, "grid", convert=_parse_grid)
     if grid_spec is None:
-        grid_spec = (2.0 * config.light_cone_time, 800)
+        grid_spec = (2.0 * config.light_cone_time, default_steps)
     t_max, steps = grid_spec
     grid = analysis.make_time_grid(t_max, steps)
     method = _resolve(args, "method", default="auto")
@@ -319,32 +319,41 @@ def _report_dict(report: analysis.DichotomyReport) -> dict:
     }
 
 
-def _run_simulate(args) -> list[tuple[str, str]]:
+def _run_series(args) -> list[tuple[str, str]]:
+    """simulate and dichotomy: one observable's series, summarized two ways."""
+    name = args.subcommand
     config, out_dir, grid, grid_spec, method, tol = _common_setup(args)
     observable = _observable(args)
     region = _resolve(args, "region", convert=_parse_region)
-    dump = bool(_resolve(args, "dump-hamiltonian", default=False,
-                         convert=lambda s: s.lower() in ("1", "true", "yes")))
+    dump = name == "simulate" and bool(
+        _resolve(args, "dump-hamiltonian", default=False,
+                 convert=lambda s: s.lower() in ("1", "true", "yes")))
     series = analysis.probability_series(config, observable, grid,
                                          method=method, tol=tol, region=region)
     report = analysis.dichotomy_scan(series)
-    outputs = {"csv": "simulate.csv", "summary": "simulate.json"}
+    outputs = {"csv": f"{name}.csv", "summary": f"{name}.json"}
     if dump:
         outputs["hamiltonian"] = "hamiltonian.txt"
-    manifest = _manifest("simulate", config, outputs,
+    tolerances = {"tol": tol}
+    if name == "dichotomy":
+        tolerances.update(epsilon_zero=report.epsilon_zero, floor=report.floor)
+    manifest = _manifest(name, config, outputs,
                          grid={"t_max": grid_spec[0], "steps": grid_spec[1]},
-                         tolerances={"tol": tol}, method=method,
+                         tolerances=tolerances, method=method,
                          observable=observable,
                          region=list(region) if region else None)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "manifest": manifest,
         "observable": series.observable,
-        "classification": report.classification,
-        "log_integral": report.log_integral,
-        "max_value": float(series.values.max()),
-        "final_value": float(series.values[-1]),
     }
+    if name == "dichotomy":
+        summary["report"] = _report_dict(report)
+    else:
+        summary.update(classification=report.classification,
+                       log_integral=report.log_integral,
+                       max_value=float(series.values.max()),
+                       final_value=float(series.values[-1]))
     files = [(os.path.join(out_dir, outputs["csv"]), _series_csv(series, "value")),
              (os.path.join(out_dir, outputs["summary"]), canonical_json(summary) + "\n")]
     if dump:
@@ -352,31 +361,6 @@ def _run_simulate(args) -> list[tuple[str, str]]:
         files.append((os.path.join(out_dir, outputs["hamiltonian"]),
                       format_triplets(hamiltonian)))
     return files
-
-
-def _run_dichotomy(args) -> list[tuple[str, str]]:
-    config, out_dir, grid, grid_spec, method, tol = _common_setup(args)
-    observable = _observable(args)
-    region = _resolve(args, "region", convert=_parse_region)
-    series = analysis.probability_series(config, observable, grid,
-                                         method=method, tol=tol, region=region)
-    report = analysis.dichotomy_scan(series)
-    outputs = {"csv": "dichotomy.csv", "summary": "dichotomy.json"}
-    manifest = _manifest("dichotomy", config, outputs,
-                         grid={"t_max": grid_spec[0], "steps": grid_spec[1]},
-                         tolerances={"tol": tol,
-                                     "epsilon_zero": report.epsilon_zero,
-                                     "floor": report.floor},
-                         method=method, observable=observable,
-                         region=list(region) if region else None)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest,
-        "observable": series.observable,
-        "report": _report_dict(report),
-    }
-    return [(os.path.join(out_dir, outputs["csv"]), _series_csv(series, "value")),
-            (os.path.join(out_dir, outputs["summary"]), canonical_json(summary) + "\n")]
 
 
 def _run_weak_causality(args) -> list[tuple[str, str]]:
@@ -409,13 +393,7 @@ def _run_weak_causality(args) -> list[tuple[str, str]]:
 
 
 def _run_fermi_integral(args) -> list[tuple[str, str]]:
-    config = load_config(_resolve(args, "config"))
-    out_dir = _resolve(args, "out", default=".")
-    grid_spec = _resolve(args, "grid", convert=_parse_grid)
-    if grid_spec is None:
-        grid_spec = (2.0 * config.light_cone_time, 160)
-    t_max, steps = grid_spec
-    grid = analysis.make_time_grid(t_max, steps)
+    config, out_dir, grid, grid_spec, _, _ = _common_setup(args, default_steps=160)
     quad_tol = _resolve(args, "quad-tol", default=DEFAULT_QUAD_TOL, convert=float)
     choice = _resolve(args, "range", default="both")
     ranges = list(FREQUENCY_RANGES) if choice == "both" else [choice]
@@ -496,8 +474,8 @@ def _run_cutoff_sweep(args) -> list[tuple[str, str]]:
 
 
 _RUNNERS = {
-    "simulate": _run_simulate,
-    "dichotomy": _run_dichotomy,
+    "simulate": _run_series,
+    "dichotomy": _run_series,
     "weak-causality": _run_weak_causality,
     "fermi-integral": _run_fermi_integral,
     "cutoff-sweep": _run_cutoff_sweep,

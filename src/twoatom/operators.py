@@ -14,9 +14,12 @@ smeared annihilator Phi_X = sum_j c_X[j] a_j the two coupling forms are
 For the box field c_X[j] = g_j * scale_X * exp(+i k_j x_X) (phase on the
 annihilator); for the hopping chain c_X picks out the coupled site.
 
-Hermiticity is structural: every matrix element is accumulated once in the
-canonical (upper triangle) slot and mirrored by exact complex conjugation,
-so matrix == matrix.conj().T holds with zero floating-point slack.
+Every field term is built from per-slot annihilators a_j on the occupation
+block and placed on the atoms by a Kronecker product (the basis is atoms x
+occupations).  Hermiticity is structural: the Hamiltonian is assembled as
+D + U + U^dagger from its real diagonal D and the terms U that raise the
+basis index, and IEEE addition commutes with conjugation, so
+matrix == matrix.conj().T holds with zero floating-point slack.
 """
 
 from __future__ import annotations
@@ -107,47 +110,6 @@ class BoundedObservable:
 # ---------------------------------------------------------------------------
 
 
-class _HermitianBuilder:
-    """Accumulates matrix elements with structurally exact Hermiticity."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.diag = np.zeros(dim, dtype=float)
-        self.upper = {}
-
-    def add(self, i, j, value):
-        # H[i, j] += value, mirror entry implied
-        if i == j:
-            if value.imag != 0.0:
-                raise ValueError("diagonal elements must be real")
-            self.diag[i] += value.real
-            return
-        if i < j:
-            self.upper[(i, j)] = self.upper.get((i, j), 0.0 + 0.0j) + value
-        else:
-            self.upper[(j, i)] = self.upper.get((j, i), 0.0 + 0.0j) + np.conjugate(value)
-
-    def to_csr(self):
-        n_up = len(self.upper)
-        rows = np.empty(self.dim + 2 * n_up, dtype=np.int64)
-        cols = np.empty_like(rows)
-        vals = np.empty(self.dim + 2 * n_up, dtype=np.complex128)
-        rows[: self.dim] = np.arange(self.dim)
-        cols[: self.dim] = np.arange(self.dim)
-        vals[: self.dim] = self.diag
-        for m, ((i, j), v) in enumerate(self.upper.items()):
-            rows[self.dim + 2 * m] = i
-            cols[self.dim + 2 * m] = j
-            vals[self.dim + 2 * m] = v
-            rows[self.dim + 2 * m + 1] = j
-            cols[self.dim + 2 * m + 1] = i
-            vals[self.dim + 2 * m + 1] = np.conjugate(v)
-        mat = sparse.coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
-        mat = mat.tocsr()
-        mat.eliminate_zeros()
-        return mat
-
-
 def gershgorin_floor(matrix) -> float:
     """Rigorous lower bound on the spectrum from Gershgorin discs."""
     matrix = sparse.csr_matrix(matrix)
@@ -181,6 +143,25 @@ def _one_particle_data(basis: FockBasis):
     return h, c_a, c_b
 
 
+def _raising(levels: int):
+    """|j + 1><j| on one atom's ladder (unit amplitudes)."""
+    return sparse.eye(levels, k=-1, format="csr")
+
+
+def _annihilators(basis: FockBasis) -> list:
+    """a_j on the occupation block, one csr matrix per field slot."""
+    occs = basis.occupations
+    position = {occ: i for i, occ in enumerate(occs)}
+    n = basis.num_occupations
+    out = []
+    for j in range(basis.num_slots):
+        src = [s for s, occ in enumerate(occs) if occ[j]]
+        dst = [position[occs[s][:j] + (occs[s][j] - 1,) + occs[s][j + 1:]] for s in src]
+        amp = np.sqrt([occs[s][j] for s in src])
+        out.append(sparse.csr_matrix((amp, (dst, src)), shape=(n, n)))
+    return out
+
+
 def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
     """Assemble the bare Hamiltonian for a basis.
 
@@ -189,64 +170,38 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
 
     Notes
     -----
-    Matrix elements are accumulated per source column by applying the
-    raising-side terms only; the lowering partners are implied by the
-    structural mirroring, so Hermiticity is exact by construction.
+    H = D + U + U^dagger: D is the diagonal, U collects the raising-side
+    terms (field hopping adag_j a_l with j < l, raise_X Phi_X, and under
+    "full" also raise_X Phi_X^dagger), each a Kronecker product of an atom
+    factor and a field factor built from the per-slot annihilators.
     """
     cfg = basis.config
     h1, c_a, c_b = _one_particle_data(basis)
-    full = cfg.coupling_form == "full"
-    builder = _HermitianBuilder(basis.dimension)
+    ann = _annihilators(basis)
+    n_occ = basis.num_occupations
+    eye_a = sparse.identity(basis.levels_a, format="csr")
+    eye_b = sparse.identity(basis.levels_b, format="csr")
+    empty = sparse.csr_matrix((n_occ, n_occ), dtype=complex)
 
-    # only canonical j < l moves are applied; the builder's exact mirroring
-    # supplies the reverse moves, so each unordered pair enters once
-    h1_offdiag = [
-        (j, l, h1[j, l])
-        for j in range(basis.num_slots)
-        for l in range(j + 1, basis.num_slots)
-        if h1[j, l] != 0
-    ]
-    h1_diag = np.real(np.diag(h1))
+    # D: atom ladders plus the field's one-particle diagonal, as an outer sum
+    atoms = np.add.outer(np.arange(basis.levels_a) * cfg.omega_a,
+                         np.arange(basis.levels_b) * cfg.omega_b).ravel()
+    occupations = np.array(basis.occupations, dtype=float).reshape(n_occ, basis.num_slots)
+    field = occupations @ np.real(np.diag(h1))
+    diagonal = sparse.diags(np.add.outer(atoms, field).ravel())
 
-    for s, (a, b, occ) in enumerate(basis.states):
-        # diagonal: atom ladders plus field one-particle diagonal
-        e = a * cfg.omega_a + b * cfg.omega_b
-        e += float(np.dot(h1_diag, occ)) if basis.num_slots else 0.0
-        builder.add(s, s, complex(e))
+    # U: every term that raises the basis index; U^dagger supplies the rest
+    hopping = sum((h1[j, l] * (ann[j].T @ ann[l])
+                   for j, l in zip(*np.nonzero(np.triu(h1, 1)))), empty)
+    upper = sparse.kron(sparse.identity(basis.levels_a * basis.levels_b), hopping)
+    for raise_x, c_x in ((sparse.kron(_raising(basis.levels_a), eye_b), c_a),
+                         (sparse.kron(eye_a, _raising(basis.levels_b)), c_b)):
+        phi = sum((c * a for c, a in zip(c_x, ann)), empty)
+        upper += sparse.kron(raise_x, phi)
+        if cfg.coupling_form == "full":
+            upper += sparse.kron(raise_x, phi.conjugate().T)
 
-        # field off-diagonal hopping: adag_j a_l moves one boson l -> j
-        for j, l, amp in h1_offdiag:
-            if occ[l] == 0:
-                continue
-            new = list(occ)
-            new[l] -= 1
-            new[j] += 1
-            t = basis.index[(a, b, tuple(new))]
-            builder.add(t, s, amp * np.sqrt(occ[l] * (occ[j] + 1)))
-
-        # interactions: apply the atom-raising terms from each source state
-        for atom, c_vec in (("a", c_a), ("b", c_b)):
-            lvl = a if atom == "a" else b
-            if lvl + 1 >= (basis.levels_a if atom == "a" else basis.levels_b):
-                continue
-            up = (a + 1, b) if atom == "a" else (a, b + 1)
-            for j in range(basis.num_slots):
-                if c_vec[j] == 0:
-                    continue
-                # raise_X a_j with amplitude c_X[j]
-                if occ[j] > 0:
-                    new = list(occ)
-                    new[j] -= 1
-                    t = basis.index[(up[0], up[1], tuple(new))]
-                    builder.add(t, s, c_vec[j] * np.sqrt(occ[j]))
-                # counter-rotating raise_X adag_j with amplitude conj(c_X[j])
-                if full and sum(occ) < basis.n_max:
-                    new = list(occ)
-                    new[j] += 1
-                    t = basis.index[(up[0], up[1], tuple(new))]
-                    builder.add(t, s, np.conjugate(c_vec[j]) * np.sqrt(occ[j] + 1))
-
-    matrix = builder.to_csr()
+    matrix = diagonal + upper + upper.conjugate().T
     return HermitianOperator(matrix, gershgorin_floor(matrix), basis)
 
 
@@ -288,9 +243,10 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     the spectrum sits in [0, 1] with no post-hoc clipping.  On one-photon
     states it reduces to the plain detection probability in the region.
 
-    N_S commutes with the total photon number, so the truncation is exact.
-    The construction diagonalizes the occupation block densely; it is meant
-    for diagnostic-size bases.
+    N_S is assembled as sum_j adag_j (sum_l K[j, l] a_l) from the per-slot
+    annihilators and commutes with the total photon number, so the
+    truncation is exact.  The construction diagonalizes the occupation block
+    densely; it is meant for diagnostic-size bases.
     """
     cfg = basis.config
     if isinstance(cfg, LatticeConfig):
@@ -310,24 +266,14 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
             kernel[j, l] = val
             kernel[l, j] = np.conjugate(val)
 
-    # assemble N_S on the occupation block
-    n_occ = basis.num_occupations
-    occ_index = {occ: i for i, occ in enumerate(basis.occupations)}
-    block = np.zeros((n_occ, n_occ), dtype=complex)
-    for s, occ in enumerate(basis.occupations):
-        block[s, s] += float(np.dot(np.real(np.diag(kernel)), occ)) if m else 0.0
-        for l in range(m):
-            if occ[l] == 0:
-                continue
-            for j in range(m):
-                if j == l:
-                    continue
-                new = list(occ)
-                new[l] -= 1
-                new[j] += 1
-                t = occ_index[tuple(new)]
-                block[t, s] += kernel[j, l] * np.sqrt(occ[l] * (occ[j] + 1))
-    block = _hermitize(block)
+    # N_S = sum_j adag_j (sum_l K[j, l] a_l) = A^dagger (K x 1) A with the
+    # annihilators stacked into A; a_l only reaches occupations below n_max,
+    # so A keeps just those rows and K x 1 stays m^2 times their count
+    below = [i for i, occ in enumerate(basis.occupations) if sum(occ) < basis.n_max]
+    stacked = sparse.vstack([a[below] for a in _annihilators(basis)]
+                            or [sparse.csr_matrix((0, basis.num_occupations))], format="csr")
+    smeared = sparse.kron(kernel, sparse.identity(len(below)), format="csr")
+    block = _hermitize((stacked.T @ smeared @ stacked).toarray())
 
     lam, vec = np.linalg.eigh(block)
     f = np.minimum(np.maximum(lam, 0.0), 1.0)

@@ -93,19 +93,14 @@ def _floor_phase(hamiltonian: HermitianOperator, zs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _dense_phases(hamiltonian: HermitianOperator, z: complex) -> np.ndarray:
-    """exp(-i w z) for all eigenvalues, evaluated with the floor shift."""
-    w, _ = hamiltonian.eigensystem()
-    # shifted exponent has non-positive real part for Im z <= 0
-    shifted = np.exp(-1j * z * (w - hamiltonian.spectral_floor))
-    return shifted * _floor_phase(hamiltonian, z)
-
-
 def _dense_apply(hamiltonian, amplitudes, zs) -> np.ndarray:
     w, v = hamiltonian.eigensystem()
     coeff = v.conjugate().T @ amplitudes
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    phases = np.stack([_dense_phases(hamiltonian, z) for z in zs])
+    # exp(-i w z) per time and eigenvalue; the shifted exponent has
+    # non-positive real part for Im z <= 0
+    phases = np.exp((-1j * zs)[:, None] * (w - hamiltonian.spectral_floor)[None, :])
+    phases *= _floor_phase(hamiltonian, zs)[:, None]
     return (v @ (phases * coeff).T).T  # shape (len(zs), dim)
 
 

@@ -109,10 +109,34 @@ def test_excitation_number_commutator():
     assert np.abs(comm_full.toarray()).max() > 0.0
 
 
+def test_three_level_ladder_hand_oracle():
+    # atom A climbs 1 -> 2 by absorbing one photon (rotating) or emitting
+    # one (counter-rotating); the ladder has no direct 0 <-> 2 step
+    cfg = ModelConfig(levels_a=3, num_modes=3, n_max=2, coupling_form="full")
+    basis = build_basis(cfg)
+    ham = build_hamiltonian(basis).matrix
+    vac = basis.vacuum
+    for j, (k, omega) in enumerate(zip(basis.modes.k, basis.modes.omega)):
+        c_a = mode_coupling(cfg, k, omega) * np.exp(1j * k * cfg.x_a)
+        one = tuple(int(i == j) for i in range(basis.num_slots))
+        top = index_of_bare_state(basis, 2, 0, vac)
+        mid = index_of_bare_state(basis, 1, 0, one)
+        assert ham[top, mid] == c_a
+        assert ham[mid, top] == np.conjugate(c_a)
+        emitted = index_of_bare_state(basis, 2, 0, one)
+        assert ham[emitted, index_of_bare_state(basis, 1, 0, vac)] == np.conjugate(c_a)
+    coo = ham.tocoo()
+    a_level = np.array([a for a, _, _ in basis.states])
+    assert np.all(np.abs(a_level[coo.row] - a_level[coo.col]) <= 1)
+    assert np.any(a_level[coo.row] == 2)
+
+
 def test_hermiticity_is_exact():
     for cfg in (
         ModelConfig(num_modes=6, n_max=2, coupling_form="full"),
         LatticeConfig(num_sites=6, site_a=1, site_b=4),
+        ModelConfig(levels_a=3, levels_b=4, num_modes=4, n_max=3, coupling_form="full"),
+        LatticeConfig(num_sites=6, site_a=1, site_b=4, coupling_form="rotating_wave"),
     ):
         ham = build_hamiltonian(build_basis(cfg))
         gap = ham.matrix - ham.matrix.conjugate().T

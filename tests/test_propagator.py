@@ -97,13 +97,16 @@ def test_krylov_matches_dense(mid_model):
     np.linspace(1.5, 6.0, 19),
     # constant: expm_multiply's interval mode would skip the propagation
     np.full(3, 2.0),
-], ids=["two_spacings", "offset_uniform", "constant"])
+    # empty: no states, but still a (0, dim) stack on both paths
+    np.array([]),
+], ids=["two_spacings", "offset_uniform", "constant", "empty"])
 def test_krylov_matches_dense_on_grid(mid_model, grid):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
     dense = evolve_grid(ham, psi0, grid, method="dense")
     krylov = evolve_grid(ham, psi0, grid, method="krylov")
-    assert np.max(np.linalg.norm(dense - krylov, axis=1)) <= 1e-10
+    assert dense.shape == krylov.shape == (len(grid), basis.dimension)
+    assert np.max(np.linalg.norm(dense - krylov, axis=1), initial=0.0) <= 1e-10
 
 
 def test_krylov_matches_expm_multiply(mid_model):
