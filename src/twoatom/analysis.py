@@ -27,7 +27,7 @@ from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
                         local_photon_observable)
 from .propagator import (StateVector, evolve_complex, evolve_grid,
-                         expectation_grid, prepare_initial_state)
+                         expectation_grid, prepare_initial_state, resolve_method)
 
 DEFAULT_EPSILON_ZERO = 1e-12
 DEFAULT_FLOOR = 1e-30
@@ -173,9 +173,24 @@ def series_from_operators(hamiltonian: HermitianOperator, initial: StateVector,
 
     This is the model-independent core: any Hamiltonian bounded below and
     any 0 <= O <= 1 qualify for the dichotomy statement.
+
+    The work happens inside the invariant block of H that holds psi_0: C is
+    the union of the connected components of H's nonzero pattern that meet
+    psi_0's support (HermitianOperator.invariant_block).  No entry of H
+    joins C to the rest of the space, so psi(t) = exp(-iHt) psi_0 vanishes
+    outside C and evolving H[C, C] is exact, with no assumption about which
+    symmetry H has.  P(t) is then ||W[:, C] psi_C(t)||^2 for the observable's
+    factor W, also exact.  "auto" picks the backend on the full dimension,
+    before the restriction, so a config keeps the backend it would get
+    without it (see probability_series for the measured reason).
     """
-    states = evolve_grid(hamiltonian, initial, time_grid, method=method, tol=tol)
-    values = expectation_grid(observable, states)
+    if initial.dimension != hamiltonian.dimension:
+        raise ValueError("initial state and Hamiltonian differ in dimension")
+    method = resolve_method(method, hamiltonian.dimension)
+    block = hamiltonian.invariant_block(np.flatnonzero(initial.amplitudes))
+    states = evolve_grid(hamiltonian.block(block), StateVector(initial.amplitudes[block]),
+                         time_grid, method=method, tol=tol)
+    values = expectation_grid(observable.restricted(block), states)
     return ProbabilitySeries(np.asarray(time_grid, dtype=float), values,
                              label, fingerprint)
 
@@ -186,11 +201,23 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
                        region=None) -> ProbabilitySeries:
     """P(t) for a config, starting from (excited A, ground B, vacuum).
 
+    The series is computed by series_from_operators inside the invariant
+    block of H that holds the initial state: dim 1122 of 2244 for the
+    default config under full coupling (parity), 34 under rotating_wave
+    (excitation number).
+
     Parameters
     ----------
     observable : str or BoundedObservable
         One of "excitation_b", "exchange", "photon_region", or a prebuilt
         observable on the config's basis.
+    method : {"auto", "dense", "krylov"}
+        "auto" is resolved on the full dimension (dense up to DENSE_LIMIT),
+        not on the block's.  This is measured: on the default config's
+        1122-dim block, dense eigh plus an 801-point grid took 1.2-1.9 s
+        and 167 MB against 0.6-0.7 s and 97 MB for expm_multiply (2 cores,
+        OpenBLAS), so keying the switch on the block would slow that
+        config down.
     initial_state : StateVector, optional
         Override for the canonical initial state.
     """

@@ -42,7 +42,8 @@ class HermitianOperator:
 
     The spectral_floor is a rigorous (possibly loose) lower bound used to
     shift complex-time propagation into a numerically safe regime.  Dense
-    eigendecompositions are computed lazily and cached on the instance.
+    eigendecompositions and principal blocks are computed lazily and cached
+    on the instance.
     """
 
     def __init__(self, matrix, spectral_floor: float, basis: FockBasis | None = None):
@@ -57,6 +58,7 @@ class HermitianOperator:
         self.spectral_floor = float(spectral_floor)
         self.basis = basis
         self._eigensystem = None
+        self._blocks = {}
 
     @property
     def dimension(self) -> int:
@@ -68,6 +70,37 @@ class HermitianOperator:
             w, v = np.linalg.eigh(self.matrix.toarray())
             self._eigensystem = (w, v)
         return self._eigensystem
+
+    def invariant_block(self, support) -> np.ndarray:
+        """Sorted indices C of the components of H's pattern that meet support.
+
+        The components are those of the undirected graph with an edge
+        wherever H has a nonzero entry.  No entry joins C to the rest of the
+        space, so span{e_i : i in C} is invariant under H and exp(-iHz), and
+        evolving H[C, C] is exact for any state supported inside C.
+        """
+        # imported here: runs that propagate nothing (fermi-integral) skip it
+        from scipy.sparse.csgraph import connected_components
+
+        _, labels = connected_components(self.matrix != 0, directed=False)
+        return np.flatnonzero(np.isin(labels, labels[np.asarray(support, dtype=int)]))
+
+    def block(self, indices) -> "HermitianOperator":
+        """H[C, C] as an operator, cached on this one per index set C.
+
+        C holds sorted, distinct indices, as invariant_block returns them.
+        By Cauchy interlacing the spectrum of any principal submatrix lies
+        inside H's, so the spectral floor carries over.  When C is the whole
+        space this operator is returned itself.
+        """
+        indices = np.asarray(indices, dtype=int)
+        if len(indices) == self.dimension:
+            return self
+        key = indices.tobytes()
+        if key not in self._blocks:
+            self._blocks[key] = HermitianOperator(
+                self.matrix[indices][:, indices], self.spectral_floor)
+        return self._blocks[key]
 
     def __repr__(self):
         return (
@@ -100,6 +133,25 @@ class BoundedObservable:
     @property
     def dimension(self) -> int:
         return self.operator.dimension
+
+    def restricted(self, indices) -> "BoundedObservable":
+        """The observable on states that vanish outside the sorted index set C.
+
+        For such psi, <psi|O|psi> = psi_C^dagger O[C, C] psi_C and
+        ||W psi||^2 = ||W[:, C] psi_C||^2 for any factor W.  The factor
+        keeps only its nonempty rows, which carry all of that norm.  O[C, C]
+        need not be a projector when O is, so the result always carries its
+        factor explicitly.
+        """
+        indices = np.asarray(indices, dtype=int)
+        if len(indices) == self.dimension:
+            return self
+        factor = None
+        if self.sqrt_factor is not None:
+            factor = sparse.csr_matrix(self.sqrt_factor)[:, indices]
+            factor = factor[np.flatnonzero(factor.getnnz(axis=1))]
+        return BoundedObservable(self.operator.block(indices), sqrt_factor=factor,
+                                 label=self.label)
 
     def __repr__(self):
         return f"BoundedObservable({self.label!r}, dim={self.dimension}, projector={self.is_projector})"

@@ -69,7 +69,8 @@ def _check_z(z: complex) -> complex:
     return z
 
 
-def _resolve_method(method: str, dim: int) -> str:
+def resolve_method(method: str, dim: int) -> str:
+    """The backend that `method` names for a Hamiltonian of dimension dim."""
     if method == "auto":
         return "dense" if dim <= DENSE_LIMIT else "krylov"
     if method not in ("dense", "krylov"):
@@ -164,7 +165,7 @@ def evolve_complex(hamiltonian: HermitianOperator, state: StateVector, z: comple
     backend's norm check against tol applies to real z only.
     """
     z = _check_z(z)
-    chosen = _resolve_method(method, hamiltonian.dimension)
+    chosen = resolve_method(method, hamiltonian.dimension)
     if chosen == "dense":
         out = _dense_apply(hamiltonian, state.amplitudes, [z])[0]
     else:
@@ -187,13 +188,15 @@ def evolve_grid(hamiltonian: HermitianOperator, state: StateVector, times, *,
     state.  Either way the result must pass the norm check against tol.
     """
     times = np.asarray(times, dtype=float)
-    chosen = _resolve_method(method, hamiltonian.dimension)
+    chosen = resolve_method(method, hamiltonian.dimension)
     if chosen == "dense":
         return _dense_apply(hamiltonian, state.amplitudes, times)
     steps = np.diff(times, prepend=0.0)
     if np.any(steps < 0):
         raise DomainError("time grid must be non-decreasing from t = 0 for the "
                           "sparse path")
+    if state.dimension == 0:  # expm_multiply divides by the dimension
+        return np.empty((len(times), 0), dtype=np.complex128)
     generator = _shifted_generator(hamiltonian)
     # expm_multiply's interval mode returns the unpropagated vector when
     # start == stop, so a constant grid takes the per-interval path
