@@ -24,7 +24,12 @@ e^{i omega theta}, theta in {R, -R, R - t, -(R + t)}, with smooth rational
 amplitudes, and each panel uses a Legendre projection with exact oscillatory
 moments (Filon-type), so accuracy is independent of how many oscillations a
 panel spans.  Panels halve adaptively until the degree-8 vs degree-16 tail
-estimate meets the requested absolute error.
+estimate meets the requested absolute error.  A pass evaluates every time
+at once, in blocks of TIME_BLOCK times: the theta = +-R moments do not
+depend on t and are contracted once per pass, and each block needs one
+moment call per t-dependent family and one kernel call per window.  Each
+panel and window keeps its per-time contribution and estimate, so a
+refinement pass evaluates only the halves it has just created.
 
 The discrete counterpart `mode_sum_amplitude` evaluates the same
 second-order formula over a box config's own mode table.  It is exact for
@@ -57,6 +62,9 @@ WINDOW_NODES = 48
 WINDOW_CHECK_NODES = 32
 PANEL_GROWTH = 1.6
 MAX_REFINEMENTS = 8
+# times per evaluation block: bounds the (times, degree+1, panels) moment
+# arrays and the (times, nodes) window kernels, and so the peak memory
+TIME_BLOCK = 16
 
 # Second-order probabilities above this are treated as strong coupling: the
 # neglected fourth-order terms enter at relative size ~sqrt(p), so beyond
@@ -188,35 +196,34 @@ def second_order_time_kernel(a, b, t):
     """I_gen(a, b, t): the doubly nested phase integral of second order.
 
     a is the energy mismatch entering at the earlier vertex, b the one at
-    the later vertex.  Vectorized over broadcast a, b; t is a scalar >= 0.
+    the later vertex.  Vectorized over a, b and t, which broadcast against
+    each other; every t must be >= 0, and t = 0 gives exactly 0.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise DomainError("second-order kernel needs t >= 0")
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b, t = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                  np.asarray(b, dtype=float), t)
     shape = a.shape
-    a = a.ravel()
-    b = b.ravel()
+    a, b, t = a.ravel(), b.ravel(), t.ravel()
     out = np.zeros(a.size, dtype=np.complex128)
-    if t == 0 or a.size == 0:
-        return out.reshape(shape)
 
-    small = np.abs(a * t) < 1.0
-    if (~small).any():
-        ab = a[~small]
-        bb = b[~small]
-        phi_sum = t * _e2(1j * (ab + bb) * t)
-        phi_b = t * _e2(1j * bb * t)
-        out[~small] = 1j * (phi_sum - phi_b) / ab
-    if small.any():
-        asml = a[small]
-        bsml = b[small]
-        m = _m_lower(1j * bsml * t, _SERIES_N)
+    closed = np.abs(a * t) >= 1.0
+    series = ~closed & (t != 0)
+    if closed.any():
+        ab, bb, tb = a[closed], b[closed], t[closed]
+        phi_sum = tb * _e2(1j * (ab + bb) * tb)
+        phi_b = tb * _e2(1j * bb * tb)
+        out[closed] = 1j * (phi_sum - phi_b) / ab
+    if series.any():
+        asml, ts = a[series], t[series]
+        m = _m_lower(1j * b[series] * ts, _SERIES_N)
         acc = np.zeros(asml.size, dtype=np.complex128)
         apow = np.ones(asml.size, dtype=np.complex128)   # a^{n-1}
         for n in range(1, _SERIES_N + 1):
-            acc += apow * (1j ** n) * t ** (n + 1) * m[n] / math.factorial(n)
+            acc += apow * (1j ** n) * ts ** (n + 1) * m[n] / math.factorial(n)
             apow = apow * asml
-        out[small] = 1j * acc
+        out[series] = 1j * acc
     return out.reshape(shape)
 
 
@@ -233,12 +240,13 @@ def _two_level_box(config) -> ModelConfig:
     return config
 
 
-def oscillatory_kernel(config: ModelConfig, omega, t: float):
+def oscillatory_kernel(config: ModelConfig, omega, t):
     """Integrand of the exchange amplitude (prefactor g^2 s_A s_B / 2pi off).
 
     omega * f^2(omega) * 2 cos(omega R) * [emission-first kernel +
     counter-rotating kernel (full coupling only)], an entire function of
-    omega that the quadrature integrates over the selected range.
+    omega that the quadrature integrates over the selected range.  omega
+    and t broadcast against each other.
     """
     cfg = _two_level_box(config)
     om = np.asarray(omega, dtype=float)
@@ -354,65 +362,127 @@ def _panel_coefficients(panels, cfg: ModelConfig):
 
 
 def _moments(theta, halfs):
-    """2 i^n j_n(theta * h) for n = 0..degree, shape (degree+1, P)."""
-    c = theta * halfs
+    """2 i^n j_n(theta * h) for n = 0..degree, shape theta.shape + (degree+1, P)."""
+    c = np.multiply.outer(theta, halfs)[..., None, :]
+    n = np.arange(PROJECTION_DEGREE + 1)[:, None]
     sign = np.where(c < 0, -1.0, 1.0)
-    n = np.arange(PROJECTION_DEGREE + 1)
-    jn = spherical_jn(n[:, None], np.abs(c)[None, :])
-    parity = sign[None, :] ** n[:, None]
-    return 2.0 * (1j ** n)[:, None] * parity * jn
+    return 2.0 * (1j ** n) * sign ** n * spherical_jn(n, np.abs(c))
 
 
-def _quadrature_pass(cfg, times, panels, windows, tol):
-    """One evaluation sweep; returns values, per-t estimates, split masks."""
-    full = cfg.coupling_form == "full"
-    wa, wb, rr = cfg.omega_a, cfg.omega_b, cfg.separation
-    delta = wb - wa
+def _time_blocks(count):
+    return (slice(i, i + TIME_BLOCK) for i in range(0, count, TIME_BLOCK))
+
+
+def _panel_terms(cfg, times, panels):
+    """Per-time contribution and error estimate of each panel, and its peak.
+
+    Shapes (P, T), (P, T) and (P,).  The peak is the largest tail of any
+    single phase family at any single time, not the largest of their sum.
+    """
+    rr, wa, wb = cfg.separation, cfg.omega_a, cfg.omega_b
+    mids, halfs, c1, c2, c3, c4 = _panel_coefficients(panels, cfg)
+    cut = ERROR_DEGREE + 1
+    # theta = +-R carry i phid(t) (c1 + c3) - (c2 + c4), with t-independent
+    # moments contracted once; theta = R - t, -(R + t) carry
+    # e^{i wb t} c2 + e^{-i wa t} c4
+    fixed_coef = np.stack([c1 + c3, c2 + c4])
+    moving_coef = np.stack([c2, c4])
+    fixed = []
+    for theta in (rr, -rr):
+        moms = _moments(theta, halfs)
+        tail = np.einsum("kpn,np->kp", fixed_coef[..., cut:], moms[cut:])
+        full = np.einsum("kpn,np->kp", fixed_coef[..., :cut], moms[:cut]) + tail
+        fixed.append((halfs * np.exp(1j * theta * mids), full, tail))
+
+    contrib = np.empty((times.size, len(panels)), dtype=np.complex128)
+    estimate = np.empty((times.size, len(panels)))
+    peak = np.zeros(len(panels))
+    for block in _time_blocks(times.size):
+        t = times[block]
+        col = t[:, None]
+        iphid = 1j * col * _e2(1j * (wb - wa) * col)
+        rot_b, rot_a = np.exp(1j * wb * col), np.exp(-1j * wa * col)
+        total = 0.0
+        est = 0.0
+        for carrier, full, tail in fixed:
+            total = total + carrier * (iphid * full[0] - full[1])
+            family = np.abs(carrier) * np.abs(iphid * tail[0] - tail[1])
+            est = est + family
+            np.maximum(peak, family.max(axis=0), out=peak)
+        for theta in (rr - t, -(rr + t)):
+            moms = _moments(theta, halfs)                   # (B, degree+1, P)
+            carrier = halfs * np.exp(1j * theta[:, None] * mids)
+            tail = np.einsum("kpn,tnp->ktp", moving_coef[..., cut:], moms[:, cut:])
+            full = np.einsum("kpn,tnp->ktp", moving_coef[..., :cut], moms[:, :cut]) + tail
+            total = total + carrier * (rot_b * full[0] + rot_a * full[1])
+            family = np.abs(carrier) * np.abs(rot_b * tail[0] + rot_a * tail[1])
+            est = est + family
+            np.maximum(peak, family.max(axis=0), out=peak)
+        contrib[block] = total
+        estimate[block] = est
+    return contrib.T, estimate.T, peak
+
+
+def _window_terms(cfg, times, windows):
+    """Per-time value and error estimate of each window, and its peak.
+
+    The value is the 48-node Gauss-Legendre integral of the whole kernel,
+    the estimate its distance to the 32-node one.  Shapes (W, T), (W, T)
+    and (W,).
+    """
+    x48, w48 = _gauss(WINDOW_NODES)
+    x32, w32 = _gauss(WINDOW_CHECK_NODES)
+    nodes = np.concatenate([x48, x32])
+    value = np.empty((len(windows), times.size), dtype=np.complex128)
+    diff = np.empty((len(windows), times.size))
+    for iw, (a, b) in enumerate(windows):
+        m, h = 0.5 * (a + b), 0.5 * (b - a)
+        for block in _time_blocks(times.size):
+            kern = oscillatory_kernel(cfg, m + h * nodes, times[block, None])
+            v48 = h * np.sum(w48 * kern[:, :WINDOW_NODES], axis=1)
+            v32 = h * np.sum(w32 * kern[:, WINDOW_NODES:], axis=1)
+            value[iw, block] = v48
+            diff[iw, block] = np.abs(v48 - v32)
+    return value, diff, diff.max(axis=1, initial=0.0)
+
+
+def _quadrature_pass(cfg, times, panels, windows, tol, terms):
+    """One evaluation sweep; returns values, per-t estimates, split masks.
+
+    `terms` maps ("panel" | "window", interval) to that element's per-time
+    contribution, per-time estimate and peak.  Only the elements it lacks
+    are evaluated, so a refinement pass costs just the halves it created.
+    """
     prefactor = (cfg.coupling_strength ** 2 * cfg.coupling_scale_a
                  * cfg.coupling_scale_b / (2.0 * math.pi))
+    layout = (("panel", panels, _panel_terms), ("window", windows, _window_terms))
+    for kind, elements, evaluate in layout:
+        fresh = [e for e in elements if (kind, e) not in terms]
+        if fresh:
+            keys = [(kind, e) for e in fresh]
+            terms.update(zip(keys, zip(*evaluate(cfg, times, fresh))))
+    rows = [terms[kind, e] for kind, elements, _ in layout for e in elements]
 
-    mids, halfs, c1, c2, c3, c4 = _panel_coefficients(panels, cfg)
-    xw48, ww48 = _gauss(WINDOW_NODES)
-    xw32, ww32 = _gauss(WINDOW_CHECK_NODES)
+    values = prefactor * np.sum([r[0] for r in rows], axis=0)
+    # A(0) = 0 exactly; the four phase families cancel there only to rounding
+    values[times == 0] = 0.0
+    estimates = prefactor * np.sum([r[1] for r in rows], axis=0)
+    budget = 0.5 * tol / max(1, len(rows))
+    split = prefactor * np.array([r[2] for r in rows]) > budget
+    return values, estimates, split[:len(panels)], split[len(panels):]
 
-    values = np.zeros(len(times), dtype=np.complex128)
-    estimates = np.zeros(len(times))
-    panel_peak = np.zeros(len(panels))
-    window_peak = np.zeros(len(windows))
-    cut = ERROR_DEGREE + 1
 
-    for it, t in enumerate(times):
-        total = 0.0 + 0.0j
-        est = 0.0
-        if len(panels):
-            phid = t * complex(_e2(np.array([1j * delta * t]))[0])
-            s_coef = 1j * phid * (c1 + (c3 if full else 0.0)) - (c2 + (c4 if full else 0.0))
-            d_coef = np.exp(1j * wb * t) * c2 + (np.exp(-1j * wa * t) * c4 if full else 0.0)
-            for theta, coef in ((rr, s_coef), (-rr, s_coef),
-                                (rr - t, d_coef), (-(rr + t), d_coef)):
-                moms = _moments(theta, halfs)
-                carrier = halfs * np.exp(1j * theta * mids)
-                contrib = carrier * np.einsum("pn,np->p", coef, moms)
-                tail = np.abs(carrier) * np.abs(
-                    np.einsum("pn,np->p", coef[:, cut:], moms[cut:, :]))
-                total += contrib.sum()
-                est += tail.sum()
-                np.maximum(panel_peak, tail, out=panel_peak)
-        for iw, (a, b) in enumerate(windows):
-            m, h = 0.5 * (a + b), 0.5 * (b - a)
-            v48 = h * np.sum(ww48 * oscillatory_kernel(cfg, m + h * xw48, t))
-            v32 = h * np.sum(ww32 * oscillatory_kernel(cfg, m + h * xw32, t))
-            diff = abs(v48 - v32)
-            total += v48
-            est += diff
-            window_peak[iw] = max(window_peak[iw], diff)
-        values[it] = prefactor * total
-        estimates[it] = prefactor * est
-
-    budget = 0.5 * tol / max(1, len(panels) + len(windows))
-    split_panels = prefactor * panel_peak > budget
-    split_windows = prefactor * window_peak > budget
-    return values, estimates, split_panels, split_windows
+def _halve(elements, split, kind, terms):
+    """The layout with each flagged interval replaced by its two halves."""
+    out = []
+    for lo_hi, flagged in zip(elements, split):
+        if flagged:
+            del terms[kind, lo_hi]
+            mid = 0.5 * (lo_hi[0] + lo_hi[1])
+            out += [(lo_hi[0], mid), (mid, lo_hi[1])]
+        else:
+            out.append(lo_hi)
+    return out
 
 
 def exchange_amplitude_series(config: ModelConfig, times, *,
@@ -434,33 +504,22 @@ def exchange_amplitude_series(config: ModelConfig, times, *,
         raise DomainError("times must be a 1-D array")
     if times.size and times.min() < 0:
         raise DomainError("amplitude times must be non-negative")
-    if cfg.coupling_strength == 0 or cfg.coupling_scale_a == 0 or cfg.coupling_scale_b == 0:
+    if (not times.size or cfg.coupling_strength == 0
+            or cfg.coupling_scale_a == 0 or cfg.coupling_scale_b == 0):
         return AmplitudeSeries(times, np.zeros(times.size, dtype=np.complex128),
                                frequency_range, 0.0)
 
     panels, windows = _build_layout(cfg, frequency_range)
+    terms = {}
     achieved = math.inf
     for _ in range(MAX_REFINEMENTS + 1):
         values, estimates, split_p, split_w = _quadrature_pass(
-            cfg, times, panels, windows, tol)
-        achieved = float(estimates.max()) if estimates.size else 0.0
+            cfg, times, panels, windows, tol, terms)
+        achieved = float(estimates.max())
         if achieved <= tol:
             return AmplitudeSeries(times, values, frequency_range, achieved)
-        new_panels = []
-        for panel, split in zip(panels, split_p):
-            if split:
-                mid = 0.5 * (panel[0] + panel[1])
-                new_panels += [(panel[0], mid), (mid, panel[1])]
-            else:
-                new_panels.append(panel)
-        new_windows = []
-        for window, split in zip(windows, split_w):
-            if split:
-                mid = 0.5 * (window[0] + window[1])
-                new_windows += [(window[0], mid), (mid, window[1])]
-            else:
-                new_windows.append(window)
-        panels, windows = new_panels, new_windows
+        panels = _halve(panels, split_p, "panel", terms)
+        windows = _halve(windows, split_w, "window", terms)
     raise ConvergenceError(
         f"oscillatory quadrature stalled at estimated error {achieved:.3e} "
         f"(requested {tol:.3e})", residual=achieved)
@@ -494,19 +553,15 @@ def mode_sum_amplitude(config: ModelConfig, times) -> AmplitudeSeries:
         raise DomainError("amplitude times must be non-negative")
     k, omega, g = mode_table(cfg).as_arrays()
     weight = g ** 2 * cfg.coupling_scale_a * cfg.coupling_scale_b
-    r_signed = cfg.x_b - cfg.x_a
-    values = np.zeros(times.size, dtype=np.complex128)
-    if k.size:
-        phase = np.exp(1j * k * r_signed)
-        for it, t in enumerate(times):
-            acc = np.sum(weight * phase
-                         * second_order_time_kernel(omega - cfg.omega_a,
-                                                    cfg.omega_b - omega, t))
-            if cfg.coupling_form == "full":
-                acc += np.sum(weight * np.conj(phase)
-                              * second_order_time_kernel(omega + cfg.omega_b,
-                                                         -(omega + cfg.omega_a), t))
-            values[it] = acc
+    phase = np.exp(1j * k * (cfg.x_b - cfg.x_a))
+    col = times[:, None]
+    values = np.sum(weight * phase
+                    * second_order_time_kernel(omega - cfg.omega_a,
+                                               cfg.omega_b - omega, col), axis=1)
+    if cfg.coupling_form == "full":
+        values += np.sum(weight * np.conj(phase)
+                         * second_order_time_kernel(omega + cfg.omega_b,
+                                                    -(omega + cfg.omega_a), col), axis=1)
     return AmplitudeSeries(times, values, "mode_sum", 0.0)
 
 

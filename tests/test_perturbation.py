@@ -11,7 +11,9 @@ from scipy.integrate import quad
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConvergenceError, DomainError
 from twoatom.perturbation import (
+    FREQUENCY_RANGES,
     GAUSS_SUPPORT,
+    TIME_BLOCK,
     _m_lower,
     exchange_amplitude_series,
     mode_sum_amplitude,
@@ -89,6 +91,32 @@ def test_kernel_broadcasts():
     assert out.shape == (3, 4)
     one = second_order_time_kernel(3.0, 5.0, 1.3)
     assert_allclose(out[1, 2], one, rtol=1e-15)
+
+
+def test_kernel_over_a_time_array_matches_scalar_calls():
+    # times on both sides of the |a t| = 1 branch seam and of the |b t| = 3
+    # and 25 seams of the moments, broadcast against a column of (a, b)
+    a = np.array([0.0, 0.05, 0.4, -0.5, 2.0, -12.0])[:, None]
+    b = np.array([10.0, -10.0, 1.3, 12.0, -9.5, 4.0])[:, None]
+    t = np.array([0.0, 0.1, 0.299, 0.301, 1.99, 2.01, 2.49, 2.51, 2.99])
+    out = second_order_time_kernel(a, b, t)
+    assert out.shape == (6, 9)
+    stacked = np.stack([second_order_time_kernel(a[:, 0], b[:, 0], ti) for ti in t],
+                       axis=1)
+    assert_allclose(out, stacked, atol=1e-15, rtol=0)
+    assert_array_equal(out[:, 0], np.zeros(6, dtype=np.complex128))
+    with pytest.raises(DomainError):
+        second_order_time_kernel(a, b, np.array([0.5, -1e-3, 2.0]))
+
+
+def test_oscillatory_kernel_over_a_time_array_matches_scalar_calls():
+    for form in ("full", "rotating_wave"):
+        cfg = ModelConfig(cutoff=4.0, coupling_form=form)
+        omega = np.linspace(-6.0, 6.0, 37)
+        t = np.array([0.0, 0.4, 1.7, 3.3, 6.0])
+        out = oscillatory_kernel(cfg, omega, t[:, None])
+        stacked = np.stack([oscillatory_kernel(cfg, omega, ti) for ti in t])
+        assert_allclose(out, stacked, atol=1e-15, rtol=0)
 
 
 def test_kernel_against_nested_quadrature():
@@ -172,6 +200,41 @@ def test_amplitude_against_scipy_quad(form, frequency_range):
                   lo, hi, limit=400, epsabs=1e-13, epsrel=1e-13)[0]
         assert_allclose(series.values[i], prefactor * (re + 1j * im),
                         atol=1e-13, rtol=0)
+
+
+@pytest.mark.parametrize("points", [TIME_BLOCK + 5, 161])
+def test_time_blocking_is_invisible(points):
+    # a permuted grid puts each time into another block, at another place
+    # and, for the last one, into a block of another size
+    cfg = ModelConfig()
+    grid = np.linspace(0.0, 2.0 * cfg.light_cone_time, points)
+    order = np.random.default_rng(5).permutation(points)
+    for frequency_range in FREQUENCY_RANGES:
+        base = exchange_amplitude_series(cfg, grid, frequency_range=frequency_range)
+        shuffled = exchange_amplitude_series(cfg, grid[order],
+                                             frequency_range=frequency_range)
+        assert_allclose(shuffled.values, base.values[order], atol=1e-15, rtol=0)
+        assert abs(shuffled.achieved_error - base.achieved_error) <= 1e-20
+
+
+@pytest.mark.parametrize(("frequency_range", "at_one", "error_at_one", "error_at_zero"), [
+    ("positive_only", 0.001249139287875962 + 2.933178206238577e-17j,
+     3.60990604285408e-14, 3.879037687034774e-14),
+    ("extended", -1.272221872585407e-17 + 6.643825334612682e-17j,
+     2.5179015748219757e-14, 7.758075714884194e-14),
+], ids=FREQUENCY_RANGES)
+def test_amplitude_edge_grids(frequency_range, at_one, error_at_one, error_at_zero):
+    cfg = ModelConfig()
+    empty = exchange_amplitude_series(cfg, np.array([]), frequency_range=frequency_range)
+    assert empty.values.shape == (0,)
+    assert empty.achieved_error == 0.0
+    one = exchange_amplitude_series(cfg, np.array([1.0]), frequency_range=frequency_range)
+    assert_allclose(one.values, [at_one], atol=1e-15, rtol=0)
+    assert abs(one.achieved_error - error_at_one) <= 1e-20
+    zeros = exchange_amplitude_series(cfg, np.array([0.0, 0.0]),
+                                      frequency_range=frequency_range)
+    assert_array_equal(zeros.values, np.zeros(2, dtype=np.complex128))
+    assert abs(zeros.achieved_error - error_at_zero) <= 1e-20
 
 
 def test_frequency_ranges_and_forms_differ():
