@@ -36,10 +36,8 @@ def random_instance(rng):
     rank = int(rng.integers(1, dim))
     frame = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     q, _ = np.linalg.qr(frame)
-    projector = q @ q.conj().T
-    projector = (projector + projector.conj().T) / 2.0
-    observable = BoundedObservable(HermitianOperator(projector, 0.0),
-                                   is_projector=True)
+    # the projector q q^dagger, held as its square-root factor q^dagger
+    observable = BoundedObservable(q.conj().T)
 
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     state = StateVector(vec / np.linalg.norm(vec))

@@ -15,7 +15,9 @@ the extension, not a property of the model.
 
 The script evaluates both versions with an adaptive oscillatory
 quadrature and prints them side by side, then checks the second-order
-amplitude against exact propagation at small coupling.
+amplitude against exact propagation at small coupling.  Where an amplitude
+is no larger than the quadrature's achieved error, only the bound
+"<error^2" is printed for its square.
 """
 
 import math
@@ -30,6 +32,19 @@ COUPLING = 0.1
 GRID_POINTS = 25
 
 
+def probability(series, index, digits=6):
+    """max |A|^2 over series.values[index], or a bound where it is noise.
+
+    Where |A| is no larger than the quadrature's achieved error, the value
+    is rounding noise of the quadrature and only "< achieved_error^2" is
+    known.
+    """
+    amplitude = np.max(np.abs(series.values[index]))
+    if amplitude <= series.achieved_error:
+        return f"<{series.achieved_error ** 2:.1e}"
+    return f"{amplitude ** 2:.{digits}e}"
+
+
 def main():
     cfg = ModelConfig(cutoff=CUTOFF, coupling_strength=COUPLING)
     r = cfg.separation
@@ -39,9 +54,6 @@ def main():
                                          frequency_range="positive_only")
     extended = exchange_amplitude_series(cfg, times,
                                          frequency_range="extended")
-    prob_positive = np.abs(positive.values) ** 2
-    prob_extended = np.abs(extended.values) ** 2
-
     print("second-order excitation-exchange probability |A(t)|^2")
     print(f"cutoff = {CUTOFF}, coupling = {COUPLING}, all times below t = R")
     print(f"quadrature residuals: positive_only {positive.achieved_error:.1e},"
@@ -49,11 +61,13 @@ def main():
     print()
     print("      t / R    positive frequencies    extended to full axis")
     for i in range(0, GRID_POINTS, 4):
-        print(f"    {times[i] / r:7.3f}    {prob_positive[i]:18.6e}"
-              f"    {prob_extended[i]:20.6e}")
+        print(f"    {times[i] / r:7.3f}    {probability(positive, i):>18}"
+              f"    {probability(extended, i):>20}")
     print()
-    print(f"max before the cone, positive_only: {np.max(prob_positive):.3e}")
-    print(f"max before the cone, extended     : {np.max(prob_extended):.3e}")
+    print("max before the cone, positive_only: "
+          f"{probability(positive, slice(None), digits=3)}")
+    print("max before the cone, extended     : "
+          f"{probability(extended, slice(None), digits=3)}")
     print()
 
     print("cross-check against exact propagation (finite mode box)")

@@ -18,7 +18,7 @@ from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
                         format_triplets, gershgorin_floor, local_photon_observable,
                         read_triplets, spectral_bounds, write_triplets)
-from .propagator import (StateVector, evolve, evolve_complex, evolve_grid,
+from .propagator import (StateVector, evolve_complex, evolve_grid,
                          expectation, expectation_grid, prepare_initial_state)
 from .analysis import (CutoffRow, CutoffSweepResult, DichotomyReport,
                        FrontDetection, ProbabilitySeries, ZeroCandidate,
@@ -43,7 +43,7 @@ __all__ = [
     "ProbabilitySeries", "StateVector", "TwoAtomError", "ZeroCandidate",
     "auxiliary_function", "build_basis", "build_hamiltonian", "build_model",
     "config_fingerprint", "config_items", "cutoff_sweep", "detect_front",
-    "dichotomy_scan", "evolve", "evolve_complex", "evolve_grid",
+    "dichotomy_scan", "evolve_complex", "evolve_grid",
     "exchange_amplitude_series", "exchange_projector", "excitation_numbers",
     "excitation_observable_b", "expectation", "expectation_grid",
     "format_triplets", "gershgorin_floor", "index_of_bare_state", "local_photon_observable",

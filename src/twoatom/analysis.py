@@ -237,13 +237,15 @@ def auxiliary_function(config: AnyConfig, observable, phi: StateVector, z: compl
     For fixed phi this is analytic in the open lower half plane and
     continuous up to the real axis, where |F| is bounded by
     ||phi|| * exp(Im(z) * spectral_floor).  Its boundary values at real z
-    recover probing of the probability series.
+    recover probing of the probability series.  It is evaluated as
+    <W phi, W exp(-i H z) psi_0> with the observable's factor W.
     """
     basis, hamiltonian = _model(config)
     obs = resolve_observable(config, observable, region=region)
     psi0 = prepare_initial_state(basis)
     psi_z = evolve_complex(hamiltonian, psi0, z, method=method, tol=tol)
-    return complex(np.vdot(phi.amplitudes, obs.matrix @ psi_z.amplitudes))
+    factor = obs.sqrt_factor
+    return complex(np.vdot(factor @ phi.amplitudes, factor @ psi_z.amplitudes))
 
 
 # ---------------------------------------------------------------------------

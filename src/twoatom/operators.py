@@ -20,6 +20,11 @@ occupations).  Hermiticity is structural: the Hamiltonian is assembled as
 D + U + U^dagger from its real diagonal D and the terms U that raise the
 basis index, and IEEE addition commutes with conjugation, so
 matrix == matrix.conj().T holds with zero floating-point slack.
+
+Every observable 0 <= O <= 1 is stored as one sparse square-root factor W
+with O = W^dagger W, and O itself is never formed.  The two projectors are
+their own factors; the photon-region observable gets one dense factor per
+photon-number sector, placed on the atoms by a Kronecker product.
 """
 
 from __future__ import annotations
@@ -110,51 +115,38 @@ class HermitianOperator:
 
 
 class BoundedObservable:
-    """Observable with spectrum inside [0, 1].
+    """Observable O with spectrum inside [0, 1], held as its square-root factor.
 
-    sqrt_factor is any matrix W with O = W^dagger W; expectation values are
-    then evaluated as ||W psi||^2, which is non-negative by construction and
-    never clamped after the fact.  Projectors are their own square root.
+    sqrt_factor is a csr matrix W, with as many columns as the basis has
+    states and any number of rows, such that O = W^dagger W.  O itself is
+    never formed: expectation values are ||W psi||^2, which is non-negative
+    by construction and never clamped after the fact.  A projector is its own
+    square root.
     """
 
-    def __init__(self, operator: HermitianOperator, is_projector: bool = False,
-                 sqrt_factor=None, label: str = "observable"):
-        self.operator = operator
-        self.is_projector = bool(is_projector)
-        if sqrt_factor is None and self.is_projector:
-            sqrt_factor = operator.matrix
-        self.sqrt_factor = sqrt_factor
+    def __init__(self, sqrt_factor, label: str = "observable"):
+        self.sqrt_factor = sparse.csr_matrix(sqrt_factor, dtype=np.complex128)
         self.label = label
 
     @property
-    def matrix(self):
-        return self.operator.matrix
-
-    @property
     def dimension(self) -> int:
-        return self.operator.dimension
+        return self.sqrt_factor.shape[1]
 
     def restricted(self, indices) -> "BoundedObservable":
         """The observable on states that vanish outside the sorted index set C.
 
-        For such psi, <psi|O|psi> = psi_C^dagger O[C, C] psi_C and
-        ||W psi||^2 = ||W[:, C] psi_C||^2 for any factor W.  The factor
-        keeps only its nonempty rows, which carry all of that norm.  O[C, C]
-        need not be a projector when O is, so the result always carries its
-        factor explicitly.
+        For such psi, ||W psi||^2 = ||W[:, C] psi_C||^2.  The factor keeps
+        only its nonempty rows, which carry all of that norm.
         """
         indices = np.asarray(indices, dtype=int)
         if len(indices) == self.dimension:
             return self
-        factor = None
-        if self.sqrt_factor is not None:
-            factor = sparse.csr_matrix(self.sqrt_factor)[:, indices]
-            factor = factor[np.flatnonzero(factor.getnnz(axis=1))]
-        return BoundedObservable(self.operator.block(indices), sqrt_factor=factor,
-                                 label=self.label)
+        factor = self.sqrt_factor[:, indices]
+        return BoundedObservable(factor[np.flatnonzero(factor.getnnz(axis=1))], self.label)
 
     def __repr__(self):
-        return f"BoundedObservable({self.label!r}, dim={self.dimension}, projector={self.is_projector})"
+        rows, dim = self.sqrt_factor.shape
+        return f"BoundedObservable({self.label!r}, dim={dim}, factor_rows={rows})"
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +257,8 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
 def excitation_observable_b(basis: FockBasis) -> BoundedObservable:
     """Projector onto 'atom B is in any excited level'.  Diagonal 0/1."""
     mask = np.array([1.0 if b >= 1 else 0.0 for _, b, _ in basis.states])
-    mat = sparse.diags(mask, format="csr", dtype=np.complex128)
-    op = HermitianOperator(mat, gershgorin_floor(mat), basis)
-    return BoundedObservable(op, is_projector=True, label="excitation_b")
+    return BoundedObservable(sparse.diags(mask, format="csr", dtype=np.complex128),
+                             label="excitation_b")
 
 
 def exchange_projector(basis: FockBasis) -> BoundedObservable:
@@ -276,13 +267,7 @@ def exchange_projector(basis: FockBasis) -> BoundedObservable:
     mat = sparse.csr_matrix(
         ([1.0 + 0.0j], ([idx], [idx])), shape=(basis.dimension, basis.dimension)
     )
-    op = HermitianOperator(mat, gershgorin_floor(mat), basis)
-    return BoundedObservable(op, is_projector=True, label="exchange")
-
-
-def _hermitize(dense):
-    # exact Hermitian symmetrization: conj pairing of add/2 is exact in IEEE
-    return (dense + dense.conjugate().T) / 2.0
+    return BoundedObservable(mat, label="exchange")
 
 
 def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> BoundedObservable:
@@ -297,8 +282,12 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
 
     N_S is assembled as sum_j adag_j (sum_l K[j, l] a_l) from the per-slot
     annihilators and commutes with the total photon number, so the
-    truncation is exact.  The construction diagonalizes the occupation block
-    densely; it is meant for diagnostic-size bases.
+    truncation is exact and N_S splits into one block per photon number n.
+    Each block is diagonalized densely, N_S = V_n diag(lambda) V_n^dagger,
+    and contributes the factor rows F_n = diag(sqrt(f)) V_n^dagger with
+    f = min(lambda, 1), less the rows where f = 0.  No row of the factor
+    joins two photon numbers.  The construction is meant for
+    diagnostic-size bases.
     """
     cfg = basis.config
     if isinstance(cfg, LatticeConfig):
@@ -325,19 +314,22 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     stacked = sparse.vstack([a[below] for a in _annihilators(basis)]
                             or [sparse.csr_matrix((0, basis.num_occupations))], format="csr")
     smeared = sparse.kron(kernel, sparse.identity(len(below)), format="csr")
-    block = _hermitize((stacked.T @ smeared @ stacked).toarray())
+    number = (stacked.T @ smeared @ stacked).tocsr()
 
-    lam, vec = np.linalg.eigh(block)
-    f = np.minimum(np.maximum(lam, 0.0), 1.0)
-    o_block = _hermitize((vec * f) @ vec.conjugate().T)
-    w_block = _hermitize((vec * np.sqrt(f)) @ vec.conjugate().T)
+    photons = np.array([sum(occ) for occ in basis.occupations])
+    rows = []
+    for n in range(basis.n_max + 1):
+        sector = np.flatnonzero(photons == n)
+        lam, vec = np.linalg.eigh(number[sector][:, sector].toarray())
+        f = np.clip(lam, 0.0, 1.0)
+        keep = f > 0.0
+        block = np.zeros((np.count_nonzero(keep), basis.num_occupations), dtype=complex)
+        block[:, sector] = np.sqrt(f[keep])[:, None] * vec[:, keep].conjugate().T
+        rows.append(block)
 
     eye_atoms = sparse.identity(basis.levels_a * basis.levels_b, format="csr")
-    mat = sparse.kron(eye_atoms, sparse.csr_matrix(o_block), format="csr")
-    sqrt_factor = sparse.kron(eye_atoms, sparse.csr_matrix(w_block), format="csr")
-    op = HermitianOperator(mat, gershgorin_floor(mat), basis)
-    return BoundedObservable(op, is_projector=False, sqrt_factor=sqrt_factor,
-                             label="photon_region")
+    sqrt_factor = sparse.kron(eye_atoms, sparse.csr_matrix(np.vstack(rows)), format="csr")
+    return BoundedObservable(sqrt_factor, label="photon_region")
 
 
 def spectral_bounds(operator: HermitianOperator, dense_limit: int = DENSE_LIMIT):

@@ -12,7 +12,11 @@ operator's certified floor before exponentiation so the damped factors
 never overflow, then the shift is restored as a scalar.
 
 Grid sweeps on the dense path evaluate all requested times in one BLAS
-call; on the sparse path a uniform grid is one expm_multiply call.
+call; on the sparse path a uniform grid is one expm_multiply call.  Both
+paths return the initial amplitudes themselves at z = 0.
+
+Expectation values of an observable O = W^dagger W are ||W psi||^2 for its
+square-root factor W, the only form in which observables are held.
 """
 
 from __future__ import annotations
@@ -102,7 +106,10 @@ def _dense_apply(hamiltonian, amplitudes, zs) -> np.ndarray:
     # non-positive real part for Im z <= 0
     phases = np.exp((-1j * zs)[:, None] * (w - hamiltonian.spectral_floor)[None, :])
     phases *= _floor_phase(hamiltonian, zs)[:, None]
-    return (v @ (phases * coeff).T).T  # shape (len(zs), dim)
+    out = (v @ (phases * coeff).T).T  # shape (len(zs), dim)
+    # exp(0) is the identity: psi(0) exactly, not its round trip through V
+    out[zs == 0] = amplitudes
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +147,12 @@ def _check_unitary(states: np.ndarray, initial_norm: float, tol: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def evolve(hamiltonian: HermitianOperator, state: StateVector, t: float, *,
-           method: str = "auto", tol: float = DEFAULT_TOL) -> StateVector:
-    """Propagate a state by exp(-i H t) for real t.
+def evolve_complex(hamiltonian: HermitianOperator, state: StateVector, z: complex, *,
+                   method: str = "auto", tol: float = DEFAULT_TOL) -> StateVector:
+    """Propagate by exp(-i H z) for complex z with Im z <= 0.
+
+    The result is not normalized: for Im z < 0 its norm obeys
+    ||psi_z|| <= exp(Im(z) * spectral_floor) * ||psi||.
 
     Parameters
     ----------
@@ -150,19 +160,8 @@ def evolve(hamiltonian: HermitianOperator, state: StateVector, t: float, *,
         "auto" picks dense up to dimension DENSE_LIMIT, the sparse
         expm_multiply backend ("krylov") above.
     tol : float
-        Largest norm change the sparse backend may leave in the result
-        before it raises ConvergenceError.
-    """
-    return evolve_complex(hamiltonian, state, float(t), method=method, tol=tol)
-
-
-def evolve_complex(hamiltonian: HermitianOperator, state: StateVector, z: complex, *,
-                   method: str = "auto", tol: float = DEFAULT_TOL) -> StateVector:
-    """Propagate by exp(-i H z) for complex z with Im z <= 0.
-
-    The result is not normalized: for Im z < 0 its norm obeys
-    ||psi_z|| <= exp(Im(z) * spectral_floor) * ||psi||.  The sparse
-    backend's norm check against tol applies to real z only.
+        Largest norm change the sparse backend may leave in a real-time
+        result before it raises ConvergenceError; complex z is not checked.
     """
     z = _check_z(z)
     chosen = resolve_method(method, hamiltonian.dimension)
@@ -215,23 +214,15 @@ def evolve_grid(hamiltonian: HermitianOperator, state: StateVector, times, *,
 
 
 def expectation(observable: BoundedObservable, state: StateVector) -> float:
-    """<psi|O|psi> as a real number.
+    """<psi|O|psi> = ||W psi||^2 as a real number.
 
-    When the observable carries a square-root factor W (projectors always
-    do), the value is computed as ||W psi||^2, which keeps it inside
-    [0, ||psi||^2] by construction rather than by clipping.
+    The value lies inside [0, ||psi||^2] by construction rather than by
+    clipping.
     """
-    amp = state.amplitudes
-    if observable.sqrt_factor is not None:
-        half = observable.sqrt_factor @ amp
-        return float(np.real(np.vdot(half, half)))
-    return float(np.real(np.vdot(amp, observable.matrix @ amp)))
+    return float(expectation_grid(observable, state.amplitudes[None, :])[0])
 
 
 def expectation_grid(observable: BoundedObservable, states: np.ndarray) -> np.ndarray:
-    """Expectation values for a stack of states, shape (n_times, dim)."""
-    if observable.sqrt_factor is not None:
-        half = observable.sqrt_factor @ states.T
-        return np.real(np.einsum("ij,ij->j", half.conjugate(), half))
-    tmp = observable.matrix @ states.T
-    return np.real(np.einsum("ij,ij->j", states.T.conjugate(), tmp))
+    """||W psi||^2 for a stack of states psi, shape (n_times, dim)."""
+    half = observable.sqrt_factor @ states.T
+    return np.real(np.einsum("ij,ij->j", half.conjugate(), half))

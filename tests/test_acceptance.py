@@ -82,10 +82,8 @@ def test_criterion_1_randomized_dichotomy():
             rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
         rank = int(rng.integers(1, dim))
         block = unitary[:, :rank]
-        projector = block @ block.conjugate().T
-        projector = (projector + projector.conjugate().T) / 2.0
-        observable = BoundedObservable(HermitianOperator(projector, 0.0),
-                                       is_projector=True, label="random_projector")
+        # the rank-r projector B B^dagger, held as its factor B^dagger
+        observable = BoundedObservable(block.conjugate().T, label="random_projector")
 
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = StateVector(vec / np.linalg.norm(vec))

@@ -11,7 +11,6 @@ from twoatom.basis import build_basis, excitation_numbers, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import DomainError
 from twoatom.operators import (
-    BoundedObservable,
     HermitianOperator,
     build_hamiltonian,
     exchange_projector,
@@ -165,7 +164,6 @@ def test_gershgorin_floor_exact_for_diagonal():
 def test_excitation_observable_b():
     basis = build_basis(ModelConfig(num_modes=2, n_max=1))
     obs = excitation_observable_b(basis)
-    assert obs.is_projector
     psi0 = prepare_initial_state(basis)
     assert expectation(obs, psi0) == 0.0
     exchanged = np.zeros(basis.dimension, dtype=complex)
@@ -173,22 +171,24 @@ def test_excitation_observable_b():
     psi_ex = StateVector(exchanged, basis)
     assert expectation(obs, psi_ex) == 1.0
     # B excited on exactly half of a two-level-B basis
-    trace = float(np.real(obs.matrix.diagonal().sum()))
+    o = obs.sqrt_factor.conjugate().T @ obs.sqrt_factor
+    trace = float(np.real(o.diagonal().sum()))
     assert trace == basis.dimension / 2
     # projector: O^2 = O exactly
-    assert (obs.matrix @ obs.matrix != obs.matrix).nnz == 0
+    assert (o @ o != o).nnz == 0
 
 
 def test_exchange_projector():
     basis = build_basis(ModelConfig(num_modes=2, n_max=1))
     obs = exchange_projector(basis)
-    assert float(np.real(obs.matrix.diagonal().sum())) == 1.0
+    o = obs.sqrt_factor.conjugate().T @ obs.sqrt_factor
+    assert float(np.real(o.diagonal().sum())) == 1.0
     psi0 = prepare_initial_state(basis)
     assert expectation(obs, psi0) == 0.0
     target = np.zeros(basis.dimension, dtype=complex)
     target[index_of_bare_state(basis, 0, 1, basis.vacuum)] = 1.0
     assert expectation(obs, StateVector(target, basis)) == 1.0
-    assert (obs.matrix @ obs.matrix != obs.matrix).nnz == 0
+    assert (o @ o != o).nnz == 0
 
 
 def one_photon_state(basis, mode_index):
@@ -251,9 +251,61 @@ def test_photon_observable_spectrum_in_unit_interval():
     cfg = ModelConfig(num_modes=4, n_max=2)
     basis = build_basis(cfg)
     obs = local_photon_observable(basis, (1.0, 4.0))
-    w = np.linalg.eigvalsh(obs.matrix.toarray())
+    w = np.linalg.eigvalsh((obs.sqrt_factor.conjugate().T @ obs.sqrt_factor).toarray())
     assert w[0] >= -1e-12
     assert w[-1] <= 1.0 + 1e-12
+
+
+def test_photon_factor_rows_stay_in_one_photon_number_sector():
+    # N_S conserves the photon count, so no row of W may join two counts
+    # (or two atom states)
+    basis = build_basis(ModelConfig(num_modes=8, n_max=2))
+    w = local_photon_observable(basis, (1.0, 4.0)).sqrt_factor
+    keys = np.array([(a * basis.levels_b + b) * (basis.n_max + 1) + sum(occ)
+                     for a, b, occ in basis.states])
+    assert w.nnz > 0
+    for start, stop in zip(w.indptr[:-1], w.indptr[1:]):
+        assert len(set(keys[w.indices[start:stop]])) <= 1
+
+
+def test_photon_factor_matches_hand_enumerated_number_operator():
+    # N_S from hand-enumerated <occ'| adag_j a_l |occ> elements, min(N_S, 1)
+    # by eigh, placed on each atom state: the oracle for W^dagger W
+    cfg = ModelConfig(num_modes=4, n_max=2)
+    basis = build_basis(cfg)
+    lo, hi = 1.0, 4.0
+    k = np.asarray(basis.modes.k)
+    m = len(k)
+    kernel = np.empty((m, m), dtype=complex)
+    for j in range(m):
+        for l in range(m):
+            q = k[l] - k[j]
+            kernel[j, l] = ((hi - lo) / cfg.box_length if q == 0 else
+                            (np.exp(1j * q * hi) - np.exp(1j * q * lo)) / (1j * q * cfg.box_length))
+    occs = basis.occupations
+    n_s = np.zeros((len(occs), len(occs)), dtype=complex)
+    for i, occ in enumerate(occs):
+        for j in range(m):
+            for l in range(m):
+                if occ[l] == 0:
+                    continue
+                moved = list(occ)
+                amp = math.sqrt(moved[l])
+                moved[l] -= 1
+                amp *= math.sqrt(moved[j] + 1)
+                moved[j] += 1
+                n_s[occs.index(tuple(moved)), i] += kernel[j, l] * amp
+    lam, vec = np.linalg.eigh(n_s)
+    assert lam[-1] > 1.0  # the saturation min(N_S, 1) is exercised
+    o_occ = (vec * np.clip(lam, 0.0, 1.0)) @ vec.conjugate().T
+    oracle = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for row, (a, b, occ_row) in enumerate(basis.states):
+        for col, (a2, b2, occ_col) in enumerate(basis.states):
+            if (a, b) == (a2, b2):
+                oracle[row, col] = o_occ[occs.index(occ_row), occs.index(occ_col)]
+
+    w = local_photon_observable(basis, (lo, hi)).sqrt_factor
+    assert np.max(np.abs((w.conjugate().T @ w).toarray() - oracle)) <= 1e-12
 
 
 def test_photon_observable_bad_region():
@@ -342,10 +394,3 @@ def test_lattice_hamiltonian_structure():
         hand[j, j + 1] = hand[j + 1, j] = -cfg.hopping
     assert_allclose(block, hand, atol=1e-15)
 
-
-def test_observable_wrapper_defaults():
-    basis = build_basis(ModelConfig(num_modes=1, n_max=1))
-    op = build_hamiltonian(basis)
-    wrapped = BoundedObservable(exchange_projector(basis).operator, is_projector=True)
-    assert wrapped.sqrt_factor is not None
-    assert wrapped.dimension == op.dimension

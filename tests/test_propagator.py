@@ -17,7 +17,6 @@ from twoatom.operators import (
 )
 from twoatom.propagator import (
     StateVector,
-    evolve,
     evolve_complex,
     evolve_grid,
     expectation,
@@ -51,7 +50,7 @@ def test_initial_state(small_model):
 def test_zero_time_is_identity(small_model):
     basis, ham = small_model
     psi0 = prepare_initial_state(basis)
-    out = evolve(ham, psi0, 0.0)
+    out = evolve_complex(ham, psi0, 0.0)
     assert_allclose(out.amplitudes, psi0.amplitudes, atol=1e-14)
 
 
@@ -62,7 +61,7 @@ def test_decoupled_probabilities_are_static():
     obs = excitation_observable_b(basis)
     e0 = ham.matrix.diagonal().real[index_of_bare_state(basis, 1, 0, basis.vacuum)]
     for t in (0.3, 1.7, 12.0):
-        psi_t = evolve(ham, psi0, t)
+        psi_t = evolve_complex(ham, psi0, t)
         # pure phase on the initial amplitude
         assert_allclose(
             psi_t.amplitudes[index_of_bare_state(basis, 1, 0, basis.vacuum)],
@@ -76,8 +75,8 @@ def test_group_property(small_model):
     basis, ham = small_model
     assert basis.dimension == 24
     psi0 = prepare_initial_state(basis)
-    one_shot = evolve(ham, psi0, 2.5)
-    two_step = evolve(ham, evolve(ham, psi0, 1.1), 1.4)
+    one_shot = evolve_complex(ham, psi0, 2.5)
+    two_step = evolve_complex(ham, evolve_complex(ham, psi0, 1.1), 1.4)
     assert np.linalg.norm(one_shot.amplitudes - two_step.amplitudes) <= 1e-10
 
 
@@ -113,7 +112,7 @@ def test_krylov_matches_expm_multiply(mid_model):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
     t = 3.0
-    ours = evolve(ham, psi0, t, method="krylov", tol=1e-12)
+    ours = evolve_complex(ham, psi0, t, method="krylov", tol=1e-12)
     reference = expm_multiply(-1j * t * ham.matrix.tocsc(), psi0.amplitudes)
     assert np.linalg.norm(ours.amplitudes - reference) <= 1e-9
 
@@ -136,7 +135,7 @@ def test_complex_time_rejects_upper_half_plane(small_model):
 def test_real_axis_consistency(small_model):
     basis, ham = small_model
     psi0 = prepare_initial_state(basis)
-    a = evolve(ham, psi0, 1.3)
+    a = StateVector(evolve_grid(ham, psi0, [1.3])[0])
     b = evolve_complex(ham, psi0, 1.3 + 0.0j)
     assert np.linalg.norm(a.amplitudes - b.amplitudes) <= 1e-12
 
