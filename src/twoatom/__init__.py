@@ -29,8 +29,7 @@ from .analysis import (CutoffRow, CutoffSweepResult, DichotomyReport,
 from .perturbation import (FREQUENCY_RANGES, AmplitudeSeries,
                            PerturbativeComparison, exchange_amplitude_series,
                            mode_sum_amplitude, oscillatory_kernel,
-                           perturbative_vs_exact, second_order_exchange_amplitude,
-                           second_order_time_kernel)
+                           perturbative_vs_exact, second_order_time_kernel)
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,6 @@ __all__ = [
     "log_integral", "make_time_grid", "mode_sum_amplitude", "mode_table",
     "oscillatory_kernel", "perturbative_vs_exact", "prepare_initial_state",
     "probability_series", "read_triplets", "resolve_observable",
-    "second_order_exchange_amplitude", "second_order_time_kernel",
-    "series_from_operators", "spectral_bounds", "weak_causality_difference",
-    "write_triplets",
+    "second_order_time_kernel", "series_from_operators", "spectral_bounds",
+    "weak_causality_difference", "write_triplets",
 ]

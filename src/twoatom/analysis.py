@@ -418,8 +418,8 @@ def cutoff_sweep(config: ModelConfig, cutoffs, time_grid, *,
     probability before the light cone, and the log-integral; rows that fail
     keep their error message instead of aborting the sweep.  The observed
     trend of the pre-cone maxima is reported as is, with no expectation
-    attached.  Rows can be computed concurrently (workers > 1); results
-    keep the input ordering either way.
+    attached.  Rows are computed on `workers` threads and keep the input
+    ordering.
     """
     if not isinstance(config, ModelConfig):
         raise ConfigError("cutoff sweeps apply to the box-field config only")
@@ -428,14 +428,11 @@ def cutoff_sweep(config: ModelConfig, cutoffs, time_grid, *,
         raise ConfigError("cutoff sweep needs at least one cutoff value")
     if workers < 1:
         raise ConfigError("workers must be at least 1")
-    if workers == 1:
-        rows = [_sweep_row(config, c, time_grid, method, tol, floor) for c in cutoffs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda c: _sweep_row(config, c, time_grid, method, tol, floor),
-                cutoffs,
-            ))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(
+            lambda c: _sweep_row(config, c, time_grid, method, tol, floor),
+            cutoffs,
+        ))
     maxima = [r.max_prob_before_cone for r in rows if r.error is None
               and r.max_prob_before_cone is not None]
     return CutoffSweepResult(tuple(rows), _classify_trend(maxima))

@@ -92,104 +92,45 @@ class PerturbativeComparison:
 
 
 # ---------------------------------------------------------------------------
-# stable elementary kernels
+# the nested phase integral as a divided difference of exp
 # ---------------------------------------------------------------------------
 #
-# phi(x, t) = integral_0^t e^{i x s} ds = (e^{ixt} - 1)/(ix) = t * E2(ixt)
-# with E2(z) = (e^z - 1)/z, and the nested second-order integral
+# With x = i b t and y = i (a+b) t, the nested second-order integral
 #
 #   J(a, b, t) = integral_0^t ds2 e^{i b s2} integral_0^{s2} ds1 e^{i a s1}
 #
-# gives the amplitude through I_gen = -J = i [phi(a+b, t) - phi(b, t)] / a.
-# That closed form cancels catastrophically for |a t| < 1, where we switch
-# to the Taylor series in a,
+# is t^2 exp[0, x, y], the second divided difference of exp at three points
+# on the imaginary axis (Hermite-Genocchi), and the amplitude needs
+# I_gen = -J.  The gaps between the points are |x| = |b t|,
+# |y| = |(a+b) t| and |y - x| = |a t|, and the one branch seam is where the
+# widest of them reaches 1:
 #
-#   I_gen = i sum_{n>=1} a^{n-1} i^n t^{n+1} m_n(i b t) / n!,
-#   m_n(z) = integral_0^1 u^n e^{z u} du,
-#
-# with m_n evaluated by power series (small |z|), an inhomogeneous downward
-# recurrence (moderate |z|, self-correcting because the error contracts by
-# |z|/n per step once n > |z|), or the upward recurrence m_n =
-# (e^z - n m_{n-1})/z (large |z|, stable while n < |z|).  z = i b t is
-# purely imaginary throughout, so |e^z| = 1 and nothing overflows.
-
-_SERIES_N = 20          # a-series order
-_M_SERIES_RADIUS = 3.0
-_M_UPWARD_RADIUS = 25.0
+# - widest gap >= 1: the two first-order differences that share the third
+#   point are subtracted and divided by that gap.  Each is
+#   exp[u, v] = e^u phi1(v - u), bounded by 1 on the imaginary axis, so the
+#   result carries an absolute error of a few ulps.
+# - all gaps < 1: exp[0, x, y] = sum_k h_k(x, y) / (k+2)!, with
+#   h_k = y h_{k-1} + x^k and |h_k| <= k+1, summed for 20 terms; the first
+#   omitted one is below 2e-20.
 
 
-def _e2(z):
-    """(e^z - 1)/z with a series branch below |z| = 0.5."""
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.empty_like(z)
-    small = np.abs(z) < 0.5
-    zs = z[small]
-    acc = np.zeros_like(zs)
-    term = np.ones_like(zs)          # z^n / n!
-    for n in range(20):
-        acc = acc + term / (n + 1)   # z^n / (n+1)!
-        term = term * zs / (n + 1)
-    out[small] = acc
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1.0) / zb
-    return out
+def _phi1(z):
+    """(e^z - 1)/z, with its limit 1 at z = 0."""
+    zero = z == 0
+    z = np.where(zero, 1.0, z)
+    return np.where(zero, 1.0, np.expm1(z) / z)
 
 
-def _m_lower(z, nmax):
-    """m_n(z) = integral_0^1 u^n e^{zu} du for n = 0..nmax, z imaginary array.
-
-    Returns shape (nmax+1, len(z)).
-    """
-    z = np.asarray(z, dtype=np.complex128).ravel()
-    out = np.empty((nmax + 1, z.size), dtype=np.complex128)
-    az = np.abs(z)
-
-    small = az < _M_SERIES_RADIUS
-    if small.any():
-        zs = z[small]
-        res = np.zeros((nmax + 1, zs.size), dtype=np.complex128)
-        term = np.ones_like(zs)          # z^k / k!
-        for k in range(31):
-            denom = np.arange(nmax + 1)[:, None] + (k + 1)
-            res += term[None, :] / denom
-            term = term * zs / (k + 1)
-        out[:, small] = res
-
-    mid = (~small) & (az < _M_UPWARD_RADIUS)
-    if mid.any():
-        # Upward recursion is stable only while n < |z|, downward only while
-        # n > |z|, so stitch the two at nsplit = floor(|z|) per element.
-        zm = z[mid]
-        ez = np.exp(zm)
-        azm = np.abs(zm)
-        nsplit = np.minimum(nmax, np.floor(azm).astype(int))
-        res = np.empty((nmax + 1, zm.size), dtype=np.complex128)
-        up = (ez - 1.0) / zm
-        res[0] = up
-        for n in range(1, nmax + 1):
-            up = (ez - n * up) / zm
-            res[n] = up
-        ntop = nmax + 20 + int(math.ceil(1.5 * float(np.max(azm))))
-        nstop = int(nsplit.min()) + 1
-        cur = np.zeros_like(zm)
-        for n in range(ntop, nstop, -1):
-            cur = (ez - zm * cur) / n
-            if n - 1 <= nmax:
-                take = (n - 1) > nsplit
-                res[n - 1, take] = cur[take]
-        out[:, mid] = res
-
-    big = az >= _M_UPWARD_RADIUS
-    if big.any():
-        zb = z[big]
-        ez = np.exp(zb)
-        res = np.empty((nmax + 1, zb.size), dtype=np.complex128)
-        res[0] = (ez - 1.0) / zb
-        for n in range(1, nmax + 1):
-            res[n] = (ez - n * res[n - 1]) / zb
-        out[:, big] = res
-
-    return out
+def _clustered_difference(x, y):
+    """exp[0, x, y] by its power series, for |x|, |y|, |y - x| < 1."""
+    acc = np.full(x.shape, 0.5, dtype=np.complex128)
+    h = np.ones_like(x)
+    xk = np.ones_like(x)
+    for k in range(1, 20):
+        xk = xk * x
+        h = y * h + xk
+        acc += h / math.factorial(k + 2)
+    return acc
 
 
 def second_order_time_kernel(a, b, t):
@@ -206,25 +147,21 @@ def second_order_time_kernel(a, b, t):
                                   np.asarray(b, dtype=float), t)
     shape = a.shape
     a, b, t = a.ravel(), b.ravel(), t.ravel()
-    out = np.zeros(a.size, dtype=np.complex128)
-
-    closed = np.abs(a * t) >= 1.0
-    series = ~closed & (t != 0)
-    if closed.any():
-        ab, bb, tb = a[closed], b[closed], t[closed]
-        phi_sum = tb * _e2(1j * (ab + bb) * tb)
-        phi_b = tb * _e2(1j * bb * tb)
-        out[closed] = 1j * (phi_sum - phi_b) / ab
-    if series.any():
-        asml, ts = a[series], t[series]
-        m = _m_lower(1j * b[series] * ts, _SERIES_N)
-        acc = np.zeros(asml.size, dtype=np.complex128)
-        apow = np.ones(asml.size, dtype=np.complex128)   # a^{n-1}
-        for n in range(1, _SERIES_N + 1):
-            acc += apow * (1j ** n) * ts ** (n + 1) * m[n] / math.factorial(n)
-            apow = apow * asml
-        out[series] = 1j * acc
-    return out.reshape(shape)
+    gaps = np.stack([a * t, b * t, (a + b) * t])     # (y - x, x, y) / i
+    widest = np.argmax(np.abs(gaps), axis=0)
+    wide = np.abs(gaps).max(axis=0) >= 1.0
+    diff = np.empty(t.size, dtype=np.complex128)
+    if wide.any():
+        ga, gb, gs = gaps[:, wide]
+        d_0x = _phi1(1j * gb)                           # exp[0, x]
+        d_0y = _phi1(1j * gs)                           # exp[0, y]
+        d_xy = np.exp(1j * gb) * _phi1(1j * ga)         # exp[x, y]
+        pair = widest[wide]
+        shared = np.choose(pair, [d_0y - d_0x, d_xy - d_0y, d_xy - d_0x])
+        diff[wide] = shared / (1j * np.choose(pair, [ga, gb, gs]))
+    if not wide.all():
+        diff[~wide] = _clustered_difference(1j * gaps[1, ~wide], 1j * gaps[2, ~wide])
+    return (-(t * t) * diff).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +337,7 @@ def _panel_terms(cfg, times, panels):
     for block in _time_blocks(times.size):
         t = times[block]
         col = t[:, None]
-        iphid = 1j * col * _e2(1j * (wb - wa) * col)
+        iphid = 1j * col * _phi1(1j * (wb - wa) * col)
         rot_b, rot_a = np.exp(1j * wb * col), np.exp(-1j * wa * col)
         total = 0.0
         est = 0.0
@@ -523,15 +460,6 @@ def exchange_amplitude_series(config: ModelConfig, times, *,
     raise ConvergenceError(
         f"oscillatory quadrature stalled at estimated error {achieved:.3e} "
         f"(requested {tol:.3e})", residual=achieved)
-
-
-def second_order_exchange_amplitude(config: ModelConfig, t: float,
-                                    frequency_range: str = "positive_only", *,
-                                    tol: float = DEFAULT_QUAD_TOL) -> complex:
-    """A(t) at a single time; see exchange_amplitude_series."""
-    series = exchange_amplitude_series(config, np.array([float(t)]),
-                                       frequency_range=frequency_range, tol=tol)
-    return complex(series.values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Second-order exchange amplitude: kernels, quadrature, discrete oracle."""
+"""Second-order exchange amplitude: time kernel, quadrature, discrete oracle."""
 
 import math
 
@@ -8,60 +8,23 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
+from twoatom import perturbation
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConvergenceError, DomainError
 from twoatom.perturbation import (
     FREQUENCY_RANGES,
     GAUSS_SUPPORT,
     TIME_BLOCK,
-    _m_lower,
     exchange_amplitude_series,
     mode_sum_amplitude,
     oscillatory_kernel,
     perturbative_vs_exact,
-    second_order_exchange_amplitude,
     second_order_time_kernel,
 )
 
 # ---------------------------------------------------------------------------
-# moment functions m_n(z) = integral_0^1 u^n e^{zu} du
-# ---------------------------------------------------------------------------
-
-
-def gl_moments(z, nmax, nodes=200):
-    x, w = leggauss(nodes)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    powers = u[None, :] ** np.arange(nmax + 1)[:, None]
-    return np.sum(powers * (wu * np.exp(z * u))[None, :], axis=1)
-
-
-def test_moments_at_zero():
-    out = _m_lower(np.array([0.0j]), 6)[:, 0]
-    assert_allclose(out, 1.0 / np.arange(1.0, 8.0), rtol=1e-14)
-
-
-@pytest.mark.parametrize("y", [0.4, -2.2, 2.9, 3.0, 5.0, -7.9, 11.7, 24.9,
-                               25.0, 60.0, -150.0, 240.0])
-def test_moments_match_quadrature_all_regimes(y):
-    # the three evaluation branches (series, two-sided recurrence, upward
-    # recurrence) hand off at |z| = 3 and 25; sample across and at the seams
-    z = np.array([1j * y])
-    out = _m_lower(z, 20)[:, 0]
-    oracle = gl_moments(z[0], 20)
-    assert_allclose(out, oracle, atol=1e-12, rtol=0)
-
-
-def test_first_moment_closed_form():
-    for y in (0.7, -4.4, 18.0, 90.0):
-        z = 1j * y
-        expected = (np.exp(z) * (z - 1.0) + 1.0) / z**2
-        got = _m_lower(np.array([z]), 1)[1, 0]
-        assert_allclose(got, expected, atol=1e-13, rtol=0)
-
-
-# ---------------------------------------------------------------------------
-# the nested phase integral
+# the nested phase integral -t^2 exp[0, i b t, i (a+b) t]: one branch seam,
+# where the widest of the gaps |a t|, |b t|, |(a+b) t| reaches 1
 # ---------------------------------------------------------------------------
 
 
@@ -94,13 +57,14 @@ def test_kernel_broadcasts():
 
 
 def test_kernel_over_a_time_array_matches_scalar_calls():
-    # times on both sides of the |a t| = 1 branch seam and of the |b t| = 3
-    # and 25 seams of the moments, broadcast against a column of (a, b)
+    # each row of (a, b) crosses the widest-gap = 1 branch seam between two
+    # neighbouring times: at t = 1/12, 1/10, 1/2, 1/1.7 and 2
     a = np.array([0.0, 0.05, 0.4, -0.5, 2.0, -12.0])[:, None]
-    b = np.array([10.0, -10.0, 1.3, 12.0, -9.5, 4.0])[:, None]
-    t = np.array([0.0, 0.1, 0.299, 0.301, 1.99, 2.01, 2.49, 2.51, 2.99])
+    b = np.array([10.0, -10.0, 1.3, 0.5, -2.0, 4.0])[:, None]
+    t = np.array([0.0, 0.0832, 0.0835, 0.0999, 0.1001, 0.4999, 0.5001,
+                  0.588, 0.5885, 1.999, 2.001])
     out = second_order_time_kernel(a, b, t)
-    assert out.shape == (6, 9)
+    assert out.shape == (6, 11)
     stacked = np.stack([second_order_time_kernel(a[:, 0], b[:, 0], ti) for ti in t],
                        axis=1)
     assert_allclose(out, stacked, atol=1e-15, rtol=0)
@@ -123,16 +87,20 @@ def test_kernel_against_nested_quadrature():
     rng = np.random.default_rng(7)
     triples = [
         # forced corners: vanishing and near-vanishing early-vertex mismatch,
-        # the |a t| ~ 1 branch seam, and each |b t| regime of the moments
+        # each of the gaps |a t|, |b t| and |(a+b) t| as the widest one on
+        # both sides of the widest-gap = 1 seam (at t = 1.25 here), and a
+        # far-detuned late vertex
         (0.0, 2.7, 1.9),
         (1e-9, -8.0, 2.0),
-        (0.5, 1.3, 2.001),
-        (0.5, 1.3, 1.999),
-        (0.05, 4.0, 1.5),
+        (0.8, -0.3, 1.2499),
+        (0.8, -0.3, 1.2501),
+        (-0.3, 0.8, 1.2499),
+        (-0.3, 0.8, 1.2501),
+        (0.3, 0.5, 1.2499),
+        (0.3, 0.5, 1.2501),
         (0.01, -20.0, 1.0),
         (2e-4, 30.0, 0.7),
         (0.1, -40.0, 0.8),
-        (0.3, 24.99, 1.0),
     ]
     for _ in range(40):
         triples.append((float(rng.uniform(-25, 25)),
@@ -145,16 +113,44 @@ def test_kernel_against_nested_quadrature():
 
 
 def test_kernel_small_mismatch_limit():
-    # at a = 0 the nested integral collapses to -t^2 m_1(i b t)
-    for b, t in ((1.7, 2.0), (-9.0, 1.2), (30.0, 0.9)):
+    # at a = 0 the nested integral is -t^2 (e^z (z - 1) + 1) / z^2, z = i b t;
+    # |b t| sits on both sides of the widest-gap = 1 seam and far beyond it
+    for b, t in ((1.7, 0.58), (1.7, 0.6), (0.5, 1.999), (0.5, 2.001),
+                 (-9.0, 1.2), (30.0, 0.9)):
         z = 1j * b * t
-        m1 = (np.exp(z) * (z - 1.0) + 1.0) / z**2
+        closed = (np.exp(z) * (z - 1.0) + 1.0) / z**2
         at_zero = second_order_time_kernel(0.0, b, t)
-        assert_allclose(at_zero, -t**2 * m1, atol=1e-13, rtol=0)
+        assert_allclose(at_zero, -t**2 * closed, atol=1e-13, rtol=0)
         # the kernel moves by O(a t^3) around a = 0, so a step of 1e-12
         # shifts it by a few parts in 1e12 at most
         nearby = second_order_time_kernel(1e-12, b, t)
         assert_allclose(nearby, at_zero, atol=1e-11, rtol=0)
+
+
+def test_kernel_at_coinciding_points():
+    # a = 0, b = 0 and a + b = 0 each make two of the points 0, i b t and
+    # i (a+b) t coincide; the remaining gap sits below and above 1.  All
+    # cases go through one call, so a division by a vanishing gap taken in
+    # either branch would raise under the warnings-as-errors setting.
+    def double(z):      # exp[0, 0, z]
+        return (np.exp(z) - 1.0 - z) / z**2
+
+    def coincident(z):  # exp[0, z, z]
+        return (np.exp(z) * (z - 1.0) + 1.0) / z**2
+
+    t = 1.25
+    cases = []
+    for gap in (0.7, -0.9, 1.1, -6.0):
+        z = 1j * gap
+        cases += [(0.0, gap / t, coincident(z)),       # a = 0: x = y
+                  (gap / t, 0.0, double(z)),           # b = 0: x = 0
+                  (-gap / t, gap / t, double(z))]      # a + b = 0: y = 0
+    cases.append((0.0, 0.0, 0.5))                      # all three coincide
+    a, b, expected = (np.array(c) for c in zip(*cases))
+    got = second_order_time_kernel(a, b, t)
+    assert_allclose(got, -t**2 * expected, atol=1e-13, rtol=0)
+    at_start = second_order_time_kernel(a, b, 0.0)
+    assert_array_equal(at_start, np.zeros(a.size, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +171,7 @@ def test_amplitude_trivial_zeros():
 
 def test_amplitude_starts_at_zero():
     cfg = ModelConfig(cutoff=4.0)
-    assert abs(second_order_exchange_amplitude(cfg, 0.0)) <= 1e-16
+    assert abs(exchange_amplitude_series(cfg, np.array([0.0])).values[0]) <= 1e-16
     ms = mode_sum_amplitude(cfg, np.array([0.0]))
     assert ms.values[0] == 0.0
 
@@ -221,7 +217,7 @@ def test_time_blocking_is_invisible(points):
     ("positive_only", 0.001249139287875962 + 2.933178206238577e-17j,
      3.60990604285408e-14, 3.879037687034774e-14),
     ("extended", -1.272221872585407e-17 + 6.643825334612682e-17j,
-     2.5179015748219757e-14, 7.758075714884194e-14),
+     2.5178907949319745e-14, 7.758075714884194e-14),
 ], ids=FREQUENCY_RANGES)
 def test_amplitude_edge_grids(frequency_range, at_one, error_at_one, error_at_zero):
     cfg = ModelConfig()
@@ -235,6 +231,27 @@ def test_amplitude_edge_grids(frequency_range, at_one, error_at_one, error_at_ze
                                       frequency_range=frequency_range)
     assert_array_equal(zeros.values, np.zeros(2, dtype=np.complex128))
     assert abs(zeros.achieved_error - error_at_zero) <= 1e-20
+
+
+@pytest.mark.parametrize(("frequency_range", "layouts"), [
+    ("positive_only", [(26, 1), (32, 1)]),
+    ("extended", [(52, 2), (66, 2)]),
+], ids=FREQUENCY_RANGES)
+def test_refinement_layout_on_the_default_grid(monkeypatch, frequency_range, layouts):
+    # (panels, windows) of every pass on the fermi-integral default grid;
+    # a change to the kernel that leaves the refinement alone keeps them
+    cfg = ModelConfig()
+    grid = np.linspace(0.0, 2.0 * cfg.light_cone_time, 161)
+    seen = []
+    original = perturbation._quadrature_pass
+
+    def counting(cfg, times, panels, windows, *rest):
+        seen.append((len(panels), len(windows)))
+        return original(cfg, times, panels, windows, *rest)
+
+    monkeypatch.setattr(perturbation, "_quadrature_pass", counting)
+    exchange_amplitude_series(cfg, grid, frequency_range=frequency_range)
+    assert seen == layouts
 
 
 def test_frequency_ranges_and_forms_differ():
