@@ -179,10 +179,11 @@ def series_from_operators(hamiltonian: HermitianOperator, initial: StateVector,
     psi_0's support (HermitianOperator.invariant_block).  No entry of H
     joins C to the rest of the space, so psi(t) = exp(-iHt) psi_0 vanishes
     outside C and evolving H[C, C] is exact, with no assumption about which
-    symmetry H has.  P(t) is then ||W[:, C] psi_C(t)||^2 for the observable's
-    factor W, also exact.  "auto" picks the backend on the full dimension,
-    before the restriction, so a config keeps the backend it would get
-    without it (see probability_series for the measured reason).
+    symmetry H has.  P(t) is then evaluated with the observable restricted
+    to C (BoundedObservable.restricted), also exact.  "auto" picks the
+    backend on the full dimension, before the restriction, so a config keeps
+    the backend it would get without it (see probability_series for the
+    measured reason).
     """
     if initial.dimension != hamiltonian.dimension:
         raise ValueError("initial state and Hamiltonian differ in dimension")
@@ -238,14 +239,16 @@ def auxiliary_function(config: AnyConfig, observable, phi: StateVector, z: compl
     continuous up to the real axis, where |F| is bounded by
     ||phi|| * exp(Im(z) * spectral_floor).  Its boundary values at real z
     recover probing of the probability series.  It is evaluated as
-    <W phi, W exp(-i H z) psi_0> with the observable's factor W.
+    sum_k <F_k phi[I_k], F_k psi_z[I_k]> over the observable's blocks, with
+    psi_z = exp(-i H z) psi_0.
     """
     basis, hamiltonian = _model(config)
     obs = resolve_observable(config, observable, region=region)
     psi0 = prepare_initial_state(basis)
     psi_z = evolve_complex(hamiltonian, psi0, z, method=method, tol=tol)
-    factor = obs.sqrt_factor
-    return complex(np.vdot(factor @ phi.amplitudes, factor @ psi_z.amplitudes))
+    pairs = zip(obs.factor_parts(phi.amplitudes[None, :]),
+                obs.factor_parts(psi_z.amplitudes[None, :]))
+    return complex(sum(np.vdot(left, right) for left, right in pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,19 @@ D + U + U^dagger from its real diagonal D and the terms U that raise the
 basis index, and IEEE addition commutes with conjugation, so
 matrix == matrix.conj().T holds with zero floating-point slack.
 
-Every observable 0 <= O <= 1 is stored as one sparse square-root factor W
-with O = W^dagger W, and O itself is never formed.  The two projectors are
-their own factors; the photon-region observable gets one dense factor per
-photon-number sector, placed on the atoms by a Kronecker product.
+Every observable 0 <= O <= 1 is stored as a few blocks of a square-root
+factor W with O = W^dagger W, and O itself is never formed.  A block is a
+set of basis indices with a factor acting on just those amplitudes, or with
+none for the identity.  The two projectors are one identity block each; the
+photon-region observable is one block per atom state and photon number,
+and the blocks of one photon number share a single dense factor.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -115,38 +119,96 @@ class HermitianOperator:
 
 
 class BoundedObservable:
-    """Observable O with spectrum inside [0, 1], held as its square-root factor.
+    """Observable O with spectrum inside [0, 1], held as blocks of a square-root factor.
 
-    sqrt_factor is a csr matrix W, with as many columns as the basis has
-    states and any number of rows, such that O = W^dagger W.  O itself is
-    never formed: expectation values are ||W psi||^2, which is non-negative
-    by construction and never clamped after the fact.  A projector is its own
-    square root.
+    Block k is a pair (indices, factor): I_k, a sorted array of basis
+    indices, and F_k, a dense or sparse matrix with one column per index, or
+    None for the identity.  With P_k the map psi -> psi[I_k],
+
+        O = sum_k P_k^T F_k^dagger F_k P_k,
+
+    so expectation values are sum_k ||F_k psi[I_k]||^2, non-negative by
+    construction and never clamped after the fact.  O itself is never
+    formed.  BoundedObservable(W) holds any factor W with as many columns as
+    the basis has states, as one sparse block over all of them;
+    from_blocks states the blocks directly.
     """
 
     def __init__(self, sqrt_factor, label: str = "observable"):
-        self.sqrt_factor = sparse.csr_matrix(sqrt_factor, dtype=np.complex128)
+        factor = sparse.csr_matrix(sqrt_factor, dtype=np.complex128)
+        self.dimension = factor.shape[1]
+        self.blocks = ((np.arange(self.dimension), factor),)
         self.label = label
 
-    @property
-    def dimension(self) -> int:
-        return self.sqrt_factor.shape[1]
+    @classmethod
+    def from_blocks(cls, blocks, dimension: int, label: str = "observable"):
+        """The observable sum_k P_k^T F_k^dagger F_k P_k on `dimension` states."""
+        obs = cls.__new__(cls)
+        obs.dimension = int(dimension)
+        obs.blocks = tuple((np.asarray(indices, dtype=int), factor)
+                           for indices, factor in blocks)
+        for indices, factor in obs.blocks:
+            if indices.size and not 0 <= indices.min() <= indices.max() < obs.dimension:
+                raise ValueError("block index outside the basis")
+            if factor is not None and factor.shape[1] != len(indices):
+                raise ValueError("block factor needs one column per index")
+        obs.label = label
+        return obs
+
+    def factor_parts(self, states):
+        """F_k psi[I_k] for each block k, for states stacked as rows.
+
+        Each part has one column per state, and one row per factor row (per
+        index for an identity block).
+        """
+        columns = np.asarray(states).T
+        for indices, factor in self.blocks:
+            part = columns[indices]
+            yield part if factor is None else factor @ part
+
+    @cached_property
+    def sqrt_factor(self):
+        """W as one csr matrix: the blocks' rows stacked in block order.
+
+        Assembled on first use and then kept; evaluation never needs it.
+        """
+        parts = [sparse.csr_matrix((0, self.dimension), dtype=np.complex128)]
+        for indices, factor in self.blocks:
+            rows = (sparse.identity(len(indices), format="csr") if factor is None
+                    else sparse.csr_matrix(factor))
+            parts.append(sparse.csr_matrix((rows.data, indices[rows.indices], rows.indptr),
+                                           shape=(rows.shape[0], self.dimension)))
+        return sparse.vstack(parts, format="csr", dtype=np.complex128)
 
     def restricted(self, indices) -> "BoundedObservable":
         """The observable on states that vanish outside the sorted index set C.
 
-        For such psi, ||W psi||^2 = ||W[:, C] psi_C||^2.  The factor keeps
-        only its nonempty rows, which carry all of that norm.
+        For such psi only the factor columns whose index lies in C carry
+        weight, so each block keeps those columns, with its indices renumbered
+        to their positions in C.  Blocks left with no columns or no rows are
+        dropped, and a sparse factor drops the rows the cut left empty.
         """
         indices = np.asarray(indices, dtype=int)
         if len(indices) == self.dimension:
             return self
-        factor = self.sqrt_factor[:, indices]
-        return BoundedObservable(factor[np.flatnonzero(factor.getnnz(axis=1))], self.label)
+        blocks = []
+        for own, factor in self.blocks:
+            inside = np.isin(own, indices)
+            if not inside.any():
+                continue
+            if factor is not None and not inside.all():
+                factor = factor[:, inside]
+                if sparse.issparse(factor):
+                    factor = factor[np.flatnonzero(factor.getnnz(axis=1))]
+            if factor is not None and factor.shape[0] == 0:
+                continue
+            blocks.append((np.searchsorted(indices, own[inside]), factor))
+        return BoundedObservable.from_blocks(blocks, len(indices), self.label)
 
     def __repr__(self):
-        rows, dim = self.sqrt_factor.shape
-        return f"BoundedObservable({self.label!r}, dim={dim}, factor_rows={rows})"
+        rows = sum(len(i) if f is None else f.shape[0] for i, f in self.blocks)
+        return (f"BoundedObservable({self.label!r}, dim={self.dimension}, "
+                f"blocks={len(self.blocks)}, factor_rows={rows})")
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +317,17 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
 
 
 def excitation_observable_b(basis: FockBasis) -> BoundedObservable:
-    """Projector onto 'atom B is in any excited level'.  Diagonal 0/1."""
-    mask = np.array([1.0 if b >= 1 else 0.0 for _, b, _ in basis.states])
-    return BoundedObservable(sparse.diags(mask, format="csr", dtype=np.complex128),
-                             label="excitation_b")
+    """Projector onto 'atom B is in any excited level': one identity block."""
+    excited = np.flatnonzero([b >= 1 for _, b, _ in basis.states])
+    return BoundedObservable.from_blocks([(excited, None)], basis.dimension,
+                                         label="excitation_b")
 
 
 def exchange_projector(basis: FockBasis) -> BoundedObservable:
     """Rank-1 projector onto (ground A, first excited B, vacuum)."""
     idx = index_of_bare_state(basis, 0, 1, basis.vacuum)
-    mat = sparse.csr_matrix(
-        ([1.0 + 0.0j], ([idx], [idx])), shape=(basis.dimension, basis.dimension)
-    )
-    return BoundedObservable(mat, label="exchange")
+    return BoundedObservable.from_blocks([([idx], None)], basis.dimension,
+                                         label="exchange")
 
 
 def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> BoundedObservable:
@@ -284,10 +344,12 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     annihilators and commutes with the total photon number, so the
     truncation is exact and N_S splits into one block per photon number n.
     Each block is diagonalized densely, N_S = V_n diag(lambda) V_n^dagger,
-    and contributes the factor rows F_n = diag(sqrt(f)) V_n^dagger with
-    f = min(lambda, 1), less the rows where f = 0.  No row of the factor
-    joins two photon numbers.  The construction is meant for
-    diagnostic-size bases.
+    and gives the dense factor F_n = diag(sqrt(f)) V_n^dagger with
+    f = min(lambda, 1), less the rows where f = 0.  The observable is one
+    block per atom state and photon number n, over that sector's indices,
+    and all blocks of one n share F_n; sectors with no rows are left out.
+    No block joins two photon numbers or two atom states.  The construction
+    is meant for diagnostic-size bases.
     """
     cfg = basis.config
     if isinstance(cfg, LatticeConfig):
@@ -317,19 +379,20 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     number = (stacked.T @ smeared @ stacked).tocsr()
 
     photons = np.array([sum(occ) for occ in basis.occupations])
-    rows = []
+    sectors = []
     for n in range(basis.n_max + 1):
         sector = np.flatnonzero(photons == n)
         lam, vec = np.linalg.eigh(number[sector][:, sector].toarray())
         f = np.clip(lam, 0.0, 1.0)
         keep = f > 0.0
-        block = np.zeros((np.count_nonzero(keep), basis.num_occupations), dtype=complex)
-        block[:, sector] = np.sqrt(f[keep])[:, None] * vec[:, keep].conjugate().T
-        rows.append(block)
+        if keep.any():
+            sectors.append((sector, np.sqrt(f[keep])[:, None] * vec[:, keep].conjugate().T))
 
-    eye_atoms = sparse.identity(basis.levels_a * basis.levels_b, format="csr")
-    sqrt_factor = sparse.kron(eye_atoms, sparse.csr_matrix(np.vstack(rows)), format="csr")
-    return BoundedObservable(sqrt_factor, label="photon_region")
+    n_occ = basis.num_occupations
+    blocks = [(atoms * n_occ + sector, factor)
+              for atoms in range(basis.levels_a * basis.levels_b)
+              for sector, factor in sectors]
+    return BoundedObservable.from_blocks(blocks, basis.dimension, label="photon_region")
 
 
 def spectral_bounds(operator: HermitianOperator, dense_limit: int = DENSE_LIMIT):

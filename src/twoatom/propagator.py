@@ -15,12 +15,19 @@ Grid sweeps on the dense path evaluate all requested times in one BLAS
 call; on the sparse path a uniform grid is one expm_multiply call.  Both
 paths return the initial amplitudes themselves at z = 0.
 
-Expectation values of an observable O = W^dagger W are ||W psi||^2 for its
-square-root factor W, the only form in which observables are held.
+scipy's expm_multiply picks its step count from onenormest, which draws
+random probe vectors from numpy's global legacy RNG.  Each call here runs
+with that RNG seeded to a fixed state, and the caller's state restored
+afterwards, so a sparse result does not depend on the caller's np.random.
+
+Expectation values of an observable held as blocks (indices I_k, factor
+F_k) are sum_k ||F_k psi[I_k]||^2: one dense product per factor block and a
+plain sum of |psi|^2 per identity block.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +130,26 @@ def _shifted_generator(hamiltonian: HermitianOperator):
     return -1j * (hamiltonian.matrix - hamiltonian.spectral_floor * identity)
 
 
+# held while the legacy RNG is reseeded: cutoff_sweep propagates on threads
+_LEGACY_RNG_LOCK = threading.Lock()
+
+
+def _expm_multiply(*args, **kwargs) -> np.ndarray:
+    """scipy's expm_multiply with np.random seeded to 0, the caller's state restored."""
+    with _LEGACY_RNG_LOCK:
+        saved = np.random.get_state()
+        np.random.seed(0)
+        try:
+            return expm_multiply(*args, **kwargs)
+        finally:
+            np.random.set_state(saved)
+
+
 def _sparse_apply(hamiltonian, generator, amplitudes, z) -> np.ndarray:
     """exp(-i H z) amplitudes by expm_multiply on the shifted generator."""
     if z == 0:
         return amplitudes.copy()
-    return expm_multiply(z * generator, amplitudes) * _floor_phase(hamiltonian, z)
+    return _expm_multiply(z * generator, amplitudes) * _floor_phase(hamiltonian, z)
 
 
 def _check_unitary(states: np.ndarray, initial_norm: float, tol: float) -> None:
@@ -201,8 +223,8 @@ def evolve_grid(hamiltonian: HermitianOperator, state: StateVector, times, *,
     # start == stop, so a constant grid takes the per-interval path
     if len(times) >= 2 and times[-1] > times[0] and np.array_equal(
             times, np.linspace(times[0], times[-1], len(times))):
-        out = expm_multiply(generator, state.amplitudes, start=times[0],
-                            stop=times[-1], num=len(times), endpoint=True)
+        out = _expm_multiply(generator, state.amplitudes, start=times[0],
+                             stop=times[-1], num=len(times), endpoint=True)
         out *= _floor_phase(hamiltonian, times)[:, None]
     else:
         out = np.empty((len(times), state.dimension), dtype=np.complex128)
@@ -214,7 +236,7 @@ def evolve_grid(hamiltonian: HermitianOperator, state: StateVector, times, *,
 
 
 def expectation(observable: BoundedObservable, state: StateVector) -> float:
-    """<psi|O|psi> = ||W psi||^2 as a real number.
+    """<psi|O|psi> = sum_k ||F_k psi[I_k]||^2 as a real number.
 
     The value lies inside [0, ||psi||^2] by construction rather than by
     clipping.
@@ -223,6 +245,11 @@ def expectation(observable: BoundedObservable, state: StateVector) -> float:
 
 
 def expectation_grid(observable: BoundedObservable, states: np.ndarray) -> np.ndarray:
-    """||W psi||^2 for a stack of states psi, shape (n_times, dim)."""
-    half = observable.sqrt_factor @ states.T
-    return np.real(np.einsum("ij,ij->j", half.conjugate(), half))
+    """sum_k ||F_k psi[I_k]||^2 for a stack of states psi, shape (n_times, dim).
+
+    The blocks are summed in their stored order.
+    """
+    values = np.zeros(len(states))
+    for part in observable.factor_parts(states):
+        values += np.real(np.einsum("ij,ij->j", part.conjugate(), part))
+    return values

@@ -1,6 +1,7 @@
 """Series diagnostics: dichotomy, witness integral, fronts, cutoff sweep."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -165,12 +166,21 @@ def test_auxiliary_function_recovers_probability():
     _, ham = build_model(cfg)
     basis = ham.basis
     psi0 = prepare_initial_state(basis)
-    obs = resolve_observable(cfg, "excitation_b")
     t = 1.4
     psi_t = evolve_complex(ham, psi0, t)
-    f = auxiliary_function(cfg, "excitation_b", psi_t, t)
-    assert_allclose(f.real, expectation(obs, psi_t), atol=1e-12)
-    assert abs(f.imag) <= 1e-12
+    for name in ("excitation_b", "photon_region"):
+        obs = resolve_observable(cfg, name)
+        f = auxiliary_function(cfg, name, psi_t, t)
+        assert_allclose(f.real, expectation(obs, psi_t), atol=1e-12)
+        assert abs(f.imag) <= 1e-12
+        # against O = W^dagger W formed from the assembled factor, also off
+        # the real axis
+        w = obs.sqrt_factor
+        o = w.conjugate().T @ w
+        for z in (t, t - 0.3j):
+            formed = np.vdot(psi_t.amplitudes,
+                             o @ evolve_complex(ham, psi0, z).amplitudes)
+            assert abs(auxiliary_function(cfg, name, psi_t, z) - formed) <= 1e-13
 
 
 def test_auxiliary_function_invariant_subspace():
@@ -328,6 +338,26 @@ def test_cutoff_sweep_workers_agree(sweep_config):
     assert serial == threaded
 
 
+def test_threaded_sparse_rows_keep_the_callers_rng(sweep_config):
+    # more workers than cores and a short switch interval: rows that reseed
+    # the global RNG around expm_multiply must still match the serial sweep
+    # and hand the caller's stream back untouched
+    grid = make_time_grid(4.0, 40)
+    cutoffs = [4.0, 6.0, 8.0] * 3
+    serial = cutoff_sweep(sweep_config, cutoffs, grid, method="krylov")
+    interval = sys.getswitchinterval()
+    saved = np.random.get_state()
+    try:
+        sys.setswitchinterval(1e-6)
+        np.random.seed(3)
+        threaded = cutoff_sweep(sweep_config, cutoffs, grid, method="krylov", workers=9)
+        assert np.random.random() == np.random.RandomState(3).random()
+    finally:
+        sys.setswitchinterval(interval)
+        np.random.set_state(saved)
+    assert threaded == serial
+
+
 def test_cutoff_sweep_validation(sweep_config):
     grid = make_time_grid(2.0, 10)
     with pytest.raises(ConfigError):
@@ -406,11 +436,20 @@ def test_block_series_matches_full_space(name, without_a, method):
         observables.append("photon_region")
     grid = make_time_grid(6.0, 30)
     full_states = evolve_grid(ham, psi, grid, method=method)
+    block_states = np.zeros_like(full_states)
+    block_states[:, block] = evolve_grid(ham.block(block), StateVector(psi.amplitudes[block]),
+                                         grid, method=method)
     for observable in observables:
         obs = resolve_observable(config, observable)
         series = series_from_operators(ham, psi, obs, grid, method=method)
         full = expectation_grid(obs, full_states)
         assert np.max(np.abs(series.values - full)) <= 1e-12, observable
+        # the same states against O = W^dagger W formed from the assembled factor
+        w = obs.sqrt_factor
+        o = w.conjugate().T @ w
+        formed = np.real(np.einsum("ij,ij->i", block_states.conjugate(),
+                                   (o @ block_states.T).T))
+        assert np.max(np.abs(series.values - formed)) <= 1e-13, observable
 
 
 def test_auto_resolves_on_the_full_dimension(monkeypatch):
@@ -503,10 +542,49 @@ def test_series_starts_exactly_at_initial_value(method, observable):
     assert series.values[1] > 0.0
 
 
+def _unit_norm(factor):
+    return factor / np.linalg.norm(factor, 2)
+
+
+def _generic_observable(rng):
+    # W is not Hermitian, maps the start's component into the other one too
+    # and has a row that is empty on it
+    factor = 0.2 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    factor[4, :3] = 0.0
+    return BoundedObservable(factor), [(range(6), factor)]
+
+
+def _identity_observable(rng):
+    blocks = [([1, 2, 4], None)]
+    return BoundedObservable.from_blocks(blocks, 6), blocks
+
+
+def _cut_dense_observable(rng):
+    # C = {0, 1, 2} keeps two of the block's four columns
+    factor = _unit_norm(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+    blocks = [([1, 2, 3, 5], factor)]
+    return BoundedObservable.from_blocks(blocks, 6), blocks
+
+
+def _zero_rows_observable(rng):
+    factor = _unit_norm(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    blocks = [([0, 1], np.zeros((0, 2), dtype=complex)), ([2, 3], factor)]
+    return BoundedObservable.from_blocks(blocks, 6), blocks
+
+
+SYNTHETIC_OBSERVABLES = {
+    "generic": (_generic_observable, 5),
+    "identity": (_identity_observable, 2),
+    "cut_dense": (_cut_dense_observable, 3),
+    "zero_rows": (_zero_rows_observable, 2),
+}
+
+
 @pytest.mark.parametrize("method", ["dense", "krylov"])
-def test_factor_leaving_the_block_is_evaluated_exactly(method):
-    # two 3-state components; W is not Hermitian, maps the start's
-    # component into the other one too and has a row that is empty on it
+@pytest.mark.parametrize("case", SYNTHETIC_OBSERVABLES)
+def test_factor_leaving_the_block_is_evaluated_exactly(case, method):
+    # two 3-state components; the start lies in the first, and each
+    # observable has weight on both
     rng = np.random.default_rng(5)
     herm = np.zeros((6, 6), dtype=complex)
     for part in (slice(0, 3), slice(3, 6)):
@@ -514,18 +592,46 @@ def test_factor_leaving_the_block_is_evaluated_exactly(method):
         herm[part, part] = raw + raw.conj().T
     floor = float(np.linalg.eigvalsh(herm)[0]) - 1.0
     ham = HermitianOperator(herm, floor)
-    factor = 0.2 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    factor[4, :3] = 0.0
-    obs = BoundedObservable(factor)
+    build, restricted_rows = SYNTHETIC_OBSERVABLES[case]
+    obs, blocks = build(rng)
+    # O = sum_k P_k^T F_k^dagger F_k P_k, formed by hand
+    formed = np.zeros((6, 6), dtype=complex)
+    for indices, factor in blocks:
+        indices = list(indices)
+        gram = np.eye(len(indices)) if factor is None else factor.conj().T @ factor
+        formed[np.ix_(indices, indices)] += gram
+    w = obs.sqrt_factor
+    assert np.max(np.abs((w.conjugate().T @ w).toarray() - formed)) <= 1e-15
     psi = StateVector(np.array([0.6, 0.0, 0.8j, 0.0, 0.0, 0.0]))
     block = ham.invariant_block([0, 2])
     assert block.tolist() == [0, 1, 2]
-    assert obs.restricted(block).sqrt_factor.shape == (5, 3)
+    restricted = obs.restricted(block)
+    assert sum(len(i) if f is None else f.shape[0]
+               for i, f in restricted.blocks) == restricted_rows
+    assert all(f is None or f.shape[0] > 0 for _, f in restricted.blocks)
     grid = make_time_grid(2.0, 12)
     series = series_from_operators(ham, psi, obs, grid, method=method)
     states = evolve_grid(ham, psi, grid, method=method)
-    direct = np.sum(np.abs(states @ factor.T) ** 2, axis=1)
+    direct = np.real(np.einsum("ij,ij->i", states.conjugate(), states @ formed.T))
     assert np.max(np.abs(series.values - direct)) <= 1e-13
+
+
+def test_sparse_series_ignores_the_callers_global_rng():
+    # expm_multiply's norm estimate draws from np.random; unpinned, seeds 0
+    # and 24 gave this series 1.3e-13 apart
+    grid = make_time_grid(2 * np.pi, 800)
+    saved = np.random.get_state()
+    try:
+        runs = []
+        for seed in (0, 24):
+            np.random.seed(seed)
+            runs.append(probability_series(ModelConfig(), "excitation_b", grid,
+                                           method="krylov").values)
+            # the caller's stream is where the seed left it
+            assert np.random.random() == np.random.RandomState(seed).random()
+    finally:
+        np.random.set_state(saved)
+    assert np.array_equal(runs[0], runs[1])
 
 
 @pytest.mark.parametrize("method", ["dense", "krylov"])

@@ -11,6 +11,7 @@ from twoatom.basis import build_basis, excitation_numbers, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import DomainError
 from twoatom.operators import (
+    BoundedObservable,
     HermitianOperator,
     build_hamiltonian,
     exchange_projector,
@@ -266,6 +267,50 @@ def test_photon_factor_rows_stay_in_one_photon_number_sector():
     assert w.nnz > 0
     for start, stop in zip(w.indptr[:-1], w.indptr[1:]):
         assert len(set(keys[w.indices[start:stop]])) <= 1
+
+
+@pytest.mark.parametrize("config", [ModelConfig(num_modes=8, n_max=2),
+                                    ModelConfig(num_modes=30)], ids=["modes8", "modes30"])
+def test_photon_factor_is_the_sector_factors_on_each_atom_state(config):
+    # the assembled W is kron(I_atoms, vstack F_n) entry for entry, with the
+    # dense F_n of the blocks on the first atom state placed on their sectors
+    basis = build_basis(config)
+    obs = local_photon_observable(basis, (0.0, config.box_length / 2))
+    n_occ = basis.num_occupations
+    rows = []
+    for indices, factor in obs.blocks:
+        if indices[-1] < n_occ:
+            row = np.zeros((factor.shape[0], n_occ), dtype=complex)
+            row[:, indices] = factor
+            rows.append(row)
+    kron = sparse.kron(sparse.identity(basis.levels_a * basis.levels_b),
+                       sparse.csr_matrix(np.vstack(rows)), format="csr")
+    w = obs.sqrt_factor
+    assert w.shape == kron.shape
+    assert w.nnz == kron.nnz
+    assert (w != kron).nnz == 0
+    # the blocks of one photon number share a single factor
+    assert len({id(factor) for _, factor in obs.blocks}) == len(rows)
+    if config.num_modes == 30:
+        assert w.nnz == 860_452
+        # inside the invariant block of the start: dense blocks only, none
+        # joining two photon numbers or two atom states
+        ham = build_hamiltonian(basis)
+        block = ham.invariant_block([index_of_bare_state(basis, 1, 0, basis.vacuum)])
+        restricted = obs.restricted(block)
+        keys = np.array([(a * basis.levels_b + b) * (basis.n_max + 1) + sum(occ)
+                         for a, b, occ in basis.states])
+        assert restricted.blocks
+        for indices, factor in restricted.blocks:
+            assert isinstance(factor, np.ndarray)
+            assert len(set(keys[block[indices]])) == 1
+
+
+def test_observable_blocks_are_validated():
+    with pytest.raises(ValueError):
+        BoundedObservable.from_blocks([([0, 1], np.ones((1, 3)))], 4)
+    with pytest.raises(ValueError):
+        BoundedObservable.from_blocks([([2, 4], None)], 4)
 
 
 def test_photon_factor_matches_hand_enumerated_number_operator():
