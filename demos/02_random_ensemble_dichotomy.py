@@ -37,7 +37,7 @@ def random_instance(rng):
     frame = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     q, _ = np.linalg.qr(frame)
     # the projector q q^dagger, held as its square-root factor q^dagger
-    observable = BoundedObservable(q.conj().T)
+    observable = BoundedObservable([(np.arange(dim), q.conj().T)], dim)
 
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     state = StateVector(vec / np.linalg.norm(vec))

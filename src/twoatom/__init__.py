@@ -16,10 +16,9 @@ from .errors import (BasisLookupError, ConfigError, ConvergenceError,
                      DimensionError, DomainError, TwoAtomError)
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
-                        format_triplets, gershgorin_floor, local_photon_observable,
-                        read_triplets, spectral_bounds, write_triplets)
+                        format_triplets, gershgorin_floor, local_photon_observable)
 from .propagator import (StateVector, evolve_complex, evolve_grid,
-                         expectation, expectation_grid, prepare_initial_state)
+                         expectation_grid, prepare_initial_state)
 from .analysis import (CutoffRow, CutoffSweepResult, DichotomyReport,
                        FrontDetection, ProbabilitySeries, ZeroCandidate,
                        auxiliary_function, build_model, cutoff_sweep,
@@ -44,11 +43,11 @@ __all__ = [
     "config_fingerprint", "config_items", "cutoff_sweep", "detect_front",
     "dichotomy_scan", "evolve_complex", "evolve_grid",
     "exchange_amplitude_series", "exchange_projector", "excitation_numbers",
-    "excitation_observable_b", "expectation", "expectation_grid",
+    "excitation_observable_b", "expectation_grid",
     "format_triplets", "gershgorin_floor", "index_of_bare_state", "local_photon_observable",
     "log_integral", "make_time_grid", "mode_sum_amplitude", "mode_table",
     "oscillatory_kernel", "perturbative_vs_exact", "prepare_initial_state",
-    "probability_series", "read_triplets", "resolve_observable",
-    "second_order_time_kernel", "series_from_operators", "spectral_bounds",
-    "weak_causality_difference", "write_triplets",
+    "probability_series", "resolve_observable",
+    "second_order_time_kernel", "series_from_operators",
+    "weak_causality_difference",
 ]

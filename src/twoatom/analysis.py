@@ -26,7 +26,7 @@ from .errors import ConfigError, DomainError, TwoAtomError
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
                         local_photon_observable)
-from .propagator import (StateVector, evolve_complex, evolve_grid,
+from .propagator import (DEFAULT_TOL, StateVector, evolve_complex, evolve_grid,
                          expectation_grid, prepare_initial_state, resolve_method)
 
 DEFAULT_EPSILON_ZERO = 1e-12
@@ -123,27 +123,23 @@ class CutoffSweepResult:
 
 
 @lru_cache(maxsize=6)
-def _model(config: AnyConfig):
+def build_model(config: AnyConfig):
+    """(basis, hamiltonian) for a config, cached across calls."""
     basis = build_basis(config)
     return basis, build_hamiltonian(basis)
 
 
 @lru_cache(maxsize=4)
 def _photon_observable(config: ModelConfig, region: tuple[float, float]):
-    basis, _ = _model(config)
+    basis, _ = build_model(config)
     return local_photon_observable(basis, region)
-
-
-def build_model(config: AnyConfig):
-    """(basis, hamiltonian) for a config, cached across calls."""
-    return _model(config)
 
 
 def resolve_observable(config: AnyConfig, observable, region=None) -> BoundedObservable:
     """Accept an observable instance or one of the documented names."""
     if isinstance(observable, BoundedObservable):
         return observable
-    basis, _ = _model(config)
+    basis, _ = build_model(config)
     if observable == "excitation_b":
         return excitation_observable_b(basis)
     if observable == "exchange":
@@ -166,7 +162,7 @@ def resolve_observable(config: AnyConfig, observable, region=None) -> BoundedObs
 
 def series_from_operators(hamiltonian: HermitianOperator, initial: StateVector,
                           observable: BoundedObservable, time_grid, *,
-                          method: str = "auto", tol: float = 1e-10,
+                          method: str = "auto", tol: float = DEFAULT_TOL,
                           label: str = "observable",
                           fingerprint: str = "adhoc") -> ProbabilitySeries:
     """P(t) over a grid for explicitly supplied operators.
@@ -197,7 +193,7 @@ def series_from_operators(hamiltonian: HermitianOperator, initial: StateVector,
 
 
 def probability_series(config: AnyConfig, observable, time_grid, *,
-                       method: str = "auto", tol: float = 1e-10,
+                       method: str = "auto", tol: float = DEFAULT_TOL,
                        initial_state: StateVector | None = None,
                        region=None) -> ProbabilitySeries:
     """P(t) for a config, starting from (excited A, ground B, vacuum).
@@ -222,7 +218,7 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
     initial_state : StateVector, optional
         Override for the canonical initial state.
     """
-    basis, hamiltonian = _model(config)
+    basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)
     psi0 = initial_state if initial_state is not None else prepare_initial_state(basis)
     return series_from_operators(
@@ -232,7 +228,7 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
 
 
 def auxiliary_function(config: AnyConfig, observable, phi: StateVector, z: complex, *,
-                       method: str = "auto", tol: float = 1e-10, region=None) -> complex:
+                       method: str = "auto", tol: float = DEFAULT_TOL, region=None) -> complex:
     """F_phi(z) = <phi, O exp(-i H z) psi_0> for Im z <= 0.
 
     For fixed phi this is analytic in the open lower half plane and
@@ -242,7 +238,7 @@ def auxiliary_function(config: AnyConfig, observable, phi: StateVector, z: compl
     sum_k <F_k phi[I_k], F_k psi_z[I_k]> over the observable's blocks, with
     psi_z = exp(-i H z) psi_0.
     """
-    basis, hamiltonian = _model(config)
+    basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)
     psi0 = prepare_initial_state(basis)
     psi_z = evolve_complex(hamiltonian, psi0, z, method=method, tol=tol)
@@ -330,7 +326,7 @@ def dichotomy_scan(series: ProbabilitySeries, *,
 
 
 def weak_causality_difference(config: AnyConfig, time_grid, *,
-                              method: str = "auto", tol: float = 1e-10) -> ProbabilitySeries:
+                              method: str = "auto", tol: float = DEFAULT_TOL) -> ProbabilitySeries:
     """P_B(with A present) - P_B(A decoupled) on one shared Hilbert space.
 
     The subtrahend run zeroes A's coupling scale and starts from
@@ -342,7 +338,7 @@ def weak_causality_difference(config: AnyConfig, time_grid, *,
     with_a = probability_series(config, "excitation_b", time_grid,
                                 method=method, tol=tol)
     cfg_without = dataclasses.replace(config, coupling_scale_a=0.0)
-    basis_wo, _ = _model(cfg_without)
+    basis_wo, _ = build_model(cfg_without)
     amp = np.zeros(basis_wo.dimension, dtype=np.complex128)
     amp[index_of_bare_state(basis_wo, 0, 0, basis_wo.vacuum)] = 1.0
     without_a = probability_series(cfg_without, "excitation_b", time_grid,
@@ -413,7 +409,7 @@ def _classify_trend(points: list[float]) -> str:
 
 
 def cutoff_sweep(config: ModelConfig, cutoffs, time_grid, *,
-                 method: str = "auto", tol: float = 1e-10,
+                 method: str = "auto", tol: float = DEFAULT_TOL,
                  floor: float = DEFAULT_FLOOR, workers: int = 1) -> CutoffSweepResult:
     """Repeat the excitation run across cutoff values and report the trend.
 

@@ -47,6 +47,7 @@ from .errors import (ConfigError, ConvergenceError, DimensionError,
 from .operators import format_triplets
 from .perturbation import (DEFAULT_QUAD_TOL, FREQUENCY_RANGES,
                            exchange_amplitude_series)
+from .propagator import DEFAULT_TOL
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "TWOATOM_"
@@ -238,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help='time grid as "t_max,steps"')
         p.add_argument("--method", choices=["auto", "dense", "krylov"],
                        help="propagation backend (default auto)")
-        p.add_argument("--tol", help="propagation tolerance (default 1e-10)")
+        p.add_argument("--tol", help=f"propagation tolerance (default {DEFAULT_TOL:g})")
 
     p = sub.add_parser("simulate", help="probability series for one observable")
     common(p)
@@ -301,7 +302,7 @@ def _common_setup(args, default_steps: int = 800):
     t_max, steps = grid_spec
     grid = analysis.make_time_grid(t_max, steps)
     method = _resolve(args, "method", default="auto")
-    tol = _resolve(args, "tol", default=1e-10, convert=float)
+    tol = _resolve(args, "tol", default=DEFAULT_TOL, convert=float)
     return config, out_dir, grid, (t_max, steps), method, tol
 
 

@@ -27,6 +27,10 @@ set of basis indices with a factor acting on just those amplitudes, or with
 none for the identity.  The two projectors are one identity block each; the
 photon-region observable is one block per atom state and photon number,
 and the blocks of one photon number share a single dense factor.
+
+format_triplets renders a Hamiltonian as the text dump that
+`twoatom simulate --dump-hamiltonian` writes: '#' header lines, then one
+'row col re im' line per stored entry, which np.loadtxt reads back exactly.
 """
 
 from __future__ import annotations
@@ -36,14 +40,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .basis import FockBasis, index_of_bare_state
 from .config import LatticeConfig
-from .errors import ConvergenceError, DomainError
-
-# largest dimension handled by dense eigendecomposition, here and in the propagator
-DENSE_LIMIT = 2000
+from .errors import DomainError
 
 
 class HermitianOperator:
@@ -122,38 +122,28 @@ class BoundedObservable:
     """Observable O with spectrum inside [0, 1], held as blocks of a square-root factor.
 
     Block k is a pair (indices, factor): I_k, a sorted array of basis
-    indices, and F_k, a dense or sparse matrix with one column per index, or
-    None for the identity.  With P_k the map psi -> psi[I_k],
+    indices, and F_k, any matrix with one column per index that supports
+    .shape, column slicing and @ (a numpy array or a scipy sparse matrix),
+    or None for the identity.  With P_k the map psi -> psi[I_k],
 
         O = sum_k P_k^T F_k^dagger F_k P_k,
 
     so expectation values are sum_k ||F_k psi[I_k]||^2, non-negative by
     construction and never clamped after the fact.  O itself is never
-    formed.  BoundedObservable(W) holds any factor W with as many columns as
-    the basis has states, as one sparse block over all of them;
-    from_blocks states the blocks directly.
+    formed.  A factor W over all `dimension` states is the single block
+    (arange(dimension), W).
     """
 
-    def __init__(self, sqrt_factor, label: str = "observable"):
-        factor = sparse.csr_matrix(sqrt_factor, dtype=np.complex128)
-        self.dimension = factor.shape[1]
-        self.blocks = ((np.arange(self.dimension), factor),)
-        self.label = label
-
-    @classmethod
-    def from_blocks(cls, blocks, dimension: int, label: str = "observable"):
-        """The observable sum_k P_k^T F_k^dagger F_k P_k on `dimension` states."""
-        obs = cls.__new__(cls)
-        obs.dimension = int(dimension)
-        obs.blocks = tuple((np.asarray(indices, dtype=int), factor)
-                           for indices, factor in blocks)
-        for indices, factor in obs.blocks:
-            if indices.size and not 0 <= indices.min() <= indices.max() < obs.dimension:
+    def __init__(self, blocks, dimension: int, label: str = "observable"):
+        self.dimension = int(dimension)
+        self.blocks = tuple((np.asarray(indices, dtype=int), factor)
+                            for indices, factor in blocks)
+        for indices, factor in self.blocks:
+            if indices.size and not 0 <= indices.min() <= indices.max() < self.dimension:
                 raise ValueError("block index outside the basis")
             if factor is not None and factor.shape[1] != len(indices):
                 raise ValueError("block factor needs one column per index")
-        obs.label = label
-        return obs
+        self.label = label
 
     def factor_parts(self, states):
         """F_k psi[I_k] for each block k, for states stacked as rows.
@@ -186,7 +176,7 @@ class BoundedObservable:
         For such psi only the factor columns whose index lies in C carry
         weight, so each block keeps those columns, with its indices renumbered
         to their positions in C.  Blocks left with no columns or no rows are
-        dropped, and a sparse factor drops the rows the cut left empty.
+        dropped.
         """
         indices = np.asarray(indices, dtype=int)
         if len(indices) == self.dimension:
@@ -198,12 +188,10 @@ class BoundedObservable:
                 continue
             if factor is not None and not inside.all():
                 factor = factor[:, inside]
-                if sparse.issparse(factor):
-                    factor = factor[np.flatnonzero(factor.getnnz(axis=1))]
             if factor is not None and factor.shape[0] == 0:
                 continue
             blocks.append((np.searchsorted(indices, own[inside]), factor))
-        return BoundedObservable.from_blocks(blocks, len(indices), self.label)
+        return BoundedObservable(blocks, len(indices), self.label)
 
     def __repr__(self):
         rows = sum(len(i) if f is None else f.shape[0] for i, f in self.blocks)
@@ -319,15 +307,13 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
 def excitation_observable_b(basis: FockBasis) -> BoundedObservable:
     """Projector onto 'atom B is in any excited level': one identity block."""
     excited = np.flatnonzero([b >= 1 for _, b, _ in basis.states])
-    return BoundedObservable.from_blocks([(excited, None)], basis.dimension,
-                                         label="excitation_b")
+    return BoundedObservable([(excited, None)], basis.dimension, label="excitation_b")
 
 
 def exchange_projector(basis: FockBasis) -> BoundedObservable:
     """Rank-1 projector onto (ground A, first excited B, vacuum)."""
     idx = index_of_bare_state(basis, 0, 1, basis.vacuum)
-    return BoundedObservable.from_blocks([([idx], None)], basis.dimension,
-                                         label="exchange")
+    return BoundedObservable([([idx], None)], basis.dimension, label="exchange")
 
 
 def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> BoundedObservable:
@@ -392,34 +378,7 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     blocks = [(atoms * n_occ + sector, factor)
               for atoms in range(basis.levels_a * basis.levels_b)
               for sector, factor in sectors]
-    return BoundedObservable.from_blocks(blocks, basis.dimension, label="photon_region")
-
-
-def spectral_bounds(operator: HermitianOperator, dense_limit: int = DENSE_LIMIT):
-    """Enclosure (e_min, e_max) of the extreme eigenvalues.
-
-    Dense and effectively exact up to dense_limit; above that an iterative
-    extremal eigensolver is used and the enclosure is widened by the
-    residual norm of each Ritz pair.
-    """
-    mat = operator.matrix
-    dim = operator.dimension
-    if dim <= dense_limit:
-        w = np.linalg.eigvalsh(mat.toarray())
-        return float(w[0]), float(w[-1])
-    out = []
-    for which in ("SA", "LA"):
-        try:
-            w, v = eigsh(mat, k=1, which=which, maxiter=5000, tol=1e-12)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"extremal eigensolver did not converge ({which})",
-                residual=getattr(exc, "eigenvalues", None),
-            ) from exc
-        ritz = float(w[0])
-        resid = float(np.linalg.norm(mat @ v[:, 0] - ritz * v[:, 0]))
-        out.append(ritz - resid if which == "SA" else ritz + resid)
-    return out[0], out[1]
+    return BoundedObservable(blocks, basis.dimension, label="photon_region")
 
 
 # ---------------------------------------------------------------------------
@@ -445,33 +404,3 @@ def format_triplets(operator: HermitianOperator) -> str:
         v = coo.data[i]
         lines.append(f"{coo.row[i]} {coo.col[i]} {v.real:.17g} {v.imag:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def write_triplets(operator: HermitianOperator, path) -> None:
-    """Write format_triplets(operator) to path."""
-    with open(path, "w") as fh:
-        fh.write(format_triplets(operator))
-
-
-def read_triplets(path):
-    """Read a triplet dump back into a csr matrix."""
-    rows, cols, vals = [], [], []
-    dim = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# dimension"):
-                    dim = int(line.split()[-1])
-                continue
-            r, c, re, im = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(complex(float(re), float(im)))
-    if dim is None:
-        raise ValueError("triplet file lacks a dimension header")
-    return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(dim, dim), dtype=np.complex128
-    )

@@ -45,11 +45,10 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.special import spherical_jn
 
 from .config import LatticeConfig, ModelConfig, mode_table
 from .errors import ConvergenceError, DomainError
-from .propagator import DEFAULT_TOL as _PROP_TOL
+from .propagator import DEFAULT_TOL
 
 FREQUENCY_RANGES = ("positive_only", "extended")
 
@@ -300,6 +299,9 @@ def _panel_coefficients(panels, cfg: ModelConfig):
 
 def _moments(theta, halfs):
     """2 i^n j_n(theta * h) for n = 0..degree, shape theta.shape + (degree+1, P)."""
+    # imported here: only the quadrature loads scipy.special
+    from scipy.special import spherical_jn
+
     c = np.multiply.outer(theta, halfs)[..., None, :]
     n = np.arange(PROJECTION_DEGREE + 1)[:, None]
     sign = np.where(c < 0, -1.0, 1.0)
@@ -494,7 +496,7 @@ def mode_sum_amplitude(config: ModelConfig, times) -> AmplitudeSeries:
 
 
 def perturbative_vs_exact(config: ModelConfig, times, *, method: str = "auto",
-                          tol: float = _PROP_TOL) -> PerturbativeComparison:
+                          tol: float = DEFAULT_TOL) -> PerturbativeComparison:
     """|A(t)|^2 from second order against the exact exchange probability.
 
     Both sides live on the same discrete mode set: the perturbative branch

@@ -20,9 +20,10 @@ random probe vectors from numpy's global legacy RNG.  Each call here runs
 with that RNG seeded to a fixed state, and the caller's state restored
 afterwards, so a sparse result does not depend on the caller's np.random.
 
-Expectation values of an observable held as blocks (indices I_k, factor
-F_k) are sum_k ||F_k psi[I_k]||^2: one dense product per factor block and a
-plain sum of |psi|^2 per identity block.
+expectation_grid is the one evaluation of an observable held as blocks
+(indices I_k, factor F_k): sum_k ||F_k psi[I_k]||^2 for a stack of states,
+one matrix product per factor block and a plain sum of |psi|^2 per
+identity block.  A single state psi is the stack psi[None, :].
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .basis import FockBasis, index_of_bare_state
 from .errors import ConvergenceError, DomainError
-from .operators import DENSE_LIMIT, BoundedObservable, HermitianOperator
+from .operators import BoundedObservable, HermitianOperator
 
+# largest dimension that "auto" hands to the dense eigendecomposition
+DENSE_LIMIT = 2000
+# default norm-drift tolerance of the sparse backend, shared by every caller
 DEFAULT_TOL = 1e-10
 
 
@@ -136,6 +139,9 @@ _LEGACY_RNG_LOCK = threading.Lock()
 
 def _expm_multiply(*args, **kwargs) -> np.ndarray:
     """scipy's expm_multiply with np.random seeded to 0, the caller's state restored."""
+    # imported here: only the sparse backend loads scipy.sparse.linalg
+    from scipy.sparse.linalg import expm_multiply
+
     with _LEGACY_RNG_LOCK:
         saved = np.random.get_state()
         np.random.seed(0)
@@ -233,15 +239,6 @@ def evolve_grid(hamiltonian: HermitianOperator, state: StateVector, times, *,
             current = out[i] = _sparse_apply(hamiltonian, generator, current, dt)
     _check_unitary(out, state.norm(), tol)
     return out
-
-
-def expectation(observable: BoundedObservable, state: StateVector) -> float:
-    """<psi|O|psi> = sum_k ||F_k psi[I_k]||^2 as a real number.
-
-    The value lies inside [0, ||psi||^2] by construction rather than by
-    clipping.
-    """
-    return float(expectation_grid(observable, state.amplitudes[None, :])[0])
 
 
 def expectation_grid(observable: BoundedObservable, states: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from twoatom.perturbation import exchange_amplitude_series
 from twoatom.propagator import (
     StateVector,
     evolve_grid,
-    expectation,
+    expectation_grid,
     prepare_initial_state,
 )
 
@@ -83,7 +83,8 @@ def test_criterion_1_randomized_dichotomy():
         rank = int(rng.integers(1, dim))
         block = unitary[:, :rank]
         # the rank-r projector B B^dagger, held as its factor B^dagger
-        observable = BoundedObservable(block.conjugate().T, label="random_projector")
+        observable = BoundedObservable([(np.arange(dim), block.conjugate().T)], dim,
+                                       label="random_projector")
 
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = StateVector(vec / np.linalg.norm(vec))
@@ -229,7 +230,7 @@ def test_criterion_7_conservation_suite():
             basis.dimension)
         psi = StateVector(vec / np.linalg.norm(vec), basis)
         for obs in observables:
-            value = expectation(obs, psi)
+            value = expectation_grid(obs, psi.amplitudes[None, :])[0]
             lo = min(lo, value)
             hi = max(hi, value)
 

@@ -25,8 +25,8 @@ from twoatom.analysis import (
 from twoatom.basis import index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConfigError, DomainError
-from twoatom.operators import DENSE_LIMIT, BoundedObservable, HermitianOperator
-from twoatom.propagator import (StateVector, evolve_complex, evolve_grid, expectation,
+from twoatom.operators import BoundedObservable, HermitianOperator
+from twoatom.propagator import (DENSE_LIMIT, StateVector, evolve_complex, evolve_grid,
                                 expectation_grid, prepare_initial_state)
 
 
@@ -171,7 +171,8 @@ def test_auxiliary_function_recovers_probability():
     for name in ("excitation_b", "photon_region"):
         obs = resolve_observable(cfg, name)
         f = auxiliary_function(cfg, name, psi_t, t)
-        assert_allclose(f.real, expectation(obs, psi_t), atol=1e-12)
+        assert_allclose(f.real, expectation_grid(obs, psi_t.amplitudes[None, :])[0],
+                        atol=1e-12)
         assert abs(f.imag) <= 1e-12
         # against O = W^dagger W formed from the assembled factor, also off
         # the real axis
@@ -548,32 +549,33 @@ def _unit_norm(factor):
 
 def _generic_observable(rng):
     # W is not Hermitian, maps the start's component into the other one too
-    # and has a row that is empty on it
+    # and has a row that is empty on it, which the restriction keeps as zeros
     factor = 0.2 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     factor[4, :3] = 0.0
-    return BoundedObservable(factor), [(range(6), factor)]
+    blocks = [(np.arange(6), factor)]
+    return BoundedObservable(blocks, 6), blocks
 
 
 def _identity_observable(rng):
     blocks = [([1, 2, 4], None)]
-    return BoundedObservable.from_blocks(blocks, 6), blocks
+    return BoundedObservable(blocks, 6), blocks
 
 
 def _cut_dense_observable(rng):
     # C = {0, 1, 2} keeps two of the block's four columns
     factor = _unit_norm(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
     blocks = [([1, 2, 3, 5], factor)]
-    return BoundedObservable.from_blocks(blocks, 6), blocks
+    return BoundedObservable(blocks, 6), blocks
 
 
 def _zero_rows_observable(rng):
     factor = _unit_norm(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     blocks = [([0, 1], np.zeros((0, 2), dtype=complex)), ([2, 3], factor)]
-    return BoundedObservable.from_blocks(blocks, 6), blocks
+    return BoundedObservable(blocks, 6), blocks
 
 
 SYNTHETIC_OBSERVABLES = {
-    "generic": (_generic_observable, 5),
+    "generic": (_generic_observable, 6),
     "identity": (_identity_observable, 2),
     "cut_dense": (_cut_dense_observable, 3),
     "zero_rows": (_zero_rows_observable, 2),

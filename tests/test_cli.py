@@ -3,6 +3,10 @@
 import json
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +21,11 @@ from twoatom.cli import (
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConfigError
 from twoatom.analysis import build_model
-from twoatom.operators import read_triplets, write_triplets
+from twoatom.operators import format_triplets
 
 
 @pytest.fixture(autouse=True)
 def clean_environment(monkeypatch):
-    import os
     for key in [k for k in os.environ if k.startswith(ENV_PREFIX)]:
         monkeypatch.delenv(key)
 
@@ -182,10 +185,16 @@ def test_simulate_dump_hamiltonian_round_trip(tmp_path, small_config):
     code = main(["simulate", "--config", small_config, "--out", str(out),
                  "--grid", "2,10", "--dump-hamiltonian"])
     assert code == 0
-    dumped = read_triplets(str(out / "hamiltonian.txt"))
+    path = out / "hamiltonian.txt"
+    rows, cols, real, imag = np.loadtxt(path, comments="#", ndmin=2).T
     _, hamiltonian = build_model(parse_config_text(
         (tmp_path / "small.cfg").read_text()))
-    assert (dumped - hamiltonian.matrix).nnz == 0
+    coo = hamiltonian.matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    assert f"# dimension {hamiltonian.dimension}\n" in path.read_text()
+    assert np.array_equal(rows, coo.row[order])
+    assert np.array_equal(cols, coo.col[order])
+    assert np.array_equal(real + 1j * imag, coo.data[order])
 
 
 def test_simulate_dump_hamiltonian_leaves_cwd_empty(tmp_path, small_config,
@@ -200,9 +209,7 @@ def test_simulate_dump_hamiltonian_leaves_cwd_empty(tmp_path, small_config,
     assert list(cwd.iterdir()) == []
     _, hamiltonian = build_model(parse_config_text(
         (tmp_path / "small.cfg").read_text()))
-    reference = tmp_path / "reference.txt"
-    write_triplets(hamiltonian, reference)
-    assert (out / "hamiltonian.txt").read_bytes() == reference.read_bytes()
+    assert (out / "hamiltonian.txt").read_bytes() == format_triplets(hamiltonian).encode()
 
 
 def test_simulate_photon_region(tmp_path, small_config):
@@ -399,3 +406,17 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["spectrum"])
     assert info.value.code == 2
+
+
+def test_cli_import_defers_scipy_submodules():
+    # scipy.special serves only the quadrature and scipy.sparse.linalg only
+    # the sparse backend, so importing the CLI loads neither
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, twoatom.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -19,7 +19,6 @@ from twoatom.propagator import (
     StateVector,
     evolve_complex,
     evolve_grid,
-    expectation,
     expectation_grid,
     prepare_initial_state,
 )
@@ -41,8 +40,8 @@ def test_initial_state(small_model):
     basis, _ = small_model
     psi0 = prepare_initial_state(basis)
     assert psi0.norm() == 1.0
-    assert expectation(excitation_observable_b(basis), psi0) == 0.0
-    assert expectation(exchange_projector(basis), psi0) == 0.0
+    assert expectation_grid(excitation_observable_b(basis), psi0.amplitudes[None, :])[0] == 0.0
+    assert expectation_grid(exchange_projector(basis), psi0.amplitudes[None, :])[0] == 0.0
     i = index_of_bare_state(basis, 1, 0, basis.vacuum)
     assert psi0.amplitudes[i] == 1.0
 
@@ -68,7 +67,7 @@ def test_decoupled_probabilities_are_static():
             np.exp(-1j * e0 * t),
             atol=1e-13,
         )
-        assert expectation(obs, psi_t) <= 1e-28
+        assert expectation_grid(obs, psi_t.amplitudes[None, :])[0] <= 1e-28
 
 
 def test_group_property(small_model):
@@ -202,7 +201,7 @@ def test_expectation_projector_mean_over_random_states(small_model):
     total = 0.0
     for _ in range(n_samples):
         v = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
-        total += expectation(obs, StateVector(v / np.linalg.norm(v), basis))
+        total += expectation_grid(obs, (v / np.linalg.norm(v))[None, :])[0]
     mean = total / n_samples
     assert abs(mean - 1.0 / basis.dimension) < 4.0 / basis.dimension / np.sqrt(n_samples) * 3
 
