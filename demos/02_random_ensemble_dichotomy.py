@@ -18,7 +18,6 @@ import numpy as np
 
 from twoatom.analysis import dichotomy_scan, make_time_grid, series_from_operators
 from twoatom.operators import BoundedObservable, HermitianOperator
-from twoatom.propagator import StateVector
 
 SEED = 1932
 TRIALS = 60
@@ -40,8 +39,7 @@ def random_instance(rng):
     observable = BoundedObservable([(np.arange(dim), q.conj().T)], dim)
 
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    state = StateVector(vec / np.linalg.norm(vec))
-    return hamiltonian, observable, state
+    return hamiltonian, observable, vec / np.linalg.norm(vec)
 
 
 def main():

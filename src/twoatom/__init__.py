@@ -9,7 +9,7 @@ differences that isolate genuine signalling, and the second-order exchange
 amplitude whose causality hinges on the frequency integration range.
 """
 
-from .basis import FockBasis, build_basis, excitation_numbers, index_of_bare_state
+from .basis import FockBasis, build_basis, index_of_bare_state
 from .config import (COUPLING_FORMS, AnyConfig, LatticeConfig, ModelConfig,
                      ModeTable, config_fingerprint, config_items, mode_table)
 from .errors import (BasisLookupError, ConfigError, ConvergenceError,
@@ -17,8 +17,7 @@ from .errors import (BasisLookupError, ConfigError, ConvergenceError,
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
                         format_triplets, gershgorin_floor, local_photon_observable)
-from .propagator import (StateVector, evolve_complex, evolve_grid,
-                         expectation_grid, prepare_initial_state)
+from .propagator import evolve_grid, expectation_grid, prepare_initial_state
 from .analysis import (CutoffRow, CutoffSweepResult, DichotomyReport,
                        FrontDetection, ProbabilitySeries, ZeroCandidate,
                        auxiliary_function, build_model, cutoff_sweep,
@@ -38,11 +37,11 @@ __all__ = [
     "CutoffSweepResult", "DichotomyReport", "DimensionError", "DomainError",
     "FREQUENCY_RANGES", "FockBasis", "FrontDetection", "HermitianOperator",
     "LatticeConfig", "ModeTable", "ModelConfig", "PerturbativeComparison",
-    "ProbabilitySeries", "StateVector", "TwoAtomError", "ZeroCandidate",
+    "ProbabilitySeries", "TwoAtomError", "ZeroCandidate",
     "auxiliary_function", "build_basis", "build_hamiltonian", "build_model",
     "config_fingerprint", "config_items", "cutoff_sweep", "detect_front",
-    "dichotomy_scan", "evolve_complex", "evolve_grid",
-    "exchange_amplitude_series", "exchange_projector", "excitation_numbers",
+    "dichotomy_scan", "evolve_grid",
+    "exchange_amplitude_series", "exchange_projector",
     "excitation_observable_b", "expectation_grid",
     "format_triplets", "gershgorin_floor", "index_of_bare_state", "local_photon_observable",
     "log_integral", "make_time_grid", "mode_sum_amplitude", "mode_table",

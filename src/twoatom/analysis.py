@@ -8,6 +8,10 @@ never a causal "quiet period".  The helpers here classify series against
 that dichotomy, attach the discrete log-integral witness (a finite value of
 integral ln P(t) / (1 + t^2) dt is what forbids extended zero intervals),
 difference two-atom runs against atom-free runs, and locate signal fronts.
+
+States are plain complex arrays over the basis, and every propagation here,
+real-time series and the complex-time auxiliary function alike, is one
+propagator.evolve_grid call.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .errors import ConfigError, DomainError, TwoAtomError
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
                         local_photon_observable)
-from .propagator import (DEFAULT_TOL, StateVector, evolve_complex, evolve_grid,
-                         expectation_grid, prepare_initial_state, resolve_method)
+from .propagator import (DEFAULT_TOL, evolve_grid, expectation_grid,
+                         prepare_initial_state, resolve_method)
 
 DEFAULT_EPSILON_ZERO = 1e-12
 DEFAULT_FLOOR = 1e-30
@@ -160,7 +164,7 @@ def resolve_observable(config: AnyConfig, observable, region=None) -> BoundedObs
 # ---------------------------------------------------------------------------
 
 
-def series_from_operators(hamiltonian: HermitianOperator, initial: StateVector,
+def series_from_operators(hamiltonian: HermitianOperator, initial,
                           observable: BoundedObservable, time_grid, *,
                           method: str = "auto", tol: float = DEFAULT_TOL,
                           label: str = "observable",
@@ -181,12 +185,13 @@ def series_from_operators(hamiltonian: HermitianOperator, initial: StateVector,
     the backend it would get without it (see probability_series for the
     measured reason).
     """
-    if initial.dimension != hamiltonian.dimension:
+    initial = np.asarray(initial, dtype=np.complex128)
+    if initial.shape != (hamiltonian.dimension,):
         raise ValueError("initial state and Hamiltonian differ in dimension")
     method = resolve_method(method, hamiltonian.dimension)
-    block = hamiltonian.invariant_block(np.flatnonzero(initial.amplitudes))
-    states = evolve_grid(hamiltonian.block(block), StateVector(initial.amplitudes[block]),
-                         time_grid, method=method, tol=tol)
+    block = hamiltonian.invariant_block(np.flatnonzero(initial))
+    states = evolve_grid(hamiltonian.block(block), initial[block], time_grid,
+                         method=method, tol=tol)
     values = expectation_grid(observable.restricted(block), states)
     return ProbabilitySeries(np.asarray(time_grid, dtype=float), values,
                              label, fingerprint)
@@ -194,7 +199,7 @@ def series_from_operators(hamiltonian: HermitianOperator, initial: StateVector,
 
 def probability_series(config: AnyConfig, observable, time_grid, *,
                        method: str = "auto", tol: float = DEFAULT_TOL,
-                       initial_state: StateVector | None = None,
+                       initial_state: np.ndarray | None = None,
                        region=None) -> ProbabilitySeries:
     """P(t) for a config, starting from (excited A, ground B, vacuum).
 
@@ -215,7 +220,7 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
         and 167 MB against 0.6-0.7 s and 97 MB for expm_multiply (2 cores,
         OpenBLAS), so keying the switch on the block would slow that
         config down.
-    initial_state : StateVector, optional
+    initial_state : array of shape (dim,), optional
         Override for the canonical initial state.
     """
     basis, hamiltonian = build_model(config)
@@ -227,7 +232,7 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
     )
 
 
-def auxiliary_function(config: AnyConfig, observable, phi: StateVector, z: complex, *,
+def auxiliary_function(config: AnyConfig, observable, phi, z: complex, *,
                        method: str = "auto", tol: float = DEFAULT_TOL, region=None) -> complex:
     """F_phi(z) = <phi, O exp(-i H z) psi_0> for Im z <= 0.
 
@@ -236,14 +241,15 @@ def auxiliary_function(config: AnyConfig, observable, phi: StateVector, z: compl
     ||phi|| * exp(Im(z) * spectral_floor).  Its boundary values at real z
     recover probing of the probability series.  It is evaluated as
     sum_k <F_k phi[I_k], F_k psi_z[I_k]> over the observable's blocks, with
-    psi_z = exp(-i H z) psi_0.
+    psi_z = exp(-i H z) psi_0 from evolve_grid at the single point z, and
+    phi an array over the config's basis.
     """
     basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)
     psi0 = prepare_initial_state(basis)
-    psi_z = evolve_complex(hamiltonian, psi0, z, method=method, tol=tol)
-    pairs = zip(obs.factor_parts(phi.amplitudes[None, :]),
-                obs.factor_parts(psi_z.amplitudes[None, :]))
+    psi_z = evolve_grid(hamiltonian, psi0, [complex(z)], method=method, tol=tol)
+    phi = np.asarray(phi, dtype=np.complex128)
+    pairs = zip(obs.factor_parts(phi[None, :]), obs.factor_parts(psi_z))
     return complex(sum(np.vdot(left, right) for left, right in pairs))
 
 
@@ -339,11 +345,10 @@ def weak_causality_difference(config: AnyConfig, time_grid, *,
                                 method=method, tol=tol)
     cfg_without = dataclasses.replace(config, coupling_scale_a=0.0)
     basis_wo, _ = build_model(cfg_without)
-    amp = np.zeros(basis_wo.dimension, dtype=np.complex128)
-    amp[index_of_bare_state(basis_wo, 0, 0, basis_wo.vacuum)] = 1.0
+    ground = np.zeros(basis_wo.dimension, dtype=np.complex128)
+    ground[index_of_bare_state(basis_wo, 0, 0, basis_wo.vacuum)] = 1.0
     without_a = probability_series(cfg_without, "excitation_b", time_grid,
-                                   method=method, tol=tol,
-                                   initial_state=StateVector(amp, basis_wo))
+                                   method=method, tol=tol, initial_state=ground)
     return ProbabilitySeries(
         with_a.times, with_a.values - without_a.values,
         "excitation_b_difference", config_fingerprint(config), signed=True,

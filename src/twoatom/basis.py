@@ -4,14 +4,15 @@ Basis states are triples (a_level, b_level, occupations) where occupations
 is one photon count per retained mode (or per chain site for the lattice
 variant) with total count at most n_max.  States are ordered
 lexicographically on the full triple, so the layout is a plain tensor
-product: the occupation block repeats identically for every atom pair.
+product: the occupation block repeats identically for every atom pair, and
+state (a, b, occ) sits at index (a * levels_b + b) * num_occupations + row,
+with row the position of occ in the occupation table.  Only that table is
+stored; no per-state list or map is built.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .config import AnyConfig, LatticeConfig, ModelConfig, ModeTable, mode_table
 from .errors import BasisLookupError, DimensionError
@@ -44,22 +45,21 @@ class FockBasis:
     Parameters
     ----------
     config : ModelConfig or LatticeConfig
-        Source configuration; decides the number of field slots.
-    dim_limit : int, optional
-        Hard ceiling on the total dimension.  Exceeding it raises
-        DimensionError before any enumeration work is done.
+        Source configuration; decides the number of field slots.  A total
+        dimension above DIMENSION_LIMIT raises DimensionError before any
+        enumeration work is done.
 
     Attributes
     ----------
-    states : list of (int, int, tuple)
-        All basis states in lexicographic order.
-    index : dict
-        Inverse map from state triple to basis index.
+    occupations : list of tuple
+        All occupation vectors in lexicographic order.
+    occupation_rows : dict
+        Inverse map from occupation vector to its row in `occupations`.
     modes : ModeTable or None
         Retained box modes; None for the lattice variant.
     """
 
-    def __init__(self, config: AnyConfig, dim_limit: int = DIMENSION_LIMIT):
+    def __init__(self, config: AnyConfig):
         self.config = config
         if isinstance(config, LatticeConfig):
             self.modes: ModeTable | None = None
@@ -73,22 +73,15 @@ class FockBasis:
 
         n_occ = occupation_count(self.num_slots, self.n_max)
         dim = self.levels_a * self.levels_b * n_occ
-        if dim > dim_limit:
+        if dim > DIMENSION_LIMIT:
             raise DimensionError(
-                f"basis dimension {dim} exceeds the hard limit {dim_limit}"
+                f"basis dimension {dim} exceeds the hard limit {DIMENSION_LIMIT}"
             )
 
         self.occupations = list(_occupations(self.num_slots, self.n_max))
         self.num_occupations = len(self.occupations)
         assert self.num_occupations == n_occ
-
-        self.states = [
-            (a, b, occ)
-            for a in range(self.levels_a)
-            for b in range(self.levels_b)
-            for occ in self.occupations
-        ]
-        self.index = {state: i for i, state in enumerate(self.states)}
+        self.occupation_rows = {occ: i for i, occ in enumerate(self.occupations)}
         self.dimension = dim
 
     @property
@@ -105,12 +98,12 @@ class FockBasis:
         )
 
 
-def build_basis(config: AnyConfig, dim_limit: int = DIMENSION_LIMIT) -> FockBasis:
+def build_basis(config: AnyConfig) -> FockBasis:
     """Construct the truncated basis for a config.
 
     Deterministic: equal configs give identical state orderings.
     """
-    return FockBasis(config, dim_limit=dim_limit)
+    return FockBasis(config)
 
 
 def index_of_bare_state(basis: FockBasis, a_level: int, b_level: int, occupations) -> int:
@@ -138,9 +131,5 @@ def index_of_bare_state(basis: FockBasis, a_level: int, b_level: int, occupation
         raise BasisLookupError(
             f"total occupation {sum(occ)} exceeds truncation n_max={basis.n_max}"
         )
-    return basis.index[(a_level, b_level, occ)]
-
-
-def excitation_numbers(basis: FockBasis) -> np.ndarray:
-    """Total excitation count (atom levels plus photons) per basis state."""
-    return np.array([a + b + sum(occ) for a, b, occ in basis.states], dtype=float)
+    atoms = a_level * basis.levels_b + b_level
+    return atoms * basis.num_occupations + basis.occupation_rows[occ]

@@ -264,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--range", choices=list(FREQUENCY_RANGES) + ["both"],
                    help="default both")
-    p.add_argument("--quad-tol", help="quadrature absolute error (default 1e-12)")
+    p.add_argument("--quad-tol",
+                   help=f"quadrature absolute error (default {DEFAULT_QUAD_TOL:g})")
 
     p = sub.add_parser("cutoff-sweep", help="excitation run across cutoff values")
     common(p)

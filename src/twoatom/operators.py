@@ -55,7 +55,7 @@ class HermitianOperator:
     on the instance.
     """
 
-    def __init__(self, matrix, spectral_floor: float, basis: FockBasis | None = None):
+    def __init__(self, matrix, spectral_floor: float):
         matrix = sparse.csr_matrix(matrix, dtype=np.complex128)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
@@ -65,7 +65,6 @@ class HermitianOperator:
             raise ValueError("matrix is not exactly Hermitian")
         self.matrix = matrix
         self.spectral_floor = float(spectral_floor)
-        self.basis = basis
         self._eigensystem = None
         self._blocks = {}
 
@@ -245,12 +244,12 @@ def _raising(levels: int):
 def _annihilators(basis: FockBasis) -> list:
     """a_j on the occupation block, one csr matrix per field slot."""
     occs = basis.occupations
-    position = {occ: i for i, occ in enumerate(occs)}
     n = basis.num_occupations
     out = []
     for j in range(basis.num_slots):
         src = [s for s, occ in enumerate(occs) if occ[j]]
-        dst = [position[occs[s][:j] + (occs[s][j] - 1,) + occs[s][j + 1:]] for s in src]
+        dst = [basis.occupation_rows[occs[s][:j] + (occs[s][j] - 1,) + occs[s][j + 1:]]
+               for s in src]
         amp = np.sqrt([occs[s][j] for s in src])
         out.append(sparse.csr_matrix((amp, (dst, src)), shape=(n, n)))
     return out
@@ -296,7 +295,7 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
             upper += sparse.kron(raise_x, phi.conjugate().T)
 
     matrix = diagonal + upper + upper.conjugate().T
-    return HermitianOperator(matrix, gershgorin_floor(matrix), basis)
+    return HermitianOperator(matrix, gershgorin_floor(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,8 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
 
 def excitation_observable_b(basis: FockBasis) -> BoundedObservable:
     """Projector onto 'atom B is in any excited level': one identity block."""
-    excited = np.flatnonzero([b >= 1 for _, b, _ in basis.states])
+    layout = np.arange(basis.dimension).reshape(basis.levels_a, basis.levels_b, -1)
+    excited = layout[:, 1:].ravel()
     return BoundedObservable([(excited, None)], basis.dimension, label="excitation_b")
 
 

@@ -1,19 +1,19 @@
 """Exact time evolution of truncated-basis states.
 
-Two propagation paths share one interface.  Up to DENSE_LIMIT the
-Hamiltonian is diagonalized once (cached on the operator) and evolution is
-exact phase multiplication in the eigenbasis.  Above it the sparse backend
-(method "krylov") applies the truncated-Taylor action of the matrix
-exponential, scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J.
-Sci. Comput. 33, 2011), and rejects a real-time result whose norm drifted
-from the initial norm by more than the requested tolerance.  Complex times
-z with Im z <= 0 are allowed everywhere; the spectrum is shifted by the
-operator's certified floor before exponentiation so the damped factors
-never overflow, then the shift is restored as a scalar.
-
-Grid sweeps on the dense path evaluate all requested times in one BLAS
-call; on the sparse path a uniform grid is one expm_multiply call.  Both
-paths return the initial amplitudes themselves at z = 0.
+evolve_grid is the one propagation call.  It takes a state as a plain
+complex array and returns exp(-i H z) psi0 for every point z of a grid,
+real or complex with Im z <= 0, on one of two backends.  Up to DENSE_LIMIT
+the Hamiltonian is diagonalized once (cached on the operator) and
+evolution is exact phase multiplication in the eigenbasis, all points in
+one BLAS call.  Above it the sparse backend (method "krylov") applies the
+truncated-Taylor action of the matrix exponential,
+scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 2011): one call over an increasing uniform real grid, one call per
+step otherwise.  It rejects a real-time result whose norm drifted from
+the initial norm by more than the requested tolerance.  For complex z the
+spectrum is shifted by the operator's certified floor before
+exponentiation so the damped factors never overflow, then the shift is
+restored as a scalar.  Both backends return psi0 itself at z = 0.
 
 scipy's expm_multiply picks its step count from onenormest, which draws
 random probe vectors from numpy's global legacy RNG.  Each call here runs
@@ -29,7 +29,6 @@ identity block.  A single state psi is the stack psi[None, :].
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -44,43 +43,11 @@ DENSE_LIMIT = 2000
 DEFAULT_TOL = 1e-10
 
 
-@dataclass
-class StateVector:
-    """Complex amplitude vector over a basis (basis optional for synthetic use)."""
-
-    amplitudes: np.ndarray
-    basis: FockBasis | None = None
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.ndim != 1:
-            raise ValueError("state amplitudes must be a 1-D array")
-        if self.basis is not None and len(self.amplitudes) != self.basis.dimension:
-            raise ValueError("amplitude length does not match basis dimension")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.amplitudes)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def prepare_initial_state(basis: FockBasis) -> StateVector:
+def prepare_initial_state(basis: FockBasis) -> np.ndarray:
     """Unit amplitude on (first excited A, ground B, field vacuum)."""
-    amp = np.zeros(basis.dimension, dtype=np.complex128)
-    amp[index_of_bare_state(basis, 1, 0, basis.vacuum)] = 1.0
-    return StateVector(amp, basis)
-
-
-def _check_z(z: complex) -> complex:
-    z = complex(z)
-    if z.imag > 0:
-        raise DomainError(
-            f"complex time {z} has positive imaginary part; only Im z <= 0 "
-            "keeps exp(-iHz) bounded for a Hamiltonian bounded below"
-        )
-    return z
+    psi0 = np.zeros(basis.dimension, dtype=np.complex128)
+    psi0[index_of_bare_state(basis, 1, 0, basis.vacuum)] = 1.0
+    return psi0
 
 
 def resolve_method(method: str, dim: int) -> str:
@@ -111,7 +78,7 @@ def _floor_phase(hamiltonian: HermitianOperator, zs) -> np.ndarray:
 def _dense_apply(hamiltonian, amplitudes, zs) -> np.ndarray:
     w, v = hamiltonian.eigensystem()
     coeff = v.conjugate().T @ amplitudes
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    zs = np.asarray(zs, dtype=complex)
     # exp(-i w z) per time and eigenvalue; the shifted exponent has
     # non-positive real part for Im z <= 0
     phases = np.exp((-1j * zs)[:, None] * (w - hamiltonian.spectral_floor)[None, :])
@@ -158,10 +125,12 @@ def _sparse_apply(hamiltonian, generator, amplitudes, z) -> np.ndarray:
     return _expm_multiply(z * generator, amplitudes) * _floor_phase(hamiltonian, z)
 
 
-def _check_unitary(states: np.ndarray, initial_norm: float, tol: float) -> None:
-    """Raise ConvergenceError when a real-time state's norm drifts above tol."""
-    defect = float(np.max(np.abs(np.linalg.norm(states, axis=1) - initial_norm),
-                          initial=0.0))
+def _check_unitary(states: np.ndarray, times: np.ndarray, initial_norm: float,
+                   tol: float) -> None:
+    """Raise ConvergenceError when a state at a real time drifts in norm above tol."""
+    # norms first, then the real points: masking the states would copy them
+    drift = np.abs(np.linalg.norm(states, axis=1) - initial_norm)[times.imag == 0]
+    defect = float(np.max(drift, initial=0.0))
     if not defect <= tol:
         raise ConvergenceError(
             f"sparse propagation changed the state norm by {defect:.3e}, "
@@ -175,69 +144,67 @@ def _check_unitary(states: np.ndarray, initial_norm: float, tol: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def evolve_complex(hamiltonian: HermitianOperator, state: StateVector, z: complex, *,
-                   method: str = "auto", tol: float = DEFAULT_TOL) -> StateVector:
-    """Propagate by exp(-i H z) for complex z with Im z <= 0.
+def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
+                method: str = "auto", tol: float = DEFAULT_TOL) -> np.ndarray:
+    """exp(-i H z) psi0 at every point z of a grid; shape (len(times), dim).
 
-    The result is not normalized: for Im z < 0 its norm obeys
-    ||psi_z|| <= exp(Im(z) * spectral_floor) * ||psi||.
+    The points may be complex with Im z <= 0.  There the result is not
+    normalized: its norm obeys ||psi_z|| <= exp(Im(z) * spectral_floor) * ||psi0||.
+    A single point z is evolve_grid(H, psi0, [z])[0].
+
+    The dense path evaluates every point from one eigendecomposition.  The
+    sparse path steps from z = 0 through the points in order, so a real
+    grid must not decrease and no step of a complex grid may raise Im z.
+    An increasing uniform real grid, exactly np.linspace(times[0],
+    times[-1], len(times)), takes one expm_multiply call over the whole
+    grid; any other grid takes one call per step, each starting from the
+    previous state.  Every real point of a sparse result must keep the norm
+    of psi0 to within tol.
 
     Parameters
     ----------
+    psi0 : array of shape (dim,)
+        Initial amplitudes, read as complex128.
+    times : 1-D sequence of real or complex points
+        A complex sequence stays complex even where Im z = 0.
     method : {"auto", "dense", "krylov"}
         "auto" picks dense up to dimension DENSE_LIMIT, the sparse
         expm_multiply backend ("krylov") above.
     tol : float
-        Largest norm change the sparse backend may leave in a real-time
-        result before it raises ConvergenceError; complex z is not checked.
+        Largest norm change the sparse backend may leave at a real point
+        before it raises ConvergenceError.
     """
-    z = _check_z(z)
-    chosen = resolve_method(method, hamiltonian.dimension)
-    if chosen == "dense":
-        out = _dense_apply(hamiltonian, state.amplitudes, [z])[0]
-    else:
-        out = _sparse_apply(hamiltonian, _shifted_generator(hamiltonian),
-                            state.amplitudes, z)
-        if z.imag == 0:
-            _check_unitary(out[None, :], state.norm(), tol)
-    return StateVector(out, state.basis)
-
-
-def evolve_grid(hamiltonian: HermitianOperator, state: StateVector, times, *,
-                method: str = "auto", tol: float = DEFAULT_TOL) -> np.ndarray:
-    """States at many real times; shape (len(times), dim).
-
-    The dense path evaluates every grid point from one eigendecomposition.
-    The sparse path needs times that do not decrease from t = 0.  An
-    increasing uniform grid, exactly np.linspace(times[0], times[-1],
-    len(times)), takes one expm_multiply call over the whole grid; any
-    other grid takes one call per interval, each starting from the previous
-    state.  Either way the result must pass the norm check against tol.
-    """
-    times = np.asarray(times, dtype=float)
-    chosen = resolve_method(method, hamiltonian.dimension)
-    if chosen == "dense":
-        return _dense_apply(hamiltonian, state.amplitudes, times)
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    times = np.asarray(times)
+    times = times.astype(np.complex128 if np.iscomplexobj(times) else float)
+    if psi0.shape != (hamiltonian.dimension,) or times.ndim != 1:
+        raise ValueError(f"need a state of shape ({hamiltonian.dimension},) and a 1-D "
+                         f"grid, got shapes {psi0.shape} and {times.shape}")
+    if np.any(times.imag > 0):
+        raise DomainError("complex times need Im z <= 0: only there does exp(-iHz) "
+                          "stay bounded for a Hamiltonian bounded below")
+    if resolve_method(method, hamiltonian.dimension) == "dense":
+        return _dense_apply(hamiltonian, psi0, times)
     steps = np.diff(times, prepend=0.0)
-    if np.any(steps < 0):
-        raise DomainError("time grid must be non-decreasing from t = 0 for the "
-                          "sparse path")
-    if state.dimension == 0:  # expm_multiply divides by the dimension
+    if np.any(steps.imag > 0) or (np.isrealobj(steps) and np.any(steps < 0)):
+        raise DomainError("the sparse path steps from z = 0: a real grid must not "
+                          "decrease and no step of a complex grid may raise Im z")
+    if psi0.size == 0:  # expm_multiply divides by the dimension
         return np.empty((len(times), 0), dtype=np.complex128)
     generator = _shifted_generator(hamiltonian)
     # expm_multiply's interval mode returns the unpropagated vector when
-    # start == stop, so a constant grid takes the per-interval path
-    if len(times) >= 2 and times[-1] > times[0] and np.array_equal(
+    # start == stop, so a constant grid takes the stepped path
+    if np.isrealobj(times) and len(times) >= 2 and times[-1] > times[0] and np.array_equal(
             times, np.linspace(times[0], times[-1], len(times))):
-        out = _expm_multiply(generator, state.amplitudes, start=times[0],
-                             stop=times[-1], num=len(times), endpoint=True)
+        out = _expm_multiply(generator, psi0, start=times[0], stop=times[-1],
+                             num=len(times), endpoint=True)
         out *= _floor_phase(hamiltonian, times)[:, None]
     else:
-        out = np.empty((len(times), state.dimension), dtype=np.complex128)
-        current = state.amplitudes
+        out = np.empty((len(times), psi0.size), dtype=np.complex128)
+        current = psi0
         for i, dt in enumerate(steps):
             current = out[i] = _sparse_apply(hamiltonian, generator, current, dt)
-    _check_unitary(out, state.norm(), tol)
+    _check_unitary(out, times, float(np.linalg.norm(psi0)), tol)
     return out
 
 

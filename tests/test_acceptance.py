@@ -27,7 +27,6 @@ from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.operators import BoundedObservable, HermitianOperator
 from twoatom.perturbation import exchange_amplitude_series
 from twoatom.propagator import (
-    StateVector,
     evolve_grid,
     expectation_grid,
     prepare_initial_state,
@@ -87,7 +86,7 @@ def test_criterion_1_randomized_dichotomy():
                                        label="random_projector")
 
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi = StateVector(vec / np.linalg.norm(vec))
+        psi = vec / np.linalg.norm(vec)
 
         series = series_from_operators(ham, psi, observable, grid)
         report = dichotomy_scan(series)
@@ -211,7 +210,7 @@ def test_criterion_7_conservation_suite():
     for method, tol in (("dense", 1e-10), ("krylov", 1e-12)):
         vec = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(
             basis.dimension)
-        psi = StateVector(vec / np.linalg.norm(vec), basis)
+        psi = vec / np.linalg.norm(vec)
         states = evolve_grid(ham, psi, grid, method=method, tol=tol)
         norms = np.linalg.norm(states, axis=1)
         unit_drift = max(unit_drift, float(np.max(np.abs(norms - 1.0))))
@@ -228,9 +227,9 @@ def test_criterion_7_conservation_suite():
     for _ in range(100):
         vec = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(
             basis.dimension)
-        psi = StateVector(vec / np.linalg.norm(vec), basis)
+        psi = vec / np.linalg.norm(vec)
         for obs in observables:
-            value = expectation_grid(obs, psi.amplitudes[None, :])[0]
+            value = expectation_grid(obs, psi[None, :])[0]
             lo = min(lo, value)
             hi = max(hi, value)
 

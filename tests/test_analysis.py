@@ -26,8 +26,8 @@ from twoatom.basis import index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConfigError, DomainError
 from twoatom.operators import BoundedObservable, HermitianOperator
-from twoatom.propagator import (DENSE_LIMIT, StateVector, evolve_complex, evolve_grid,
-                                expectation_grid, prepare_initial_state)
+from twoatom.propagator import (DENSE_LIMIT, evolve_grid, expectation_grid,
+                                prepare_initial_state)
 
 
 def synthetic_series(values, signed=False, t_max=None):
@@ -163,15 +163,14 @@ def test_log_integral_floor_independent_when_bounded_away():
 
 def test_auxiliary_function_recovers_probability():
     cfg = ModelConfig(num_modes=3, n_max=1)
-    _, ham = build_model(cfg)
-    basis = ham.basis
+    basis, ham = build_model(cfg)
     psi0 = prepare_initial_state(basis)
     t = 1.4
-    psi_t = evolve_complex(ham, psi0, t)
+    psi_t = evolve_grid(ham, psi0, [t])[0]
     for name in ("excitation_b", "photon_region"):
         obs = resolve_observable(cfg, name)
         f = auxiliary_function(cfg, name, psi_t, t)
-        assert_allclose(f.real, expectation_grid(obs, psi_t.amplitudes[None, :])[0],
+        assert_allclose(f.real, expectation_grid(obs, psi_t[None, :])[0],
                         atol=1e-12)
         assert abs(f.imag) <= 1e-12
         # against O = W^dagger W formed from the assembled factor, also off
@@ -179,28 +178,26 @@ def test_auxiliary_function_recovers_probability():
         w = obs.sqrt_factor
         o = w.conjugate().T @ w
         for z in (t, t - 0.3j):
-            formed = np.vdot(psi_t.amplitudes,
-                             o @ evolve_complex(ham, psi0, z).amplitudes)
+            formed = np.vdot(psi_t, o @ evolve_grid(ham, psi0, [complex(z)])[0])
             assert abs(auxiliary_function(cfg, name, psi_t, z) - formed) <= 1e-13
 
 
 def test_auxiliary_function_invariant_subspace():
     # decoupled H commutes with the diagonal projector and annihilates psi_0
     cfg = ModelConfig(num_modes=3, n_max=1, coupling_strength=0.0)
-    _, ham = build_model(cfg)
-    psi = prepare_initial_state(ham.basis)
+    basis, _ = build_model(cfg)
+    psi = prepare_initial_state(basis)
     for z in (0.5, 2.0 - 1.0j, -3.0 - 0.2j):
         assert abs(auxiliary_function(cfg, "excitation_b", psi, z)) <= 1e-28
 
 
 def test_auxiliary_function_lower_half_plane_decay():
     cfg = ModelConfig(num_modes=3, n_max=1, coupling_strength=0.3)
-    _, ham = build_model(cfg)
-    basis = ham.basis
+    basis, ham = build_model(cfg)
     w = np.linalg.eigvalsh(ham.matrix.toarray())
     rng = np.random.default_rng(2)
     v = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
-    phi = StateVector(v / np.linalg.norm(v), basis)
+    phi = v / np.linalg.norm(v)
     for y in (-0.5, -1.0, -3.0):
         f = auxiliary_function(cfg, "excitation_b", phi, 0.8 + 1j * y)
         assert abs(f) <= np.exp(y * w[0]) * (1.0 + 1e-12)
@@ -421,7 +418,7 @@ def _start(config, without_a: bool):
     basis, _ = build_model(config)
     amp = np.zeros(basis.dimension, dtype=complex)
     amp[index_of_bare_state(basis, 0, 0, basis.vacuum)] = 1.0
-    return config, StateVector(amp, basis)
+    return config, amp
 
 
 @pytest.mark.parametrize("method", ["dense", "krylov"])
@@ -430,7 +427,7 @@ def _start(config, without_a: bool):
 def test_block_series_matches_full_space(name, without_a, method):
     config, psi = _start(BLOCK_ORACLE_CONFIGS[name], without_a)
     basis, ham = build_model(config)
-    block = ham.invariant_block(np.flatnonzero(psi.amplitudes))
+    block = ham.invariant_block(np.flatnonzero(psi))
     assert len(block) < basis.dimension
     observables = ["excitation_b", "exchange"]
     if isinstance(config, ModelConfig):
@@ -438,8 +435,8 @@ def test_block_series_matches_full_space(name, without_a, method):
     grid = make_time_grid(6.0, 30)
     full_states = evolve_grid(ham, psi, grid, method=method)
     block_states = np.zeros_like(full_states)
-    block_states[:, block] = evolve_grid(ham.block(block), StateVector(psi.amplitudes[block]),
-                                         grid, method=method)
+    block_states[:, block] = evolve_grid(ham.block(block), psi[block], grid,
+                                         method=method)
     for observable in observables:
         obs = resolve_observable(config, observable)
         series = series_from_operators(ham, psi, obs, grid, method=method)
@@ -459,7 +456,7 @@ def test_auto_resolves_on_the_full_dimension(monkeypatch):
     # backend the full dimension (2244) selects
     config = ModelConfig()
     basis, ham = build_model(config)
-    block = ham.invariant_block(np.flatnonzero(prepare_initial_state(basis).amplitudes))
+    block = ham.invariant_block(np.flatnonzero(prepare_initial_state(basis)))
     assert len(block) <= DENSE_LIMIT < basis.dimension
     eigensystem = HermitianOperator.eigensystem
 
@@ -487,7 +484,7 @@ def test_auto_resolves_on_the_full_dimension(monkeypatch):
 def test_block_operator_is_cached_on_its_hamiltonian(monkeypatch):
     config = ModelConfig(num_modes=6, n_max=2, coupling_strength=0.2)
     basis, ham = build_model(config)
-    block = ham.invariant_block(np.flatnonzero(prepare_initial_state(basis).amplitudes))
+    block = ham.invariant_block(np.flatnonzero(prepare_initial_state(basis)))
     assert ham.block(block) is ham.block(block.copy())
     assert ham.block(np.arange(basis.dimension)) is ham
     eighs = []
@@ -505,8 +502,8 @@ def test_zero_coupling_block_is_one_state(method):
     config = ModelConfig(num_modes=8, n_max=2, coupling_strength=0.0)
     basis, ham = build_model(config)
     psi = prepare_initial_state(basis)
-    block = ham.invariant_block(np.flatnonzero(psi.amplitudes))
-    assert block.tolist() == np.flatnonzero(psi.amplitudes).tolist()
+    block = ham.invariant_block(np.flatnonzero(psi))
+    assert block.tolist() == np.flatnonzero(psi).tolist()
     series = series_from_operators(ham, psi, resolve_observable(config, "excitation_b"),
                                    make_time_grid(4.0, 20), method=method)
     assert np.all(series.values == 0.0)
@@ -520,7 +517,7 @@ def test_block_of_a_two_component_start_is_their_union(method):
     ground = index_of_bare_state(basis, 0, 0, basis.vacuum)
     amp = np.zeros(basis.dimension, dtype=complex)
     amp[[one, ground]] = np.sqrt(0.5)
-    psi = StateVector(amp, basis)
+    psi = amp
     block = ham.invariant_block([one, ground])
     assert np.array_equal(block, np.union1d(ham.invariant_block([one]),
                                             ham.invariant_block([ground])))
@@ -604,7 +601,7 @@ def test_factor_leaving_the_block_is_evaluated_exactly(case, method):
         formed[np.ix_(indices, indices)] += gram
     w = obs.sqrt_factor
     assert np.max(np.abs((w.conjugate().T @ w).toarray() - formed)) <= 1e-15
-    psi = StateVector(np.array([0.6, 0.0, 0.8j, 0.0, 0.0, 0.0]))
+    psi = np.array([0.6, 0.0, 0.8j, 0.0, 0.0, 0.0])
     block = ham.invariant_block([0, 2])
     assert block.tolist() == [0, 1, 2]
     restricted = obs.restricted(block)
@@ -644,9 +641,9 @@ def test_block_series_edge_inputs(method):
     empty = series_from_operators(ham, prepare_initial_state(basis), obs, [],
                                   method=method)
     assert len(empty) == 0
-    zero = StateVector(np.zeros(basis.dimension), basis)
+    zero = np.zeros(basis.dimension)
     series = series_from_operators(ham, zero, obs, make_time_grid(1.0, 4),
                                    method=method)
     assert np.all(series.values == 0.0)
     with pytest.raises(ValueError):
-        series_from_operators(ham, StateVector(np.ones(3)), obs, [0.0], method=method)
+        series_from_operators(ham, np.ones(3), obs, [0.0], method=method)

@@ -9,7 +9,6 @@ import pytest
 from twoatom.basis import (
     DIMENSION_LIMIT,
     build_basis,
-    excitation_numbers,
     index_of_bare_state,
     occupation_count,
 )
@@ -24,6 +23,14 @@ def brute_occupations(slots, n_max):
         for occ in itertools.product(range(n_max + 1), repeat=slots)
         if sum(occ) <= n_max
     ]
+
+
+def bare_states(basis):
+    """Every (a_level, b_level, occupations) triple, from an independent scan."""
+    return [(a, b, occ)
+            for a in range(basis.levels_a)
+            for b in range(basis.levels_b)
+            for occ in brute_occupations(basis.num_slots, basis.n_max)]
 
 
 def test_dimension_single_mode_single_photon():
@@ -66,9 +73,14 @@ def test_zero_slots_has_single_empty_occupation():
 
 def test_index_round_trip_every_state():
     basis = build_basis(ModelConfig(num_modes=3, n_max=2, levels_a=3, levels_b=2))
-    for i, (a, b, occ) in enumerate(basis.states):
-        assert basis.index[(a, b, occ)] == i
-        assert index_of_bare_state(basis, a, b, occ) == i
+    indices = [index_of_bare_state(basis, a, b, occ) for a, b, occ in bare_states(basis)]
+    # every state has its own index, and together they fill 0..dim-1
+    assert sorted(indices) == list(range(basis.dimension))
+    for a, b, occ in bare_states(basis):
+        row = basis.occupations.index(occ)
+        assert basis.occupation_rows[occ] == row
+        assert index_of_bare_state(basis, a, b, occ) == (
+            (a * basis.levels_b + b) * basis.num_occupations + row)
 
 
 def test_dimension_product_law():
@@ -81,12 +93,15 @@ def test_deterministic_ordering():
     cfg = ModelConfig(num_modes=5, n_max=2)
     first = build_basis(cfg)
     second = build_basis(ModelConfig(num_modes=5, n_max=2))
-    assert first.states == second.states
+    assert first.occupations == second.occupations
+    assert first.occupation_rows == second.occupation_rows
 
 
 def test_lexicographic_ordering():
-    basis = build_basis(ModelConfig(num_modes=2, n_max=1))
-    assert basis.states == sorted(basis.states)
+    basis = build_basis(ModelConfig(num_modes=2, n_max=1, levels_a=3))
+    states = bare_states(basis)
+    by_index = sorted(states, key=lambda s: index_of_bare_state(basis, *s))
+    assert by_index == sorted(states)
 
 
 def test_lookup_errors():
@@ -127,8 +142,9 @@ def test_mode_enumeration_order():
 
 
 def test_dimension_overflow():
+    # dim 1 743 588: refused from the count, before any enumeration
     with pytest.raises(DimensionError):
-        build_basis(ModelConfig(num_modes=32, n_max=2), dim_limit=100)
+        build_basis(ModelConfig(num_modes=32, n_max=5))
     # default limit is high enough for the default config
     assert build_basis(ModelConfig()).dimension <= DIMENSION_LIMIT
 
@@ -142,12 +158,17 @@ def test_lattice_slots_are_sites():
 
 
 def test_excitation_numbers():
-    basis = build_basis(ModelConfig(num_modes=2, n_max=2))
-    counts = excitation_numbers(basis)
+    # the tensor layout gives every state's excitation count as a broadcast sum
+    basis = build_basis(ModelConfig(num_modes=2, n_max=2, levels_b=3))
+    photons = np.array([sum(occ) for occ in basis.occupations])
+    counts = np.add.outer(np.add.outer(np.arange(basis.levels_a),
+                                       np.arange(basis.levels_b)), photons).ravel()
     i = index_of_bare_state(basis, 1, 0, (0, 1))
-    assert counts[i] == 2.0
+    assert counts[i] == 2
     j = index_of_bare_state(basis, 0, 0, basis.vacuum)
-    assert counts[j] == 0.0
+    assert counts[j] == 0
+    for a, b, occ in bare_states(basis):
+        assert counts[index_of_bare_state(basis, a, b, occ)] == a + b + sum(occ)
 
 
 def test_vacuum_property():

@@ -408,6 +408,18 @@ def test_unknown_subcommand_is_usage_error():
     assert info.value.code == 2
 
 
+def test_help_reads_the_tolerance_defaults(monkeypatch, capsys):
+    # the help text quotes the module constants, not a copy of their values
+    monkeypatch.setattr("twoatom.cli.DEFAULT_TOL", 3e-7)
+    monkeypatch.setattr("twoatom.cli.DEFAULT_QUAD_TOL", 5e-9)
+    with pytest.raises(SystemExit) as info:
+        main(["fermi-integral", "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "propagation tolerance (default 3e-07)" in text
+    assert "quadrature absolute error (default 5e-09)" in text
+
+
 def test_cli_import_defers_scipy_submodules():
     # scipy.special serves only the quadrature and scipy.sparse.linalg only
     # the sparse backend, so importing the CLI loads neither

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
-from twoatom.basis import build_basis, excitation_numbers, index_of_bare_state
+from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import DomainError
 from twoatom.operators import (
@@ -20,7 +20,18 @@ from twoatom.operators import (
     gershgorin_floor,
     local_photon_observable,
 )
-from twoatom.propagator import StateVector, expectation_grid, prepare_initial_state
+from twoatom.propagator import expectation_grid, prepare_initial_state
+
+
+def basis_states(basis):
+    """(a_level, b_level, occupations) per basis index, atoms outermost."""
+    return [(a, b, occ) for a in range(basis.levels_a) for b in range(basis.levels_b)
+            for occ in basis.occupations]
+
+
+def excitation_numbers(basis):
+    """Total excitation count (atom levels plus photons) per basis state."""
+    return np.array([a + b + sum(occ) for a, b, occ in basis_states(basis)], dtype=float)
 
 
 def mode_coupling(cfg, k, omega):
@@ -41,7 +52,7 @@ def test_decoupled_hamiltonian_is_diagonal():
     expected = np.array(
         [
             a * cfg.omega_a + b * cfg.omega_b + float(np.dot(omegas, occ))
-            for a, b, occ in basis.states
+            for a, b, occ in basis_states(basis)
         ]
     )
     assert_allclose(ham.matrix.diagonal().real, expected, rtol=0, atol=0)
@@ -124,7 +135,7 @@ def test_three_level_ladder_hand_oracle():
         emitted = index_of_bare_state(basis, 2, 0, one)
         assert ham[emitted, index_of_bare_state(basis, 1, 0, vac)] == np.conjugate(c_a)
     coo = ham.tocoo()
-    a_level = np.array([a for a, _, _ in basis.states])
+    a_level = np.array([a for a, _, _ in basis_states(basis)])
     assert np.all(np.abs(a_level[coo.row] - a_level[coo.col]) <= 1)
     assert np.any(a_level[coo.row] == 2)
 
@@ -164,11 +175,10 @@ def test_excitation_observable_b():
     basis = build_basis(ModelConfig(num_modes=2, n_max=1))
     obs = excitation_observable_b(basis)
     psi0 = prepare_initial_state(basis)
-    assert expectation_grid(obs, psi0.amplitudes[None, :])[0] == 0.0
+    assert expectation_grid(obs, psi0[None, :])[0] == 0.0
     exchanged = np.zeros(basis.dimension, dtype=complex)
     exchanged[index_of_bare_state(basis, 0, 1, basis.vacuum)] = 1.0
-    psi_ex = StateVector(exchanged, basis)
-    assert expectation_grid(obs, psi_ex.amplitudes[None, :])[0] == 1.0
+    assert expectation_grid(obs, exchanged[None, :])[0] == 1.0
     # B excited on exactly half of a two-level-B basis
     o = obs.sqrt_factor.conjugate().T @ obs.sqrt_factor
     trace = float(np.real(o.diagonal().sum()))
@@ -183,7 +193,7 @@ def test_exchange_projector():
     o = obs.sqrt_factor.conjugate().T @ obs.sqrt_factor
     assert float(np.real(o.diagonal().sum())) == 1.0
     psi0 = prepare_initial_state(basis)
-    assert expectation_grid(obs, psi0.amplitudes[None, :])[0] == 0.0
+    assert expectation_grid(obs, psi0[None, :])[0] == 0.0
     target = np.zeros(basis.dimension, dtype=complex)
     target[index_of_bare_state(basis, 0, 1, basis.vacuum)] = 1.0
     assert expectation_grid(obs, target[None, :])[0] == 1.0
@@ -195,7 +205,7 @@ def one_photon_state(basis, mode_index):
     occ[mode_index] = 1
     amp = np.zeros(basis.dimension, dtype=complex)
     amp[index_of_bare_state(basis, 0, 0, tuple(occ))] = 1.0
-    return StateVector(amp, basis)
+    return amp
 
 
 def test_photon_observable_full_box_completeness():
@@ -204,7 +214,7 @@ def test_photon_observable_full_box_completeness():
     obs = local_photon_observable(basis, (0.0, cfg.box_length))
     for j in range(basis.num_slots):
         state = one_photon_state(basis, j)
-        assert expectation_grid(obs, state.amplitudes[None, :])[0] == pytest.approx(1.0, abs=1e-12)
+        assert expectation_grid(obs, state[None, :])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_photon_observable_vacuum():
@@ -241,7 +251,7 @@ def test_photon_observable_half_box_dense_oracle():
     oracle = (vec * clipped) @ vec.conjugate().T
 
     for j in range(m):
-        got = expectation_grid(obs, one_photon_state(basis, j).amplitudes[None, :])[0]
+        got = expectation_grid(obs, one_photon_state(basis, j)[None, :])[0]
         assert_allclose(got, oracle[j, j].real, atol=1e-12)
         # for a single mode the diagonal entry is just the region fraction
         assert_allclose(got, 0.5, atol=1e-12)
@@ -262,7 +272,7 @@ def test_photon_factor_rows_stay_in_one_photon_number_sector():
     basis = build_basis(ModelConfig(num_modes=8, n_max=2))
     w = local_photon_observable(basis, (1.0, 4.0)).sqrt_factor
     keys = np.array([(a * basis.levels_b + b) * (basis.n_max + 1) + sum(occ)
-                     for a, b, occ in basis.states])
+                     for a, b, occ in basis_states(basis)])
     assert w.nnz > 0
     for start, stop in zip(w.indptr[:-1], w.indptr[1:]):
         assert len(set(keys[w.indices[start:stop]])) <= 1
@@ -298,7 +308,7 @@ def test_photon_factor_is_the_sector_factors_on_each_atom_state(config):
         block = ham.invariant_block([index_of_bare_state(basis, 1, 0, basis.vacuum)])
         restricted = obs.restricted(block)
         keys = np.array([(a * basis.levels_b + b) * (basis.n_max + 1) + sum(occ)
-                         for a, b, occ in basis.states])
+                         for a, b, occ in basis_states(basis)])
         assert restricted.blocks
         for indices, factor in restricted.blocks:
             assert isinstance(factor, np.ndarray)
@@ -343,8 +353,9 @@ def test_photon_factor_matches_hand_enumerated_number_operator():
     assert lam[-1] > 1.0  # the saturation min(N_S, 1) is exercised
     o_occ = (vec * np.clip(lam, 0.0, 1.0)) @ vec.conjugate().T
     oracle = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for row, (a, b, occ_row) in enumerate(basis.states):
-        for col, (a2, b2, occ_col) in enumerate(basis.states):
+    states = basis_states(basis)
+    for row, (a, b, occ_row) in enumerate(states):
+        for col, (a2, b2, occ_col) in enumerate(states):
             if (a, b) == (a2, b2):
                 oracle[row, col] = o_occ[occs.index(occ_row), occs.index(occ_col)]
 
@@ -374,9 +385,9 @@ def test_bounded_observable_on_random_states():
     rng = np.random.default_rng(5)
     for _ in range(50):
         v = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
-        state = StateVector(v / np.linalg.norm(v), basis)
+        state = v / np.linalg.norm(v)
         for obs in observables:
-            val = expectation_grid(obs, state.amplitudes[None, :])[0]
+            val = expectation_grid(obs, state[None, :])[0]
             assert -1e-12 <= val <= 1.0 + 1e-12
 
 
@@ -401,7 +412,7 @@ def test_lattice_hamiltonian_structure():
     ham = build_hamiltonian(basis).matrix
     # single-photon hopping block: nearest-neighbor chain, open ends
     states = [(0, 0, tuple(1 if i == j else 0 for i in range(5))) for j in range(5)]
-    idx = [basis.index[s] for s in states]
+    idx = [index_of_bare_state(basis, *s) for s in states]
     block = ham.toarray()[np.ix_(idx, idx)]
     hand = np.diag([cfg.site_frequency] * 5).astype(complex)
     for j in range(4):

@@ -1,4 +1,4 @@
-"""Real- and complex-time propagation against dense spectral oracles."""
+"""Propagation at real and complex times against dense spectral oracles."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ from twoatom.operators import (
     excitation_observable_b,
 )
 from twoatom.propagator import (
-    StateVector,
-    evolve_complex,
     evolve_grid,
     expectation_grid,
     prepare_initial_state,
@@ -39,18 +37,22 @@ def mid_model():
 def test_initial_state(small_model):
     basis, _ = small_model
     psi0 = prepare_initial_state(basis)
-    assert psi0.norm() == 1.0
-    assert expectation_grid(excitation_observable_b(basis), psi0.amplitudes[None, :])[0] == 0.0
-    assert expectation_grid(exchange_projector(basis), psi0.amplitudes[None, :])[0] == 0.0
+    assert psi0.dtype == np.complex128
+    assert np.linalg.norm(psi0) == 1.0
+    assert expectation_grid(excitation_observable_b(basis), psi0[None, :])[0] == 0.0
+    assert expectation_grid(exchange_projector(basis), psi0[None, :])[0] == 0.0
     i = index_of_bare_state(basis, 1, 0, basis.vacuum)
-    assert psi0.amplitudes[i] == 1.0
+    assert psi0[i] == 1.0
 
 
 def test_zero_time_is_identity(small_model):
     basis, ham = small_model
     psi0 = prepare_initial_state(basis)
-    out = evolve_complex(ham, psi0, 0.0)
-    assert_allclose(out.amplitudes, psi0.amplitudes, atol=1e-14)
+    for method in ("dense", "krylov"):
+        for grid in ([0.0], [0j], [0.0, 0.0], [0j, -0.5j, -0.5j]):
+            out = evolve_grid(ham, psi0, grid, method=method)
+            # exp(0) is the identity: psi0 itself, with no round-off
+            assert np.array_equal(out[0], psi0)
 
 
 def test_decoupled_probabilities_are_static():
@@ -60,23 +62,27 @@ def test_decoupled_probabilities_are_static():
     obs = excitation_observable_b(basis)
     e0 = ham.matrix.diagonal().real[index_of_bare_state(basis, 1, 0, basis.vacuum)]
     for t in (0.3, 1.7, 12.0):
-        psi_t = evolve_complex(ham, psi0, t)
+        psi_t = evolve_grid(ham, psi0, [t])[0]
         # pure phase on the initial amplitude
         assert_allclose(
-            psi_t.amplitudes[index_of_bare_state(basis, 1, 0, basis.vacuum)],
+            psi_t[index_of_bare_state(basis, 1, 0, basis.vacuum)],
             np.exp(-1j * e0 * t),
             atol=1e-13,
         )
-        assert expectation_grid(obs, psi_t.amplitudes[None, :])[0] <= 1e-28
+        assert expectation_grid(obs, psi_t[None, :])[0] <= 1e-28
 
 
 def test_group_property(small_model):
     basis, ham = small_model
     assert basis.dimension == 24
     psi0 = prepare_initial_state(basis)
-    one_shot = evolve_complex(ham, psi0, 2.5)
-    two_step = evolve_complex(ham, evolve_complex(ham, psi0, 1.1), 1.4)
-    assert np.linalg.norm(one_shot.amplitudes - two_step.amplitudes) <= 1e-10
+    # exp(-iH z1) exp(-iH z2) = exp(-iH (z1 + z2)), on and off the real axis
+    for method in ("dense", "krylov"):
+        for z1, z2 in ((1.1, 1.4), (1.1 - 0.3j, 1.4 - 0.2j)):
+            one_shot = evolve_grid(ham, psi0, [z1 + z2], method=method)[0]
+            half = evolve_grid(ham, psi0, [z1], method=method)[0]
+            two_step = evolve_grid(ham, half, [z2], method=method)[0]
+            assert np.linalg.norm(one_shot - two_step) <= 1e-10
 
 
 def test_krylov_matches_dense(mid_model):
@@ -111,32 +117,35 @@ def test_krylov_matches_expm_multiply(mid_model):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
     t = 3.0
-    ours = evolve_complex(ham, psi0, t, method="krylov", tol=1e-12)
-    reference = expm_multiply(-1j * t * ham.matrix.tocsc(), psi0.amplitudes)
-    assert np.linalg.norm(ours.amplitudes - reference) <= 1e-9
+    ours = evolve_grid(ham, psi0, [t], method="krylov", tol=1e-12)[0]
+    reference = expm_multiply(-1j * t * ham.matrix.tocsc(), psi0)
+    assert np.linalg.norm(ours - reference) <= 1e-9
 
 
 def test_complex_time_diagonal_case():
     ham = HermitianOperator(sparse.diags([0.0, 1.0]).astype(complex), 0.0)
-    psi = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
-    out = evolve_complex(ham, psi, -1j)
-    assert_allclose(out.amplitudes, psi.amplitudes * np.array([1.0, np.exp(-1.0)]),
-                    atol=1e-14)
+    psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    for method in ("dense", "krylov"):
+        out = evolve_grid(ham, psi, [-1j], method=method)[0]
+        assert_allclose(out, psi * np.array([1.0, np.exp(-1.0)]), atol=1e-14)
 
 
 def test_complex_time_rejects_upper_half_plane(small_model):
-    _, ham = small_model
-    psi = prepare_initial_state(ham.basis)
-    with pytest.raises(DomainError):
-        evolve_complex(ham, psi, 1.0 + 0.5j)
+    basis, ham = small_model
+    psi = prepare_initial_state(basis)
+    for method in ("dense", "krylov"):
+        for grid in ([1.0 + 0.5j], [0.0, -1j, 2.0 + 1e-9j]):
+            with pytest.raises(DomainError):
+                evolve_grid(ham, psi, grid, method=method)
 
 
 def test_real_axis_consistency(small_model):
     basis, ham = small_model
     psi0 = prepare_initial_state(basis)
-    a = StateVector(evolve_grid(ham, psi0, [1.3])[0])
-    b = evolve_complex(ham, psi0, 1.3 + 0.0j)
-    assert np.linalg.norm(a.amplitudes - b.amplitudes) <= 1e-12
+    for method in ("dense", "krylov"):
+        a = evolve_grid(ham, psi0, [1.3], method=method)[0]
+        b = evolve_grid(ham, psi0, [1.3 + 0.0j], method=method)[0]
+        assert np.linalg.norm(a - b) <= 1e-12
 
 
 def test_complex_time_norm_bound(small_model):
@@ -150,20 +159,21 @@ def test_complex_time_norm_bound(small_model):
         v /= np.linalg.norm(v)
         y = -rng.uniform(0.05, 4.0)
         t = rng.uniform(-3.0, 3.0)
-        out = evolve_complex(ham, StateVector(v, basis), t + 1j * y)
-        assert out.norm() <= np.exp(y * e_min) * (1.0 + 1e-12)
         # exact value from the dense spectral oracle
         oracle = np.linalg.norm(np.exp(y * w) * (vecs.conjugate().T @ v))
-        assert_allclose(out.norm(), oracle, rtol=1e-11)
+        for method in ("dense", "krylov"):
+            norm = np.linalg.norm(evolve_grid(ham, v, [t + 1j * y], method=method)[0])
+            assert norm <= np.exp(y * e_min) * (1.0 + 1e-12)
+            assert_allclose(norm, oracle, rtol=1e-11)
 
 
 def test_krylov_complex_time_matches_dense(mid_model):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
     z = 1.0 - 0.7j
-    dense = evolve_complex(ham, psi0, z, method="dense")
-    krylov = evolve_complex(ham, psi0, z, method="krylov", tol=1e-12)
-    assert np.linalg.norm(dense.amplitudes - krylov.amplitudes) <= 1e-10
+    dense = evolve_grid(ham, psi0, [z], method="dense")
+    krylov = evolve_grid(ham, psi0, [z], method="krylov", tol=1e-12)
+    assert np.linalg.norm(dense - krylov) <= 1e-10
 
 
 def test_unitarity_and_energy_conservation(mid_model):
@@ -215,12 +225,34 @@ def test_grid_requires_monotone_times_for_krylov(mid_model):
         evolve_grid(ham, psi0, [-1.0, 0.0, 1.0], method="krylov")
 
 
-def test_state_vector_validation(small_model):
-    basis, _ = small_model
-    with pytest.raises(ValueError):
-        StateVector(np.zeros((2, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        StateVector(np.zeros(3, dtype=complex), basis)
+def test_krylov_complex_grid_steps_from_zero(mid_model):
+    # the sparse path steps point to point from z = 0: any step may move
+    # Re z either way, but none may raise Im z
+    basis, ham = mid_model
+    psi0 = prepare_initial_state(basis)
+    grid = np.array([-0.4j, 1.5 - 0.4j, -2.0 - 0.9j, -2.0 - 0.9j, 0.5 - 1.2j])
+    dense = evolve_grid(ham, psi0, grid, method="dense")
+    krylov = evolve_grid(ham, psi0, grid, method="krylov")
+    assert np.max(np.linalg.norm(dense - krylov, axis=1)) <= 1e-10
+    # the first point is one step from z = 0: a single z is its own grid
+    assert np.array_equal(krylov[0],
+                          evolve_grid(ham, psi0, grid[:1], method="krylov")[0])
+    rising = np.array([-1.0j, 1.0 - 0.5j])
+    assert evolve_grid(ham, psi0, rising, method="dense").shape == (2, basis.dimension)
+    with pytest.raises(DomainError):
+        evolve_grid(ham, psi0, rising, method="krylov")
+
+
+def test_wrong_shape_state_raises(small_model):
+    basis, ham = small_model
+    for method in ("dense", "krylov"):
+        for psi in (np.zeros((2, basis.dimension), dtype=complex),
+                    np.zeros(basis.dimension - 1, dtype=complex)):
+            with pytest.raises(ValueError):
+                evolve_grid(ham, psi, [1.0], method=method)
+        # and the grid is one-dimensional
+        with pytest.raises(ValueError):
+            evolve_grid(ham, prepare_initial_state(basis), [[1.0]], method=method)
 
 
 def test_lattice_propagation_unitary():
