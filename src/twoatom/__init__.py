@@ -16,7 +16,7 @@ from .errors import (BasisLookupError, ConfigError, ConvergenceError,
                      DimensionError, DomainError, TwoAtomError)
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
-                        format_triplets, gershgorin_floor, local_photon_observable)
+                        format_triplets, gershgorin_bounds, local_photon_observable)
 from .propagator import evolve_grid, expectation_grid, prepare_initial_state
 from .analysis import (CutoffRow, CutoffSweepResult, DichotomyReport,
                        FrontDetection, ProbabilitySeries, ZeroCandidate,
@@ -43,7 +43,7 @@ __all__ = [
     "dichotomy_scan", "evolve_grid",
     "exchange_amplitude_series", "exchange_projector",
     "excitation_observable_b", "expectation_grid",
-    "format_triplets", "gershgorin_floor", "index_of_bare_state", "local_photon_observable",
+    "format_triplets", "gershgorin_bounds", "index_of_bare_state", "local_photon_observable",
     "log_integral", "make_time_grid", "mode_sum_amplitude", "mode_table",
     "oscillatory_kernel", "perturbative_vs_exact", "prepare_initial_state",
     "probability_series", "resolve_observable",

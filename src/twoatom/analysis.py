@@ -216,10 +216,10 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
     method : {"auto", "dense", "krylov"}
         "auto" is resolved on the full dimension (dense up to DENSE_LIMIT),
         not on the block's.  This is measured: on the default config's
-        1122-dim block, dense eigh plus an 801-point grid took 1.2-1.9 s
-        and 167 MB against 0.6-0.7 s and 97 MB for expm_multiply (2 cores,
-        OpenBLAS), so keying the switch on the block would slow that
-        config down.
+        1122-dim block, dense eigh plus an 801-point grid and its
+        expectation values took 1.6-1.8 s and 163 MB against 0.07-0.08 s
+        and 90 MB for the Chebyshev series (2 cores, OpenBLAS), so keying
+        the switch on the block would slow that config down.
     initial_state : array of shape (dim,), optional
         Override for the canonical initial state.
     """

@@ -203,15 +203,15 @@ class BoundedObservable:
 # ---------------------------------------------------------------------------
 
 
-def gershgorin_floor(matrix) -> float:
-    """Rigorous lower bound on the spectrum from Gershgorin discs."""
+def gershgorin_bounds(matrix) -> tuple[float, float]:
+    """Rigorous (floor, ceiling) of a Hermitian spectrum from Gershgorin discs."""
     matrix = sparse.csr_matrix(matrix)
     if matrix.shape[0] == 0:
-        return 0.0
+        return 0.0, 0.0
     diag = matrix.diagonal().real
     row_sums = np.asarray(np.abs(matrix).sum(axis=1)).ravel()
     radii = row_sums - np.abs(matrix.diagonal())
-    return float(np.min(diag - radii))
+    return float(np.min(diag - radii)), float(np.max(diag + radii))
 
 
 def _one_particle_data(basis: FockBasis):
@@ -295,7 +295,7 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
             upper += sparse.kron(raise_x, phi.conjugate().T)
 
     matrix = diagonal + upper + upper.conjugate().T
-    return HermitianOperator(matrix, gershgorin_floor(matrix))
+    return HermitianOperator(matrix, gershgorin_bounds(matrix)[0])
 
 
 # ---------------------------------------------------------------------------

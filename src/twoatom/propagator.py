@@ -4,21 +4,13 @@ evolve_grid is the one propagation call.  It takes a state as a plain
 complex array and returns exp(-i H z) psi0 for every point z of a grid,
 real or complex with Im z <= 0, on one of two backends.  Up to DENSE_LIMIT
 the Hamiltonian is diagonalized once (cached on the operator) and
-evolution is exact phase multiplication in the eigenbasis, all points in
-one BLAS call.  Above it the sparse backend (method "krylov") applies the
-truncated-Taylor action of the matrix exponential,
-scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 2011): one call over an increasing uniform real grid, one call per
-step otherwise.  It rejects a real-time result whose norm drifted from
-the initial norm by more than the requested tolerance.  For complex z the
-spectrum is shifted by the operator's certified floor before
-exponentiation so the damped factors never overflow, then the shift is
-restored as a scalar.  Both backends return psi0 itself at z = 0.
-
-scipy's expm_multiply picks its step count from onenormest, which draws
-random probe vectors from numpy's global legacy RNG.  Each call here runs
-with that RNG seeded to a fixed state, and the caller's state restored
-afterwards, so a sparse result does not depend on the caller's np.random.
+evolution is exact phase multiplication in the eigenbasis.  Above it the
+sparse backend (method "krylov") sums the Chebyshev series of Tal-Ezer &
+Kosloff (J. Chem. Phys. 81, 3967, 1984) over the Gershgorin interval
+[lo, lo + 2 rho] of H, with V_k = T_k((H - lo) / rho - 1) psi0 from the
+three-term recurrence, to double precision at every point.  Both backends
+evaluate all points in one matrix product, factor out exp(-i lo z) so the
+damped factors at complex z never overflow, and return psi0 at z = 0.
 
 expectation_grid is the one evaluation of an observable held as blocks
 (indices I_k, factor F_k): sum_k ||F_k psi[I_k]||^2 for a stack of states,
@@ -28,14 +20,12 @@ identity block.  A single state psi is the stack psi[None, :].
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 from scipy import sparse
 
 from .basis import FockBasis, index_of_bare_state
 from .errors import ConvergenceError, DomainError
-from .operators import BoundedObservable, HermitianOperator
+from .operators import BoundedObservable, HermitianOperator, gershgorin_bounds
 
 # largest dimension that "auto" hands to the dense eigendecomposition
 DENSE_LIMIT = 2000
@@ -59,15 +49,20 @@ def resolve_method(method: str, dim: int) -> str:
     return method
 
 
-def _floor_phase(hamiltonian: HermitianOperator, zs) -> np.ndarray:
-    """The scalar factors exp(-i z floor) removed by the shift."""
-    restore = np.exp(-1j * np.asarray(zs) * hamiltonian.spectral_floor)
+def _floor_phase(floor: float, zs) -> np.ndarray:
+    """The scalar factors exp(-i z floor) that restore a spectrum shifted by floor."""
+    restore = np.exp(-1j * np.asarray(zs) * floor)
     if not np.all(np.isfinite(restore)):
         raise DomainError(
-            f"complex-time factor exp(-i*floor*z) overflows for z={zs}, "
-            f"floor={hamiltonian.spectral_floor}"
+            f"complex-time factor exp(-i*floor*z) overflows for z={zs}, floor={floor}"
         )
     return restore
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """sum_j |x_ij|^2 for each row i, from the real and imaginary views: no copy."""
+    re, im = rows.real, rows.imag
+    return np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +77,7 @@ def _dense_apply(hamiltonian, amplitudes, zs) -> np.ndarray:
     # exp(-i w z) per time and eigenvalue; the shifted exponent has
     # non-positive real part for Im z <= 0
     phases = np.exp((-1j * zs)[:, None] * (w - hamiltonian.spectral_floor)[None, :])
-    phases *= _floor_phase(hamiltonian, zs)[:, None]
+    phases *= _floor_phase(hamiltonian.spectral_floor, zs)[:, None]
     out = (v @ (phases * coeff).T).T  # shape (len(zs), dim)
     # exp(0) is the identity: psi(0) exactly, not its round trip through V
     out[zs == 0] = amplitudes
@@ -94,42 +89,69 @@ def _dense_apply(hamiltonian, amplitudes, zs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _shifted_generator(hamiltonian: HermitianOperator):
-    """-i (H - floor I), so exp(z A) stays bounded for Im z <= 0."""
-    identity = sparse.identity(hamiltonian.dimension, dtype=np.complex128, format="csr")
-    return -1j * (hamiltonian.matrix - hamiltonian.spectral_floor * identity)
+def _exp_coefficients(w: np.ndarray, order: int) -> np.ndarray:
+    """a_k(w) for k <= order, where exp(-i w (1 + x)) = sum_k a_k T_k(x) on [-1, 1].
+
+    a_k = (2 - delta_k0) (-i)^k J_k(w) e^{-iw}, one column per point w with
+    Im w <= 0, so |a_k| <= 2.  J_k comes from Miller's backward recurrence
+    from J_{order+1} = 0, normalised by e^{iw} = J_0 + 2 sum_k i^k J_k, which
+    does not cancel for Im w <= 0.  A column is rescaled whenever it passes
+    1e100, so a tiny |w| cannot overflow; below |w| = 1e-150 it is
+    J_k = delta_k0 to double precision.  Orders near the start are inaccurate.
+    """
+    small = np.abs(w) < 1e-150
+    ratio = 2.0 / np.where(small, 1, w)
+    table = np.zeros((order + 2, len(w)), dtype=complex)
+    table[order] = 1.0
+    for k in range(order, 0, -1):
+        table[k - 1] = k * ratio * table[k] - table[k + 1]
+        big = np.abs(table[k - 1]) > 1e100
+        if big.any():
+            table[k - 1:, big] /= np.abs(table[k - 1, big])
+    weights = 2.0 * np.array([1, 1j, -1, -1j])[np.arange(order + 1) % 4]
+    weights[0] = 1.0  # (2 - delta_k0) i^k
+    coeff = weights.conjugate()[:, None] * table[:-1] / (weights @ table[:-1])
+    coeff[:, small] = 0.0
+    coeff[0, small] = 1.0
+    return coeff
 
 
-# held while the legacy RNG is reseeded: cutoff_sweep propagates on threads
-_LEGACY_RNG_LOCK = threading.Lock()
+def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
+                     times: np.ndarray) -> np.ndarray:
+    """exp(-i H z) psi0 by the Chebyshev series over H's Gershgorin interval.
 
-
-def _expm_multiply(*args, **kwargs) -> np.ndarray:
-    """scipy's expm_multiply with np.random seeded to 0, the caller's state restored."""
-    # imported here: only the sparse backend loads scipy.sparse.linalg
-    from scipy.sparse.linalg import expm_multiply
-
-    with _LEGACY_RNG_LOCK:
-        saved = np.random.get_state()
-        np.random.seed(0)
-        try:
-            return expm_multiply(*args, **kwargs)
-        finally:
-            np.random.set_state(saved)
-
-
-def _sparse_apply(hamiltonian, generator, amplitudes, z) -> np.ndarray:
-    """exp(-i H z) amplitudes by expm_multiply on the shifted generator."""
-    if z == 0:
-        return amplitudes.copy()
-    return _expm_multiply(z * generator, amplitudes) * _floor_phase(hamiltonian, z)
+    The series stops at the least order K whose computed tail,
+    max_z sum_{k >= K} |a_k(rho z) exp(-i lo z)|, is at most unit roundoff.
+    The table starts past k = rho |z|, and higher until K is ten orders below.
+    """
+    lo, hi = gershgorin_bounds(hamiltonian.matrix)
+    radius = (hi - lo) / 2 or 1.0  # a scalar H: any interval holding it serves
+    largest = float(np.max(np.abs(radius * times), initial=0.0))
+    order = int(largest + 18 * np.cbrt(largest) + 30)
+    while True:
+        coeff = _exp_coefficients(radius * times, order) * _floor_phase(lo, times)
+        tail = np.cumsum(np.abs(coeff[::-1]), axis=0)[::-1].max(axis=1, initial=0.0)
+        terms = max(int(np.count_nonzero(tail > np.finfo(float).eps / 2)), 1)
+        if terms <= order - 10:
+            break
+        order *= 2
+    scaled = (hamiltonian.matrix - (lo + radius) * sparse.identity(psi0.size)) / radius
+    vectors = np.empty((terms, psi0.size), dtype=np.complex128)
+    vectors[0] = psi0
+    if terms > 1:
+        vectors[1] = scaled @ psi0
+    for k in range(2, terms):
+        vectors[k] = 2.0 * (scaled @ vectors[k - 1]) - vectors[k - 2]
+    out = coeff[:terms].T @ vectors
+    out[times == 0] = psi0
+    return out
 
 
 def _check_unitary(states: np.ndarray, times: np.ndarray, initial_norm: float,
                    tol: float) -> None:
     """Raise ConvergenceError when a state at a real time drifts in norm above tol."""
     # norms first, then the real points: masking the states would copy them
-    drift = np.abs(np.linalg.norm(states, axis=1) - initial_norm)[times.imag == 0]
+    drift = np.abs(np.sqrt(_squared_norms(states)) - initial_norm)[times.imag == 0]
     defect = float(np.max(drift, initial=0.0))
     if not defect <= tol:
         raise ConvergenceError(
@@ -148,18 +170,11 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
                 method: str = "auto", tol: float = DEFAULT_TOL) -> np.ndarray:
     """exp(-i H z) psi0 at every point z of a grid; shape (len(times), dim).
 
-    The points may be complex with Im z <= 0.  There the result is not
-    normalized: its norm obeys ||psi_z|| <= exp(Im(z) * spectral_floor) * ||psi0||.
+    The points may be complex with Im z <= 0, in any order.  There the
+    result is not normalized, ||psi_z|| <= exp(Im(z) * spectral_floor) * ||psi0||,
+    and the sparse path's rounding error grows like
+    eps * exp((E_min - lo) |Im z|) * ||psi0||, with lo H's Gershgorin floor.
     A single point z is evolve_grid(H, psi0, [z])[0].
-
-    The dense path evaluates every point from one eigendecomposition.  The
-    sparse path steps from z = 0 through the points in order, so a real
-    grid must not decrease and no step of a complex grid may raise Im z.
-    An increasing uniform real grid, exactly np.linspace(times[0],
-    times[-1], len(times)), takes one expm_multiply call over the whole
-    grid; any other grid takes one call per step, each starting from the
-    previous state.  Every real point of a sparse result must keep the norm
-    of psi0 to within tol.
 
     Parameters
     ----------
@@ -169,10 +184,11 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
         A complex sequence stays complex even where Im z = 0.
     method : {"auto", "dense", "krylov"}
         "auto" picks dense up to dimension DENSE_LIMIT, the sparse
-        expm_multiply backend ("krylov") above.
+        Chebyshev backend ("krylov") above.
     tol : float
         Largest norm change the sparse backend may leave at a real point
-        before it raises ConvergenceError.
+        before it raises ConvergenceError.  The series itself is always
+        summed to double precision.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
     times = np.asarray(times)
@@ -185,25 +201,7 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
                           "stay bounded for a Hamiltonian bounded below")
     if resolve_method(method, hamiltonian.dimension) == "dense":
         return _dense_apply(hamiltonian, psi0, times)
-    steps = np.diff(times, prepend=0.0)
-    if np.any(steps.imag > 0) or (np.isrealobj(steps) and np.any(steps < 0)):
-        raise DomainError("the sparse path steps from z = 0: a real grid must not "
-                          "decrease and no step of a complex grid may raise Im z")
-    if psi0.size == 0:  # expm_multiply divides by the dimension
-        return np.empty((len(times), 0), dtype=np.complex128)
-    generator = _shifted_generator(hamiltonian)
-    # expm_multiply's interval mode returns the unpropagated vector when
-    # start == stop, so a constant grid takes the stepped path
-    if np.isrealobj(times) and len(times) >= 2 and times[-1] > times[0] and np.array_equal(
-            times, np.linspace(times[0], times[-1], len(times))):
-        out = _expm_multiply(generator, psi0, start=times[0], stop=times[-1],
-                             num=len(times), endpoint=True)
-        out *= _floor_phase(hamiltonian, times)[:, None]
-    else:
-        out = np.empty((len(times), psi0.size), dtype=np.complex128)
-        current = psi0
-        for i, dt in enumerate(steps):
-            current = out[i] = _sparse_apply(hamiltonian, generator, current, dt)
+    out = _chebyshev_apply(hamiltonian, psi0, times)
     _check_unitary(out, times, float(np.linalg.norm(psi0)), tol)
     return out
 
@@ -215,5 +213,5 @@ def expectation_grid(observable: BoundedObservable, states: np.ndarray) -> np.nd
     """
     values = np.zeros(len(states))
     for part in observable.factor_parts(states):
-        values += np.real(np.einsum("ij,ij->j", part.conjugate(), part))
+        values += _squared_norms(part.T)
     return values

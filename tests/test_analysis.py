@@ -337,9 +337,9 @@ def test_cutoff_sweep_workers_agree(sweep_config):
 
 
 def test_threaded_sparse_rows_keep_the_callers_rng(sweep_config):
-    # more workers than cores and a short switch interval: rows that reseed
-    # the global RNG around expm_multiply must still match the serial sweep
-    # and hand the caller's stream back untouched
+    # more workers than cores and a short switch interval: the sparse path
+    # draws nothing from np.random, so threaded rows match the serial sweep
+    # and the caller's stream is where its seed left it
     grid = make_time_grid(4.0, 40)
     cutoffs = [4.0, 6.0, 8.0] * 3
     serial = cutoff_sweep(sweep_config, cutoffs, grid, method="krylov")
@@ -452,8 +452,8 @@ def test_block_series_matches_full_space(name, without_a, method):
 
 def test_auto_resolves_on_the_full_dimension(monkeypatch):
     # on the default config's 1122-dim block dense eigh plus a grid took
-    # 1.2-1.9 s against 0.6-0.7 s for expm_multiply, so "auto" keeps the
-    # backend the full dimension (2244) selects
+    # 1.6-1.8 s against 0.07-0.08 s for the Chebyshev series, so "auto"
+    # keeps the backend the full dimension (2244) selects
     config = ModelConfig()
     basis, ham = build_model(config)
     block = ham.invariant_block(np.flatnonzero(prepare_initial_state(basis)))
@@ -616,8 +616,8 @@ def test_factor_leaving_the_block_is_evaluated_exactly(case, method):
 
 
 def test_sparse_series_ignores_the_callers_global_rng():
-    # expm_multiply's norm estimate draws from np.random; unpinned, seeds 0
-    # and 24 gave this series 1.3e-13 apart
+    # the sparse path draws nothing from np.random: the series is the same
+    # under any global seed, and the caller's stream is left untouched
     grid = make_time_grid(2 * np.pi, 800)
     saved = np.random.get_state()
     try:

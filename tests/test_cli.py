@@ -169,10 +169,11 @@ def test_simulate_decoupled_writes_zero_series(tmp_path):
     assert summary["classification"] == "identically_zero"
 
 
-def test_simulate_reruns_byte_identical(tmp_path, small_config):
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_simulate_reruns_byte_identical(tmp_path, small_config, method):
     out = tmp_path / "run"
     argv = ["simulate", "--config", small_config, "--out", str(out),
-            "--grid", "4,40", "--method", "dense"]
+            "--grid", "4,40", "--method", method]
     assert main(argv) == 0
     first = [(out / n).read_bytes() for n in ("simulate.csv", "simulate.json")]
     assert main(argv) == 0

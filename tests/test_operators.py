@@ -17,7 +17,7 @@ from twoatom.operators import (
     exchange_projector,
     excitation_observable_b,
     format_triplets,
-    gershgorin_floor,
+    gershgorin_bounds,
     local_photon_observable,
 )
 from twoatom.propagator import expectation_grid, prepare_initial_state
@@ -168,7 +168,7 @@ def test_spectral_floor_is_lower_bound():
 
 def test_gershgorin_floor_exact_for_diagonal():
     mat = sparse.diags([3.0, -1.5, 2.0]).tocsr()
-    assert gershgorin_floor(mat) == -1.5
+    assert gershgorin_bounds(mat) == (-1.5, 3.0)
 
 
 def test_excitation_observable_b():

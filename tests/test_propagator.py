@@ -1,10 +1,13 @@
 """Propagation at real and complex times against dense spectral oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
@@ -16,6 +19,7 @@ from twoatom.operators import (
     excitation_observable_b,
 )
 from twoatom.propagator import (
+    _exp_coefficients,
     evolve_grid,
     expectation_grid,
     prepare_initial_state,
@@ -95,15 +99,19 @@ def test_krylov_matches_dense(mid_model):
 
 
 @pytest.mark.parametrize("grid", [
-    # two spacings and a repeated time: one expm_multiply call per interval
+    # two spacings and a repeated time
     np.concatenate([np.linspace(0.0, 2.0, 11), np.linspace(2.0, 6.0, 7)]),
-    # uniform but starting after t = 0: one call from times[0]
+    # uniform but starting after t = 0
     np.linspace(1.5, 6.0, 19),
-    # constant: expm_multiply's interval mode would skip the propagation
     np.full(3, 2.0),
     # empty: no states, but still a (0, dim) stack on both paths
     np.array([]),
-], ids=["two_spacings", "offset_uniform", "constant", "empty"])
+    # every point is its own sum from z = 0: order and sign are free
+    np.array([0.0, 1.0, 0.5, -1.0, -3.5]),
+    # Re z either way, and Im z rising as well as falling
+    np.array([-0.4j, 1.5 - 0.4j, -2.0 - 0.9j, -2.0 - 0.9j, 0.5 - 1.2j, -1.0j, 1.0 - 0.5j]),
+], ids=["two_spacings", "offset_uniform", "constant", "empty", "decreasing",
+        "complex_rising_im"])
 def test_krylov_matches_dense_on_grid(mid_model, grid):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
@@ -216,33 +224,6 @@ def test_expectation_projector_mean_over_random_states(small_model):
     assert abs(mean - 1.0 / basis.dimension) < 4.0 / basis.dimension / np.sqrt(n_samples) * 3
 
 
-def test_grid_requires_monotone_times_for_krylov(mid_model):
-    basis, ham = mid_model
-    psi0 = prepare_initial_state(basis)
-    with pytest.raises(DomainError):
-        evolve_grid(ham, psi0, [0.0, 1.0, 0.5], method="krylov")
-    with pytest.raises(DomainError):
-        evolve_grid(ham, psi0, [-1.0, 0.0, 1.0], method="krylov")
-
-
-def test_krylov_complex_grid_steps_from_zero(mid_model):
-    # the sparse path steps point to point from z = 0: any step may move
-    # Re z either way, but none may raise Im z
-    basis, ham = mid_model
-    psi0 = prepare_initial_state(basis)
-    grid = np.array([-0.4j, 1.5 - 0.4j, -2.0 - 0.9j, -2.0 - 0.9j, 0.5 - 1.2j])
-    dense = evolve_grid(ham, psi0, grid, method="dense")
-    krylov = evolve_grid(ham, psi0, grid, method="krylov")
-    assert np.max(np.linalg.norm(dense - krylov, axis=1)) <= 1e-10
-    # the first point is one step from z = 0: a single z is its own grid
-    assert np.array_equal(krylov[0],
-                          evolve_grid(ham, psi0, grid[:1], method="krylov")[0])
-    rising = np.array([-1.0j, 1.0 - 0.5j])
-    assert evolve_grid(ham, psi0, rising, method="dense").shape == (2, basis.dimension)
-    with pytest.raises(DomainError):
-        evolve_grid(ham, psi0, rising, method="krylov")
-
-
 def test_wrong_shape_state_raises(small_model):
     basis, ham = small_model
     for method in ("dense", "krylov"):
@@ -263,3 +244,21 @@ def test_lattice_propagation_unitary():
     grid = np.linspace(0.0, 8.0, 20)
     states = evolve_grid(ham, psi0, grid, method="dense")
     assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-12
+
+
+def test_exp_coefficients_match_scipy_jv():
+    # Miller's recurrence against scipy's J_k, with no warning on the way:
+    # real and lower-half-plane points, w = 0, tiny |w| (ratios 2k/w near
+    # 1e14 before rescaling) and |w| near 400
+    w = np.array([0.0, 1e-12, 3e-13 - 1e-12j, 0.7, 25.0, -60.0, 1.0 - 0.7j,
+                  -2.3 - 0.4j, -15.0j, 399.0, 380.0 - 3.0j])
+    order = 600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeff = _exp_coefficients(w, order)
+    k = np.arange(order - 50)[:, None]
+    # (2 - delta_k0) (-i)^k J_k(w) e^{-iw}: the Chebyshev coefficients of exp(-iw(1 + x))
+    oracle = np.where(k == 0, 1, 2) * (-1j) ** k * jv(k, w) * np.exp(-1j * w)
+    # the normalising sum has order terms, each rounded once
+    assert np.max(np.abs(coeff[:order - 50] - oracle)) <= order * np.finfo(float).eps / 2
+    assert np.array_equal(coeff[:, 0], np.eye(order + 1)[0])
