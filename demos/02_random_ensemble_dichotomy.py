@@ -30,7 +30,7 @@ def random_instance(rng):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     herm = (raw + raw.conj().T) / 2.0
     herm -= np.linalg.eigvalsh(herm)[0] * np.eye(dim)
-    hamiltonian = HermitianOperator(herm, 0.0)
+    hamiltonian = HermitianOperator(herm)
 
     rank = int(rng.integers(1, dim))
     frame = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))

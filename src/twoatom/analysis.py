@@ -217,8 +217,8 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
         "auto" is resolved on the full dimension (dense up to DENSE_LIMIT),
         not on the block's.  This is measured: on the default config's
         1122-dim block, dense eigh plus an 801-point grid and its
-        expectation values took 1.6-1.8 s and 163 MB against 0.07-0.08 s
-        and 90 MB for the Chebyshev series (2 cores, OpenBLAS), so keying
+        expectation values took 1.5-1.9 s and 163 MB against 0.07-0.10 s
+        and 88 MB for the Chebyshev series (2 cores, OpenBLAS), so keying
         the switch on the block would slow that config down.
     initial_state : array of shape (dim,), optional
         Override for the canonical initial state.
@@ -242,7 +242,9 @@ def auxiliary_function(config: AnyConfig, observable, phi, z: complex, *,
     recover probing of the probability series.  It is evaluated as
     sum_k <F_k phi[I_k], F_k psi_z[I_k]> over the observable's blocks, with
     psi_z = exp(-i H z) psi_0 from evolve_grid at the single point z, and
-    phi an array over the config's basis.
+    phi an array over the config's basis.  On the sparse backend a point
+    whose rounding evolve_grid cannot keep within tol * ||psi_z|| raises
+    ConvergenceError.
     """
     basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)
@@ -283,10 +285,6 @@ def dichotomy_scan(series: ProbabilitySeries, *,
     """
     values = np.abs(series.values)
     below = values < epsilon_zero
-    if bool(below.all()):
-        classification = "identically_zero"
-    else:
-        classification = "nonzero_almost_everywhere"
 
     candidates = []
     for i in np.nonzero(below)[0]:
@@ -297,30 +295,18 @@ def dichotomy_scan(series: ProbabilitySeries, *,
                                         float(series.values[i]), left, right,
                                         isolated))
 
-    plateaus = []
-    i = 0
-    n = len(values)
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and below[j + 1]:
-            j += 1
-        run = j - i + 1
-        interior = i > 0 and j < n - 1
-        if run >= 3 and interior:
-            plateaus.append((int(i), int(j)))
-        i = j + 1
+    # runs of zeros start where `below` rises and end where it falls
+    edges = np.diff(np.concatenate([[0], below.astype(int), [0]]))
+    runs = zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1)
+    plateaus = [(int(i), int(j)) for i, j in runs
+                if j - i >= 2 and i > 0 and j < len(values) - 1]
 
-    li = log_integral(series, floor)
-    floor_dominated = bool(np.all(values <= floor))
     return DichotomyReport(
-        classification=classification,
+        classification="identically_zero" if below.all() else "nonzero_almost_everywhere",
         zero_candidates=tuple(candidates),
         interior_plateaus=tuple(plateaus),
-        log_integral=li,
-        floor_dominated=floor_dominated,
+        log_integral=log_integral(series, floor),
+        floor_dominated=bool(np.all(values <= floor)),
         epsilon_zero=float(epsilon_zero),
         floor=float(floor),
     )

@@ -13,8 +13,8 @@ cutoff-sweep    repeat the excitation run across cutoffs (CSV: one row per
 Every subcommand writes a CSV plus a JSON summary that embeds the run
 manifest (config snapshot, grid, tolerances, output names, and a
 fingerprint hashing all of them).  Floats are printed with 17 significant
-digits and no timestamps are recorded, so a rerun of the same manifest on
-the dense path is byte-identical.  Files are written to temporaries and
+digits and no timestamps are recorded, so a rerun of the same manifest is
+byte-identical on either backend.  Files are written to temporaries and
 renamed into place only after the computation succeeded.
 
 Config files are flat ``key = value`` text; keys are exactly the config
@@ -187,15 +187,11 @@ def _manifest(subcommand: str, config: AnyConfig, outputs: dict, **extras) -> di
 # ---------------------------------------------------------------------------
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-
-
 def _resolve(args: argparse.Namespace, name: str, default=None, convert=str):
     """Flag beats environment beats default."""
     value = getattr(args, name.replace("-", "_"))
     if value is None:
-        value = _env(name)
+        value = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
     if value is None:
         return default
     if isinstance(value, str):
@@ -206,18 +202,12 @@ def _resolve(args: argparse.Namespace, name: str, default=None, convert=str):
     return value
 
 
-def _parse_grid(text: str) -> tuple[float, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
+def _parse_pair(text: str, second=float) -> tuple:
+    """'a,b' as (float(a), second(b))."""
+    first, comma, rest = text.partition(",")
+    if not comma:
         raise ValueError(text)
-    return float(parts[0]), int(parts[1])
-
-
-def _parse_region(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(text)
-    return float(parts[0]), float(parts[1])
+    return float(first), second(rest)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -297,7 +287,7 @@ def _observable(args) -> str:
 def _common_setup(args, default_steps: int = 800):
     config = load_config(_resolve(args, "config"))
     out_dir = _resolve(args, "out", default=".")
-    grid_spec = _resolve(args, "grid", convert=_parse_grid)
+    grid_spec = _resolve(args, "grid", convert=lambda text: _parse_pair(text, int))
     if grid_spec is None:
         grid_spec = (2.0 * config.light_cone_time, default_steps)
     t_max, steps = grid_spec
@@ -326,7 +316,7 @@ def _run_series(args) -> list[tuple[str, str]]:
     name = args.subcommand
     config, out_dir, grid, grid_spec, method, tol = _common_setup(args)
     observable = _observable(args)
-    region = _resolve(args, "region", convert=_parse_region)
+    region = _resolve(args, "region", convert=_parse_pair)
     dump = name == "simulate" and bool(
         _resolve(args, "dump-hamiltonian", default=False,
                  convert=lambda s: s.lower() in ("1", "true", "yes")))

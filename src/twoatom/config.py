@@ -26,6 +26,22 @@ from .errors import ConfigError
 COUPLING_FORMS = ("full", "rotating_wave")
 
 
+def _check_atoms_and_coupling(config) -> None:
+    """The checks both field models share: atoms, truncation and coupling."""
+    if config.levels_a < 2 or config.levels_b < 2:
+        raise ConfigError("each atom needs at least 2 levels")
+    if config.omega_a <= 0 or config.omega_b <= 0:
+        raise ConfigError("atomic transition frequencies must be positive")
+    if config.n_max < 1:
+        raise ConfigError("n_max must be at least 1")
+    if config.coupling_strength < 0:
+        raise ConfigError("coupling_strength must be non-negative")
+    if config.coupling_form not in COUPLING_FORMS:
+        raise ConfigError(f"coupling_form must be one of {COUPLING_FORMS}")
+    if config.coupling_scale_a < 0 or config.coupling_scale_b < 0:
+        raise ConfigError("coupling scales must be non-negative")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Two atoms coupled to a truncated boson field in a periodic box.
@@ -60,10 +76,7 @@ class ModelConfig:
     coupling_scale_b: float = 1.0
 
     def __post_init__(self):
-        if self.levels_a < 2 or self.levels_b < 2:
-            raise ConfigError("each atom needs at least 2 levels")
-        if self.omega_a <= 0 or self.omega_b <= 0:
-            raise ConfigError("atomic transition frequencies must be positive")
+        _check_atoms_and_coupling(self)
         if self.box_length <= 0:
             raise ConfigError("box_length must be positive")
         if not (0 <= self.x_a < self.box_length and 0 <= self.x_b < self.box_length):
@@ -72,16 +85,8 @@ class ModelConfig:
             raise ConfigError("atoms must be separated (x_a != x_b)")
         if self.num_modes < 1:
             raise ConfigError("num_modes must be at least 1")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be at least 1")
         if self.cutoff <= 0:
             raise ConfigError("cutoff must be positive")
-        if self.coupling_strength < 0:
-            raise ConfigError("coupling_strength must be non-negative")
-        if self.coupling_form not in COUPLING_FORMS:
-            raise ConfigError(f"coupling_form must be one of {COUPLING_FORMS}")
-        if self.coupling_scale_a < 0 or self.coupling_scale_b < 0:
-            raise ConfigError("coupling scales must be non-negative")
 
     @property
     def separation(self) -> float:
@@ -121,10 +126,7 @@ class LatticeConfig:
     coupling_scale_b: float = 1.0
 
     def __post_init__(self):
-        if self.levels_a < 2 or self.levels_b < 2:
-            raise ConfigError("each atom needs at least 2 levels")
-        if self.omega_a <= 0 or self.omega_b <= 0:
-            raise ConfigError("atomic transition frequencies must be positive")
+        _check_atoms_and_coupling(self)
         if self.num_sites < 2:
             raise ConfigError("num_sites must be at least 2")
         if self.hopping <= 0:
@@ -138,14 +140,6 @@ class LatticeConfig:
                 raise ConfigError(f"{name} must lie in [0, num_sites)")
         if self.site_a == self.site_b:
             raise ConfigError("atoms must sit on different sites")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be at least 1")
-        if self.coupling_strength < 0:
-            raise ConfigError("coupling_strength must be non-negative")
-        if self.coupling_form not in COUPLING_FORMS:
-            raise ConfigError(f"coupling_form must be one of {COUPLING_FORMS}")
-        if self.coupling_scale_a < 0 or self.coupling_scale_b < 0:
-            raise ConfigError("coupling scales must be non-negative")
 
     @property
     def separation(self) -> float:
@@ -187,7 +181,6 @@ def mode_table(config: ModelConfig) -> ModeTable:
     "cutoff >= every retained omega" is enforced.
     """
     ks, omegas, gs = [], [], []
-    n = 0
     for i in range(config.num_modes):
         n = (i // 2) + 1
         sign = 1 if i % 2 == 0 else -1

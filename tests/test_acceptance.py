@@ -75,7 +75,7 @@ def test_criterion_1_randomized_dichotomy():
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         herm = (raw + raw.conjugate().T) / 2.0
         floor = np.linalg.eigvalsh(herm)[0]
-        ham = HermitianOperator(herm - floor * np.eye(dim), 0.0)
+        ham = HermitianOperator(herm - floor * np.eye(dim))
 
         unitary, _ = np.linalg.qr(
             rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))

@@ -589,8 +589,7 @@ def test_factor_leaving_the_block_is_evaluated_exactly(case, method):
     for part in (slice(0, 3), slice(3, 6)):
         raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         herm[part, part] = raw + raw.conj().T
-    floor = float(np.linalg.eigvalsh(herm)[0]) - 1.0
-    ham = HermitianOperator(herm, floor)
+    ham = HermitianOperator(herm)
     build, restricted_rows = SYNTHETIC_OBSERVABLES[case]
     obs, blocks = build(rng)
     # O = sum_k P_k^T F_k^dagger F_k P_k, formed by hand

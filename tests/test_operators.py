@@ -156,7 +156,7 @@ def test_hermiticity_is_exact():
 def test_constructor_rejects_non_hermitian():
     bad = sparse.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
-        HermitianOperator(bad, 0.0)
+        HermitianOperator(bad)
 
 
 def test_spectral_floor_is_lower_bound():
@@ -169,6 +169,20 @@ def test_spectral_floor_is_lower_bound():
 def test_gershgorin_floor_exact_for_diagonal():
     mat = sparse.diags([3.0, -1.5, 2.0]).tocsr()
     assert gershgorin_bounds(mat) == (-1.5, 3.0)
+
+
+def test_weighted_gershgorin_floor_is_tight():
+    # many couplings meet on one row: the plain discs reach 2.7 below E_min,
+    # the weighted ones stop within 0.05 of it
+    ham = build_hamiltonian(build_basis(
+        ModelConfig(num_modes=8, n_max=2, coupling_strength=0.3)))
+    w = np.linalg.eigvalsh(ham.matrix.toarray())
+    diag = ham.matrix.diagonal().real
+    radii = np.asarray(abs(ham.matrix).sum(axis=1)).ravel() - np.abs(diag)
+    floor, ceiling = ham.spectral_bounds
+    assert np.min(diag - radii) < w[0] - 2.5
+    assert w[0] - 0.05 < floor <= w[0]
+    assert w[-1] <= ceiling == np.max(diag + radii)
 
 
 def test_excitation_observable_b():
@@ -403,7 +417,7 @@ def test_triplet_round_trip(tmp_path):
     assert f"# dimension {ham.dimension}\n" in text
     assert (back != ham.matrix).nnz == 0
     # formatting the read-back matrix gives identical text
-    assert format_triplets(HermitianOperator(back, ham.spectral_floor)) == text
+    assert format_triplets(HermitianOperator(back)) == text
 
 
 def test_lattice_hamiltonian_structure():

@@ -11,7 +11,7 @@ from scipy.special import jv
 
 from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
-from twoatom.errors import DomainError
+from twoatom.errors import ConvergenceError, DomainError
 from twoatom.operators import (
     HermitianOperator,
     build_hamiltonian,
@@ -110,8 +110,11 @@ def test_krylov_matches_dense(mid_model):
     np.array([0.0, 1.0, 0.5, -1.0, -3.5]),
     # Re z either way, and Im z rising as well as falling
     np.array([-0.4j, 1.5 - 0.4j, -2.0 - 0.9j, -2.0 - 0.9j, 0.5 - 1.2j, -1.0j, 1.0 - 0.5j]),
+    # deep in the lower half plane: over the plain Gershgorin floor (-2.84
+    # against E_min = -0.147) the series lost 6.9e-10 at Im z = -6
+    np.array([0.8 - 3.0j, -2.0 - 3.0j, 1.0 - 6.0j]),
 ], ids=["two_spacings", "offset_uniform", "constant", "empty", "decreasing",
-        "complex_rising_im"])
+        "complex_rising_im", "deep_complex"])
 def test_krylov_matches_dense_on_grid(mid_model, grid):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
@@ -131,7 +134,7 @@ def test_krylov_matches_expm_multiply(mid_model):
 
 
 def test_complex_time_diagonal_case():
-    ham = HermitianOperator(sparse.diags([0.0, 1.0]).astype(complex), 0.0)
+    ham = HermitianOperator(sparse.diags([0.0, 1.0]).astype(complex))
     psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     for method in ("dense", "krylov"):
         out = evolve_grid(ham, psi, [-1j], method=method)[0]
@@ -182,6 +185,20 @@ def test_krylov_complex_time_matches_dense(mid_model):
     dense = evolve_grid(ham, psi0, [z], method="dense")
     krylov = evolve_grid(ham, psi0, [z], method="krylov", tol=1e-12)
     assert np.linalg.norm(dense - krylov) <= 1e-10
+
+
+def test_krylov_refuses_a_complex_point_it_cannot_resolve():
+    # H = 10 (J - I) on a triangle has E_min = -10, but D - |X| bottoms out
+    # at -20, so no Gershgorin weighting lifts the floor above -20.  At
+    # Im z = -3 the series' terms then outgrow the result by about e^30.
+    ham = HermitianOperator(10.0 * (np.ones((3, 3)) - np.eye(3)))
+    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    assert ham.spectral_floor == pytest.approx(-20.0)
+    near = [0.3 - 0.05j]
+    assert_allclose(evolve_grid(ham, psi, near, method="krylov"),
+                    evolve_grid(ham, psi, near, method="dense"), rtol=0, atol=1e-13)
+    with pytest.raises(ConvergenceError):
+        evolve_grid(ham, psi, [0.3 - 0.05j, 0.3 - 3.0j], method="krylov")
 
 
 def test_unitarity_and_energy_conservation(mid_model):
