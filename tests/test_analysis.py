@@ -452,7 +452,7 @@ def test_block_series_matches_full_space(name, without_a, method):
 
 def test_auto_resolves_on_the_full_dimension(monkeypatch):
     # on the default config's 1122-dim block dense eigh plus a grid took
-    # 1.6-1.8 s against 0.07-0.08 s for the Chebyshev series, so "auto"
+    # 1.5-1.9 s against 0.07-0.10 s for the Chebyshev series, so "auto"
     # keeps the backend the full dimension (2244) selects
     config = ModelConfig()
     basis, ham = build_model(config)
