@@ -39,7 +39,7 @@ import cmath
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
+import scipy
 
 from .basis import FockBasis, index_of_bare_state
 from .config import LatticeConfig
@@ -56,7 +56,7 @@ class HermitianOperator:
     """
 
     def __init__(self, matrix):
-        matrix = sparse.csr_matrix(matrix, dtype=np.complex128)
+        matrix = scipy.sparse.csr_matrix(matrix, dtype=np.complex128)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
         herm_gap = (matrix - matrix.conjugate().T)
@@ -88,18 +88,24 @@ class HermitianOperator:
         return self._eigensystem
 
     def invariant_block(self, support) -> np.ndarray:
-        """Sorted indices C of the components of H's pattern that meet support.
+        """Sorted indices C of every state that H's nonzero pattern links to support.
 
-        The components are those of the undirected graph with an edge
-        wherever H has a nonzero entry.  No entry joins C to the rest of the
-        space, so span{e_i : i in C} is invariant under H and exp(-iHz), and
-        evolving H[C, C] is exact for any state supported inside C.
+        C is the least index set that holds support and every j with
+        H[i, j] != 0 for some i in C.  It grows from support by one product
+        with |H| per step, reached |= (|H| @ reached) != 0, until a step adds
+        nothing; a sum of non-negative terms is nonzero exactly when one of
+        them is.  No entry joins C to the rest of the space, so
+        span{e_i : i in C} is invariant under H and exp(-iHz), and evolving
+        H[C, C] is exact for any state supported inside C.
         """
-        # imported here: runs that propagate nothing (fermi-integral) skip it
-        from scipy.sparse.csgraph import connected_components
-
-        _, labels = connected_components(self.matrix != 0, directed=False)
-        return np.flatnonzero(np.isin(labels, labels[np.asarray(support, dtype=int)]))
+        pattern = abs(self.matrix)
+        reached = np.zeros(self.dimension, dtype=bool)
+        reached[np.asarray(support, dtype=int)] = True
+        while True:
+            grown = reached | (pattern @ reached != 0)
+            if np.array_equal(grown, reached):
+                return np.flatnonzero(reached)
+            reached = grown
 
     def block(self, indices) -> "HermitianOperator":
         """H[C, C] as an operator, cached on this one per index set C.
@@ -168,13 +174,14 @@ class BoundedObservable:
 
         Assembled on first use and then kept; evaluation never needs it.
         """
-        parts = [sparse.csr_matrix((0, self.dimension), dtype=np.complex128)]
+        parts = [scipy.sparse.csr_matrix((0, self.dimension), dtype=np.complex128)]
         for indices, factor in self.blocks:
-            rows = (sparse.identity(len(indices), format="csr") if factor is None
-                    else sparse.csr_matrix(factor))
-            parts.append(sparse.csr_matrix((rows.data, indices[rows.indices], rows.indptr),
-                                           shape=(rows.shape[0], self.dimension)))
-        return sparse.vstack(parts, format="csr", dtype=np.complex128)
+            rows = (scipy.sparse.identity(len(indices), format="csr") if factor is None
+                    else scipy.sparse.csr_matrix(factor))
+            parts.append(scipy.sparse.csr_matrix(
+                (rows.data, indices[rows.indices], rows.indptr),
+                shape=(rows.shape[0], self.dimension)))
+        return scipy.sparse.vstack(parts, format="csr", dtype=np.complex128)
 
     def restricted(self, indices) -> "BoundedObservable":
         """The observable on states that vanish outside the sorted index set C.
@@ -219,11 +226,11 @@ def gershgorin_bounds(matrix) -> tuple[float, float]:
     steps on max(D) - D + |X| lift the floor toward lambda_min(D - |X|) <=
     E_min (Collatz-Wielandt), -0.211 there.  The ceiling is the plain one.
     """
-    matrix = sparse.csr_matrix(matrix)
+    matrix = scipy.sparse.csr_matrix(matrix)
     if matrix.shape[0] == 0:
         return 0.0, 0.0
     diag = matrix.diagonal().real
-    couplings = abs(matrix - sparse.diags(matrix.diagonal())).tocsr()
+    couplings = abs(matrix - scipy.sparse.diags(matrix.diagonal())).tocsr()
     radii = np.asarray(couplings.sum(axis=1)).ravel()
     shift = np.max(diag) - diag
     weights = np.ones(len(diag))
@@ -259,7 +266,7 @@ def _one_particle_data(basis: FockBasis):
 
 def _raising(levels: int):
     """|j + 1><j| on one atom's ladder (unit amplitudes)."""
-    return sparse.eye(levels, k=-1, format="csr")
+    return scipy.sparse.eye(levels, k=-1, format="csr")
 
 
 def _annihilators(basis: FockBasis) -> list:
@@ -272,7 +279,7 @@ def _annihilators(basis: FockBasis) -> list:
         dst = [basis.occupation_rows[occs[s][:j] + (occs[s][j] - 1,) + occs[s][j + 1:]]
                for s in src]
         amp = np.sqrt([occs[s][j] for s in src])
-        out.append(sparse.csr_matrix((amp, (dst, src)), shape=(n, n)))
+        out.append(scipy.sparse.csr_matrix((amp, (dst, src)), shape=(n, n)))
     return out
 
 
@@ -293,27 +300,27 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
     h1, c_a, c_b = _one_particle_data(basis)
     ann = _annihilators(basis)
     n_occ = basis.num_occupations
-    eye_a = sparse.identity(basis.levels_a, format="csr")
-    eye_b = sparse.identity(basis.levels_b, format="csr")
-    empty = sparse.csr_matrix((n_occ, n_occ), dtype=complex)
+    eye_a = scipy.sparse.identity(basis.levels_a, format="csr")
+    eye_b = scipy.sparse.identity(basis.levels_b, format="csr")
+    empty = scipy.sparse.csr_matrix((n_occ, n_occ), dtype=complex)
 
     # D: atom ladders plus the field's one-particle diagonal, as an outer sum
     atoms = np.add.outer(np.arange(basis.levels_a) * cfg.omega_a,
                          np.arange(basis.levels_b) * cfg.omega_b).ravel()
     occupations = np.array(basis.occupations, dtype=float).reshape(n_occ, basis.num_slots)
     field = occupations @ np.real(np.diag(h1))
-    diagonal = sparse.diags(np.add.outer(atoms, field).ravel())
+    diagonal = scipy.sparse.diags(np.add.outer(atoms, field).ravel())
 
     # U: every term that raises the basis index; U^dagger supplies the rest
     hopping = sum((h1[j, l] * (ann[j].T @ ann[l])
                    for j, l in zip(*np.nonzero(np.triu(h1, 1)))), empty)
-    upper = sparse.kron(sparse.identity(basis.levels_a * basis.levels_b), hopping)
-    for raise_x, c_x in ((sparse.kron(_raising(basis.levels_a), eye_b), c_a),
-                         (sparse.kron(eye_a, _raising(basis.levels_b)), c_b)):
+    upper = scipy.sparse.kron(scipy.sparse.identity(basis.levels_a * basis.levels_b), hopping)
+    for raise_x, c_x in ((scipy.sparse.kron(_raising(basis.levels_a), eye_b), c_a),
+                         (scipy.sparse.kron(eye_a, _raising(basis.levels_b)), c_b)):
         phi = sum((c * a for c, a in zip(c_x, ann)), empty)
-        upper += sparse.kron(raise_x, phi)
+        upper += scipy.sparse.kron(raise_x, phi)
         if cfg.coupling_form == "full":
-            upper += sparse.kron(raise_x, phi.conjugate().T)
+            upper += scipy.sparse.kron(raise_x, phi.conjugate().T)
 
     matrix = diagonal + upper + upper.conjugate().T
     return HermitianOperator(matrix)
@@ -352,7 +359,10 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     truncation is exact and N_S splits into one block per photon number n.
     Each block is diagonalized densely, N_S = V_n diag(lambda) V_n^dagger,
     and gives the dense factor F_n = diag(sqrt(f)) V_n^dagger with
-    f = min(lambda, 1), less the rows where f = 0.  The observable is one
+    f = min(lambda, 1), less the rows whose lambda is at or below eigh's
+    resolution len(sector) * eps * max(1, max|lambda|).  An eigenvalue that
+    is zero in exact arithmetic comes out as rounding noise near +-1e-17,
+    and its square root would put a row of norm ~3e-9 into the factor.  The observable is one
     block per atom state and photon number n, over that sector's indices,
     and all blocks of one n share F_n; sectors with no rows are left out.
     No block joins two photon numbers or two atom states.  The construction
@@ -380,9 +390,10 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     # annihilators stacked into A; a_l only reaches occupations below n_max,
     # so A keeps just those rows and K x 1 stays m^2 times their count
     below = [i for i, occ in enumerate(basis.occupations) if sum(occ) < basis.n_max]
-    stacked = sparse.vstack([a[below] for a in _annihilators(basis)]
-                            or [sparse.csr_matrix((0, basis.num_occupations))], format="csr")
-    smeared = sparse.kron(kernel, sparse.identity(len(below)), format="csr")
+    stacked = scipy.sparse.vstack(
+        [a[below] for a in _annihilators(basis)]
+        or [scipy.sparse.csr_matrix((0, basis.num_occupations))], format="csr")
+    smeared = scipy.sparse.kron(kernel, scipy.sparse.identity(len(below)), format="csr")
     number = (stacked.T @ smeared @ stacked).tocsr()
 
     photons = np.array([sum(occ) for occ in basis.occupations])
@@ -390,10 +401,11 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     for n in range(basis.n_max + 1):
         sector = np.flatnonzero(photons == n)
         lam, vec = np.linalg.eigh(number[sector][:, sector].toarray())
-        f = np.clip(lam, 0.0, 1.0)
-        keep = f > 0.0
+        scale = max(1.0, np.abs(lam).max(initial=0.0))
+        keep = lam > len(sector) * np.finfo(float).eps * scale
         if keep.any():
-            sectors.append((sector, np.sqrt(f[keep])[:, None] * vec[:, keep].conjugate().T))
+            root = np.sqrt(np.minimum(lam[keep], 1.0))
+            sectors.append((sector, root[:, None] * vec[:, keep].conjugate().T))
 
     n_occ = basis.num_occupations
     blocks = [(atoms * n_occ + sector, factor)

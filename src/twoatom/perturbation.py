@@ -297,15 +297,60 @@ def _panel_coefficients(panels, cfg: ModelConfig):
     return mids, halfs, to_coef(u1), to_coef(u2), to_coef(u3), to_coef(u4)
 
 
+def _spherical_jn_table(order: int, x) -> np.ndarray:
+    """j_n(x) for n = 0..order at every x >= 0, shape (order+1,) + x.shape.
+
+    Above x = order the forward recurrence j_{n+1} = (2n+1)/x j_n - j_{n-1}
+    from j_0 = sin x/x and j_1 = (j_0 - cos x)/x is stable, since n < x.
+    Elsewhere Miller's backward recurrence runs down from j_{order+31} = 0,
+    j_{order+30} = 1, and is normalised by whichever of j_0 and j_1 is the
+    larger, in closed form; a column is rescaled whenever it passes 1e100,
+    so nothing overflows.  Below x = 1e-150 the leading series term
+    x^n/(2n+1)!! is j_n to double precision, and j_n(0) = delta_n0 exactly.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    table = np.empty((order + 1, flat.size))
+
+    tiny = flat < 1e-150
+    table[0, tiny] = 1.0
+    table[1:, tiny] = np.cumprod(flat[tiny] / (2.0 * np.arange(1, order + 1) + 1.0)[:, None],
+                                 axis=0)
+
+    forward = flat > order
+    xf = flat[forward]
+    rows = np.empty((order + 2, xf.size))
+    rows[0] = np.sin(xf) / xf
+    rows[1] = (rows[0] - np.cos(xf)) / xf
+    for n in range(1, order):
+        rows[n + 1] = (2 * n + 1) / xf * rows[n] - rows[n - 1]
+    table[:, forward] = rows[:order + 1]
+
+    miller = ~(tiny | forward)
+    xm = flat[miller]
+    top = order + 30
+    rows = np.zeros((top + 2, xm.size))
+    rows[top] = 1.0
+    for n in range(top, 0, -1):
+        rows[n - 1] = (2 * n + 1) / xm * rows[n] - rows[n + 1]
+        big = np.abs(rows[n - 1]) > 1e100
+        if big.any():
+            rows[n - 1:, big] /= np.abs(rows[n - 1, big])
+    # the closed form j_1 cancels at small x, where j_0 is the larger
+    j0 = np.sin(xm) / xm
+    first = np.abs(rows[0]) >= np.abs(rows[1])
+    closed = np.where(first, j0, (j0 - np.cos(xm)) / xm)
+    table[:, miller] = rows[:order + 1] * (closed / np.where(first, rows[0], rows[1]))
+    return table.reshape((order + 1,) + x.shape)
+
+
 def _moments(theta, halfs):
     """2 i^n j_n(theta * h) for n = 0..degree, shape theta.shape + (degree+1, P)."""
-    # imported here: only the quadrature loads scipy.special
-    from scipy.special import spherical_jn
-
-    c = np.multiply.outer(theta, halfs)[..., None, :]
+    c = np.multiply.outer(theta, halfs)
+    jn = np.moveaxis(_spherical_jn_table(PROJECTION_DEGREE, np.abs(c)), 0, -2)
     n = np.arange(PROJECTION_DEGREE + 1)[:, None]
-    sign = np.where(c < 0, -1.0, 1.0)
-    return 2.0 * (1j ** n) * sign ** n * spherical_jn(n, np.abs(c))
+    sign = np.where(c < 0, -1.0, 1.0)[..., None, :]
+    return 2.0 * (1j ** n) * sign ** n * jn
 
 
 def _time_blocks(count):

@@ -22,7 +22,7 @@ identity block.  A single state psi is the stack psi[None, :].
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
+import scipy
 
 from .basis import FockBasis, index_of_bare_state
 from .errors import ConvergenceError, DomainError
@@ -137,7 +137,7 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
         if terms <= order - 10:
             break
         order *= 2
-    scaled = (hamiltonian.matrix - (lo + radius) * sparse.identity(psi0.size)) / radius
+    scaled = (hamiltonian.matrix - (lo + radius) * scipy.sparse.identity(psi0.size)) / radius
     vectors = np.empty((terms, psi0.size), dtype=np.complex128)
     vectors[0] = psi0
     if terms > 1:

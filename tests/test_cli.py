@@ -421,15 +421,29 @@ def test_help_reads_the_tolerance_defaults(monkeypatch, capsys):
     assert "quadrature absolute error (default 5e-09)" in text
 
 
-def test_cli_import_defers_scipy_submodules():
-    # scipy.special serves only the quadrature and scipy.sparse.linalg only
-    # the sparse backend, so importing the CLI loads neither
+def test_cli_import_defers_scipy_submodules(tmp_path):
+    # one process, three stages, each followed by the scipy modules it must
+    # not have loaded: importing the CLI; fermi-integral, whose quadrature
+    # runs on numpy alone and which builds no model, so scipy.sparse never
+    # loads; simulate, which needs scipy.sparse but not its graph or
+    # linear-algebra parts
+    stages = [
+        (None, ("scipy.special", "scipy.sparse.linalg")),
+        (["fermi-integral", "--grid", "6.3,20"],
+         ("scipy.sparse", "scipy.special", "scipy.linalg", "scipy.sparse.csgraph",
+          "scipy._lib._util")),
+        (["simulate", "--grid", "2,20"],
+         ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg")),
+    ]
+    lines = ["import sys, twoatom.cli"]
+    for argv, absent in stages:
+        if argv is not None:
+            lines.append(f"assert twoatom.cli.main({argv + ['--out', str(tmp_path)]!r}) == 0")
+        lines.append(f"print('loaded', sorted(m for m in {absent!r} if m in sys.modules))")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = ("import sys, twoatom.cli; "
-            "print(sorted(m for m in ('scipy.special', 'scipy.sparse.linalg') "
-            "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded")]
+    assert loaded == ["loaded []"] * len(stages)

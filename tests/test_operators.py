@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
@@ -157,6 +158,35 @@ def test_constructor_rejects_non_hermitian():
     bad = sparse.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         HermitianOperator(bad)
+
+
+def test_invariant_block_is_the_components_that_meet_the_support():
+    # the closure grown by products with |H| against scipy's graph search, on
+    # random Hermitian patterns that fall into several components
+    rng = np.random.default_rng(7)
+    most = 0
+    for _ in range(20):
+        dim = int(rng.integers(5, 60))
+        upper = np.triu(rng.standard_normal((dim, dim))
+                        * (rng.random((dim, dim)) < rng.uniform(0.01, 0.08)), 1)
+        diagonal = np.diag(rng.standard_normal(dim))
+        ham = HermitianOperator(sparse.csr_matrix(upper + upper.T + diagonal))
+        count, labels = connected_components(ham.matrix != 0, directed=False)
+        most = max(most, count)
+        support = rng.choice(dim, size=int(rng.integers(1, 4)), replace=False)
+        expected = np.flatnonzero(np.isin(labels, labels[support]))
+        assert np.array_equal(ham.invariant_block(support), expected)
+        assert ham.invariant_block([]).size == 0
+        assert np.array_equal(ham.invariant_block(np.arange(dim)), np.arange(dim))
+    assert most >= 3
+    # a model Hamiltonian: the block of the start is a proper part of the space
+    basis = build_basis(ModelConfig(num_modes=6, n_max=2))
+    ham = build_hamiltonian(basis)
+    start = index_of_bare_state(basis, 1, 0, basis.vacuum)
+    _, labels = connected_components(ham.matrix != 0, directed=False)
+    block = ham.invariant_block([start])
+    assert np.array_equal(block, np.flatnonzero(labels == labels[start]))
+    assert 1 < len(block) < basis.dimension
 
 
 def test_spectral_floor_is_lower_bound():
@@ -315,7 +345,8 @@ def test_photon_factor_is_the_sector_factors_on_each_atom_state(config):
     # the blocks of one photon number share a single factor
     assert len({id(factor) for _, factor in obs.blocks}) == len(rows)
     if config.num_modes == 30:
-        assert w.nnz == 860_452
+        # rows below eigh's resolution are left out (1960 -> 1928 rows)
+        assert w.nnz == 849_076
         # inside the invariant block of the start: dense blocks only, none
         # joining two photon numbers or two atom states
         ham = build_hamiltonian(basis)
@@ -336,12 +367,9 @@ def test_observable_blocks_are_validated():
         BoundedObservable([([2, 4], None)], 4)
 
 
-def test_photon_factor_matches_hand_enumerated_number_operator():
-    # N_S from hand-enumerated <occ'| adag_j a_l |occ> elements, min(N_S, 1)
-    # by eigh, placed on each atom state: the oracle for W^dagger W
-    cfg = ModelConfig(num_modes=4, n_max=2)
-    basis = build_basis(cfg)
-    lo, hi = 1.0, 4.0
+def hand_region_number(basis, lo, hi):
+    """N_S on the occupation block from hand-enumerated <occ'| adag_j a_l |occ>."""
+    cfg = basis.config
     k = np.asarray(basis.modes.k)
     m = len(k)
     kernel = np.empty((m, m), dtype=complex)
@@ -363,18 +391,61 @@ def test_photon_factor_matches_hand_enumerated_number_operator():
                 amp *= math.sqrt(moved[j] + 1)
                 moved[j] += 1
                 n_s[occs.index(tuple(moved)), i] += kernel[j, l] * amp
-    lam, vec = np.linalg.eigh(n_s)
-    assert lam[-1] > 1.0  # the saturation min(N_S, 1) is exercised
-    o_occ = (vec * np.clip(lam, 0.0, 1.0)) @ vec.conjugate().T
+    return n_s
+
+
+def on_each_atom_state(basis, o_occ):
+    """The occupation-block operator o_occ placed on every atom state."""
+    occs = basis.occupations
     oracle = np.zeros((basis.dimension, basis.dimension), dtype=complex)
     states = basis_states(basis)
     for row, (a, b, occ_row) in enumerate(states):
         for col, (a2, b2, occ_col) in enumerate(states):
             if (a, b) == (a2, b2):
                 oracle[row, col] = o_occ[occs.index(occ_row), occs.index(occ_col)]
+    return oracle
 
-    w = local_photon_observable(basis, (lo, hi)).sqrt_factor
+
+def test_photon_factor_matches_hand_enumerated_number_operator():
+    # min(N_S, 1) by eigh of the hand-enumerated N_S, placed on each atom
+    # state: the oracle for W^dagger W
+    cfg = ModelConfig(num_modes=4, n_max=2)
+    basis = build_basis(cfg)
+    lam, vec = np.linalg.eigh(hand_region_number(basis, 1.0, 4.0))
+    assert lam[-1] > 1.0  # the saturation min(N_S, 1) is exercised
+    oracle = on_each_atom_state(basis, (vec * np.clip(lam, 0.0, 1.0)) @ vec.conjugate().T)
+
+    w = local_photon_observable(basis, (1.0, 4.0)).sqrt_factor
     assert np.max(np.abs((w.conjugate().T @ w).toarray() - oracle)) <= 1e-12
+
+
+def test_photon_factor_keeps_no_row_below_eigh_resolution():
+    # at 24 modes the one-photon region kernel has eigenvalues below eigh's
+    # resolution n * eps * max(1, max|lambda|); their square roots (~3e-8)
+    # are left out of the factor, and W^dagger W is still min(N_S, 1)
+    cfg = ModelConfig(num_modes=24, n_max=1)
+    basis = build_basis(cfg)
+    region = (0.0, cfg.box_length / 2)
+    n_s = hand_region_number(basis, *region)
+    photons = np.array([sum(occ) for occ in basis.occupations])
+    threshold = np.empty(len(photons))
+    dropped = 0
+    for n in range(basis.n_max + 1):
+        sector = photons == n
+        lam = np.linalg.eigvalsh(n_s[np.ix_(sector, sector)])
+        threshold[sector] = sector.sum() * np.finfo(float).eps * max(1.0, np.abs(lam).max())
+        dropped += np.count_nonzero((0.0 < lam) & (lam <= threshold[sector][0]))
+    assert dropped > 0
+
+    obs = local_photon_observable(basis, region)
+    for indices, factor in obs.blocks:
+        rows = np.linalg.norm(factor, axis=1)
+        assert np.all(rows >= np.sqrt(threshold[indices % basis.num_occupations]).max())
+
+    lam, vec = np.linalg.eigh(n_s)
+    oracle = on_each_atom_state(basis, (vec * np.clip(lam, 0.0, 1.0)) @ vec.conjugate().T)
+    w = obs.sqrt_factor
+    assert np.max(np.abs((w.conjugate().T @ w).toarray() - oracle)) <= 1e-14
 
 
 def test_photon_observable_bad_region():

@@ -1,12 +1,14 @@
 """Second-order exchange amplitude: time kernel, quadrature, discrete oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
+from scipy.special import spherical_jn
 
 from twoatom import perturbation
 from twoatom.config import LatticeConfig, ModelConfig
@@ -151,6 +153,32 @@ def test_kernel_at_coinciding_points():
     assert_allclose(got, -t**2 * expected, atol=1e-13, rtol=0)
     at_start = second_order_time_kernel(a, b, 0.0)
     assert_array_equal(at_start, np.zeros(a.size, dtype=np.complex128))
+
+
+# ---------------------------------------------------------------------------
+# Filon moments: the spherical Bessel table against scipy
+# ---------------------------------------------------------------------------
+
+
+def test_spherical_jn_table_matches_scipy():
+    # every branch: x = 0, the leading series term below 1e-150, Miller's
+    # recurrence up to x = 16 (from 1e-100, where it rescales at every step)
+    # and the forward recurrence above, out to x = 60
+    x = np.concatenate([[0.0, 1e-300, 1e-151, 1e-150, 1e-100, 1e-30, 1e-8],
+                        np.geomspace(1e-100, 1.0, 400), np.linspace(0.0, 60.0, 6001),
+                        np.arange(1, 20) * math.pi, [16.0, np.nextafter(16.0, 17.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = perturbation._spherical_jn_table(16, x)
+    assert table.shape == (17, x.size)
+    n = np.arange(17)[:, None]
+    oracle = spherical_jn(n, x)
+    assert np.max(np.abs(table - oracle)) <= 5e-15
+    # relative accuracy where j_n is small, x < n, and its oracle value is a
+    # normal number
+    small = (x < n) & (np.abs(oracle) >= np.finfo(float).tiny)
+    assert np.max(np.abs(table - oracle)[small] / np.abs(oracle[small])) <= 1e-12
+    assert np.array_equal(table[:, 0], np.eye(17)[0])
 
 
 # ---------------------------------------------------------------------------
