@@ -17,7 +17,6 @@ from twoatom.config import ModelConfig
 
 CUTOFF_MULTIPLES = (2.0, 4.0, 8.0, 16.0, 32.0)
 GRID_STEPS = 160
-WORKERS = 2
 
 
 def main():
@@ -25,7 +24,7 @@ def main():
     cutoffs = [m * cfg.omega_a for m in CUTOFF_MULTIPLES]
     grid = make_time_grid(2.0 * cfg.light_cone_time, GRID_STEPS)
 
-    result = cutoff_sweep(cfg, cutoffs, grid, workers=WORKERS)
+    result = cutoff_sweep(cfg, cutoffs, grid)
 
     print("cutoff sweep on the default model (probability of exciting B)")
     print()

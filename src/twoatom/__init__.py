@@ -11,7 +11,7 @@ amplitude whose causality hinges on the frequency integration range.
 
 from .basis import FockBasis, build_basis, index_of_bare_state
 from .config import (COUPLING_FORMS, AnyConfig, LatticeConfig, ModelConfig,
-                     ModeTable, config_fingerprint, config_items, mode_table)
+                     ModeTable, config_items, mode_table)
 from .errors import (BasisLookupError, ConfigError, ConvergenceError,
                      DimensionError, DomainError, TwoAtomError)
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
@@ -39,7 +39,7 @@ __all__ = [
     "LatticeConfig", "ModeTable", "ModelConfig", "PerturbativeComparison",
     "ProbabilitySeries", "TwoAtomError", "ZeroCandidate",
     "auxiliary_function", "build_basis", "build_hamiltonian", "build_model",
-    "config_fingerprint", "config_items", "cutoff_sweep", "detect_front",
+    "config_items", "cutoff_sweep", "detect_front",
     "dichotomy_scan", "evolve_grid",
     "exchange_amplitude_series", "exchange_projector",
     "excitation_observable_b", "expectation_grid",

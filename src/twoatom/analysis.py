@@ -17,15 +17,13 @@ propagator.evolve_grid call.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import FockBasis, build_basis, index_of_bare_state
-from .config import (AnyConfig, LatticeConfig, ModelConfig, config_fingerprint,
-                     mode_table)
+from .config import AnyConfig, LatticeConfig, ModelConfig, mode_table
 from .errors import ConfigError, DomainError, TwoAtomError
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
@@ -44,8 +42,8 @@ _BOUND_SLACK = 1e-9
 
 def make_time_grid(t_max: float, steps: int) -> np.ndarray:
     """Uniform grid 0..t_max with `steps` intervals (steps+1 points)."""
-    if t_max <= 0 or steps < 1:
-        raise ConfigError("time grid needs t_max > 0 and steps >= 1")
+    if not 0 < t_max < np.inf or steps < 1:
+        raise ConfigError("time grid needs a finite t_max > 0 and steps >= 1")
     return np.linspace(0.0, float(t_max), int(steps) + 1)
 
 
@@ -56,7 +54,6 @@ class ProbabilitySeries:
     times: np.ndarray
     values: np.ndarray
     observable: str
-    fingerprint: str
     signed: bool = False
 
     def __post_init__(self):
@@ -167,8 +164,7 @@ def resolve_observable(config: AnyConfig, observable, region=None) -> BoundedObs
 def series_from_operators(hamiltonian: HermitianOperator, initial,
                           observable: BoundedObservable, time_grid, *,
                           method: str = "auto", tol: float = DEFAULT_TOL,
-                          label: str = "observable",
-                          fingerprint: str = "adhoc") -> ProbabilitySeries:
+                          label: str = "observable") -> ProbabilitySeries:
     """P(t) over a grid for explicitly supplied operators.
 
     This is the model-independent core: any Hamiltonian bounded below and
@@ -193,8 +189,7 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     states = evolve_grid(hamiltonian.block(block), initial[block], time_grid,
                          method=method, tol=tol)
     values = expectation_grid(observable.restricted(block), states)
-    return ProbabilitySeries(np.asarray(time_grid, dtype=float), values,
-                             label, fingerprint)
+    return ProbabilitySeries(np.asarray(time_grid, dtype=float), values, label)
 
 
 def probability_series(config: AnyConfig, observable, time_grid, *,
@@ -226,10 +221,8 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
     basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)
     psi0 = initial_state if initial_state is not None else prepare_initial_state(basis)
-    return series_from_operators(
-        hamiltonian, psi0, obs, time_grid, method=method, tol=tol,
-        label=obs.label, fingerprint=config_fingerprint(config),
-    )
+    return series_from_operators(hamiltonian, psi0, obs, time_grid,
+                                 method=method, tol=tol, label=obs.label)
 
 
 def auxiliary_function(config: AnyConfig, observable, phi, z: complex, *,
@@ -335,10 +328,8 @@ def weak_causality_difference(config: AnyConfig, time_grid, *,
     ground[index_of_bare_state(basis_wo, 0, 0, basis_wo.vacuum)] = 1.0
     without_a = probability_series(cfg_without, "excitation_b", time_grid,
                                    method=method, tol=tol, initial_state=ground)
-    return ProbabilitySeries(
-        with_a.times, with_a.values - without_a.values,
-        "excitation_b_difference", config_fingerprint(config), signed=True,
-    )
+    return ProbabilitySeries(with_a.times, with_a.values - without_a.values,
+                             "excitation_b_difference", signed=True)
 
 
 def detect_front(series: ProbabilitySeries, *,
@@ -370,7 +361,7 @@ def detect_front(series: ProbabilitySeries, *,
 # ---------------------------------------------------------------------------
 
 
-def _sweep_row(config: ModelConfig, cutoff: float, time_grid, method, tol, floor):
+def _sweep_row(config: ModelConfig, cutoff: float, time_grid, method, tol):
     cfg = dataclasses.replace(config, cutoff=float(cutoff))
     retained = len(mode_table(cfg))
     try:
@@ -378,7 +369,7 @@ def _sweep_row(config: ModelConfig, cutoff: float, time_grid, method, tol, floor
                                     method=method, tol=tol)
         before = series.times < cfg.light_cone_time
         max_prob = float(np.max(series.values[before])) if before.any() else None
-        li = log_integral(series, floor)
+        li = log_integral(series)
         return CutoffRow(float(cutoff), retained, max_prob, li)
     except TwoAtomError as exc:
         return CutoffRow(float(cutoff), retained, None, None, error=str(exc))
@@ -400,29 +391,21 @@ def _classify_trend(points: list[float]) -> str:
 
 
 def cutoff_sweep(config: ModelConfig, cutoffs, time_grid, *,
-                 method: str = "auto", tol: float = DEFAULT_TOL,
-                 floor: float = DEFAULT_FLOOR, workers: int = 1) -> CutoffSweepResult:
+                 method: str = "auto", tol: float = DEFAULT_TOL) -> CutoffSweepResult:
     """Repeat the excitation run across cutoff values and report the trend.
 
     Each row records the retained mode count, the maximum excitation
     probability before the light cone, and the log-integral; rows that fail
     keep their error message instead of aborting the sweep.  The observed
     trend of the pre-cone maxima is reported as is, with no expectation
-    attached.  Rows are computed on `workers` threads and keep the input
-    ordering.
+    attached.  Rows are computed one after another in the input order.
     """
     if not isinstance(config, ModelConfig):
         raise ConfigError("cutoff sweeps apply to the box-field config only")
     cutoffs = [float(c) for c in cutoffs]
     if not cutoffs:
         raise ConfigError("cutoff sweep needs at least one cutoff value")
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(
-            lambda c: _sweep_row(config, c, time_grid, method, tol, floor),
-            cutoffs,
-        ))
+    rows = [_sweep_row(config, c, time_grid, method, tol) for c in cutoffs]
     maxima = [r.max_prob_before_cone for r in rows if r.error is None
               and r.max_prob_before_cone is not None]
     return CutoffSweepResult(tuple(rows), _classify_trend(maxima))

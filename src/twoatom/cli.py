@@ -10,8 +10,10 @@ fermi-integral  second-order amplitude for one or both frequency ranges
 cutoff-sweep    repeat the excitation run across cutoffs (CSV: one row per
                 cutoff) with a trend report
 
-Every subcommand writes a CSV plus a JSON summary that embeds the run
-manifest (config snapshot, grid, tolerances, output names, and a
+Every subcommand takes ``--config``, ``--out`` and ``--grid``; the four
+that propagate (all but fermi-integral) also take ``--method`` and
+``--tol``.  Every subcommand writes a CSV plus a JSON summary that embeds
+the run manifest (config snapshot, grid, tolerances, output names, and a
 fingerprint hashing all of them).  Floats are printed with 17 significant
 digits and no timestamps are recorded, so a rerun of the same manifest is
 byte-identical on either backend.  Files are written to temporaries and
@@ -36,7 +38,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -154,8 +155,14 @@ def canonical_json(obj) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-twoatom-")
+    """Write a fresh temporary beside path, then rename it into place.
+
+    The temporary is created with mode 0o666, so the umask applies just as
+    it does to a plain open(path, "w").
+    """
+    tmp = os.path.join(os.path.dirname(path) or ".",
+                        f".tmp-twoatom-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
@@ -223,51 +230,52 @@ def _build_parser() -> argparse.ArgumentParser:
         description="numerical experiments on two atoms coupled to a field")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def subcommand(name, help, propagates=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--grid", help='time grid as "t_max,steps"')
-        p.add_argument("--method", choices=["auto", "dense", "krylov"],
-                       help="propagation backend (default auto)")
-        p.add_argument("--tol", help=f"propagation tolerance (default {DEFAULT_TOL:g})")
+        if propagates:
+            p.add_argument("--method", choices=["auto", "dense", "krylov"],
+                           help="propagation backend (default auto)")
+            p.add_argument("--tol", help=f"propagation tolerance (default {DEFAULT_TOL:g})")
+        return p
 
-    p = sub.add_parser("simulate", help="probability series for one observable")
-    common(p)
+    p = subcommand("simulate", "probability series for one observable")
     p.add_argument("--observable", choices=sorted(OBSERVABLE_CHOICES),
                    help="default excitation_B")
     p.add_argument("--region", help='photon_region bounds as "lo,hi"')
     p.add_argument("--dump-hamiltonian", action="store_true", default=None,
                    help="also write the Hamiltonian as text triplets")
 
-    p = sub.add_parser("dichotomy", help="series plus zero/nonzero classification")
-    common(p)
+    p = subcommand("dichotomy", "series plus zero/nonzero classification")
     p.add_argument("--observable", choices=sorted(OBSERVABLE_CHOICES),
                    help="default excitation_B")
     p.add_argument("--region", help='photon_region bounds as "lo,hi"')
 
-    p = sub.add_parser("weak-causality",
-                       help="ensemble difference with and without the emitter")
-    common(p)
+    subcommand("weak-causality", "ensemble difference with and without the emitter")
 
-    p = sub.add_parser("fermi-integral",
-                       help="second-order amplitude over one or both ranges")
-    common(p)
+    p = subcommand("fermi-integral", "second-order amplitude over one or both ranges",
+                   propagates=False)
     p.add_argument("--range", choices=list(FREQUENCY_RANGES) + ["both"],
                    help="default both")
     p.add_argument("--quad-tol",
                    help=f"quadrature absolute error (default {DEFAULT_QUAD_TOL:g})")
 
-    p = sub.add_parser("cutoff-sweep", help="excitation run across cutoff values")
-    common(p)
+    p = subcommand("cutoff-sweep", "excitation run across cutoff values")
     p.add_argument("--cutoffs",
                    help='comma list of cutoffs (default "4,8,16,32" x omega_a)')
-    p.add_argument("--workers", help="parallel rows (default 1)")
     return parser
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
+#
+# Each runner computes what only its subcommand has and returns
+# (config, csv_text, results, extra_files, manifest): the summary's own
+# entries, any further files by name, and the manifest entries besides the
+# subcommand, config and outputs.  _artifacts builds the rest for all five.
 
 
 def _series_csv(series: analysis.ProbabilitySeries, value_name: str) -> str:
@@ -285,16 +293,20 @@ def _observable(args) -> str:
 
 
 def _common_setup(args, default_steps: int = 800):
+    """Config, time grid, and the manifest entries holding the grid."""
     config = load_config(_resolve(args, "config"))
-    out_dir = _resolve(args, "out", default=".")
     grid_spec = _resolve(args, "grid", convert=lambda text: _parse_pair(text, int))
-    if grid_spec is None:
-        grid_spec = (2.0 * config.light_cone_time, default_steps)
-    t_max, steps = grid_spec
+    t_max, steps = grid_spec or (2.0 * config.light_cone_time, default_steps)
     grid = analysis.make_time_grid(t_max, steps)
+    return config, grid, {"grid": {"t_max": t_max, "steps": steps}}
+
+
+def _propagation(args, manifest: dict) -> tuple[str, float]:
+    """--method and --tol, also recorded in the manifest entries."""
     method = _resolve(args, "method", default="auto")
     tol = _resolve(args, "tol", default=DEFAULT_TOL, convert=float)
-    return config, out_dir, grid, (t_max, steps), method, tol
+    manifest.update(method=method, tolerances={"tol": tol})
+    return method, tol
 
 
 def _report_dict(report: analysis.DichotomyReport) -> dict:
@@ -311,84 +323,56 @@ def _report_dict(report: analysis.DichotomyReport) -> dict:
     }
 
 
-def _run_series(args) -> list[tuple[str, str]]:
+def _run_series(args):
     """simulate and dichotomy: one observable's series, summarized two ways."""
-    name = args.subcommand
-    config, out_dir, grid, grid_spec, method, tol = _common_setup(args)
+    config, grid, manifest = _common_setup(args)
+    method, tol = _propagation(args, manifest)
     observable = _observable(args)
     region = _resolve(args, "region", convert=_parse_pair)
-    dump = name == "simulate" and bool(
-        _resolve(args, "dump-hamiltonian", default=False,
-                 convert=lambda s: s.lower() in ("1", "true", "yes")))
+    manifest.update(observable=observable, region=list(region) if region else None)
     series = analysis.probability_series(config, observable, grid,
                                          method=method, tol=tol, region=region)
     report = analysis.dichotomy_scan(series)
-    outputs = {"csv": f"{name}.csv", "summary": f"{name}.json"}
-    if dump:
-        outputs["hamiltonian"] = "hamiltonian.txt"
-    tolerances = {"tol": tol}
-    if name == "dichotomy":
-        tolerances.update(epsilon_zero=report.epsilon_zero, floor=report.floor)
-    manifest = _manifest(name, config, outputs,
-                         grid={"t_max": grid_spec[0], "steps": grid_spec[1]},
-                         tolerances=tolerances, method=method,
-                         observable=observable,
-                         region=list(region) if region else None)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest,
-        "observable": series.observable,
-    }
-    if name == "dichotomy":
-        summary["report"] = _report_dict(report)
+    results = {"observable": series.observable}
+    extra_files = {}
+    if args.subcommand == "dichotomy":
+        manifest["tolerances"].update(epsilon_zero=report.epsilon_zero,
+                                      floor=report.floor)
+        results["report"] = _report_dict(report)
     else:
-        summary.update(classification=report.classification,
+        results.update(classification=report.classification,
                        log_integral=report.log_integral,
                        max_value=float(series.values.max()),
                        final_value=float(series.values[-1]))
-    files = [(os.path.join(out_dir, outputs["csv"]), _series_csv(series, "value")),
-             (os.path.join(out_dir, outputs["summary"]), canonical_json(summary) + "\n")]
-    if dump:
-        _, hamiltonian = analysis.build_model(config)
-        files.append((os.path.join(out_dir, outputs["hamiltonian"]),
-                      format_triplets(hamiltonian)))
-    return files
+        if _resolve(args, "dump-hamiltonian", default=False,
+                    convert=lambda s: s.lower() in ("1", "true", "yes")):
+            _, hamiltonian = analysis.build_model(config)
+            extra_files["hamiltonian.txt"] = format_triplets(hamiltonian)
+    return config, _series_csv(series, "value"), results, extra_files, manifest
 
 
-def _run_weak_causality(args) -> list[tuple[str, str]]:
-    config, out_dir, grid, grid_spec, method, tol = _common_setup(args)
+def _run_weak_causality(args):
+    config, grid, manifest = _common_setup(args)
+    method, tol = _propagation(args, manifest)
     delta = analysis.weak_causality_difference(config, grid,
                                                method=method, tol=tol)
-    front = analysis.detect_front(delta)
     cone = config.light_cone_time
     before = np.abs(delta.values[delta.times < 0.9 * cone])
-    outputs = {"csv": "weak_causality.csv", "summary": "weak_causality.json"}
-    manifest = _manifest("weak-causality", config, outputs,
-                         grid={"t_max": grid_spec[0], "steps": grid_spec[1]},
-                         tolerances={"tol": tol}, method=method)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest,
+    results = {
         "light_cone_time": cone,
         "max_abs_delta": float(np.max(np.abs(delta.values))),
         "max_abs_delta_before_cone": float(before.max()) if before.size else 0.0,
-        "front": {
-            "detected": front.detected,
-            "arrival_time": front.arrival_time,
-            "uncertainty": front.uncertainty,
-            "threshold": front.threshold,
-            "max_abs": front.max_abs,
-        },
+        "front": dataclasses.asdict(analysis.detect_front(delta)),
     }
-    return [(os.path.join(out_dir, outputs["csv"]), _series_csv(delta, "delta")),
-            (os.path.join(out_dir, outputs["summary"]), canonical_json(summary) + "\n")]
+    return config, _series_csv(delta, "delta"), results, {}, manifest
 
 
-def _run_fermi_integral(args) -> list[tuple[str, str]]:
-    config, out_dir, grid, grid_spec, _, _ = _common_setup(args, default_steps=160)
+def _run_fermi_integral(args):
+    config, grid, manifest = _common_setup(args, default_steps=160)
     quad_tol = _resolve(args, "quad-tol", default=DEFAULT_QUAD_TOL, convert=float)
     choice = _resolve(args, "range", default="both")
     ranges = list(FREQUENCY_RANGES) if choice == "both" else [choice]
+    manifest.update(tolerances={"quad_tol": quad_tol}, ranges=ranges)
 
     rows = []
     per_range = {}
@@ -406,63 +390,30 @@ def _run_fermi_integral(args) -> list[tuple[str, str]]:
         }
         rows += [f"{format_float(t)},{format_float(m)},{frequency_range}"
                  for t, m in zip(series.times, mags)]
-
-    outputs = {"csv": "fermi_integral.csv", "summary": "fermi_integral.json"}
-    manifest = _manifest("fermi-integral", config, outputs,
-                         grid={"t_max": grid_spec[0], "steps": grid_spec[1]},
-                         tolerances={"quad_tol": quad_tol},
-                         ranges=ranges)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest,
-        "light_cone_time": cone,
-        "ranges": per_range,
-    }
-    return [(os.path.join(out_dir, outputs["csv"]),
-             _csv(rows, "t,amplitude_sq,range")),
-            (os.path.join(out_dir, outputs["summary"]), canonical_json(summary) + "\n")]
+    results = {"light_cone_time": cone, "ranges": per_range}
+    return config, _csv(rows, "t,amplitude_sq,range"), results, {}, manifest
 
 
-def _run_cutoff_sweep(args) -> list[tuple[str, str]]:
-    config, out_dir, grid, grid_spec, method, tol = _common_setup(args)
-    if not isinstance(config, ModelConfig):
-        raise ConfigError("cutoff-sweep requires a continuum (box field) config")
+def _run_cutoff_sweep(args):
+    config, grid, manifest = _common_setup(args)
+    method, tol = _propagation(args, manifest)
     cutoffs = _resolve(args, "cutoffs", convert=_parse_float_list)
     if cutoffs is None:
         cutoffs = [m * config.omega_a for m in (4.0, 8.0, 16.0, 32.0)]
-    workers = _resolve(args, "workers", default=1, convert=int)
-    result = analysis.cutoff_sweep(config, cutoffs, grid, method=method,
-                                   tol=tol, workers=workers)
-    rows = []
-    for row in result.rows:
-        rows.append(",".join([
-            format_float(row.cutoff),
-            str(row.modes_retained),
-            format_float(row.max_prob_before_cone)
-            if row.max_prob_before_cone is not None else "",
-            format_float(row.log_integral) if row.log_integral is not None else "",
-            (row.error or "").replace(",", ";"),
-        ]))
-    outputs = {"csv": "cutoff_sweep.csv", "summary": "cutoff_sweep.json"}
-    manifest = _manifest("cutoff-sweep", config, outputs,
-                         grid={"t_max": grid_spec[0], "steps": grid_spec[1]},
-                         tolerances={"tol": tol}, method=method,
-                         cutoffs=list(cutoffs), workers=workers)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest,
-        "trend": result.trend,
-        "rows": [{
-            "cutoff": row.cutoff,
-            "modes_retained": row.modes_retained,
-            "max_prob_before_cone": row.max_prob_before_cone,
-            "log_integral": row.log_integral,
-            "error": row.error,
-        } for row in result.rows],
-    }
-    return [(os.path.join(out_dir, outputs["csv"]),
-             _csv(rows, "cutoff,modes_retained,max_prob_before_cone,log_integral,error")),
-            (os.path.join(out_dir, outputs["summary"]), canonical_json(summary) + "\n")]
+    manifest["cutoffs"] = list(cutoffs)
+    result = analysis.cutoff_sweep(config, cutoffs, grid, method=method, tol=tol)
+    rows = [",".join([
+        format_float(row.cutoff),
+        str(row.modes_retained),
+        format_float(row.max_prob_before_cone)
+        if row.max_prob_before_cone is not None else "",
+        format_float(row.log_integral) if row.log_integral is not None else "",
+        (row.error or "").replace(",", ";"),
+    ]) for row in result.rows]
+    results = {"trend": result.trend,
+               "rows": [dataclasses.asdict(row) for row in result.rows]}
+    header = "cutoff,modes_retained,max_prob_before_cone,log_integral,error"
+    return config, _csv(rows, header), results, {}, manifest
 
 
 _RUNNERS = {
@@ -474,11 +425,26 @@ _RUNNERS = {
 }
 
 
+def _artifacts(args) -> list[tuple[str, str]]:
+    """(path, text) for every file of a run: CSV, JSON summary, extra files."""
+    name = args.subcommand
+    config, csv_text, results, extra_files, manifest_extras = _RUNNERS[name](args)
+    stem = name.replace("-", "_")
+    outputs = {"csv": f"{stem}.csv", "summary": f"{stem}.json"}
+    outputs.update((os.path.splitext(f)[0], f) for f in extra_files)
+    summary = {"schema_version": SCHEMA_VERSION,
+               "manifest": _manifest(name, config, outputs, **manifest_extras),
+               **results}
+    texts = [csv_text, canonical_json(summary) + "\n", *extra_files.values()]
+    out_dir = _resolve(args, "out", default=".")
+    return [(os.path.join(out_dir, f), text)
+            for f, text in zip(outputs.values(), texts)]
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        files = _RUNNERS[args.subcommand](args)
+        files = _artifacts(args)
         for path, _ in files:
             directory = os.path.dirname(path)
             if directory:

@@ -15,7 +15,6 @@ field; lattice spacing 1 for the chain).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,11 @@ COUPLING_FORMS = ("full", "rotating_wave")
 
 
 def _check_atoms_and_coupling(config) -> None:
-    """The checks both field models share: atoms, truncation and coupling."""
+    """The shared checks: finite floats, atoms, truncation and coupling."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
     if config.levels_a < 2 or config.levels_b < 2:
         raise ConfigError("each atom needs at least 2 levels")
     if config.omega_a <= 0 or config.omega_b <= 0:
@@ -197,14 +200,6 @@ def mode_table(config: ModelConfig) -> ModeTable:
         omegas.append(omega)
         gs.append(g)
     return ModeTable(tuple(ks), tuple(omegas), tuple(gs))
-
-
-def config_fingerprint(config: AnyConfig) -> str:
-    """Stable sha256 over the config class name and field values."""
-    lines = [type(config).__name__]
-    for f in dataclasses.fields(config):
-        lines.append(f"{f.name}={getattr(config, f.name)!r}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def config_items(config: AnyConfig) -> dict:

@@ -271,7 +271,7 @@ def test_criterion_9_cutoff_sweep_reports_trend():
     cutoffs = [m * config.omega_a for m in (4.0, 8.0, 16.0, 32.0)]
     grid = make_time_grid(2.0 * config.light_cone_time, 160)
     start = time.monotonic()
-    result = cutoff_sweep(config, cutoffs, grid, workers=2)
+    result = cutoff_sweep(config, cutoffs, grid)
     elapsed = time.monotonic() - start
     failures = [row.cutoff for row in result.rows if row.error is not None]
     maxima = [row.max_prob_before_cone for row in result.rows]

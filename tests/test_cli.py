@@ -1,9 +1,11 @@
 """Command line front end: config parsing, artifacts, exit codes."""
 
+import argparse
 import json
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 
 from twoatom.cli import (
     ENV_PREFIX,
+    _build_parser,
     canonical_json,
     format_float,
     main,
@@ -284,7 +287,7 @@ def test_fermi_integral_single_range(tmp_path, small_config):
 def test_cutoff_sweep_csv(tmp_path, small_config):
     out = tmp_path / "run"
     code = main(["cutoff-sweep", "--config", small_config, "--out", str(out),
-                 "--grid", "4,40", "--cutoffs", "2,4,8", "--workers", "2"])
+                 "--grid", "4,40", "--cutoffs", "2,4,8"])
     assert code == 0
     lines = (out / "cutoff_sweep.csv").read_text().splitlines()
     assert lines[0] == "cutoff,modes_retained,max_prob_before_cone,log_integral,error"
@@ -294,6 +297,22 @@ def test_cutoff_sweep_csv(tmp_path, small_config):
                                 "non_monotone"}
     assert [row["cutoff"] for row in summary["rows"]] == [2.0, 4.0, 8.0]
     assert all(row["error"] is None for row in summary["rows"])
+    assert "workers" not in summary["manifest"]
+
+
+def test_files_follow_the_umask(tmp_path, small_config):
+    out = tmp_path / "run"
+    old = os.umask(0o022)
+    try:
+        code = main(["simulate", "--config", small_config, "--out", str(out),
+                     "--grid", "2,10", "--dump-hamiltonian"])
+    finally:
+        os.umask(old)
+    assert code == 0
+    written = sorted(out.iterdir())
+    assert [p.name for p in written] == ["hamiltonian.txt", "simulate.csv",
+                                         "simulate.json"]
+    assert all(p.stat().st_mode & 0o777 == 0o644 for p in written)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +414,27 @@ def test_oversized_basis_exits_four(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config_text", [
+    (["simulate", "--grid", "nan,10"], ""),
+    (["simulate", "--grid", "inf,10"], ""),
+    (["simulate", "--grid", "2,4"], "cutoff = nan"),
+    (["simulate", "--grid", "2,4"], "coupling_strength = inf"),
+    (["simulate", "--grid", "2,4"], "field_model = lattice\nhopping = nan"),
+    (["cutoff-sweep", "--grid", "2,4", "--cutoffs", "nan,4"], ""),
+    (["fermi-integral", "--grid", "2,4"], "omega_a = nan"),
+], ids=["grid-nan", "grid-inf", "cutoff-nan", "coupling-inf", "hopping-nan",
+        "cutoffs-nan", "omega-nan"])
+def test_non_finite_inputs_exit_two(tmp_path, capsys, argv, config_text):
+    # the default config unless the case changes it
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(config_text + "\n")
+    out = tmp_path / "run"
+    code = main(argv + ["--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cutoff_sweep_rejects_lattice(tmp_path, capsys):
     cfg = tmp_path / "chain.cfg"
     cfg.write_text("field_model = lattice\n")
@@ -409,16 +449,43 @@ def test_unknown_subcommand_is_usage_error():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--method", "dense"], ["--tol", "1e-9"]])
+def test_fermi_integral_rejects_propagation_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["fermi-integral", "--out", str(tmp_path / "run"), *flag])
+    assert info.value.code == 2
+
+
+def _help(subcommand, capsys) -> str:
+    with pytest.raises(SystemExit) as info:
+        main([subcommand, "--help"])
+    assert info.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
 def test_help_reads_the_tolerance_defaults(monkeypatch, capsys):
     # the help text quotes the module constants, not a copy of their values
     monkeypatch.setattr("twoatom.cli.DEFAULT_TOL", 3e-7)
     monkeypatch.setattr("twoatom.cli.DEFAULT_QUAD_TOL", 5e-9)
-    with pytest.raises(SystemExit) as info:
-        main(["fermi-integral", "--help"])
-    assert info.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-    assert "propagation tolerance (default 3e-07)" in text
-    assert "quadrature absolute error (default 5e-09)" in text
+    assert "propagation tolerance (default 3e-07)" in _help("simulate", capsys)
+    assert "quadrature absolute error (default 5e-09)" in _help("fermi-integral",
+                                                                capsys)
+
+
+def test_readme_table_lists_each_subcommands_own_flags():
+    # each row of README's subcommand table names exactly the options that
+    # subparser adds beyond the shared ones
+    shared = {"-h", "--help", "--config", "--out", "--grid", "--method", "--tol"}
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*?) \|", readme, re.MULTILINE)
+    documented = {name: set(re.findall(r"--[a-z-]+", flags))
+                  for name, flags in rows if name in subparsers}
+    options = {name: {o for a in p._actions for o in a.option_strings} - shared
+               for name, p in subparsers.items()}
+    assert documented == options
 
 
 def test_cli_import_defers_scipy_submodules(tmp_path):
