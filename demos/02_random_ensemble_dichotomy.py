@@ -36,7 +36,8 @@ def random_instance(rng):
     frame = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     q, _ = np.linalg.qr(frame)
     # the projector q q^dagger, held as its square-root factor q^dagger
-    observable = BoundedObservable([(np.arange(dim), q.conj().T)], dim)
+    observable = BoundedObservable([(np.arange(dim), q.conj().T)], dim,
+                                   label="random_projector")
 
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return hamiltonian, observable, vec / np.linalg.norm(vec)
@@ -52,8 +53,7 @@ def main():
     for _ in range(TRIALS):
         hamiltonian, observable, state = random_instance(rng)
         series = series_from_operators(hamiltonian, state, observable, GRID,
-                                       method="dense",
-                                       label="random_projector")
+                                       method="dense")
         report = dichotomy_scan(series)
         counts[report.classification] += 1
         candidate_total += len(report.zero_candidates)

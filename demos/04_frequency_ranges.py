@@ -24,8 +24,9 @@ import math
 
 import numpy as np
 
+from twoatom.analysis import perturbative_vs_exact
 from twoatom.config import ModelConfig
-from twoatom.perturbation import exchange_amplitude_series, perturbative_vs_exact
+from twoatom.perturbation import exchange_amplitude_series
 
 CUTOFF = 100.0
 COUPLING = 0.1

@@ -18,16 +18,16 @@ from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
                         format_triplets, gershgorin_bounds, local_photon_observable)
 from .propagator import evolve_grid, expectation_grid, prepare_initial_state
-from .analysis import (CutoffRow, CutoffSweepResult, DichotomyReport,
-                       FrontDetection, ProbabilitySeries, ZeroCandidate,
-                       auxiliary_function, build_model, cutoff_sweep,
-                       detect_front, dichotomy_scan, log_integral,
-                       make_time_grid, probability_series, resolve_observable,
-                       series_from_operators, weak_causality_difference)
 from .perturbation import (FREQUENCY_RANGES, AmplitudeSeries,
-                           PerturbativeComparison, exchange_amplitude_series,
-                           mode_sum_amplitude, oscillatory_kernel,
-                           perturbative_vs_exact, second_order_time_kernel)
+                           exchange_amplitude_series, mode_sum_amplitude,
+                           oscillatory_kernel, second_order_time_kernel)
+from .analysis import (CutoffRow, CutoffSweepResult, DichotomyReport,
+                       FrontDetection, PerturbativeComparison, ProbabilitySeries,
+                       ZeroCandidate, auxiliary_function, build_model,
+                       cutoff_sweep, detect_front, dichotomy_scan, log_integral,
+                       make_time_grid, perturbative_vs_exact, probability_series,
+                       resolve_observable, series_from_operators,
+                       weak_causality_difference)
 
 __version__ = "0.1.0"
 

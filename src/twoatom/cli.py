@@ -16,8 +16,9 @@ that propagate (all but fermi-integral) also take ``--method`` and
 the run manifest (config snapshot, grid, tolerances, output names, and a
 fingerprint hashing all of them).  Floats are printed with 17 significant
 digits and no timestamps are recorded, so a rerun of the same manifest is
-byte-identical on either backend.  Files are written to temporaries and
-renamed into place only after the computation succeeded.
+byte-identical on either backend.  Files are written to temporaries only
+after the computation succeeded, and renamed into place once every one is
+written; a run whose outputs cannot be written leaves none of them.
 
 Config files are flat ``key = value`` text; keys are exactly the config
 dataclass field names plus ``field_model`` (``continuum`` or ``lattice``),
@@ -25,8 +26,8 @@ and unknown keys are rejected outright.  Every flag can also be supplied
 through an environment variable with the ``TWOATOM_`` prefix (for example
 ``TWOATOM_GRID``); explicit flags win over the environment.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical
-non-convergence, 4 basis dimension overflow, 1 unexpected failure.
+Exit codes: 0 success, 2 configuration, usage or output-path error, 3
+numerical non-convergence, 4 basis dimension overflow, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -154,23 +155,31 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _atomic_write(path: str, data: str) -> None:
-    """Write a fresh temporary beside path, then rename it into place.
+def _write_outputs(files) -> None:
+    """Write a fresh temporary beside each path, then rename them all into place.
 
-    The temporary is created with mode 0o666, so the umask applies just as
-    it does to a plain open(path, "w").
+    Temporaries are created with mode 0o666, so the umask applies just as it
+    does to a plain open(path, "w").  Any temporary left over is removed, and
+    an OSError becomes ConfigError: a failed write leaves no file of the run.
     """
-    tmp = os.path.join(os.path.dirname(path) or ".",
-                        f".tmp-twoatom-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    temps = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path, data in files:
+            directory = os.path.dirname(path) or "."
+            os.makedirs(directory, exist_ok=True)
+            tmp = os.path.join(directory, f".tmp-twoatom-{os.urandom(8).hex()}")
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            temps.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(data)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs: {exc}") from exc
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _csv(rows, header: str) -> str:
@@ -445,12 +454,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         files = _artifacts(args)
-        for path, _ in files:
-            directory = os.path.dirname(path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-        for path, data in files:
-            _atomic_write(path, data)
+        _write_outputs(files)
         for path, _ in files:
             print(path)
         return 0

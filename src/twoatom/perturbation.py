@@ -26,10 +26,11 @@ moments (Filon-type), so accuracy is independent of how many oscillations a
 panel spans.  Panels halve adaptively until the degree-8 vs degree-16 tail
 estimate meets the requested absolute error.  A pass evaluates every time
 at once, in blocks of TIME_BLOCK times: the theta = +-R moments do not
-depend on t and are contracted once per pass, and each block needs one
-moment call per t-dependent family and one kernel call per window.  Each
-panel and window keeps its per-time contribution and estimate, so a
-refinement pass evaluates only the halves it has just created.
+depend on t and are computed once per pass, contracted per block, and each
+block needs one moment call per t-dependent family and one kernel call per
+window.  Each panel and window keeps its per-time contribution and
+estimate, so a refinement pass evaluates only the halves it has just
+created.
 
 The discrete counterpart `mode_sum_amplitude` evaluates the same
 second-order formula over a box config's own mode table.  It is exact for
@@ -48,7 +49,6 @@ from numpy.polynomial import legendre as npleg
 
 from .config import LatticeConfig, ModelConfig, mode_table
 from .errors import ConvergenceError, DomainError
-from .propagator import DEFAULT_TOL
 
 FREQUENCY_RANGES = ("positive_only", "extended")
 
@@ -65,11 +65,6 @@ MAX_REFINEMENTS = 8
 # arrays and the (times, nodes) window kernels, and so the peak memory
 TIME_BLOCK = 16
 
-# Second-order probabilities above this are treated as strong coupling: the
-# neglected fourth-order terms enter at relative size ~sqrt(p), so beyond
-# p ~ 1e-2 the truncation is no longer decisively small.
-WEAK_COUPLING_BOUND = 1e-2
-
 
 @dataclass(frozen=True)
 class AmplitudeSeries:
@@ -79,15 +74,6 @@ class AmplitudeSeries:
     values: np.ndarray
     frequency_range: str
     achieved_error: float
-
-
-@dataclass(frozen=True)
-class PerturbativeComparison:
-    times: np.ndarray
-    exact_probability: np.ndarray
-    perturbative_probability: np.ndarray
-    max_abs_difference: float
-    coupling_note: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +186,17 @@ def oscillatory_kernel(config: ModelConfig, omega, t):
 
 
 @lru_cache(maxsize=4)
-def _projection(nodes: int, degree: int):
-    """(nodes, weights, B) with B[n, q] = (2n+1)/2 * w_q * P_n(x_q)."""
-    x, w = npleg.leggauss(nodes)
-    vander = npleg.legvander(x, degree)          # (nodes, degree+1)
-    scale = (2.0 * np.arange(degree + 1) + 1.0) / 2.0
-    b = (vander * w[:, None]).T * scale[:, None]
-    return x, w, b
+def _gauss(nodes: int):
+    return npleg.leggauss(nodes)
 
 
 @lru_cache(maxsize=4)
-def _gauss(nodes: int):
-    return npleg.leggauss(nodes)
+def _projection(nodes: int, degree: int):
+    """(nodes, B) with B[n, q] = (2n+1)/2 * w_q * P_n(x_q)."""
+    x, w = _gauss(nodes)
+    vander = npleg.legvander(x, degree)          # (nodes, degree+1)
+    scale = (2.0 * np.arange(degree + 1) + 1.0) / 2.0
+    return x, (vander * w[:, None]).T * scale[:, None]
 
 
 def _march_edges(lo, hi, start_width, cap):
@@ -275,12 +260,12 @@ def _build_layout(cfg: ModelConfig, frequency_range: str):
         cursor = b
         prev_window = True
     panels += _segment_panels(cursor, hi, prev_window, False, w0, cap)
-    return panels, windows
+    return [("panel", p) for p in panels] + [("window", w) for w in windows]
 
 
 def _panel_coefficients(panels, cfg: ModelConfig):
     """Legendre coefficients of the four rational amplitudes per panel."""
-    x, _, b = _projection(PANEL_NODES, PROJECTION_DEGREE)
+    x, b = _projection(PANEL_NODES, PROJECTION_DEGREE)
     mids = np.array([0.5 * (p[0] + p[1]) for p in panels])
     halfs = np.array([0.5 * (p[1] - p[0]) for p in panels])
     om = mids[:, None] + halfs[:, None] * x[None, :]
@@ -366,17 +351,11 @@ def _panel_terms(cfg, times, panels):
     rr, wa, wb = cfg.separation, cfg.omega_a, cfg.omega_b
     mids, halfs, c1, c2, c3, c4 = _panel_coefficients(panels, cfg)
     cut = ERROR_DEGREE + 1
-    # theta = +-R carry i phid(t) (c1 + c3) - (c2 + c4), with t-independent
-    # moments contracted once; theta = R - t, -(R + t) carry
-    # e^{i wb t} c2 + e^{-i wa t} c4
+    # theta = +-R carry i phid(t) (c1 + c3) - (c2 + c4), on (degree+1, P) moments
+    # computed once; theta = R - t, -(R + t) carry e^{i wb t} c2 + e^{-i wa t} c4
     fixed_coef = np.stack([c1 + c3, c2 + c4])
     moving_coef = np.stack([c2, c4])
-    fixed = []
-    for theta in (rr, -rr):
-        moms = _moments(theta, halfs)
-        tail = np.einsum("kpn,np->kp", fixed_coef[..., cut:], moms[cut:])
-        full = np.einsum("kpn,np->kp", fixed_coef[..., :cut], moms[:cut]) + tail
-        fixed.append((halfs * np.exp(1j * theta * mids), full, tail))
+    fixed = [(theta, _moments(theta, halfs)) for theta in (rr, -rr)]
 
     contrib = np.empty((times.size, len(panels)), dtype=np.complex128)
     estimate = np.empty((times.size, len(panels)))
@@ -385,21 +364,19 @@ def _panel_terms(cfg, times, panels):
         t = times[block]
         col = t[:, None]
         iphid = 1j * col * _phi1(1j * (wb - wa) * col)
-        rot_b, rot_a = np.exp(1j * wb * col), np.exp(-1j * wa * col)
+        rot = (np.exp(1j * wb * col), np.exp(-1j * wa * col))
+        families = [(theta, moms, fixed_coef, (iphid, -1.0)) for theta, moms in fixed]
+        families += [(theta, None, moving_coef, rot) for theta in (rr - t, -(rr + t))]
         total = 0.0
         est = 0.0
-        for carrier, full, tail in fixed:
-            total = total + carrier * (iphid * full[0] - full[1])
-            family = np.abs(carrier) * np.abs(iphid * tail[0] - tail[1])
-            est = est + family
-            np.maximum(peak, family.max(axis=0), out=peak)
-        for theta in (rr - t, -(rr + t)):
-            moms = _moments(theta, halfs)                   # (B, degree+1, P)
-            carrier = halfs * np.exp(1j * theta[:, None] * mids)
-            tail = np.einsum("kpn,tnp->ktp", moving_coef[..., cut:], moms[:, cut:])
-            full = np.einsum("kpn,tnp->ktp", moving_coef[..., :cut], moms[:, :cut]) + tail
-            total = total + carrier * (rot_b * full[0] + rot_a * full[1])
-            family = np.abs(carrier) * np.abs(rot_b * tail[0] + rot_a * tail[1])
+        for theta, moms, coef, (w0, w1) in families:
+            if moms is None:  # (B, degree+1, P): one family at a time bounds the memory
+                moms = _moments(theta, halfs)
+            tail = np.einsum("kpn,...np->k...p", coef[..., cut:], moms[..., cut:, :])
+            full = np.einsum("kpn,...np->k...p", coef[..., :cut], moms[..., :cut, :]) + tail
+            carrier = halfs * np.exp(1j * np.multiply.outer(theta, mids))
+            total = total + carrier * (w0 * full[0] + w1 * full[1])
+            family = np.abs(carrier) * np.abs(w0 * tail[0] + w1 * tail[1])
             est = est + family
             np.maximum(peak, family.max(axis=0), out=peak)
         contrib[block] = total
@@ -430,22 +407,20 @@ def _window_terms(cfg, times, windows):
     return value, diff, diff.max(axis=1, initial=0.0)
 
 
-def _quadrature_pass(cfg, times, panels, windows, tol, terms):
-    """One evaluation sweep; returns values, per-t estimates, split masks.
+def _quadrature_pass(cfg, times, elements, tol, terms):
+    """One evaluation sweep; returns values, per-t estimates and a split mask.
 
-    `terms` maps ("panel" | "window", interval) to that element's per-time
-    contribution, per-time estimate and peak.  Only the elements it lacks
-    are evaluated, so a refinement pass costs just the halves it created.
+    `terms` maps each (kind, interval) element to its per-time contribution,
+    per-time estimate and peak.  Only the elements it lacks are evaluated,
+    so a refinement pass costs just the halves it created.
     """
     prefactor = (cfg.coupling_strength ** 2 * cfg.coupling_scale_a
                  * cfg.coupling_scale_b / (2.0 * math.pi))
-    layout = (("panel", panels, _panel_terms), ("window", windows, _window_terms))
-    for kind, elements, evaluate in layout:
-        fresh = [e for e in elements if (kind, e) not in terms]
+    for kind, evaluate in (("panel", _panel_terms), ("window", _window_terms)):
+        fresh = [e for e in elements if e[0] == kind and e not in terms]
         if fresh:
-            keys = [(kind, e) for e in fresh]
-            terms.update(zip(keys, zip(*evaluate(cfg, times, fresh))))
-    rows = [terms[kind, e] for kind, elements, _ in layout for e in elements]
+            terms.update(zip(fresh, zip(*evaluate(cfg, times, [e[1] for e in fresh]))))
+    rows = [terms[e] for e in elements]
 
     values = prefactor * np.sum([r[0] for r in rows], axis=0)
     # A(0) = 0 exactly; the four phase families cancel there only to rounding
@@ -453,19 +428,20 @@ def _quadrature_pass(cfg, times, panels, windows, tol, terms):
     estimates = prefactor * np.sum([r[1] for r in rows], axis=0)
     budget = 0.5 * tol / max(1, len(rows))
     split = prefactor * np.array([r[2] for r in rows]) > budget
-    return values, estimates, split[:len(panels)], split[len(panels):]
+    return values, estimates, split
 
 
-def _halve(elements, split, kind, terms):
-    """The layout with each flagged interval replaced by its two halves."""
+def _halve(elements, split, terms):
+    """The elements with each flagged interval replaced by its two halves."""
     out = []
-    for lo_hi, flagged in zip(elements, split):
+    for element, flagged in zip(elements, split):
+        kind, (lo, hi) = element
         if flagged:
-            del terms[kind, lo_hi]
-            mid = 0.5 * (lo_hi[0] + lo_hi[1])
-            out += [(lo_hi[0], mid), (mid, lo_hi[1])]
+            del terms[element]
+            mid = 0.5 * (lo + hi)
+            out += [(kind, (lo, mid)), (kind, (mid, hi))]
         else:
-            out.append(lo_hi)
+            out.append(element)
     return out
 
 
@@ -493,24 +469,21 @@ def exchange_amplitude_series(config: ModelConfig, times, *,
         return AmplitudeSeries(times, np.zeros(times.size, dtype=np.complex128),
                                frequency_range, 0.0)
 
-    panels, windows = _build_layout(cfg, frequency_range)
+    elements = _build_layout(cfg, frequency_range)
     terms = {}
-    achieved = math.inf
     for _ in range(MAX_REFINEMENTS + 1):
-        values, estimates, split_p, split_w = _quadrature_pass(
-            cfg, times, panels, windows, tol, terms)
+        values, estimates, split = _quadrature_pass(cfg, times, elements, tol, terms)
         achieved = float(estimates.max())
         if achieved <= tol:
             return AmplitudeSeries(times, values, frequency_range, achieved)
-        panels = _halve(panels, split_p, "panel", terms)
-        windows = _halve(windows, split_w, "window", terms)
+        elements = _halve(elements, split, terms)
     raise ConvergenceError(
         f"oscillatory quadrature stalled at estimated error {achieved:.3e} "
         f"(requested {tol:.3e})", residual=achieved)
 
 
 # ---------------------------------------------------------------------------
-# discrete oracle and exact comparison
+# discrete oracle
 # ---------------------------------------------------------------------------
 
 
@@ -538,29 +511,3 @@ def mode_sum_amplitude(config: ModelConfig, times) -> AmplitudeSeries:
                          * second_order_time_kernel(omega + cfg.omega_b,
                                                     -(omega + cfg.omega_a), col), axis=1)
     return AmplitudeSeries(times, values, "mode_sum", 0.0)
-
-
-def perturbative_vs_exact(config: ModelConfig, times, *, method: str = "auto",
-                          tol: float = DEFAULT_TOL) -> PerturbativeComparison:
-    """|A(t)|^2 from second order against the exact exchange probability.
-
-    Both sides live on the same discrete mode set: the perturbative branch
-    is the mode-sum amplitude, the exact branch projects the propagated
-    state onto the exchanged configuration.  A coupling_note is attached
-    when either probability exceeds WEAK_COUPLING_BOUND, beyond which the
-    dropped fourth-order terms are no longer decisively small.
-    """
-    from .analysis import probability_series
-
-    cfg = _two_level_box(config)
-    times = np.asarray(times, dtype=float)
-    exact = probability_series(cfg, "exchange", times, method=method, tol=tol)
-    pert = np.abs(mode_sum_amplitude(cfg, times).values) ** 2
-    peak = max(float(exact.values.max(initial=0.0)), float(pert.max(initial=0.0)))
-    note = None
-    if peak > WEAK_COUPLING_BOUND:
-        note = (f"exchange probability reaches {peak:.3g} > {WEAK_COUPLING_BOUND:g}; "
-                "second-order truncation is not reliable at this coupling")
-    return PerturbativeComparison(times, exact.values, pert,
-                                  float(np.max(np.abs(exact.values - pert))),
-                                  note)

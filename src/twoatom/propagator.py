@@ -74,7 +74,6 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 def _dense_apply(hamiltonian, amplitudes, zs) -> np.ndarray:
     w, v = hamiltonian.eigensystem()
     coeff = v.conjugate().T @ amplitudes
-    zs = np.asarray(zs, dtype=complex)
     # exp(-i w z) per time and eigenvalue; the shifted exponent has
     # non-positive real part for Im z <= 0
     phases = np.exp((-1j * zs)[:, None] * (w - hamiltonian.spectral_floor)[None, :])
@@ -185,7 +184,9 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
     result is not normalized, ||psi_z|| <= exp(Im(z) * spectral_floor) * ||psi0||,
     and the sparse path's rounding grows like
     eps * exp((E_min - lo) |Im z|) * ||psi0||, with lo = spectral_floor.
-    A single point z is evolve_grid(H, psi0, [z])[0].
+    A single point z is evolve_grid(H, psi0, [z])[0].  A point that is not
+    finite, or whose product with the spectral bounds overflows, raises
+    DomainError before anything is computed.
 
     Parameters
     ----------
@@ -212,6 +213,13 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
     if np.any(times.imag > 0):
         raise DomainError("complex times need Im z <= 0: only there does exp(-iHz) "
                           "stay bounded for a Hamiltonian bounded below")
+    lo, hi = hamiltonian.spectral_bounds
+    # either backend multiplies a point's parts by at most max(hi - lo, |lo|)
+    limit = np.finfo(float).max / max(hi - lo, abs(lo), 1.0)
+    reach = max(np.abs(times.real).max(initial=0.0), np.abs(times.imag).max(initial=0.0))
+    if not (np.all(np.isfinite(times)) and reach <= limit):
+        raise DomainError(f"grid points must be finite and at most {limit:.3g} in size, "
+                          "or exp(-iHz) overflows")
     if resolve_method(method, hamiltonian.dimension) == "dense":
         return _dense_apply(hamiltonian, psi0, times)
     return _chebyshev_apply(hamiltonian, psi0, times, tol)

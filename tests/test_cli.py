@@ -375,6 +375,41 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+def test_unwritable_out_exits_two(tmp_path, small_config, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    code = main(["simulate", "--config", small_config,
+                 "--out", str(taken.joinpath(*below)), "--grid", "2,4"])
+    assert code == 2
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg", "taken"]
+
+
+def test_failed_write_leaves_no_file_of_the_run(tmp_path, small_config, capsys,
+                                                monkeypatch):
+    # the first file's temporary is written, the second's cannot be
+    opened = []
+    real_fdopen = os.fdopen
+
+    def fail_second(fd, *args, **kwargs):
+        opened.append(fd)
+        if len(opened) == 2:
+            os.close(fd)
+            raise OSError("no space left")
+        return real_fdopen(fd, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", fail_second)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", small_config, "--out", str(out),
+                 "--grid", "2,4"])
+    assert code == 2
+    assert "cannot write outputs: no space left" in capsys.readouterr().err
+    assert len(opened) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_malformed_grid_exits_two(tmp_path, small_config, capsys):
     code = main(["simulate", "--config", small_config,
                  "--out", str(tmp_path / "run"), "--grid", "5"])
@@ -422,8 +457,10 @@ def test_oversized_basis_exits_four(tmp_path, capsys):
     (["simulate", "--grid", "2,4"], "field_model = lattice\nhopping = nan"),
     (["cutoff-sweep", "--grid", "2,4", "--cutoffs", "nan,4"], ""),
     (["fermi-integral", "--grid", "2,4"], "omega_a = nan"),
+    (["simulate", "--grid", "1e308,2"], ""),
+    (["simulate", "--method", "dense", "--grid", "1e308,2"], "num_modes = 4\nn_max = 1"),
 ], ids=["grid-nan", "grid-inf", "cutoff-nan", "coupling-inf", "hopping-nan",
-        "cutoffs-nan", "omega-nan"])
+        "cutoffs-nan", "omega-nan", "grid-huge", "grid-huge-dense"])
 def test_non_finite_inputs_exit_two(tmp_path, capsys, argv, config_text):
     # the default config unless the case changes it
     cfg = tmp_path / "case.cfg"

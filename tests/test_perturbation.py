@@ -1,5 +1,6 @@
 """Second-order exchange amplitude: time kernel, quadrature, discrete oracle."""
 
+import ast
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 from twoatom import perturbation
+from twoatom.analysis import perturbative_vs_exact
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConvergenceError, DomainError
 from twoatom.perturbation import (
@@ -20,7 +22,6 @@ from twoatom.perturbation import (
     exchange_amplitude_series,
     mode_sum_amplitude,
     oscillatory_kernel,
-    perturbative_vs_exact,
     second_order_time_kernel,
 )
 
@@ -273,9 +274,10 @@ def test_refinement_layout_on_the_default_grid(monkeypatch, frequency_range, lay
     seen = []
     original = perturbation._quadrature_pass
 
-    def counting(cfg, times, panels, windows, *rest):
-        seen.append((len(panels), len(windows)))
-        return original(cfg, times, panels, windows, *rest)
+    def counting(cfg, times, elements, *rest):
+        kinds = [kind for kind, _ in elements]
+        seen.append((kinds.count("panel"), kinds.count("window")))
+        return original(cfg, times, elements, *rest)
 
     monkeypatch.setattr(perturbation, "_quadrature_pass", counting)
     exchange_amplitude_series(cfg, grid, frequency_range=frequency_range)
@@ -388,3 +390,21 @@ def test_unreachable_tolerance_raises():
         exchange_amplitude_series(cfg, np.array([1.0]), tol=1e-30)
     assert info.value.residual is not None
     assert 0.0 < info.value.residual < 1e-12
+
+
+def test_perturbation_imports_only_config_and_errors():
+    # the amplitude sits below propagation and analysis: numerics and the
+    # package's config and errors only, every import at module level
+    allowed = {"__future__", "math", "dataclasses", "functools", "numpy",
+               "numpy.polynomial", ".config", ".errors"}
+    with open(perturbation.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules = {"." * node.level + (node.module or "")}
+        else:
+            continue
+        assert node in tree.body, f"import inside a function at line {node.lineno}"
+        assert modules <= allowed, (node.lineno, modules)

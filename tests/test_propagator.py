@@ -150,6 +150,17 @@ def test_complex_time_rejects_upper_half_plane(small_model):
                 evolve_grid(ham, psi, grid, method=method)
 
 
+def test_non_finite_or_overflowing_points_raise(small_model):
+    # refused before any table or phase is formed: 1e308 times the spectral
+    # scale (about 4.5 here) overflows, and a NaN or inf point has no value
+    basis, ham = small_model
+    psi = prepare_initial_state(basis)
+    for method in ("dense", "krylov"):
+        for grid in ([0.0, np.nan], [np.inf], [0.0, complex(np.nan, -1.0)], [1.0, 1e308]):
+            with pytest.raises(DomainError):
+                evolve_grid(ham, psi, grid, method=method)
+
+
 def test_real_axis_consistency(small_model):
     basis, ham = small_model
     psi0 = prepare_initial_state(basis)
