@@ -224,10 +224,11 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
     method : {"auto", "dense", "krylov"}
         "auto" is resolved on the full dimension (dense up to DENSE_LIMIT),
         not on the block's.  This is measured: on the default config's
-        1122-dim block, dense eigh plus an 801-point grid and its
-        expectation values took 1.5-1.9 s and 163 MB against 0.07-0.10 s
-        and 88 MB for the Chebyshev series (2 cores, OpenBLAS), so keying
-        the switch on the block would slow that config down.
+        1122-dim block, the real-form dense eigh plus an 801-point grid and
+        its expectation values took 0.59-0.60 s against 0.08-0.15 s for
+        the Chebyshev series (the model already built; process peaks 152
+        and 77 MB; 2 cores, OpenBLAS), so keying the switch on the block
+        would slow that config down.
     """
     basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)

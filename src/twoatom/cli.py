@@ -33,6 +33,7 @@ numerical non-convergence, 4 basis dimension overflow, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -155,17 +156,30 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _missing_directories(directory: str) -> list[str]:
+    """directory and each ancestor of it that does not exist yet, deepest first."""
+    missing = []
+    while directory and not os.path.lexists(directory):
+        missing.append(directory)
+        directory = os.path.dirname(directory)
+    return missing
+
+
 def _write_outputs(files) -> None:
     """Write a fresh temporary beside each path, then rename them all into place.
 
     Temporaries are created with mode 0o666, so the umask applies just as it
     does to a plain open(path, "w").  Any temporary left over is removed, and
-    an OSError becomes ConfigError: a failed write leaves no file of the run.
+    an OSError becomes ConfigError: a failed write leaves no file of the run,
+    and no directory it created that is still empty.  A directory that
+    existed before the call is never removed.
     """
-    temps = []
+    temps, created = [], []
+    written = False
     try:
         for path, data in files:
             directory = os.path.dirname(path) or "."
+            created += reversed(_missing_directories(directory))
             os.makedirs(directory, exist_ok=True)
             tmp = os.path.join(directory, f".tmp-twoatom-{os.urandom(8).hex()}")
             fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
@@ -174,12 +188,18 @@ def _write_outputs(files) -> None:
                 fh.write(data)
         for tmp, (path, _) in zip(temps, files):
             os.replace(tmp, path)
+        written = True
     except OSError as exc:
         raise ConfigError(f"cannot write outputs: {exc}") from exc
     finally:
         for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        if not written:
+            # children before parents; rmdir refuses one that is not empty
+            for directory in reversed(created):
+                with contextlib.suppress(OSError):
+                    os.rmdir(directory)
 
 
 def _csv(rows, header: str) -> str:

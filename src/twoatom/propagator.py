@@ -4,14 +4,17 @@ evolve_grid is the one propagation call.  It takes a state as a plain
 complex array and returns exp(-i H z) psi0 for every point z of a grid,
 real or complex with Im z <= 0, on one of two backends.  Up to DENSE_LIMIT
 the Hamiltonian is diagonalized once (cached on the operator) and
-evolution is exact phase multiplication in the eigenbasis.  Above it the
-sparse backend (method "krylov") sums the Chebyshev series of Tal-Ezer &
-Kosloff (J. Chem. Phys. 81, 3967, 1984) over H's spectral bounds
-[lo, lo + 2 rho], with V_k = T_k((H - lo) / rho - 1) psi0 from the
-three-term recurrence, until its tail is below unit roundoff at every
-point.  Both backends evaluate all points in one matrix product, factor
-out exp(-i lo z) so the damped factors at complex z never overflow, and
-return psi0 at z = 0.
+evolution is exact phase multiplication in the eigenbasis.  Where the
+operator carries a time reversal (every box model with even num_modes,
+and every chain) the diagonalization is a real eigh in the basis the
+reversal leaves fixed, in about a quarter of the complex eigh's time;
+otherwise it is the complex eigh.  Above DENSE_LIMIT the sparse backend
+(method "krylov") sums the Chebyshev series of Tal-Ezer & Kosloff
+(J. Chem. Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho],
+with V_k = T_k((H - lo) / rho - 1) psi0 from the three-term recurrence,
+until its tail is below unit roundoff at every point.  Both backends
+evaluate all points in one matrix product, factor out exp(-i lo z) so the
+damped factors at complex z never overflow, and return psi0 at z = 0.
 
 expectation_grid is the one evaluation of an observable held as blocks
 (indices I_k, factor F_k): sum_k ||F_k psi[I_k]||^2 for a stack of states,
@@ -20,6 +23,8 @@ identity block.  A single state psi is the stack psi[None, :].
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import scipy
@@ -123,12 +128,23 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
     The series stops at the least order K whose computed tail,
     max_z sum_{k >= K} |a_k(rho z) exp(-i lo z)|, is at most unit roundoff.
     The table starts past k = rho |z|, and higher until K is ten orders below.
+    A table and vectors that could not fit in physical memory raise
+    DomainError before either is formed.
     """
     lo, hi = hamiltonian.spectral_bounds
     radius = (hi - lo) / 2 or 1.0  # a scalar H: any interval holding it serves
     largest = float(np.max(np.abs(radius * times), initial=0.0))
     order = int(largest + 18 * np.cbrt(largest) + 30)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     while True:
+        # complex entries: (order + 2) coefficients per point and up to
+        # order vectors of the state
+        needed = (order + 2) * (len(times) + psi0.size) * 16
+        if needed > memory:
+            raise DomainError(
+                f"the Chebyshev series needs order {order} for rho*|z| up to {largest:.3g}, "
+                f"{needed / 1e9:.3g} GB against {memory / 1e9:.3g} GB of physical "
+                "memory: shorten the grid")
         coeff = _exp_coefficients(radius * times, order) * _floor_phase(lo, times)
         sums = np.cumsum(np.abs(coeff[::-1]), axis=0)[::-1]
         tail = sums.max(axis=1, initial=0.0)
@@ -186,7 +202,8 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
     eps * exp((E_min - lo) |Im z|) * ||psi0||, with lo = spectral_floor.
     A single point z is evolve_grid(H, psi0, [z])[0].  A point that is not
     finite, or whose product with the spectral bounds overflows, raises
-    DomainError before anything is computed.
+    DomainError before anything is computed, and so does, on the sparse
+    path, a grid whose series table would not fit in physical memory.
 
     Parameters
     ----------

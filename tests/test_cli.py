@@ -8,6 +8,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -387,9 +389,8 @@ def test_unwritable_out_exits_two(tmp_path, small_config, capsys, below):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg", "taken"]
 
 
-def test_failed_write_leaves_no_file_of_the_run(tmp_path, small_config, capsys,
-                                                monkeypatch):
-    # the first file's temporary is written, the second's cannot be
+def _fail_second_temporary(monkeypatch):
+    """Let the first temporary be written and make the second's write fail."""
     opened = []
     real_fdopen = os.fdopen
 
@@ -401,13 +402,58 @@ def test_failed_write_leaves_no_file_of_the_run(tmp_path, small_config, capsys,
         return real_fdopen(fd, *args, **kwargs)
 
     monkeypatch.setattr(os, "fdopen", fail_second)
-    out = tmp_path / "run"
+    return opened
+
+
+def test_failed_write_leaves_no_file_of_the_run(tmp_path, small_config, capsys,
+                                                monkeypatch):
+    # the first file's temporary is written, the second's cannot be; the
+    # directories the run made for --out go too, the deeper one first
+    opened = _fail_second_temporary(monkeypatch)
+    out = tmp_path / "runs" / "run"
     code = main(["simulate", "--config", small_config, "--out", str(out),
                  "--grid", "2,4"])
     assert code == 2
     assert "cannot write outputs: no space left" in capsys.readouterr().err
     assert len(opened) == 2
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+
+
+def test_failed_write_keeps_an_out_directory_that_existed(tmp_path, small_config,
+                                                          capsys, monkeypatch):
+    opened = _fail_second_temporary(monkeypatch)
+    out = tmp_path / "run"
+    out.mkdir()
+    code = main(["simulate", "--config", small_config, "--out", str(out),
+                 "--grid", "2,4"])
+    assert code == 2
+    assert "cannot write outputs: no space left" in capsys.readouterr().err
+    assert len(opened) == 2
+    assert out.is_dir()
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("t_max", ["1e9", "1e15"])
+def test_merely_huge_grid_exits_two_before_any_table(tmp_path, small_config, capsys,
+                                                     t_max):
+    # the series order grows like rho * t_max, so its coefficient table would
+    # outgrow physical memory; it is refused before anything large is formed
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["simulate", "--config", small_config, "--out", str(out),
+                     "--grid", f"{t_max},2", "--method", "krylov"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+    assert elapsed < 1.0
+    assert peak < 16 * 2**20
 
 
 def test_malformed_grid_exits_two(tmp_path, small_config, capsys):
