@@ -23,7 +23,7 @@ from .perturbation import (FREQUENCY_RANGES, AmplitudeSeries,
                            oscillatory_kernel, second_order_time_kernel)
 from .analysis import (CutoffRow, CutoffSweepResult, DichotomyReport,
                        FrontDetection, PerturbativeComparison, ProbabilitySeries,
-                       ZeroCandidate, auxiliary_function, build_model,
+                       ZeroCandidate, build_model,
                        cutoff_sweep, detect_front, dichotomy_scan, log_integral,
                        make_time_grid, perturbative_vs_exact, probability_series,
                        resolve_observable, series_from_operators,
@@ -38,7 +38,7 @@ __all__ = [
     "FREQUENCY_RANGES", "FockBasis", "FrontDetection", "HermitianOperator",
     "LatticeConfig", "ModeTable", "ModelConfig", "PerturbativeComparison",
     "ProbabilitySeries", "TwoAtomError", "ZeroCandidate",
-    "auxiliary_function", "build_basis", "build_hamiltonian", "build_model",
+    "build_basis", "build_hamiltonian", "build_model",
     "config_items", "cutoff_sweep", "detect_front",
     "dichotomy_scan", "evolve_grid",
     "exchange_amplitude_series", "exchange_projector",

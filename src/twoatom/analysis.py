@@ -10,9 +10,8 @@ integral ln P(t) / (1 + t^2) dt is what forbids extended zero intervals),
 difference two-atom runs against atom-free runs, locate signal fronts, and
 compare the second-order exchange probability with the propagated one.
 
-States are plain complex arrays over the basis, and every propagation here,
-real-time series and the complex-time auxiliary function alike, is one
-propagator.evolve_grid call.
+States are plain complex arrays over the basis, and every propagation here
+is one propagator.evolve_grid call.
 """
 
 from __future__ import annotations
@@ -234,29 +233,6 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
     obs = resolve_observable(config, observable, region=region)
     return series_from_operators(hamiltonian, prepare_initial_state(basis), obs,
                                  time_grid, method=method, tol=tol)
-
-
-def auxiliary_function(config: AnyConfig, observable, phi, z: complex, *,
-                       method: str = "auto", tol: float = DEFAULT_TOL, region=None) -> complex:
-    """F_phi(z) = <phi, O exp(-i H z) psi_0> for Im z <= 0.
-
-    For fixed phi this is analytic in the open lower half plane and
-    continuous up to the real axis, where |F| is bounded by
-    ||phi|| * exp(Im(z) * spectral_floor).  Its boundary values at real z
-    recover probing of the probability series.  It is evaluated as
-    sum_k <F_k phi[I_k], F_k psi_z[I_k]> over the observable's blocks, with
-    psi_z = exp(-i H z) psi_0 from evolve_grid at the single point z, and
-    phi an array over the config's basis.  On the sparse backend a point
-    whose rounding evolve_grid cannot keep within tol * ||psi_z|| raises
-    ConvergenceError.
-    """
-    basis, hamiltonian = build_model(config)
-    obs = resolve_observable(config, observable, region=region)
-    psi0 = prepare_initial_state(basis)
-    psi_z = evolve_grid(hamiltonian, psi0, [complex(z)], method=method, tol=tol)
-    phi = np.asarray(phi, dtype=np.complex128)
-    pairs = zip(obs.factor_parts(phi[None, :]), obs.factor_parts(psi_z))
-    return complex(sum(np.vdot(left, right) for left, right in pairs))
 
 
 # ---------------------------------------------------------------------------

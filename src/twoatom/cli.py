@@ -165,33 +165,57 @@ def _missing_directories(directory: str) -> list[str]:
     return missing
 
 
+def _temporary_path(directory: str) -> str:
+    return os.path.join(directory, f".tmp-twoatom-{os.urandom(8).hex()}")
+
+
 def _write_outputs(files) -> None:
     """Write a fresh temporary beside each path, then rename them all into place.
 
     Temporaries are created with mode 0o666, so the umask applies just as it
-    does to a plain open(path, "w").  Any temporary left over is removed, and
-    an OSError becomes ConfigError: a failed write leaves no file of the run,
-    and no directory it created that is still empty.  A directory that
-    existed before the call is never removed.
+    does to a plain open(path, "w").  A file a path already names is moved
+    aside before the rename and deleted once every rename is done.  Any
+    temporary left over is removed, and an OSError becomes ConfigError: a
+    failed write undoes its renames in reverse order, restoring each file
+    moved aside, so it leaves no file of the run, and no directory it
+    created that is still empty.  A directory that existed before the call
+    is never removed.
     """
-    temps, created = [], []
+    temps, created, renamed = [], [], []
     written = False
     try:
         for path, data in files:
             directory = os.path.dirname(path) or "."
             created += reversed(_missing_directories(directory))
             os.makedirs(directory, exist_ok=True)
-            tmp = os.path.join(directory, f".tmp-twoatom-{os.urandom(8).hex()}")
+            tmp = _temporary_path(directory)
             fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
             temps.append(tmp)
             with os.fdopen(fd, "w") as fh:
                 fh.write(data)
         for tmp, (path, _) in zip(temps, files):
+            aside = None
+            # a directory stays where it is, for the rename to refuse
+            if os.path.lexists(path) and not os.path.isdir(path):
+                aside = _temporary_path(os.path.dirname(path) or ".")
+                os.replace(path, aside)
+            renamed.append((path, aside))
             os.replace(tmp, path)
         written = True
     except OSError as exc:
         raise ConfigError(f"cannot write outputs: {exc}") from exc
     finally:
+        # after the last rename the old files go; after a failure each
+        # comes back, and a new file with no predecessor goes
+        for path, aside in reversed(renamed):
+            with contextlib.suppress(OSError):
+                if written:
+                    if aside is not None:
+                        os.unlink(aside)
+                elif aside is None:
+                    os.unlink(path)
+                else:
+                    os.replace(aside, path)
         for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -20,8 +20,8 @@ class DimensionError(TwoAtomError):
 class DomainError(TwoAtomError):
     """Argument outside the mathematical domain of an operation.
 
-    Raised for complex times with positive imaginary part, empty detector
-    regions, unknown frequency-range tags, and similar misuse.
+    Raised for complex time grids, empty detector regions, unknown
+    frequency-range tags, and similar misuse.
     """
 
 

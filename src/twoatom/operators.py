@@ -49,9 +49,8 @@ from .errors import DomainError
 class HermitianOperator:
     """Sparse Hermitian matrix plus a certified bracket of its spectrum.
 
-    spectral_bounds is (floor, ceiling) from gershgorin_bounds.  The floor
-    shifts complex-time propagation into a numerically safe regime, and the
-    sparse backend expands over [floor, ceiling].  Bounds, dense
+    spectral_bounds is (floor, ceiling) from gershgorin_bounds, the interval
+    the sparse backend expands over.  Bounds, dense
     eigendecompositions and principal blocks are cached on the instance.
 
     reversal, when given, is a permutation p, its own inverse, with
@@ -453,9 +452,10 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     f = min(lambda, 1), less the rows whose lambda is at or below eigh's
     resolution len(sector) * eps * max(1, max|lambda|).  An eigenvalue that
     is zero in exact arithmetic comes out as rounding noise near +-1e-17,
-    and its square root would put a row of norm ~3e-9 into the factor.  The observable is one
-    block per atom state and photon number n, over that sector's indices,
-    and all blocks of one n share F_n; sectors with no rows are left out.
+    and its square root would put a row of norm ~3e-9 into the factor.
+    The observable is one block per atom state and photon number n, over
+    that sector's indices, and all blocks of one n share F_n; sectors with
+    no rows are left out.
     No block joins two photon numbers or two atom states.  The construction
     is meant for diagnostic-size bases.
     """

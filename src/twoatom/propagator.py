@@ -1,8 +1,8 @@
 """Exact time evolution of truncated-basis states.
 
 evolve_grid is the one propagation call.  It takes a state as a plain
-complex array and returns exp(-i H z) psi0 for every point z of a grid,
-real or complex with Im z <= 0, on one of two backends.  Up to DENSE_LIMIT
+complex array and returns exp(-i H t) psi0 for every real time t of a
+grid, on one of two backends.  Up to DENSE_LIMIT
 the Hamiltonian is diagonalized once (cached on the operator) and
 evolution is exact phase multiplication in the eigenbasis.  Where the
 operator carries a time reversal (every box model with even num_modes,
@@ -13,8 +13,7 @@ otherwise it is the complex eigh.  Above DENSE_LIMIT the sparse backend
 (J. Chem. Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho],
 with V_k = T_k((H - lo) / rho - 1) psi0 from the three-term recurrence,
 until its tail is below unit roundoff at every point.  Both backends
-evaluate all points in one matrix product, factor out exp(-i lo z) so the
-damped factors at complex z never overflow, and return psi0 at z = 0.
+evaluate all points in one matrix product and return psi0 at t = 0.
 
 expectation_grid is the one evaluation of an observable held as blocks
 (indices I_k, factor F_k): sum_k ||F_k psi[I_k]||^2 for a stack of states,
@@ -55,16 +54,6 @@ def resolve_method(method: str, dim: int) -> str:
     return method
 
 
-def _floor_phase(floor: float, zs) -> np.ndarray:
-    """The scalar factors exp(-i z floor) that restore a spectrum shifted by floor."""
-    restore = np.exp(-1j * np.asarray(zs) * floor)
-    if not np.all(np.isfinite(restore)):
-        raise DomainError(
-            f"complex-time factor exp(-i*floor*z) overflows for z={zs}, floor={floor}"
-        )
-    return restore
-
-
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     """sum_j |x_ij|^2 for each row i, from the real and imaginary views: no copy."""
     re, im = rows.real, rows.imag
@@ -76,16 +65,13 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _dense_apply(hamiltonian, amplitudes, zs) -> np.ndarray:
+def _dense_apply(hamiltonian, amplitudes, times) -> np.ndarray:
     w, v = hamiltonian.eigensystem()
     coeff = v.conjugate().T @ amplitudes
-    # exp(-i w z) per time and eigenvalue; the shifted exponent has
-    # non-positive real part for Im z <= 0
-    phases = np.exp((-1j * zs)[:, None] * (w - hamiltonian.spectral_floor)[None, :])
-    phases *= _floor_phase(hamiltonian.spectral_floor, zs)[:, None]
-    out = (v @ (phases * coeff).T).T  # shape (len(zs), dim)
+    phases = np.exp(-1j * times[:, None] * w[None, :])  # per time and eigenvalue
+    out = (v @ (phases * coeff).T).T  # shape (len(times), dim)
     # exp(0) is the identity: psi(0) exactly, not its round trip through V
-    out[zs == 0] = amplitudes
+    out[times == 0] = amplitudes
     return out
 
 
@@ -97,16 +83,17 @@ def _dense_apply(hamiltonian, amplitudes, zs) -> np.ndarray:
 def _exp_coefficients(w: np.ndarray, order: int) -> np.ndarray:
     """a_k(w) for k <= order, where exp(-i w (1 + x)) = sum_k a_k T_k(x) on [-1, 1].
 
-    a_k = (2 - delta_k0) (-i)^k J_k(w) e^{-iw}, one column per point w with
-    Im w <= 0, so |a_k| <= 2.  J_k comes from Miller's backward recurrence
-    from J_{order+1} = 0, normalised by e^{iw} = J_0 + 2 sum_k i^k J_k, which
-    does not cancel for Im w <= 0.  A column is rescaled whenever it passes
-    1e100, so a tiny |w| cannot overflow; below |w| = 1e-150 it is
-    J_k = delta_k0 to double precision.  Orders near the start are inaccurate.
+    a_k = (2 - delta_k0) (-i)^k J_k(w) e^{-iw}, one column per real point w,
+    so |a_k| <= 2.  The real J_k come from Miller's backward recurrence from
+    J_{order+1} = 0, normalised by e^{iw} = J_0 + 2 sum_k i^k J_k, which has
+    modulus 1 and also supplies the factor e^{-iw}.  A column is rescaled
+    whenever it passes 1e100, so a tiny |w| cannot overflow; below
+    |w| = 1e-150 it is J_k = delta_k0 to double precision.  Orders near the
+    start are inaccurate.
     """
     small = np.abs(w) < 1e-150
     ratio = 2.0 / np.where(small, 1, w)
-    table = np.zeros((order + 2, len(w)), dtype=complex)
+    table = np.zeros((order + 2, len(w)))
     table[order] = 1.0
     for k in range(order, 0, -1):
         table[k - 1] = k * ratio * table[k] - table[k + 1]
@@ -123,11 +110,11 @@ def _exp_coefficients(w: np.ndarray, order: int) -> np.ndarray:
 
 def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
                      times: np.ndarray, tol: float) -> np.ndarray:
-    """exp(-i H z) psi0 by the Chebyshev series over H's spectral bounds.
+    """exp(-i H t) psi0 by the Chebyshev series over H's spectral bounds.
 
     The series stops at the least order K whose computed tail,
-    max_z sum_{k >= K} |a_k(rho z) exp(-i lo z)|, is at most unit roundoff.
-    The table starts past k = rho |z|, and higher until K is ten orders below.
+    max_t sum_{k >= K} |a_k(rho t)|, is at most unit roundoff.  The table
+    starts past k = rho |t|, and higher until K is ten orders below.
     A table and vectors that could not fit in physical memory raise
     DomainError before either is formed.
     """
@@ -142,10 +129,10 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
         needed = (order + 2) * (len(times) + psi0.size) * 16
         if needed > memory:
             raise DomainError(
-                f"the Chebyshev series needs order {order} for rho*|z| up to {largest:.3g}, "
+                f"the Chebyshev series needs order {order} for rho*|t| up to {largest:.3g}, "
                 f"{needed / 1e9:.3g} GB against {memory / 1e9:.3g} GB of physical "
                 "memory: shorten the grid")
-        coeff = _exp_coefficients(radius * times, order) * _floor_phase(lo, times)
+        coeff = _exp_coefficients(radius * times, order) * np.exp(-1j * lo * times)
         sums = np.cumsum(np.abs(coeff[::-1]), axis=0)[::-1]
         tail = sums.max(axis=1, initial=0.0)
         terms = max(int(np.count_nonzero(tail > np.finfo(float).eps / 2)), 1)
@@ -161,25 +148,14 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
         vectors[k] = 2.0 * (scaled @ vectors[k - 1]) - vectors[k - 2]
     out = coeff[:terms].T @ vectors
     out[times == 0] = psi0
-    _check_accuracy(out, times, psi0, sums[0], tol)
+    _check_accuracy(out, psi0, tol)
     return out
 
 
-def _check_accuracy(states: np.ndarray, times: np.ndarray, psi0: np.ndarray,
-                    coeff_sums: np.ndarray, tol: float) -> None:
-    """Raise ConvergenceError where a sparse result may be off by more than tol.
-
-    At a real point that is the change of the state norm.  At Im z < 0 the
-    norm is not conserved and the terms can outgrow the result and cancel, so
-    there it is eps * sum_k |a_k| * ||psi0|| / ||psi_z||, the sum's rounding.
-    """
+def _check_accuracy(states: np.ndarray, psi0: np.ndarray, tol: float) -> None:
+    """Raise ConvergenceError where a sparse result's norm moved by more than tol."""
     norms = np.sqrt(_squared_norms(states))
-    initial = float(np.linalg.norm(psi0))
-    defect = np.abs(norms - initial)
-    damped = times.imag < 0
-    defect[damped] = (np.finfo(float).eps * coeff_sums[damped] * initial
-                      / np.maximum(norms[damped], np.finfo(float).tiny))
-    worst = float(np.max(defect, initial=0.0))
+    worst = float(np.max(np.abs(norms - float(np.linalg.norm(psi0))), initial=0.0))
     if not worst <= tol:
         raise ConvergenceError(
             f"sparse propagation may be off by {worst:.3e}, above tol={tol:.3e}",
@@ -194,49 +170,41 @@ def _check_accuracy(states: np.ndarray, times: np.ndarray, psi0: np.ndarray,
 
 def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
                 method: str = "auto", tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(-i H z) psi0 at every point z of a grid; shape (len(times), dim).
+    """exp(-i H t) psi0 at every real time t of a grid; shape (len(times), dim).
 
-    The points may be complex with Im z <= 0, in any order.  There the
-    result is not normalized, ||psi_z|| <= exp(Im(z) * spectral_floor) * ||psi0||,
-    and the sparse path's rounding grows like
-    eps * exp((E_min - lo) |Im z|) * ||psi0||, with lo = spectral_floor.
-    A single point z is evolve_grid(H, psi0, [z])[0].  A point that is not
-    finite, or whose product with the spectral bounds overflows, raises
-    DomainError before anything is computed, and so does, on the sparse
-    path, a grid whose series table would not fit in physical memory.
+    The times may come in any order.  A single time t is
+    evolve_grid(H, psi0, [t])[0].  A complex-typed grid raises DomainError,
+    even where every imaginary part is 0, and so does a time that is not
+    finite or whose product with the spectral bounds overflows, before
+    anything is computed; on the sparse path so does a grid whose series
+    table would not fit in physical memory.
 
     Parameters
     ----------
     psi0 : array of shape (dim,)
         Initial amplitudes, read as complex128.
-    times : 1-D sequence of real or complex points
-        A complex sequence stays complex even where Im z = 0.
+    times : 1-D sequence of real times
     method : {"auto", "dense", "krylov"}
         "auto" picks dense up to dimension DENSE_LIMIT, the sparse
         Chebyshev backend ("krylov") above.
     tol : float
-        Largest norm change the sparse backend may leave at a real point,
-        and largest rounding, relative to the state norm, that it may carry
-        at a complex point, before it raises ConvergenceError.  It does not
-        set the length of the series, which runs until its tail is below
-        unit roundoff.
+        Largest norm change the sparse backend may leave at any time before
+        it raises ConvergenceError.  It does not set the length of the
+        series, which runs until its tail is below unit roundoff.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
-    times = np.asarray(times)
-    times = times.astype(np.complex128 if np.iscomplexobj(times) else float)
+    if np.iscomplexobj(times):
+        raise DomainError("evolve_grid propagates in real time only: the grid is complex")
+    times = np.asarray(times, dtype=float)
     if psi0.shape != (hamiltonian.dimension,) or times.ndim != 1:
         raise ValueError(f"need a state of shape ({hamiltonian.dimension},) and a 1-D "
                          f"grid, got shapes {psi0.shape} and {times.shape}")
-    if np.any(times.imag > 0):
-        raise DomainError("complex times need Im z <= 0: only there does exp(-iHz) "
-                          "stay bounded for a Hamiltonian bounded below")
     lo, hi = hamiltonian.spectral_bounds
-    # either backend multiplies a point's parts by at most max(hi - lo, |lo|)
+    # either backend multiplies a time by at most max(hi - lo, |lo|)
     limit = np.finfo(float).max / max(hi - lo, abs(lo), 1.0)
-    reach = max(np.abs(times.real).max(initial=0.0), np.abs(times.imag).max(initial=0.0))
-    if not (np.all(np.isfinite(times)) and reach <= limit):
+    if not (np.all(np.isfinite(times)) and np.abs(times).max(initial=0.0) <= limit):
         raise DomainError(f"grid points must be finite and at most {limit:.3g} in size, "
-                          "or exp(-iHz) overflows")
+                          "or exp(-iHt) overflows")
     if resolve_method(method, hamiltonian.dimension) == "dense":
         return _dense_apply(hamiltonian, psi0, times)
     return _chebyshev_apply(hamiltonian, psi0, times, tol)

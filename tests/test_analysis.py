@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from twoatom.analysis import (
     DEFAULT_EPSILON_ZERO,
     ProbabilitySeries,
-    auxiliary_function,
     build_model,
     cutoff_sweep,
     detect_front,
@@ -158,50 +157,6 @@ def test_log_integral_floor_independent_when_bounded_away():
     a = log_integral(series, 1e-30)
     b = log_integral(series, 1e-40)
     assert a == b
-
-
-def test_auxiliary_function_recovers_probability():
-    cfg = ModelConfig(num_modes=3, n_max=1)
-    basis, ham = build_model(cfg)
-    psi0 = prepare_initial_state(basis)
-    t = 1.4
-    psi_t = evolve_grid(ham, psi0, [t])[0]
-    for name in ("excitation_b", "photon_region"):
-        obs = resolve_observable(cfg, name)
-        f = auxiliary_function(cfg, name, psi_t, t)
-        assert_allclose(f.real, expectation_grid(obs, psi_t[None, :])[0],
-                        atol=1e-12)
-        assert abs(f.imag) <= 1e-12
-        # against O = W^dagger W formed from the assembled factor, also off
-        # the real axis
-        w = obs.sqrt_factor
-        o = w.conjugate().T @ w
-        for z in (t, t - 0.3j):
-            formed = np.vdot(psi_t, o @ evolve_grid(ham, psi0, [complex(z)])[0])
-            assert abs(auxiliary_function(cfg, name, psi_t, z) - formed) <= 1e-13
-
-
-def test_auxiliary_function_invariant_subspace():
-    # decoupled H commutes with the diagonal projector and annihilates psi_0
-    cfg = ModelConfig(num_modes=3, n_max=1, coupling_strength=0.0)
-    basis, _ = build_model(cfg)
-    psi = prepare_initial_state(basis)
-    for z in (0.5, 2.0 - 1.0j, -3.0 - 0.2j):
-        assert abs(auxiliary_function(cfg, "excitation_b", psi, z)) <= 1e-28
-
-
-def test_auxiliary_function_lower_half_plane_decay():
-    cfg = ModelConfig(num_modes=3, n_max=1, coupling_strength=0.3)
-    basis, ham = build_model(cfg)
-    w = np.linalg.eigvalsh(ham.matrix.toarray())
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
-    phi = v / np.linalg.norm(v)
-    for y in (-0.5, -1.0, -3.0):
-        f = auxiliary_function(cfg, "excitation_b", phi, 0.8 + 1j * y)
-        assert abs(f) <= np.exp(y * w[0]) * (1.0 + 1e-12)
-    with pytest.raises(DomainError):
-        auxiliary_function(cfg, "excitation_b", phi, 0.8 + 0.1j)
 
 
 def test_resolve_observable_errors():
@@ -429,12 +384,12 @@ def test_block_series_matches_full_space(name, without_a, method):
         series = series_from_operators(ham, psi, obs, grid, method=method)
         full = expectation_grid(obs, full_states)
         assert np.max(np.abs(series.values - full)) <= 1e-12, observable
-        # the same states against O = W^dagger W formed from the assembled factor
+        # both stacks against O = W^dagger W formed from the assembled factor
         w = obs.sqrt_factor
         o = w.conjugate().T @ w
-        formed = np.real(np.einsum("ij,ij->i", block_states.conjugate(),
-                                   (o @ block_states.T).T))
-        assert np.max(np.abs(series.values - formed)) <= 1e-13, observable
+        for states, values in ((full_states, full), (block_states, series.values)):
+            formed = np.real(np.einsum("ij,ij->i", states.conjugate(), (o @ states.T).T))
+            assert np.max(np.abs(values - formed)) <= 1e-13, observable
 
 
 def test_auto_resolves_on_the_full_dimension(monkeypatch):

@@ -434,6 +434,35 @@ def test_failed_write_keeps_an_out_directory_that_existed(tmp_path, small_config
     assert list(out.iterdir()) == []
 
 
+def test_failed_rename_restores_the_previous_run(tmp_path, small_config, capsys,
+                                                 monkeypatch):
+    # the second run's first file is already in place when its second
+    # rename fails; both files go back to the first run's bytes
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", small_config, "--out", str(out), "--grid", "2,4"]
+    assert main(argv) == 0
+    names = ["simulate.csv", "simulate.json"]
+    first = [(out / n).read_bytes() for n in names]
+    capsys.readouterr()
+    landed = []
+    real_replace = os.replace
+
+    def fail_second_rename(src, dst):
+        if os.path.basename(dst) in names:
+            landed.append(dst)
+            if len(landed) == 2:
+                raise OSError("rename failed")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second_rename)
+    code = main(["simulate", "--config", small_config, "--out", str(out),
+                 "--grid", "3,6"])
+    assert code == 2
+    assert "cannot write outputs: rename failed" in capsys.readouterr().err
+    assert [(out / n).read_bytes() for n in names] == first
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
 @pytest.mark.parametrize("t_max", ["1e9", "1e15"])
 def test_merely_huge_grid_exits_two_before_any_table(tmp_path, small_config, capsys,
                                                      t_max):
