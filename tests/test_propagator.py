@@ -125,16 +125,28 @@ def test_krylov_matches_expm_multiply(mid_model):
     assert np.linalg.norm(ours - reference) <= 1e-9
 
 
-def test_complex_grid_raises(small_model):
-    # real time only: a complex-typed grid is refused even where every
-    # imaginary part is 0
+def test_complex_time_rejects_upper_half_plane(small_model):
+    # real time only: a complex-typed grid is refused on both backends
     basis, ham = small_model
     psi = prepare_initial_state(basis)
     for method in ("dense", "krylov"):
-        for grid in ([1.3 + 0j], [1.0 + 0.5j], [0.0, -1j],
-                     np.array([0.0, 2.0], dtype=complex)):
+        for grid in ([1.0 + 0.5j], [0.0, -1j, 2.0 + 1e-9j]):
             with pytest.raises(DomainError):
                 evolve_grid(ham, psi, grid, method=method)
+
+
+def test_real_axis_consistency(small_model):
+    # a complex-typed grid is refused even where every imaginary part is 0;
+    # the same points read as a real grid evolve alike on both backends
+    basis, ham = small_model
+    psi0 = prepare_initial_state(basis)
+    for method in ("dense", "krylov"):
+        for grid in ([1.3 + 0j], np.array([0.0, 2.0], dtype=complex)):
+            with pytest.raises(DomainError):
+                evolve_grid(ham, psi0, grid, method=method)
+    a = evolve_grid(ham, psi0, [1.3], method="dense")[0]
+    b = evolve_grid(ham, psi0, [1.3], method="krylov", tol=1e-12)[0]
+    assert np.linalg.norm(a - b) <= 1e-10
 
 
 def test_non_finite_or_overflowing_points_raise(small_model):
