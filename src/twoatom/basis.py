@@ -13,6 +13,7 @@ stored; no per-state list or map is built.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -21,6 +22,22 @@ from .errors import BasisLookupError, DimensionError
 
 # hard limit protecting the dense fallback paths further down the stack
 DIMENSION_LIMIT = 300_000
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, the ceiling of every dense-array guard."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(needed: int, error: type, what: str, remedy: str) -> None:
+    """Raise error when `what` needs more bytes than physical memory holds.
+
+    Callers ask before they allocate, so a refused job forms nothing large.
+    """
+    memory = physical_memory()
+    if needed > memory:
+        raise error(f"{what} needs {needed / 1e9:.3g} GB against {memory / 1e9:.3g} GB "
+                    f"of physical memory: {remedy}")
 
 
 def occupation_count(slots: int, n_max: int) -> int:

@@ -27,7 +27,8 @@ through an environment variable with the ``TWOATOM_`` prefix (for example
 ``TWOATOM_GRID``); explicit flags win over the environment.
 
 Exit codes: 0 success, 2 configuration, usage or output-path error, 3
-numerical non-convergence, 4 basis dimension overflow, 1 unexpected failure.
+numerical non-convergence, 4 basis dimension overflow (or a photon-region
+sector too large for physical memory), 1 unexpected failure.
 """
 
 from __future__ import annotations

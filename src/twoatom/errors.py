@@ -14,7 +14,11 @@ class BasisLookupError(TwoAtomError):
 
 
 class DimensionError(TwoAtomError):
-    """Basis dimension exceeds the configured hard limit."""
+    """Basis dimension exceeds the configured hard limit, or physical memory.
+
+    Raised for a basis above basis.DIMENSION_LIMIT and for a photon-number
+    sector whose dense arrays could not fit in physical memory.
+    """
 
 
 class DomainError(TwoAtomError):

@@ -26,7 +26,10 @@ factor W with O = W^dagger W, and O itself is never formed.  A block is a
 set of basis indices with a factor acting on just those amplitudes, or with
 none for the identity.  The two projectors are one identity block each; the
 photon-region observable is one block per atom state and photon number,
-and the blocks of one photon number share a single dense factor.
+and the blocks of one photon number share a single dense factor.  Its
+region count N_S is the second quantization of an m x m one-body kernel,
+so one eigh of that kernel gives every eigenvector, as a Fock state of
+rotated modes, and no sector of N_S is ever formed or diagonalized.
 
 format_triplets renders a Hamiltonian as the text dump that
 `twoatom simulate --dump-hamiltonian` writes: '#' header lines, then one
@@ -35,15 +38,14 @@ format_triplets renders a Hamiltonian as the text dump that
 
 from __future__ import annotations
 
-import cmath
 from functools import cached_property
 
 import numpy as np
 import scipy
 
-from .basis import FockBasis, index_of_bare_state, time_reversal
+from .basis import FockBasis, index_of_bare_state, require_memory, time_reversal
 from .config import LatticeConfig
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 
 
 class HermitianOperator:
@@ -265,11 +267,11 @@ def reversal_eigh(matrix, reversal=None):
     are e_s for each s = p(s), and (e_s + e_ps)/sqrt(2) and
     i(e_s - e_ps)/sqrt(2) for each pair s < p(s), spans vectors that p with
     complex conjugation leaves fixed, so Q^dagger H Q is real symmetric
-    (Haake, Quantum Signatures of Chaos, ch. 2).  It is formed sparse, and
-    its real eigh (w, V_r) gives V = Q V_r.  Only its real part is kept, so
-    where the symmetry holds to rounding alone this diagonalizes the
-    symmetrized (H + conj(H[p][:, p])) / 2, which differs from H by that
-    rounding.  Without a reversal this is the complex eigh of H.
+    (Haake, Quantum Signatures of Chaos, ch. 2).  It is formed sparse, its
+    imaginary part is dropped, and its real eigh (w, V_r) gives V = Q V_r.
+    The one caller, HermitianOperator.eigensystem, holds an H whose
+    symmetry is checked with zero slack.  Without a reversal this is the
+    complex eigh of H.
     """
     if reversal is None:
         return np.linalg.eigh(matrix.toarray())
@@ -323,11 +325,8 @@ def _one_particle_data(basis: FockBasis):
     cfg = basis.config
     m = basis.num_slots
     if isinstance(cfg, LatticeConfig):
-        h = np.zeros((m, m), dtype=complex)
-        np.fill_diagonal(h, cfg.site_frequency)
-        for j in range(m - 1):
-            h[j, j + 1] = -cfg.hopping
-            h[j + 1, j] = -cfg.hopping
+        h = np.diag(np.full(m, cfg.site_frequency, dtype=complex)) - cfg.hopping * (
+            np.eye(m, k=1) + np.eye(m, k=-1))
         c_a = np.zeros(m, dtype=complex)
         c_b = np.zeros(m, dtype=complex)
         c_a[cfg.site_a] = cfg.coupling_strength * cfg.coupling_scale_a
@@ -431,33 +430,40 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     """Saturated photon count in a spatial region of the box field.
 
     The smeared number operator N_S = sum_jl K[j, l] adag_j a_l uses the
-    overlap kernel of the box mode functions exp(i k x)/sqrt(L) restricted
-    to the region.  The observable is min(N_S, 1) by spectral calculus:
-    eigenvalue 0 on the no-photon-in-region subspace, saturating at 1, so
-    the spectrum sits in [0, 1] with no post-hoc clipping.  On one-photon
-    states it reduces to the plain detection probability in the region.
+    overlap kernel K of the box mode functions exp(i k x)/sqrt(L) on the
+    region: K[j, l] = (w / L) exp(-i q c) sin(q w / 2) / (q w / 2), with
+    q = k_j - k_l, w the region's width and c its centre.  The observable
+    is min(N_S, 1) by spectral calculus: eigenvalue 0 on the
+    no-photon-in-region subspace, saturating at 1, so the spectrum sits in
+    [0, 1] with no post-hoc clipping.  On one-photon states it reduces to
+    the plain detection probability in the region.
 
-    N_S is assembled as sum_j adag_j (sum_l K[j, l] a_l) from the per-slot
-    annihilators and commutes with the total photon number, so the
-    truncation is exact and N_S splits into one block per photon number n.
-    Each block is diagonalized densely, N_S = V_n diag(lambda) V_n^dagger,
-    by reversal_eigh: the reflection k -> -k maps each block onto itself
-    and, with complex conjugation, leaves the region kernel unchanged, so
-    the eigh is real (the whole observable at 30 modes builds in
-    0.06-0.07 s, against 0.12-0.13 s with complex eigh).  Above n_max = 3
-    the diagonal of N_S sums its terms in an order the reflection changes,
-    so there the real form diagonalizes N_S symmetrized under the
-    reflection, which differs from it by rounding.
-    Each block gives the dense factor F_n = diag(sqrt(f)) V_n^dagger with
-    f = min(lambda, 1), less the rows whose lambda is at or below eigh's
-    resolution len(sector) * eps * max(1, max|lambda|).  An eigenvalue that
-    is zero in exact arithmetic comes out as rounding noise near +-1e-17,
-    and its square root would put a row of norm ~3e-9 into the factor.
-    The observable is one block per atom state and photon number n, over
-    that sector's indices, and all blocks of one n share F_n; sectors with
-    no rows are left out.
-    No block joins two photon numbers or two atom states.  The construction
-    is meant for diagnostic-size bases.
+    N_S is the second quantization dGamma(K) of the m x m kernel (Reed &
+    Simon, Methods of Modern Mathematical Physics II, section X.7), so one
+    eigh K = U diag(kappa) U^dagger gives its whole spectral decomposition.
+    Its eigenvectors are the Fock states |nu> of the modes
+    b_i = sum_j conj(U[j, i]) a_j, labelled by the basis's own occupation
+    table, and the eigenvalue of |nu> is the exact sum nu @ kappa.  N_S
+    keeps the photon number, so the truncation is exact.  The bras of the
+    n-photon sector, the rows of V_n^dagger, come from those of sector
+    n - 1: <nu| = <nu - e_i| b_i / sqrt(nu_i), with i the first occupied
+    slot of nu.  Each b_i, restricted to sector n, is one sparse matrix
+    made from the entries of the per-slot a_j, and gives every row whose
+    first occupied slot is i.  No eigh runs but the one of K, N_S is never
+    formed, and the same code serves every num_modes.  At 30 modes and
+    n_max = 3 the observable builds in 0.75 s, against 18.4 s for a dense
+    eigh of each sector's N_S (best of 3, 2 cores, OpenBLAS).
+
+    Each sector gives the dense factor F_n = diag(sqrt(f)) V_n^dagger with
+    f = min(lambda, 1), less the rows whose lambda is at or below
+    len(sector) * eps * max(1, max lambda): so small an eigenvalue holds
+    only the rounding of kappa, and its row would add only that.  The
+    observable is one block per atom state and photon number n, over that
+    sector's indices, and all blocks of one n share F_n; sectors with no
+    rows are left out.  No block joins two photon numbers or two atom
+    states.  When the largest sector's dense arrays (two of 16 bytes per
+    entry: V_n^dagger and F_n) would not fit in physical memory,
+    DimensionError is raised before either is formed.
     """
     cfg = basis.config
     if isinstance(cfg, LatticeConfig):
@@ -465,44 +471,48 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     lo, hi = float(region[0]), float(region[1])
     if not (0.0 <= lo < hi <= cfg.box_length):
         raise DomainError("region must satisfy 0 <= lo < hi <= box_length")
+    n_occ, m = basis.num_occupations, basis.num_slots
+    occupations = np.array(basis.occupations, dtype=int).reshape(n_occ, m)
+    photons = occupations.sum(axis=1)
+    sizes = np.bincount(photons)
+    require_memory(2 * 16 * int(sizes.max()) ** 2, DimensionError,
+                   f"a {sizes.max()}-dim photon-number sector", "lower n_max or num_modes")
 
-    k = np.asarray(basis.modes.k)
-    m = basis.num_slots
-    kernel = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        kernel[j, j] = (hi - lo) / cfg.box_length
-        for l in range(j + 1, m):
-            q = k[l] - k[j]
-            val = (cmath.exp(1j * q * hi) - cmath.exp(1j * q * lo)) / (1j * q * cfg.box_length)
-            kernel[j, l] = val
-            kernel[l, j] = np.conjugate(val)
+    q = np.subtract.outer(basis.modes.k, basis.modes.k)
+    kernel = (hi - lo) / cfg.box_length * np.exp(-0.5j * q * (hi + lo)) * np.sinc(
+        q * (hi - lo) / (2 * np.pi))
+    kappa, rotation = np.linalg.eigh(kernel)
 
-    # N_S = sum_j adag_j (sum_l K[j, l] a_l) = A^dagger (K x 1) A with the
-    # annihilators stacked into A; a_l only reaches occupations below n_max,
-    # so A keeps just those rows and K x 1 stays m^2 times their count
-    below = [i for i, occ in enumerate(basis.occupations) if sum(occ) < basis.n_max]
     stacked = scipy.sparse.vstack(
-        [a[below] for a in _annihilators(basis)]
-        or [scipy.sparse.csr_matrix((0, basis.num_occupations))], format="csr")
-    smeared = scipy.sparse.kron(kernel, scipy.sparse.identity(len(below)), format="csr")
-    number = (stacked.T @ smeared @ stacked).tocsr()
-
-    # the reversal fixes the atom levels, so on the first atom state's
-    # indices, which are the occupation rows, it is the reflection of occ
-    reversal = time_reversal(basis)
-    photons = np.array([sum(occ) for occ in basis.occupations])
+        _annihilators(basis) or [scipy.sparse.csr_matrix((0, n_occ))], format="coo")
+    slot, lower = np.divmod(stacked.row, n_occ)
+    position = np.zeros(n_occ, dtype=int)  # row of each occupation in its sector
+    bras = np.ones((1, 1), dtype=complex)  # <vacuum|
     sectors = []
-    for n in range(basis.n_max + 1):
+    for n, size in enumerate(sizes):
         sector = np.flatnonzero(photons == n)
-        lam, vec = reversal_eigh(number[sector][:, sector],
-                                 restricted_reversal(reversal, sector))
-        scale = max(1.0, np.abs(lam).max(initial=0.0))
-        keep = lam > len(sector) * np.finfo(float).eps * scale
+        occ = occupations[sector]
+        position[sector] = np.arange(size)
+        if n:
+            first = np.argmax(occ > 0, axis=1)
+            parent = position[[basis.occupation_rows[tuple(row)]
+                               for row in occ - (np.arange(m) == first[:, None])]]
+            entries = photons[stacked.col] == n
+            pattern = (position[lower[entries]], position[stacked.col[entries]])
+            below, bras = bras, np.empty((size, size), dtype=complex)
+            for i in np.unique(first):
+                own = first == i
+                lowering = scipy.sparse.csr_matrix(
+                    (stacked.data[entries] * rotation[slot[entries], i].conjugate(), pattern),
+                    shape=(len(below), size))
+                bras[own] = (below[parent[own]] / np.sqrt(occ[own, i])[:, None]) @ lowering
+        lam = occ @ kappa
+        keep = lam > size * np.finfo(float).eps * max(1.0, lam.max(initial=0.0))
         if keep.any():
-            root = np.sqrt(np.minimum(lam[keep], 1.0))
-            sectors.append((sector, root[:, None] * vec[:, keep].conjugate().T))
+            factor = bras[keep]
+            factor *= np.sqrt(np.minimum(lam[keep], 1.0))[:, None]
+            sectors.append((sector, factor))
 
-    n_occ = basis.num_occupations
     blocks = [(atoms * n_occ + sector, factor)
               for atoms in range(basis.levels_a * basis.levels_b)
               for sector, factor in sectors]

@@ -23,12 +23,10 @@ identity block.  A single state psi is the stack psi[None, :].
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy
 
-from .basis import FockBasis, index_of_bare_state
+from .basis import FockBasis, index_of_bare_state, require_memory
 from .errors import ConvergenceError, DomainError
 from .operators import BoundedObservable, HermitianOperator
 
@@ -122,16 +120,12 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
     radius = (hi - lo) / 2 or 1.0  # a scalar H: any interval holding it serves
     largest = float(np.max(np.abs(radius * times), initial=0.0))
     order = int(largest + 18 * np.cbrt(largest) + 30)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     while True:
         # complex entries: (order + 2) coefficients per point and up to
         # order vectors of the state
-        needed = (order + 2) * (len(times) + psi0.size) * 16
-        if needed > memory:
-            raise DomainError(
-                f"the Chebyshev series needs order {order} for rho*|t| up to {largest:.3g}, "
-                f"{needed / 1e9:.3g} GB against {memory / 1e9:.3g} GB of physical "
-                "memory: shorten the grid")
+        require_memory((order + 2) * (len(times) + psi0.size) * 16, DomainError,
+                       f"the Chebyshev series of order {order} for rho*|t| up to {largest:.3g}",
+                       "shorten the grid")
         coeff = _exp_coefficients(radius * times, order) * np.exp(-1j * lo * times)
         sums = np.cumsum(np.abs(coeff[::-1]), axis=0)[::-1]
         tail = sums.max(axis=1, initial=0.0)

@@ -513,6 +513,18 @@ def test_unconverged_propagation_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_photon_sector_beyond_memory_exits_four(tmp_path, small_config, capsys, monkeypatch):
+    # physical memory made smaller than the two dense arrays of the
+    # one-photon sector (4 x 4 complex entries each)
+    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 2 * 16 * 4**2 - 1)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", small_config, "--out", str(out),
+                 "--grid", "2,4", "--observable", "photon_region"])
+    assert code == 4
+    assert "4-dim photon-number sector" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oversized_basis_exits_four(tmp_path, capsys):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("num_modes = 80000\nn_max = 1\ncutoff = 1e6\n")

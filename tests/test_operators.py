@@ -1,6 +1,7 @@
 """Hamiltonian assembly and observables against hand-built oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from twoatom.basis import build_basis, index_of_bare_state
+from twoatom.basis import build_basis, index_of_bare_state, time_reversal
 from twoatom.config import LatticeConfig, ModelConfig
-from twoatom.errors import DomainError
+from twoatom.errors import DimensionError, DomainError
 from twoatom.operators import (
     BoundedObservable,
     HermitianOperator,
+    _annihilators,
     build_hamiltonian,
     exchange_projector,
     excitation_observable_b,
@@ -324,7 +326,7 @@ def test_photon_factor_rows_stay_in_one_photon_number_sector():
 
 @pytest.mark.parametrize("config", [ModelConfig(num_modes=8, n_max=2),
                                     ModelConfig(num_modes=30)], ids=["modes8", "modes30"])
-def test_photon_factor_is_the_sector_factors_on_each_atom_state(config, monkeypatch):
+def test_photon_factor_is_the_sector_factors_on_each_atom_state(config):
     # the assembled W is kron(I_atoms, vstack F_n) entry for entry, with the
     # dense F_n of the blocks on the first atom state placed on their sectors
     basis = build_basis(config)
@@ -345,20 +347,17 @@ def test_photon_factor_is_the_sector_factors_on_each_atom_state(config, monkeypa
     # the blocks of one photon number share a single factor
     assert len({id(factor) for _, factor in obs.blocks}) == len(rows)
     if config.num_modes == 30:
-        # rows below eigh's resolution are left out (1960 -> 1928 rows)
+        # rows below the resolution rule are left out (1960 -> 1928 rows)
         assert w.shape[0] == 1928
-        # each sector's min(N_S, 1) = F^dagger F against the complex-eigh
-        # factor; the count of stored entries would also count exact zeros
-        # of the eigenvectors, which move with the LAPACK build
-        with monkeypatch.context() as patch:
-            patch.setattr("twoatom.operators.time_reversal", lambda basis: None)
-            plain = local_photon_observable(basis, (0.0, config.box_length / 2))
-        assert len(plain.blocks) == len(obs.blocks)
-        for (indices, factor), (plain_indices, plain_factor) in zip(obs.blocks,
-                                                                     plain.blocks):
-            assert np.array_equal(indices, plain_indices)
-            assert np.max(np.abs(factor.conjugate().T @ factor
-                                 - plain_factor.conjugate().T @ plain_factor)) <= 1e-12
+        # each sector's min(N_S, 1) = F^dagger F against N_S assembled here
+        # from the per-slot annihilators and diagonalized sector by sector;
+        # the count of stored entries would also count exact zeros of the
+        # eigenvectors, which move with the construction
+        ann = _annihilators(basis)
+        kernel = region_kernel(basis, 0.0, config.box_length / 2)
+        number = sum(kernel[j, l] * (ann[j].T @ ann[l])
+                     for j in range(basis.num_slots) for l in range(basis.num_slots))
+        assert_sectors_match(obs, basis, number.toarray(), atol=1e-12)
         # inside the invariant block of the start: dense blocks only, none
         # joining two photon numbers or two atom states
         ham = build_hamiltonian(basis)
@@ -379,8 +378,8 @@ def test_observable_blocks_are_validated():
         BoundedObservable([([2, 4], None)], 4)
 
 
-def hand_region_number(basis, lo, hi):
-    """N_S on the occupation block from hand-enumerated <occ'| adag_j a_l |occ>."""
+def region_kernel(basis, lo, hi):
+    """K[j, l] = int_lo^hi exp(i (k_l - k_j) x) dx / L, from the end-point exponentials."""
     cfg = basis.config
     k = np.asarray(basis.modes.k)
     m = len(k)
@@ -390,7 +389,15 @@ def hand_region_number(basis, lo, hi):
             q = k[l] - k[j]
             kernel[j, l] = ((hi - lo) / cfg.box_length if q == 0 else
                             (np.exp(1j * q * hi) - np.exp(1j * q * lo)) / (1j * q * cfg.box_length))
+    return kernel
+
+
+def hand_region_number(basis, lo, hi):
+    """N_S on the occupation block from hand-enumerated <occ'| adag_j a_l |occ>."""
+    kernel = region_kernel(basis, lo, hi)
+    m = len(kernel)
     occs = basis.occupations
+    row_of = {occ: i for i, occ in enumerate(occs)}
     n_s = np.zeros((len(occs), len(occs)), dtype=complex)
     for i, occ in enumerate(occs):
         for j in range(m):
@@ -402,8 +409,28 @@ def hand_region_number(basis, lo, hi):
                 moved[l] -= 1
                 amp *= math.sqrt(moved[j] + 1)
                 moved[j] += 1
-                n_s[occs.index(tuple(moved)), i] += kernel[j, l] * amp
+                n_s[row_of[tuple(moved)], i] += kernel[j, l] * amp
     return n_s
+
+
+def assert_sectors_match(obs, basis, number, atol):
+    """F^dagger F of each block on the first atom state is its sector's min(N_S, 1).
+
+    number is N_S on the occupation block; each photon-number sector is
+    diagonalized on its own, and every block of one photon number shares
+    one factor.
+    """
+    photons = np.array([sum(occ) for occ in basis.occupations])
+    first_atom_state = [(indices, factor) for indices, factor in obs.blocks
+                        if indices[-1] < basis.num_occupations]
+    assert [photons[indices[0]] for indices, _ in first_atom_state] == \
+        [n for n in range(1, basis.n_max + 1)]
+    for indices, factor in first_atom_state:
+        assert np.array_equal(indices, np.flatnonzero(photons == photons[indices[0]]))
+        lam, vec = np.linalg.eigh(number[np.ix_(indices, indices)])
+        oracle = (vec * np.clip(lam, 0.0, 1.0)) @ vec.conjugate().T
+        assert np.max(np.abs(factor.conjugate().T @ factor - oracle)) <= atol
+    assert len(obs.blocks) == len(first_atom_state) * basis.levels_a * basis.levels_b
 
 
 def on_each_atom_state(basis, o_occ):
@@ -429,6 +456,70 @@ def test_photon_factor_matches_hand_enumerated_number_operator():
 
     w = local_photon_observable(basis, (1.0, 4.0)).sqrt_factor
     assert np.max(np.abs((w.conjugate().T @ w).toarray() - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("config, region", [
+    (ModelConfig(num_modes=8, n_max=4, box_length=7.3, x_b=3.1), (0.7, 3.9)),
+    (ModelConfig(num_modes=7, n_max=2), (1.0, 4.0)),
+], ids=["modes8_nmax4", "modes7_odd"])
+def test_photon_sectors_match_hand_enumerated_number_operator(config, region):
+    # every sector's min(N_S, 1) against the eigh of the hand-enumerated N_S,
+    # above n_max = 3 and for an odd mode count, where one mode has no
+    # partner -k and the box model has no time reversal
+    basis = build_basis(config)
+    assert (time_reversal(basis) is None) == (config.num_modes % 2 == 1)
+    obs = local_photon_observable(basis, region)
+    assert_sectors_match(obs, basis, hand_region_number(basis, *region), atol=1e-12)
+
+
+def test_photon_observable_full_box_counts_any_photon():
+    # over the whole box K = I, so N_S is the photon number and min(N_S, 1)
+    # is 1 on every basis state with a photon and 0 on the vacuum
+    cfg = ModelConfig(num_modes=4, n_max=3)
+    basis = build_basis(cfg)
+    w = local_photon_observable(basis, (0.0, cfg.box_length)).sqrt_factor
+    photons = np.array([sum(occ) for _, _, occ in basis_states(basis)])
+    assert photons.max() == 3
+    assert np.max(np.abs((w.conjugate().T @ w).toarray() - np.diag(photons > 0))) <= 1e-12
+
+
+def test_photon_sector_vectors_are_orthonormal_with_exact_eigenvalues():
+    # no kernel eigenvalue is small here, so every row of F_n is kept and
+    # F_n = diag(sqrt(f)) V_n^dagger gives back all of V_n; its rows are the
+    # Fock states of the rotated modes, ordered as the sector's occupations,
+    # with eigenvalue occ @ kappa
+    cfg = ModelConfig(num_modes=4, n_max=3)
+    basis = build_basis(cfg)
+    region = (1.0, 4.0)
+    kappa = np.linalg.eigvalsh(region_kernel(basis, *region))
+    assert kappa.min() > 0.05
+    occupations = np.array(basis.occupations)
+    obs = local_photon_observable(basis, region)
+    for indices, factor in obs.blocks:
+        if indices[-1] >= basis.num_occupations:
+            continue
+        f = np.minimum(occupations[indices] @ kappa, 1.0)
+        assert factor.shape == (len(indices), len(indices))
+        assert np.max(np.abs(factor @ factor.conjugate().T - np.diag(f))) <= 1e-13
+        bras = factor / np.sqrt(f)[:, None]
+        assert np.max(np.abs(bras.conjugate().T @ bras - np.eye(len(indices)))) <= 1e-13
+        assert np.max(np.abs(bras @ bras.conjugate().T - np.eye(len(indices)))) <= 1e-13
+
+
+def test_photon_sector_too_large_for_memory_is_a_dimension_error(monkeypatch):
+    # 50 modes at n_max = 3: the 22100-dim three-photon sector needs two
+    # dense arrays, 15.6 GB, refused against 8 GB before either is formed
+    basis = build_basis(ModelConfig(num_modes=50, n_max=3, cutoff=100.0))
+    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 8 * 10**9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError,
+                           match="22100-dim photon-number sector needs 15.6 GB"):
+            local_photon_observable(basis, (0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_photon_factor_keeps_no_row_below_eigh_resolution():

@@ -11,7 +11,6 @@ from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.operators import (
     HermitianOperator,
     build_hamiltonian,
-    local_photon_observable,
     reversal_eigh,
     restricted_reversal,
 )
@@ -175,33 +174,20 @@ def test_real_form_eigh_matches_complex_eigh_on_random_symmetric_matrices():
         assert np.linalg.norm(v.conjugate().T @ v - np.eye(dim), 2) <= 1e-13 * dim
 
 
-def test_photon_observable_in_real_form_matches_complex_sectors(monkeypatch):
-    # at n_max = 4 the number operator's diagonal sums in an order the
-    # reflection changes, so its symmetry holds to rounding only; the real
-    # form then diagonalizes the symmetrized operator, as close as eigh can tell
-    basis = build_basis(ModelConfig(num_modes=8, n_max=4, box_length=7.3, x_b=3.1))
-    region = (0.7, 3.9)
-    real = local_photon_observable(basis, region)
-    monkeypatch.setattr("twoatom.operators.time_reversal", lambda basis: None)
-    plain = local_photon_observable(basis, region)
-    assert len(real.blocks) == len(plain.blocks)
-    for (indices, factor), (plain_indices, plain_factor) in zip(real.blocks, plain.blocks):
-        assert np.array_equal(indices, plain_indices)
-        assert factor.shape == plain_factor.shape
-        # the sector's min(N_S, 1) = F^dagger F, whatever eigenbasis F is in
-        assert np.max(np.abs(factor.conjugate().T @ factor
-                             - plain_factor.conjugate().T @ plain_factor)) <= 1e-12
-
-
 @pytest.mark.parametrize("config", [ModelConfig(), ModelConfig(num_modes=30)],
                          ids=["default", "modes30"])
 def test_dense_path_runs_real_eigh(monkeypatch, config):
     # a change to the mode order that loses the reversal would fall back to
-    # the complex eigh, about four times slower, with no other sign
-    dtypes = []
+    # the complex eigh of H, about four times slower, with no other sign;
+    # the photon observable runs one eigh, of the m x m region kernel
+    shapes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
-                        lambda m: dtypes.append(m.dtype) or eigh(m))
+                        lambda m: shapes.append((m.shape, m.dtype)) or eigh(m))
     observable = "photon_region" if config.num_modes == 30 else "excitation_b"
     probability_series(config, observable, np.linspace(0.0, 1.0, 5), method="dense")
-    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+    kernel = [(shape, dtype) for shape, dtype in shapes if shape == (30, 30)]
+    assert kernel == ([((30, 30), np.dtype(np.complex128))]
+                      if observable == "photon_region" else [])
+    others = [dtype for shape, dtype in shapes if shape != (30, 30)]
+    assert others and set(others) == {np.dtype(np.float64)}
