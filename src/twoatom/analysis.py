@@ -10,8 +10,8 @@ integral ln P(t) / (1 + t^2) dt is what forbids extended zero intervals),
 difference two-atom runs against atom-free runs, locate signal fronts, and
 compare the second-order exchange probability with the propagated one.
 
-States are plain complex arrays over the basis, and every propagation here
-is one propagator.evolve_grid call.
+States are plain real or complex arrays over the basis, and every
+propagation here is one propagator.evolve_grid call.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     the backend it would get without it (see probability_series for the
     measured reason).
     """
-    initial = np.asarray(initial, dtype=np.complex128)
+    initial = np.asarray(initial)
     if initial.shape != (hamiltonian.dimension,):
         raise ValueError("initial state and Hamiltonian differ in dimension")
     method = resolve_method(method, hamiltonian.dimension)
@@ -223,11 +223,11 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
     method : {"auto", "dense", "krylov"}
         "auto" is resolved on the full dimension (dense up to DENSE_LIMIT),
         not on the block's.  This is measured: on the default config's
-        1122-dim block, the real-form dense eigh plus an 801-point grid and
-        its expectation values took 0.59-0.60 s against 0.08-0.15 s for
-        the Chebyshev series (the model already built; process peaks 152
-        and 77 MB; 2 cores, OpenBLAS), so keying the switch on the block
-        would slow that config down.
+        1122-dim block, the real dense eigh plus an 801-point grid and its
+        expectation values took 0.31-0.43 s against 0.05-0.06 s for the
+        Chebyshev series (the model already built; process peaks 103 and
+        75 MB; 2 cores, OpenBLAS), so keying the switch on the block would
+        slow that config down.
     """
     basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)
@@ -311,7 +311,7 @@ def weak_causality_difference(config: AnyConfig, time_grid, *,
                                 method=method, tol=tol)
     cfg_without = dataclasses.replace(config, coupling_scale_a=0.0)
     basis_wo, hamiltonian_wo = build_model(cfg_without)
-    ground = np.zeros(basis_wo.dimension, dtype=np.complex128)
+    ground = np.zeros(basis_wo.dimension)
     ground[index_of_bare_state(basis_wo, 0, 0, basis_wo.vacuum)] = 1.0
     without_a = series_from_operators(hamiltonian_wo, ground,
                                       resolve_observable(cfg_without, "excitation_b"),

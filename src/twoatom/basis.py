@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 import os
 
-import numpy as np
-
 from .config import AnyConfig, LatticeConfig, ModelConfig, ModeTable, mode_table
 from .errors import BasisLookupError, DimensionError
 
@@ -123,28 +121,6 @@ def build_basis(config: AnyConfig) -> FockBasis:
     Deterministic: equal configs give identical state orderings.
     """
     return FockBasis(config)
-
-
-def time_reversal(basis: FockBasis) -> np.ndarray | None:
-    """Permutation p of basis indices under the reflection k -> -k of every mode.
-
-    State (a, b, occ) goes to (a, b, occ') with occ'[j] = occ[partner(j)],
-    where mode partner(j) has wavenumber exactly -k_j; the atom levels stay.
-    Composed with complex conjugation this is the box model's time reversal:
-    it commutes with H and with every position-local observable, and p is
-    its own inverse.  The chain's Hamiltonian is real, so there p is the
-    identity.  None when a retained mode has no partner (odd num_modes).
-    """
-    if basis.modes is None:
-        return np.arange(basis.dimension)
-    position = {k: j for j, k in enumerate(basis.modes.k)}
-    partner = [position.get(-k) for k in basis.modes.k]
-    if None in partner:
-        return None
-    rows = [basis.occupation_rows[tuple(occ[j] for j in partner)]
-            for occ in basis.occupations]
-    atoms = np.arange(basis.levels_a * basis.levels_b)[:, None]
-    return (atoms * basis.num_occupations + np.array(rows, dtype=int)).ravel()
 
 
 def index_of_bare_state(basis: FockBasis, a_level: int, b_level: int, occupations) -> int:

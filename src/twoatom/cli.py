@@ -271,6 +271,14 @@ def _parse_pair(text: str, second=float) -> tuple:
     return float(first), second(rest)
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance: a finite, non-negative float."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(text)
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
@@ -358,7 +366,7 @@ def _common_setup(args, default_steps: int = 800):
 def _propagation(args, manifest: dict) -> tuple[str, float]:
     """--method and --tol, also recorded in the manifest entries."""
     method = _resolve(args, "method", default="auto")
-    tol = _resolve(args, "tol", default=DEFAULT_TOL, convert=float)
+    tol = _resolve(args, "tol", default=DEFAULT_TOL, convert=_tolerance)
     manifest.update(method=method, tolerances={"tol": tol})
     return method, tol
 
@@ -423,7 +431,7 @@ def _run_weak_causality(args):
 
 def _run_fermi_integral(args):
     config, grid, manifest = _common_setup(args, default_steps=160)
-    quad_tol = _resolve(args, "quad-tol", default=DEFAULT_QUAD_TOL, convert=float)
+    quad_tol = _resolve(args, "quad-tol", default=DEFAULT_QUAD_TOL, convert=_tolerance)
     choice = _resolve(args, "range", default="both")
     ranges = list(FREQUENCY_RANGES) if choice == "both" else [choice]
     manifest.update(tolerances={"quad_tol": quad_tol}, ranges=ranges)

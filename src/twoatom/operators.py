@@ -11,15 +11,23 @@ smeared annihilator Phi_X = sum_j c_X[j] a_j the two coupling forms are
     rotating_wave:  raise_X * Phi_X + lower_X * Phi_X^dagger
     full:           (raise_X + lower_X) * (Phi_X + Phi_X^dagger)
 
-For the box field c_X[j] = g_j * scale_X * exp(+i k_j x_X) (phase on the
-annihilator); for the hopping chain c_X picks out the coupled site.
+For the hopping chain c_X picks out the coupled site.  The box field's
+slots are its real standing waves: for each pair of modes +k, -k, the +k
+slot holds sqrt(2) cos(k x) and the -k slot sqrt(2) sin(|k| x), so
+c_X = g * scale_X * sqrt(2) cos(k x_X) and g * scale_X * sqrt(2) sin(|k| x_X)
+there (_standing_waves).  Every coupling is then real, and so is H: the
+time-reversal symmetry of the box is built into the basis, not detected
+afterwards (Haake, Quantum Signatures of Chaos, ch. 2).  A mode with no
+partner (odd num_modes) keeps its running wave exp(i k x), with coupling
+g * scale_X * exp(i k x_X), and H is complex.
 
 Every field term is built from per-slot annihilators a_j on the occupation
 block and placed on the atoms by a Kronecker product (the basis is atoms x
 occupations).  Hermiticity is structural: the Hamiltonian is assembled as
 D + U + U^dagger from its real diagonal D and the terms U that raise the
 basis index, and IEEE addition commutes with conjugation, so
-matrix == matrix.conj().T holds with zero floating-point slack.
+matrix == matrix.conj().T holds with zero floating-point slack.  A real H
+is stored as float64.
 
 Every observable 0 <= O <= 1 is stored as a few blocks of a square-root
 factor W with O = W^dagger W, and O itself is never formed.  A block is a
@@ -43,7 +51,7 @@ from functools import cached_property
 import numpy as np
 import scipy
 
-from .basis import FockBasis, index_of_bare_state, require_memory, time_reversal
+from .basis import FockBasis, index_of_bare_state, require_memory
 from .config import LatticeConfig
 from .errors import DimensionError, DomainError
 
@@ -55,38 +63,21 @@ class HermitianOperator:
     the sparse backend expands over.  Bounds, dense
     eigendecompositions and principal blocks are cached on the instance.
 
-    reversal, when given, is a permutation p, its own inverse, with
-    conj(H[p][:, p]) == H exactly: an antiunitary symmetry (time reversal)
-    that makes H real symmetric in a basis of vectors it leaves fixed.  The
-    dense eigendecomposition then runs a real eigh (see reversal_eigh):
-    0.22-0.25 s against 0.84-0.92 s for the complex eigh on the 992-dim
-    block of the 30-mode model (2 cores, OpenBLAS).  build_hamiltonian
-    passes basis.time_reversal, so every box model with even num_modes and
-    every chain gets it.  With an odd num_modes one mode has no partner,
-    and the complex eigh serves.
+    A real matrix is kept as float64 and a complex one as complex128, so
+    the dense eigendecomposition is a real symmetric eigh whenever H is
+    real: every box model with even num_modes and every chain.
     """
 
-    def __init__(self, matrix, reversal=None):
-        matrix = scipy.sparse.csr_matrix(matrix, dtype=np.complex128)
+    def __init__(self, matrix):
+        matrix = scipy.sparse.csr_matrix(matrix)
+        matrix = matrix.astype(np.result_type(matrix.dtype, np.float64), copy=False)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
         herm_gap = (matrix - matrix.conjugate().T)
         herm_gap.eliminate_zeros()
         if herm_gap.nnz != 0:
             raise ValueError("matrix is not exactly Hermitian")
-        if reversal is not None:
-            reversal = np.asarray(reversal, dtype=int)
-            identity = np.arange(matrix.shape[0])
-            if not (reversal.shape == identity.shape
-                    and np.all((reversal >= 0) & (reversal < len(identity)))
-                    and np.array_equal(reversal[reversal], identity)):
-                raise ValueError("reversal must be a permutation that is its own inverse")
-            gap = matrix[reversal][:, reversal].conjugate() - matrix
-            gap.eliminate_zeros()
-            if gap.nnz != 0:
-                raise ValueError("reversal is not an exact symmetry: conj(H[p][:, p]) != H")
         self.matrix = matrix
-        self.reversal = reversal
         self._eigensystem = None
         self._blocks = {}
 
@@ -106,7 +97,7 @@ class HermitianOperator:
     def eigensystem(self):
         """Dense eigendecomposition (w, V), cached after the first call."""
         if self._eigensystem is None:
-            self._eigensystem = reversal_eigh(self.matrix, self.reversal)
+            self._eigensystem = np.linalg.eigh(self.matrix.toarray())
         return self._eigensystem
 
     def invariant_block(self, support) -> np.ndarray:
@@ -134,9 +125,7 @@ class HermitianOperator:
 
         C holds sorted, distinct indices, as invariant_block returns them.
         The block brackets its own spectrum, which by Cauchy interlacing
-        lies inside H's.  It keeps the reversal, renumbered, when that maps
-        C onto itself, as it does for every invariant block of a state the
-        reversal fixes.  When C is the whole space this operator is
+        lies inside H's.  When C is the whole space this operator is
         returned itself.
         """
         indices = np.asarray(indices, dtype=int)
@@ -144,9 +133,7 @@ class HermitianOperator:
             return self
         key = indices.tobytes()
         if key not in self._blocks:
-            self._blocks[key] = HermitianOperator(
-                self.matrix[indices][:, indices],
-                reversal=restricted_reversal(self.reversal, indices))
+            self._blocks[key] = HermitianOperator(self.matrix[indices][:, indices])
         return self._blocks[key]
 
     def __repr__(self):
@@ -187,12 +174,13 @@ class BoundedObservable:
         """F_k psi[I_k] for each block k, for states stacked as rows.
 
         Each part has one column per state, and one row per factor row (per
-        index for an identity block).
+        index for an identity block).  A real factor meets the states in one
+        real product (_real_product), with no complex copy of the factor.
         """
-        columns = np.asarray(states).T
+        columns = np.asarray(states, dtype=np.complex128).T
         for indices, factor in self.blocks:
             part = columns[indices]
-            yield part if factor is None else factor @ part
+            yield part if factor is None else _real_product(factor, part)
 
     @cached_property
     def sqrt_factor(self):
@@ -239,60 +227,20 @@ class BoundedObservable:
 
 
 # ---------------------------------------------------------------------------
-# time reversal
-# ---------------------------------------------------------------------------
-
-
-def restricted_reversal(reversal, indices):
-    """The permutation p on the sorted index set C, renumbered to positions in C.
-
-    None when p is None or does not map C onto itself.
-    """
-    if reversal is None:
-        return None
-    indices = np.asarray(indices, dtype=int)
-    image = reversal[indices]
-    position = np.searchsorted(indices, image)
-    inside = position < len(indices)
-    if not (inside.all() and np.array_equal(indices[position], image)):
-        return None
-    return position
-
-
-def reversal_eigh(matrix, reversal=None):
-    """(w, V) with H = V diag(w) V^dagger, by a real eigh when reversal is given.
-
-    matrix is H as a scipy sparse matrix, and reversal a permutation p, its
-    own inverse, with conj(H[p][:, p]) == H.  The unitary Q whose columns
-    are e_s for each s = p(s), and (e_s + e_ps)/sqrt(2) and
-    i(e_s - e_ps)/sqrt(2) for each pair s < p(s), spans vectors that p with
-    complex conjugation leaves fixed, so Q^dagger H Q is real symmetric
-    (Haake, Quantum Signatures of Chaos, ch. 2).  It is formed sparse, its
-    imaginary part is dropped, and its real eigh (w, V_r) gives V = Q V_r.
-    The one caller, HermitianOperator.eigensystem, holds an H whose
-    symmetry is checked with zero slack.  Without a reversal this is the
-    complex eigh of H.
-    """
-    if reversal is None:
-        return np.linalg.eigh(matrix.toarray())
-    order = np.arange(len(reversal))
-    fixed = np.flatnonzero(reversal == order)
-    first = np.flatnonzero(reversal > order)
-    even = len(fixed) + np.arange(len(first))  # columns (e_s + e_ps)/sqrt(2)
-    odd = even + len(first)                    # columns i(e_s - e_ps)/sqrt(2)
-    half = np.sqrt(0.5)
-    rows = np.concatenate([fixed, first, reversal[first], first, reversal[first]])
-    cols = np.concatenate([np.arange(len(fixed)), even, even, odd, odd])
-    data = np.concatenate([np.ones(len(fixed)),
-                           np.repeat([half, half, 1j * half, -1j * half], len(first))])
-    q = scipy.sparse.csr_matrix((data, (rows, cols)), shape=matrix.shape)
-    w, real_vectors = np.linalg.eigh((q.conjugate().T @ matrix @ q).real.toarray())
-    return w, q @ real_vectors
-
-
-# ---------------------------------------------------------------------------
 # assembly helpers
 # ---------------------------------------------------------------------------
+
+
+def _real_product(left, right: np.ndarray) -> np.ndarray:
+    """left @ right for a complex C-contiguous right, with no complex copy of left.
+
+    A real left (dense or sparse) multiplies right's interleaved real and
+    imaginary parts, viewed as one real array with twice the columns;
+    numpy would copy it to complex, and scipy would upcast its data on
+    every call.  A complex left takes the plain complex product.
+    """
+    dtype = np.result_type(left.dtype, np.float64)
+    return (left @ right.view(dtype)).view(np.complex128)
 
 
 def gershgorin_bounds(matrix) -> tuple[float, float]:
@@ -300,7 +248,7 @@ def gershgorin_bounds(matrix) -> tuple[float, float]:
 
     With H = D + X, D diagonal, the discs of S^-1 H S, S = diag(s) > 0, have
     centres D_ii and radii (|X| s)_i / s_i.  s = 1 gives the plain discs,
-    whose floor is -9.43 on the default model against E_min = -0.187.  Power
+    whose floor is -6.66 on the default model against E_min = -0.187.  Power
     steps on max(D) - D + |X| lift the floor toward lambda_min(D - |X|) <=
     E_min (Collatz-Wielandt), -0.211 there.  The ceiling is the plain one.
     """
@@ -320,23 +268,54 @@ def gershgorin_bounds(matrix) -> tuple[float, float]:
     return float(max(np.min(diag - radii), weighted)), float(np.max(diag + radii))
 
 
+def _standing_waves(k):
+    """(V, real): the unitary from the box's running waves to its field slots.
+
+    Slot s holds the mode b_s = sum_j V[s, j] a_j, with a_j the running wave
+    exp(i k_j x) / sqrt(L).  For a pair +k at slot p and -k at slot q,
+    b_p = (a_p + a_q) / sqrt(2) is the standing wave sqrt(2 / L) cos(k x)
+    and b_q = i (a_p - a_q) / sqrt(2) is sqrt(2 / L) sin(|k| x); a mode with
+    no partner keeps its running wave.  A smearing c over the running waves
+    is conj(V) c over the slots, and a one-body kernel K is V K V^dagger.
+    real is True when every mode has its partner: then both are real for
+    any real function of position, and their imaginary parts are rounding.
+    """
+    k = np.asarray(k)
+    v = np.eye(len(k), dtype=complex)
+    partner = {kj: j for j, kj in enumerate(k)}
+    pairs = np.array([(p, partner[-kp]) for p, kp in enumerate(k)
+                      if kp > 0 and -kp in partner], dtype=int).reshape(-1, 2)
+    p, q = pairs.T
+    half = np.sqrt(0.5)
+    v[p, p] = v[p, q] = half
+    v[q, p], v[q, q] = 1j * half, -1j * half
+    return v, 2 * len(pairs) == len(k)
+
+
 def _one_particle_data(basis: FockBasis):
-    """(h, c_a, c_b): one-boson matrix and per-atom smearing amplitudes."""
+    """(h, c_a, c_b): real one-boson matrix and per-atom smearing amplitudes.
+
+    The amplitudes are float64 for the chain and for a box whose every mode
+    has its partner, and complex128 otherwise.
+    """
     cfg = basis.config
     m = basis.num_slots
     if isinstance(cfg, LatticeConfig):
-        h = np.diag(np.full(m, cfg.site_frequency, dtype=complex)) - cfg.hopping * (
+        h = np.diag(np.full(m, cfg.site_frequency)) - cfg.hopping * (
             np.eye(m, k=1) + np.eye(m, k=-1))
-        c_a = np.zeros(m, dtype=complex)
-        c_b = np.zeros(m, dtype=complex)
+        c_a = np.zeros(m)
+        c_b = np.zeros(m)
         c_a[cfg.site_a] = cfg.coupling_strength * cfg.coupling_scale_a
         c_b[cfg.site_b] = cfg.coupling_strength * cfg.coupling_scale_b
         return h, c_a, c_b
     k, omega, g = basis.modes.as_arrays()
-    h = np.diag(omega.astype(complex))
-    c_a = g * cfg.coupling_scale_a * np.exp(1j * k * cfg.x_a)
-    c_b = g * cfg.coupling_scale_b * np.exp(1j * k * cfg.x_b)
-    return h, c_a, c_b
+    v, real = _standing_waves(k)
+    # the partners of a pair share omega, so V diag(omega) V^dagger = diag(omega)
+    h = np.diag(omega)
+    c_a, c_b = (v.conjugate() @ (g * scale * np.exp(1j * k * x))
+                for x, scale in ((cfg.x_a, cfg.coupling_scale_a),
+                                 (cfg.x_b, cfg.coupling_scale_b)))
+    return (h, c_a.real, c_b.real) if real else (h, c_a, c_b)
 
 
 def _raising(levels: int):
@@ -369,9 +348,9 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
     H = D + U + U^dagger: D is the diagonal, U collects the raising-side
     terms (field hopping adag_j a_l with j < l, raise_X Phi_X, and under
     "full" also raise_X Phi_X^dagger), each a Kronecker product of an atom
-    factor and a field factor built from the per-slot annihilators.  Each
-    entry of U is a single term and D sums its field energy per frequency,
-    so the operator carries basis.time_reversal with zero slack.
+    factor and a field factor built from the per-slot annihilators.  H has
+    the dtype of the couplings: float64 for the chain and for a box whose
+    every mode has its partner.
     """
     cfg = basis.config
     h1, c_a, c_b = _one_particle_data(basis)
@@ -379,18 +358,13 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
     n_occ = basis.num_occupations
     eye_a = scipy.sparse.identity(basis.levels_a, format="csr")
     eye_b = scipy.sparse.identity(basis.levels_b, format="csr")
-    empty = scipy.sparse.csr_matrix((n_occ, n_occ), dtype=complex)
+    empty = scipy.sparse.csr_matrix((n_occ, n_occ))
 
-    # D: atom ladders plus the field's one-particle diagonal, as an outer sum.
-    # The field energy is sum_f f * (photons at frequency f), each count an
-    # exact integer sum, so slots of equal frequency (k and -k) add up in one
-    # fixed order and the time reversal holds with zero slack
+    # D: atom ladders plus the field's one-particle diagonal, as an outer sum
     atoms = np.add.outer(np.arange(basis.levels_a) * cfg.omega_a,
                          np.arange(basis.levels_b) * cfg.omega_b).ravel()
     occupations = np.array(basis.occupations, dtype=float).reshape(n_occ, basis.num_slots)
-    frequencies, group = np.unique(np.real(np.diag(h1)), return_inverse=True)
-    field = sum((occupations[:, group == g].sum(axis=1) * f
-                 for g, f in enumerate(frequencies)), np.zeros(n_occ))
+    field = occupations @ np.diag(h1)
     diagonal = scipy.sparse.diags(np.add.outer(atoms, field).ravel())
 
     # U: every term that raises the basis index; U^dagger supplies the rest
@@ -405,7 +379,7 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
             upper += scipy.sparse.kron(raise_x, phi.conjugate().T)
 
     matrix = diagonal + upper + upper.conjugate().T
-    return HermitianOperator(matrix, reversal=time_reversal(basis))
+    return HermitianOperator(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +404,12 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     """Saturated photon count in a spatial region of the box field.
 
     The smeared number operator N_S = sum_jl K[j, l] adag_j a_l uses the
-    overlap kernel K of the box mode functions exp(i k x)/sqrt(L) on the
-    region: K[j, l] = (w / L) exp(-i q c) sin(q w / 2) / (q w / 2), with
-    q = k_j - k_l, w the region's width and c its centre.  The observable
+    overlap kernel of the field slots' mode functions on the region: for
+    the running waves exp(i k x)/sqrt(L) it is
+    K[j, l] = (w / L) exp(-i q c) sin(q w / 2) / (q w / 2), with
+    q = k_j - k_l, w the region's width and c its centre, and for the slots
+    it is V K V^dagger (_standing_waves), real when every mode has its
+    partner; K below names that slot kernel.  The observable
     is min(N_S, 1) by spectral calculus: eigenvalue 0 on the
     no-photon-in-region subspace, saturating at 1, so the spectrum sits in
     [0, 1] with no post-hoc clipping.  On one-photon states it reduces to
@@ -461,8 +438,8 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     observable is one block per atom state and photon number n, over that
     sector's indices, and all blocks of one n share F_n; sectors with no
     rows are left out.  No block joins two photon numbers or two atom
-    states.  When the largest sector's dense arrays (two of 16 bytes per
-    entry: V_n^dagger and F_n) would not fit in physical memory,
+    states.  When the largest sector's dense arrays (two of up to 16 bytes
+    per entry: V_n^dagger and F_n) would not fit in physical memory,
     DimensionError is raised before either is formed.
     """
     cfg = basis.config
@@ -481,13 +458,15 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     q = np.subtract.outer(basis.modes.k, basis.modes.k)
     kernel = (hi - lo) / cfg.box_length * np.exp(-0.5j * q * (hi + lo)) * np.sinc(
         q * (hi - lo) / (2 * np.pi))
-    kappa, rotation = np.linalg.eigh(kernel)
+    v, real = _standing_waves(basis.modes.k)
+    kernel = v @ kernel @ v.conjugate().T
+    kappa, rotation = np.linalg.eigh(kernel.real if real else kernel)
 
     stacked = scipy.sparse.vstack(
         _annihilators(basis) or [scipy.sparse.csr_matrix((0, n_occ))], format="coo")
     slot, lower = np.divmod(stacked.row, n_occ)
     position = np.zeros(n_occ, dtype=int)  # row of each occupation in its sector
-    bras = np.ones((1, 1), dtype=complex)  # <vacuum|
+    bras = np.ones((1, 1), dtype=rotation.dtype)  # <vacuum|
     sectors = []
     for n, size in enumerate(sizes):
         sector = np.flatnonzero(photons == n)
@@ -499,7 +478,7 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
                                for row in occ - (np.arange(m) == first[:, None])]]
             entries = photons[stacked.col] == n
             pattern = (position[lower[entries]], position[stacked.col[entries]])
-            below, bras = bras, np.empty((size, size), dtype=complex)
+            below, bras = bras, np.empty((size, size), dtype=rotation.dtype)
             for i in np.unique(first):
                 own = first == i
                 lowering = scipy.sparse.csr_matrix(

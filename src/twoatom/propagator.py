@@ -1,19 +1,21 @@
 """Exact time evolution of truncated-basis states.
 
 evolve_grid is the one propagation call.  It takes a state as a plain
-complex array and returns exp(-i H t) psi0 for every real time t of a
-grid, on one of two backends.  Up to DENSE_LIMIT
-the Hamiltonian is diagonalized once (cached on the operator) and
-evolution is exact phase multiplication in the eigenbasis.  Where the
-operator carries a time reversal (every box model with even num_modes,
-and every chain) the diagonalization is a real eigh in the basis the
-reversal leaves fixed, in about a quarter of the complex eigh's time;
-otherwise it is the complex eigh.  Above DENSE_LIMIT the sparse backend
-(method "krylov") sums the Chebyshev series of Tal-Ezer & Kosloff
+real or complex array and returns exp(-i H t) psi0 for every real time t
+of a grid, on one of two backends.  Up to DENSE_LIMIT the Hamiltonian is
+diagonalized once (cached on the operator) and evolution is exact phase
+multiplication in the eigenbasis.  Where H is real (every box model with
+even num_modes, and every chain) that is a real symmetric eigh, in about
+a quarter of the complex eigh's time.  Above DENSE_LIMIT the sparse
+backend (method "krylov") sums the Chebyshev series of Tal-Ezer & Kosloff
 (J. Chem. Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho],
 with V_k = T_k((H - lo) / rho - 1) psi0 from the three-term recurrence,
-until its tail is below unit roundoff at every point.  Both backends
-evaluate all points in one matrix product and return psi0 at t = 0.
+until its tail is below unit roundoff at every point; the recurrence runs
+in float64 when H and psi0 are both real.  Both backends evaluate all
+points in one matrix product and return psi0 at t = 0.  A real operand
+(eigenvectors or Chebyshev vectors) meets the complex phases or
+coefficients in one real product over their interleaved real and
+imaginary parts (_real_product), never as a complex copy.
 
 expectation_grid is the one evaluation of an observable held as blocks
 (indices I_k, factor F_k): sum_k ||F_k psi[I_k]||^2 for a stack of states,
@@ -28,7 +30,7 @@ import scipy
 
 from .basis import FockBasis, index_of_bare_state, require_memory
 from .errors import ConvergenceError, DomainError
-from .operators import BoundedObservable, HermitianOperator
+from .operators import BoundedObservable, HermitianOperator, _real_product
 
 # largest dimension that "auto" hands to the dense eigendecomposition
 DENSE_LIMIT = 2000
@@ -37,8 +39,8 @@ DEFAULT_TOL = 1e-10
 
 
 def prepare_initial_state(basis: FockBasis) -> np.ndarray:
-    """Unit amplitude on (first excited A, ground B, field vacuum)."""
-    psi0 = np.zeros(basis.dimension, dtype=np.complex128)
+    """Unit amplitude on (first excited A, ground B, field vacuum), as float64."""
+    psi0 = np.zeros(basis.dimension)
     psi0[index_of_bare_state(basis, 1, 0, basis.vacuum)] = 1.0
     return psi0
 
@@ -65,9 +67,10 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 
 def _dense_apply(hamiltonian, amplitudes, times) -> np.ndarray:
     w, v = hamiltonian.eigensystem()
-    coeff = v.conjugate().T @ amplitudes
-    phases = np.exp(-1j * times[:, None] * w[None, :])  # per time and eigenvalue
-    out = (v @ (phases * coeff).T).T  # shape (len(times), dim)
+    coeff = _real_product(v.conjugate().T, amplitudes.astype(np.complex128)[:, None])
+    phases = np.exp(-1j * w[:, None] * times[None, :])  # per eigenvalue and time
+    phases *= coeff
+    out = _real_product(v, phases).T  # shape (len(times), dim)
     # exp(0) is the identity: psi(0) exactly, not its round trip through V
     out[times == 0] = amplitudes
     return out
@@ -121,8 +124,8 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
     largest = float(np.max(np.abs(radius * times), initial=0.0))
     order = int(largest + 18 * np.cbrt(largest) + 30)
     while True:
-        # complex entries: (order + 2) coefficients per point and up to
-        # order vectors of the state
+        # entries of up to 16 bytes: (order + 2) coefficients per point and
+        # up to order vectors of the state
         require_memory((order + 2) * (len(times) + psi0.size) * 16, DomainError,
                        f"the Chebyshev series of order {order} for rho*|t| up to {largest:.3g}",
                        "shorten the grid")
@@ -134,13 +137,15 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
             break
         order *= 2
     scaled = (hamiltonian.matrix - (lo + radius) * scipy.sparse.identity(psi0.size)) / radius
-    vectors = np.empty((terms, psi0.size), dtype=np.complex128)
+    # one cast of a real H for a complex psi0: scipy would upcast it per product
+    scaled = scaled.astype(np.result_type(scaled.dtype, psi0.dtype), copy=False)
+    vectors = np.empty((terms, psi0.size), dtype=scaled.dtype)
     vectors[0] = psi0
     if terms > 1:
         vectors[1] = scaled @ psi0
     for k in range(2, terms):
         vectors[k] = 2.0 * (scaled @ vectors[k - 1]) - vectors[k - 2]
-    out = coeff[:terms].T @ vectors
+    out = _real_product(vectors.T, coeff[:terms]).T
     out[times == 0] = psi0
     _check_accuracy(out, psi0, tol)
     return out
@@ -176,7 +181,8 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
     Parameters
     ----------
     psi0 : array of shape (dim,)
-        Initial amplitudes, read as complex128.
+        Initial amplitudes, read as float64 when real and as complex128
+        otherwise.
     times : 1-D sequence of real times
     method : {"auto", "dense", "krylov"}
         "auto" picks dense up to dimension DENSE_LIMIT, the sparse
@@ -186,7 +192,8 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
         it raises ConvergenceError.  It does not set the length of the
         series, which runs until its tail is below unit roundoff.
     """
-    psi0 = np.asarray(psi0, dtype=np.complex128)
+    psi0 = np.asarray(psi0)
+    psi0 = psi0.astype(np.result_type(psi0.dtype, np.float64), copy=False)
     if np.iscomplexobj(times):
         raise DomainError("evolve_grid propagates in real time only: the grid is complex")
     times = np.asarray(times, dtype=float)

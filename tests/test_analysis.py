@@ -393,10 +393,10 @@ def test_block_series_matches_full_space(name, without_a, method):
 
 
 def test_auto_resolves_on_the_full_dimension(monkeypatch):
-    # on the default config's 1122-dim block the dense path (a real eigh in
-    # the time-reversal basis) plus an 801-point grid took 0.59-0.60 s
-    # against 0.08-0.15 s for the Chebyshev series, so "auto" keeps the
-    # backend the full dimension (2244) selects
+    # on the default config's 1122-dim block the dense path (a real eigh)
+    # plus an 801-point grid took 0.31-0.43 s against 0.05-0.06 s for the
+    # Chebyshev series, so "auto" keeps the backend the full dimension
+    # (2244) selects
     config = ModelConfig()
     basis, ham = build_model(config)
     block = ham.invariant_block(np.flatnonzero(prepare_initial_state(basis)))

@@ -513,9 +513,51 @@ def test_unconverged_propagation_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tol", "inf"],
+    ["simulate", "--method", "dense", "--tol", "nan"],
+    ["simulate", "--tol", "nan"],
+    ["simulate", "--tol", "-1"],
+    ["dichotomy", "--tol", "-0.5"],
+    ["weak-causality", "--tol", "inf"],
+    ["cutoff-sweep", "--tol", "nan"],
+    ["fermi-integral", "--quad-tol", "inf"],
+    ["fermi-integral", "--quad-tol", "nan"],
+    ["fermi-integral", "--quad-tol", "-1"],
+], ids=["tol-inf", "tol-nan-dense", "tol-nan", "tol-negative", "dichotomy-tol-negative",
+        "weak-causality-tol-inf", "cutoff-sweep-tol-nan", "quad-tol-inf", "quad-tol-nan",
+        "quad-tol-negative"])
+def test_bad_tolerance_exits_two_before_any_model(tmp_path, small_config, capsys,
+                                                  monkeypatch, argv):
+    # a tolerance must be finite and non-negative: anything else is refused
+    # before a basis is enumerated or a quadrature runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run went on past a bad tolerance")
+    monkeypatch.setattr("twoatom.analysis.build_basis", refuse)
+    monkeypatch.setattr("twoatom.cli.exchange_amplitude_series", refuse)
+    out = tmp_path / "run"
+    code = main(argv + ["--config", small_config, "--out", str(out), "--grid", "2,4"])
+    assert code == 2
+    assert f"bad value for {argv[-2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--method", "krylov", "--tol", "0"],
+    ["fermi-integral", "--quad-tol", "0"],
+], ids=["tol", "quad-tol"])
+def test_zero_tolerance_is_valid_and_unmet_exits_three(tmp_path, small_config, capsys,
+                                                      argv):
+    out = tmp_path / "run"
+    code = main(argv + ["--config", small_config, "--out", str(out), "--grid", "2,4"])
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_photon_sector_beyond_memory_exits_four(tmp_path, small_config, capsys, monkeypatch):
     # physical memory made smaller than the two dense arrays of the
-    # one-photon sector (4 x 4 complex entries each)
+    # one-photon sector (4 x 4 entries of up to 16 bytes each)
     monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 2 * 16 * 4**2 - 1)
     out = tmp_path / "run"
     code = main(["simulate", "--config", small_config, "--out", str(out),

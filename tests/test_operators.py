@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from twoatom.basis import build_basis, index_of_bare_state, time_reversal
+from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import DimensionError, DomainError
 from twoatom.operators import (
@@ -41,6 +41,57 @@ def mode_coupling(cfg, k, omega):
     return cfg.coupling_strength * math.sqrt(omega / cfg.box_length) * math.exp(
         -((omega / cfg.cutoff) ** 2)
     )
+
+
+def standing_waves(k):
+    """The unitary V from running waves to slots, built from its definition.
+
+    For each pair +k at slot p and -k at slot q, row p of V is
+    (e_p + e_q) / sqrt(2), the cos(k x) wave, and row q is
+    i (e_p - e_q) / sqrt(2), the sin(|k| x) wave; a mode with no partner
+    keeps its row of the identity.
+    """
+    k = list(k)
+    v = np.eye(len(k), dtype=complex)
+    for p, kp in enumerate(k):
+        if kp > 0 and -kp in k:
+            q = k.index(-kp)
+            v[p, p] = v[p, q] = 1 / math.sqrt(2)
+            v[q, p] = 1j / math.sqrt(2)
+            v[q, q] = -1j / math.sqrt(2)
+    return v
+
+
+def slot_couplings(cfg, basis, x):
+    """g_j exp(i k_j x) per running wave, taken to the slots by conj(V)."""
+    k = np.asarray(basis.modes.k)
+    g = np.array([mode_coupling(cfg, kj, abs(kj)) for kj in k])
+    return standing_waves(k).conjugate() @ (g * np.exp(1j * k * x))
+
+
+@pytest.mark.parametrize("config, dtype", [
+    (ModelConfig(num_modes=6, n_max=2), np.float64),
+    (ModelConfig(num_modes=6, n_max=2, coupling_form="rotating_wave"), np.float64),
+    (ModelConfig(levels_a=3, num_modes=4, n_max=2, x_a=0.7), np.float64),
+    (ModelConfig(num_modes=32, n_max=1, cutoff=7.5), np.float64),
+    (LatticeConfig(num_sites=6, site_a=1, site_b=4), np.float64),
+    (LatticeConfig(num_sites=6, site_a=1, site_b=4, coupling_form="rotating_wave"),
+     np.float64),
+    (ModelConfig(num_modes=7, n_max=2), np.complex128),
+    (ModelConfig(num_modes=1, n_max=1, coupling_form="rotating_wave"), np.complex128),
+], ids=["full", "rwa", "levels3", "cutoff_trimmed", "chain", "chain_rwa", "modes7_odd",
+        "modes1_odd"])
+def test_hamiltonian_is_real_unless_a_mode_has_no_partner(config, dtype):
+    # the slots of a +-k pair are its cos and sin standing waves, so every
+    # coupling is real; an odd num_modes leaves one running wave exp(ikx)
+    basis = build_basis(config)
+    if isinstance(config, ModelConfig) and config.cutoff == 7.5:
+        assert len(basis.modes) == 14  # |k| <= 7.5 keeps 7 whole pairs of 32 modes
+    ham = build_hamiltonian(basis)
+    assert ham.matrix.dtype == dtype
+    assert ham.block(ham.invariant_block([0])).matrix.dtype == dtype
+    if dtype == np.complex128:
+        assert np.any(ham.matrix.data.imag != 0)
 
 
 def test_decoupled_hamiltonian_is_diagonal():
@@ -123,20 +174,29 @@ def test_excitation_number_commutator():
 
 def test_three_level_ladder_hand_oracle():
     # atom A climbs 1 -> 2 by absorbing one photon (rotating) or emitting
-    # one (counter-rotating); the ladder has no direct 0 <-> 2 step
-    cfg = ModelConfig(levels_a=3, num_modes=3, n_max=2, coupling_form="full")
+    # one (counter-rotating); the ladder has no direct 0 <-> 2 step.  Three
+    # modes are one +-k pair, whose slots couple through sqrt(2) g cos(k x)
+    # and sqrt(2) g sin(|k| x), and one running wave, through g exp(i k x)
+    cfg = ModelConfig(levels_a=3, num_modes=3, n_max=2, coupling_form="full", x_a=0.7)
     basis = build_basis(cfg)
     ham = build_hamiltonian(basis).matrix
     vac = basis.vacuum
-    for j, (k, omega) in enumerate(zip(basis.modes.k, basis.modes.omega)):
-        c_a = mode_coupling(cfg, k, omega) * np.exp(1j * k * cfg.x_a)
+    k, omega = basis.modes.k, basis.modes.omega
+    assert k[1] == -k[0] and -k[2] not in k
+    closed_form = [math.sqrt(2) * math.cos(k[0] * cfg.x_a),
+                   math.sqrt(2) * math.sin(k[0] * cfg.x_a), np.exp(1j * k[2] * cfg.x_a)]
+    couplings = slot_couplings(cfg, basis, cfg.x_a)
+    for j in range(basis.num_slots):
+        c_a = couplings[j]
+        assert_allclose(c_a, mode_coupling(cfg, k[j], omega[j]) * closed_form[j],
+                        rtol=0, atol=1e-15)
         one = tuple(int(i == j) for i in range(basis.num_slots))
         top = index_of_bare_state(basis, 2, 0, vac)
         mid = index_of_bare_state(basis, 1, 0, one)
-        assert ham[top, mid] == c_a
-        assert ham[mid, top] == np.conjugate(c_a)
         emitted = index_of_bare_state(basis, 2, 0, one)
-        assert ham[emitted, index_of_bare_state(basis, 1, 0, vac)] == np.conjugate(c_a)
+        assert_allclose([ham[top, mid], ham[mid, top],
+                         ham[emitted, index_of_bare_state(basis, 1, 0, vac)]],
+                        [c_a, np.conjugate(c_a), np.conjugate(c_a)], rtol=0, atol=1e-15)
     coo = ham.tocoo()
     a_level = np.array([a for a, _, _ in basis_states(basis)])
     assert np.all(np.abs(a_level[coo.row] - a_level[coo.col]) <= 1)
@@ -204,15 +264,16 @@ def test_gershgorin_floor_exact_for_diagonal():
 
 
 def test_weighted_gershgorin_floor_is_tight():
-    # many couplings meet on one row: the plain discs reach 2.7 below E_min,
-    # the weighted ones stop within 0.05 of it
+    # many couplings meet on one row: the plain discs reach 1.86 below E_min
+    # (atom A at x = 0 has no sin couplings), the weighted ones stop within
+    # 0.05 of it
     ham = build_hamiltonian(build_basis(
         ModelConfig(num_modes=8, n_max=2, coupling_strength=0.3)))
     w = np.linalg.eigvalsh(ham.matrix.toarray())
     diag = ham.matrix.diagonal().real
     radii = np.asarray(abs(ham.matrix).sum(axis=1)).ravel() - np.abs(diag)
     floor, ceiling = ham.spectral_bounds
-    assert np.min(diag - radii) < w[0] - 2.5
+    assert np.min(diag - radii) < w[0] - 1.8
     assert w[0] - 0.05 < floor <= w[0]
     assert w[-1] <= ceiling == np.max(diag + radii)
 
@@ -274,32 +335,22 @@ def test_photon_observable_vacuum():
 
 def test_photon_observable_half_box_dense_oracle():
     # independent spectral oracle: build the one-photon region kernel from
-    # the overlap integrals of exp(ikx)/sqrt(L), diagonalize, saturate at 1
+    # the overlap integrals of exp(ikx)/sqrt(L), take it to the standing
+    # waves, diagonalize, saturate at 1
     cfg = ModelConfig(num_modes=6, n_max=1)
     basis = build_basis(cfg)
     lo, hi = 0.0, cfg.box_length / 2
     obs = local_photon_observable(basis, (lo, hi))
 
-    k = np.asarray(basis.modes.k)
-    m = len(k)
-    kernel = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        for l in range(m):
-            q = k[l] - k[j]
-            if q == 0:
-                kernel[j, l] = (hi - lo) / cfg.box_length
-            else:
-                kernel[j, l] = (np.exp(1j * q * hi) - np.exp(1j * q * lo)) / (
-                    1j * q * cfg.box_length
-                )
-    lam, vec = np.linalg.eigh(kernel)
+    m = basis.num_slots
+    lam, vec = np.linalg.eigh(region_kernel(basis, lo, hi))
     clipped = np.clip(lam, 0.0, 1.0)
     oracle = (vec * clipped) @ vec.conjugate().T
 
     for j in range(m):
         got = expectation_grid(obs, one_photon_state(basis, j)[None, :])[0]
         assert_allclose(got, oracle[j, j].real, atol=1e-12)
-        # for a single mode the diagonal entry is just the region fraction
+        # cos^2 and sin^2 both fill half of the box
         assert_allclose(got, 0.5, atol=1e-12)
 
 
@@ -379,7 +430,11 @@ def test_observable_blocks_are_validated():
 
 
 def region_kernel(basis, lo, hi):
-    """K[j, l] = int_lo^hi exp(i (k_l - k_j) x) dx / L, from the end-point exponentials."""
+    """The slots' region kernel V K V^dagger, V from standing_waves.
+
+    K[j, l] = int_lo^hi exp(i (k_l - k_j) x) dx / L over the running waves,
+    from the end-point exponentials.
+    """
     cfg = basis.config
     k = np.asarray(basis.modes.k)
     m = len(k)
@@ -389,7 +444,8 @@ def region_kernel(basis, lo, hi):
             q = k[l] - k[j]
             kernel[j, l] = ((hi - lo) / cfg.box_length if q == 0 else
                             (np.exp(1j * q * hi) - np.exp(1j * q * lo)) / (1j * q * cfg.box_length))
-    return kernel
+    v = standing_waves(k)
+    return v @ kernel @ v.conjugate().T
 
 
 def hand_region_number(basis, lo, hi):
@@ -465,10 +521,11 @@ def test_photon_factor_matches_hand_enumerated_number_operator():
 def test_photon_sectors_match_hand_enumerated_number_operator(config, region):
     # every sector's min(N_S, 1) against the eigh of the hand-enumerated N_S,
     # above n_max = 3 and for an odd mode count, where one mode has no
-    # partner -k and the box model has no time reversal
+    # partner -k and keeps its running wave, so the factors are complex
     basis = build_basis(config)
-    assert (time_reversal(basis) is None) == (config.num_modes % 2 == 1)
     obs = local_photon_observable(basis, region)
+    assert {factor.dtype for _, factor in obs.blocks} == {
+        np.dtype(np.complex128 if config.num_modes % 2 else np.float64)}
     assert_sectors_match(obs, basis, hand_region_number(basis, *region), atol=1e-12)
 
 

@@ -39,7 +39,7 @@ def mid_model():
 def test_initial_state(small_model):
     basis, _ = small_model
     psi0 = prepare_initial_state(basis)
-    assert psi0.dtype == np.complex128
+    assert psi0.dtype == np.float64
     assert np.linalg.norm(psi0) == 1.0
     assert expectation_grid(excitation_observable_b(basis), psi0[None, :])[0] == 0.0
     assert expectation_grid(exchange_projector(basis), psi0[None, :])[0] == 0.0
@@ -114,6 +114,21 @@ def test_krylov_matches_dense_on_grid(mid_model, grid):
     krylov = evolve_grid(ham, psi0, grid, method="krylov")
     assert dense.shape == krylov.shape == (len(grid), basis.dimension)
     assert np.max(np.linalg.norm(dense - krylov, axis=1), initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_global_phase_of_the_start_rides_along(mid_model, method):
+    # a real H and a real psi0 evolve through the float64 recurrence (or a
+    # real eigenbasis), e^{i phi} psi0 through the complex one: the two
+    # results differ by the phase alone
+    basis, ham = mid_model
+    assert ham.matrix.dtype == np.float64
+    psi0 = prepare_initial_state(basis)
+    phase = np.exp(0.83j)
+    grid = np.linspace(0.0, 2 * basis.config.light_cone_time, 30)
+    real = evolve_grid(ham, psi0, grid, method=method)
+    rotated = evolve_grid(ham, phase * psi0, grid, method=method)
+    assert np.max(np.abs(rotated - phase * real)) <= 1e-13
 
 
 def test_krylov_matches_expm_multiply(mid_model):

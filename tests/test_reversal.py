@@ -1,4 +1,16 @@
-"""Time reversal: the real-form dense path against the complex eigh and the series."""
+"""Time reversal: the real H of the standing waves against a running-wave oracle.
+
+In the running waves exp(i k x) of the periodic box every coupling is
+complex, and the model's time reversal swaps the modes k and -k.  The
+package's field slots are the standing waves cos(k x) and sin(|k| x) of
+each pair, where that reversal is plain complex conjugation, so H is real
+from the start.  The oracle here assembles H in the running waves, by hand
+and independent of the package's slot basis, and the package's series
+must match dense evolution of it.  The real-form dense path and the float64
+recurrence are also checked against the complex eigh of the same matrix.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +18,9 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 from twoatom.analysis import probability_series
-from twoatom.basis import build_basis, time_reversal
+from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
-from twoatom.operators import (
-    HermitianOperator,
-    build_hamiltonian,
-    reversal_eigh,
-    restricted_reversal,
-)
+from twoatom.operators import HermitianOperator, build_hamiltonian
 from twoatom.propagator import evolve_grid, prepare_initial_state
 
 
@@ -51,21 +58,22 @@ def start_block(request):
     psi0 = prepare_initial_state(basis)
     block = ham.invariant_block(np.flatnonzero(psi0))
     operator = ham.block(block)
-    return basis, ham, psi0, operator, psi0[block], np.linalg.eigh(operator.matrix.toarray())
+    reference = np.linalg.eigh(operator.matrix.toarray().astype(complex))
+    return basis, ham, psi0, operator, psi0[block], reference
 
 
 def test_start_block_is_diagonalized_in_real_form(start_block):
-    # the real-form eigensystem against the complex eigh of the same matrix
+    # the real eigensystem against the complex eigh of the same matrix
     basis, ham, _, operator, _, (w_ref, _) = start_block
-    assert ham.reversal is not None
-    assert operator.reversal is not None  # psi0 is reversal-invariant
+    assert ham.matrix.dtype == operator.matrix.dtype == np.float64
     matrix = operator.matrix.toarray()
     w, v = operator.eigensystem()
+    assert v.dtype == np.float64
     assert np.max(np.abs(w - w_ref)) <= 1e-12
-    # every eigenpair's residual, and V^dagger V - I in the Frobenius norm,
+    # every eigenpair's residual, and V^T V - I in the Frobenius norm,
     # which bounds the 2-norm
     assert np.max(np.linalg.norm(matrix @ v - v * w, axis=0)) <= 1e-12
-    assert np.linalg.norm(v.conjugate().T @ v - np.eye(len(w))) <= 1e-12
+    assert np.linalg.norm(v.T @ v - np.eye(len(w))) <= 1e-12
 
 
 def test_dense_evolution_matches_complex_eigh_and_series(start_block):
@@ -80,106 +88,182 @@ def test_dense_evolution_matches_complex_eigh_and_series(start_block):
 
 
 def test_odd_mode_count_has_no_reversal_and_still_matches():
-    # mode n = 16 keeps k but not -k, so no permutation reflects it
+    # mode n = 16 keeps k but not -k: its slot stays a running wave, whose
+    # couplings are complex, and the complex eigh and recurrence serve
     basis = build_basis(ModelConfig(num_modes=31))
-    assert time_reversal(basis) is None
     ham = build_hamiltonian(basis)
-    assert ham.reversal is None
+    assert ham.matrix.dtype == np.complex128
     psi0 = prepare_initial_state(basis)
     block = ham.invariant_block(np.flatnonzero(psi0))
     operator = ham.block(block)
-    assert operator.reversal is None
+    assert operator.eigensystem()[1].dtype == np.complex128
     grid = np.linspace(0.0, 2.0 * basis.config.light_cone_time, 25)
     dense = evolve_grid(operator, psi0[block], grid, method="dense")
     series = evolve_grid(operator, psi0[block], grid, method="krylov")
     assert np.max(np.abs(dense - series)) <= 1e-12
 
 
-def test_reversal_swaps_mode_partners_and_fixes_the_atoms():
-    basis = build_basis(ModelConfig(num_modes=6, n_max=2, levels_a=3))
-    p = time_reversal(basis)
+def running_wave_states(basis):
+    """(a_level, b_level, occupations) per basis index, atoms outermost."""
+    return [(a, b, occ) for a in range(basis.levels_a) for b in range(basis.levels_b)
+            for occ in basis.occupations]
+
+
+def running_wave_hamiltonian(basis):
+    """H over the running waves exp(i k x), enumerated state by state.
+
+    Atom X couples through Phi_X = sum_j c_j a_j with
+    c_j = g_j scale_X exp(i k_j x_X): raise_X Phi_X + lower_X Phi_X^dagger,
+    plus raise_X Phi_X^dagger + lower_X Phi_X under the full coupling.
+    """
+    cfg = basis.config
+    states = running_wave_states(basis)
+    index = {state: i for i, state in enumerate(states)}
     k = np.asarray(basis.modes.k)
-    states = [(a, b, occ) for a in range(basis.levels_a) for b in range(basis.levels_b)
-              for occ in basis.occupations]
-    partner = [int(np.flatnonzero(k == -kj)[0]) for kj in k]
+    omega = np.abs(k)
+    g = cfg.coupling_strength * np.sqrt(omega / cfg.box_length) * np.exp(
+        -(omega / cfg.cutoff) ** 2)
+    atoms = ((0, cfg.x_a, cfg.coupling_scale_a, cfg.levels_a),
+             (1, cfg.x_b, cfg.coupling_scale_b, cfg.levels_b))
+    ham = np.zeros((len(states), len(states)), dtype=complex)
+    for i, (a, b, occ) in enumerate(states):
+        ham[i, i] = a * cfg.omega_a + b * cfg.omega_b + float(np.dot(omega, occ))
+        for which, x, scale, levels in atoms:
+            level = (a, b)[which]
+            c = g * scale * np.exp(1j * k * x)
+            for step in (1, -1):
+                if not 0 <= level + step < levels:
+                    continue
+                moved = [a, b]
+                moved[which] += step
+                for j in range(len(k)):
+                    # absorb (a_j) with the raise, emit (a_j^dagger) with the lower
+                    for photons in ((-1, 1) if cfg.coupling_form == "full" else
+                                    (-step,)):
+                        new = list(occ)
+                        new[j] += photons
+                        target = index.get((*moved, tuple(new)))
+                        if new[j] < 0 or target is None:
+                            continue
+                        amp = math.sqrt(max(occ[j], new[j]))
+                        ham[target, i] += amp * (c[j] if photons < 0 else np.conjugate(c[j]))
+    assert np.array_equal(ham, ham.conjugate().T)
+    return ham
+
+
+def running_wave_observable(basis, name, region):
+    """The observable's matrix over the running-wave basis."""
+    cfg = basis.config
+    states = running_wave_states(basis)
+    if name == "excitation_b":
+        return np.diag([float(b > 0) for _, b, _ in states])
+    if name == "exchange":
+        out = np.zeros((len(states), len(states)))
+        i = index_of_bare_state(basis, 0, 1, basis.vacuum)
+        out[i, i] = 1.0
+        return out
+    # min(N_S, 1) with N_S = sum_jl K[j, l] adag_j a_l and the overlaps
+    # K[j, l] = int_region exp(i (k_l - k_j) x) dx / L of the running waves
+    lo, hi = region
+    k = np.asarray(basis.modes.k)
+    q = k[None, :] - k[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kernel = np.where(q == 0, (hi - lo) / cfg.box_length,
+                          (np.exp(1j * q * hi) - np.exp(1j * q * lo)) / (1j * q * cfg.box_length))
+    occs = basis.occupations
+    row = {occ: i for i, occ in enumerate(occs)}
+    number = np.zeros((len(occs), len(occs)), dtype=complex)
+    for i, occ in enumerate(occs):
+        for j in range(len(k)):
+            for l in range(len(k)):
+                if occ[l] == 0:
+                    continue
+                moved = list(occ)
+                amp = math.sqrt(moved[l])
+                moved[l] -= 1
+                amp *= math.sqrt(moved[j] + 1)
+                moved[j] += 1
+                number[row[tuple(moved)], i] += kernel[j, l] * amp
+    lam, vec = np.linalg.eigh(number)
+    saturated = (vec * np.clip(lam, 0.0, 1.0)) @ vec.conjugate().T
+    return np.kron(np.eye(basis.levels_a * basis.levels_b), saturated)
+
+
+ORACLE_CONFIGS = [
+    ModelConfig(num_modes=6, n_max=2, x_a=0.4, x_b=2.9, coupling_strength=0.4),
+    ModelConfig(num_modes=6, n_max=2, x_a=1.1, x_b=4.0, coupling_strength=0.4,
+                coupling_form="rotating_wave"),
+    ModelConfig(levels_a=3, num_modes=6, n_max=2, x_a=0.3, x_b=3.4),
+]
+
+
+@pytest.mark.parametrize("observable", ["excitation_b", "exchange", "photon_region"])
+@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=["full", "rwa", "levels3"])
+def test_series_match_the_running_wave_hamiltonian(config, observable):
+    basis = build_basis(config)
+    region = (1.0, 4.0)
+    ham = running_wave_hamiltonian(basis)
+    o = running_wave_observable(basis, observable, region)
+    psi0 = np.zeros(basis.dimension)
+    psi0[index_of_bare_state(basis, 1, 0, basis.vacuum)] = 1.0
+    grid = np.linspace(0.0, 3.0 * config.light_cone_time, 31)
+    w, v = np.linalg.eigh(ham)
+    states = v @ (np.exp(-1j * np.outer(w, grid)) * (v.conjugate().T @ psi0)[:, None])
+    oracle = np.real(np.einsum("it,ij,jt->t", states.conjugate(), o, states))
+    assert oracle.max() > 1e-4
+    for method in ("dense", "krylov"):
+        series = probability_series(config, observable, grid, method=method, region=region)
+        assert np.max(np.abs(series.values - oracle)) <= 1e-12
+
+
+def test_reversal_swaps_mode_partners_and_fixes_the_atoms():
+    # the reversal p maps (a, b, occ) to (a, b, occ') with occ' the photons
+    # of occ at -k; with complex conjugation it is a symmetry of the
+    # running-wave H, and in the standing waves it is conjugation alone,
+    # which leaves the package's H unchanged because H is real
+    config = ModelConfig(num_modes=6, n_max=2, levels_a=3, x_a=0.9, x_b=3.7)
+    basis = build_basis(config)
+    k = list(basis.modes.k)
+    partner = [k.index(-kj) for kj in k]
+    states = running_wave_states(basis)
+    index = {state: i for i, state in enumerate(states)}
+    p = np.array([index[(a, b, tuple(occ[j] for j in partner))] for a, b, occ in states])
     for i, (a, b, occ) in enumerate(states):
         a2, b2, occ2 = states[p[i]]
         assert (a2, b2) == (a, b)
-        # the photons at k are those the reflected state has at -k
         assert all(occ2[j] == occ[partner[j]] for j in range(len(k)))
     assert np.array_equal(p[p], np.arange(basis.dimension))
-    lattice = build_basis(LatticeConfig())
-    assert np.array_equal(time_reversal(lattice), np.arange(lattice.dimension))
-
-
-@pytest.mark.parametrize("box_length", [15.40414258930905, 6.920917552893706])
-def test_reversal_is_exact_where_the_field_energy_sums_many_photons(box_length):
-    # summed slot by slot, the field energy of an occupation and that of its
-    # reflection add the same terms in another order; with three or more
-    # photons some of those sums rounded apart at these box lengths, and the
-    # constructor's zero-slack check refused H
-    config = ModelConfig(box_length=box_length, x_b=box_length / 2.3, n_max=5,
-                         num_modes=6, cutoff=100.0)
-    ham = build_hamiltonian(build_basis(config))
-    p = ham.reversal
-    gap = ham.matrix[p][:, p].conjugate() - ham.matrix
-    gap.eliminate_zeros()
-    assert gap.nnz == 0
-
-
-def test_constructor_rejects_a_permutation_that_is_no_symmetry():
-    basis = build_basis(ModelConfig(num_modes=4, n_max=2))
-    matrix = build_hamiltonian(basis).matrix
-    # the identity reverses only a real H, and this one has complex couplings
-    with pytest.raises(ValueError, match="not an exact symmetry"):
-        HermitianOperator(matrix, reversal=np.arange(basis.dimension))
-    # reading the indices backwards is its own inverse but moves the atoms
-    with pytest.raises(ValueError, match="not an exact symmetry"):
-        HermitianOperator(matrix, reversal=np.arange(basis.dimension)[::-1])
-    # a cycle, and the true reversal one index short
-    with pytest.raises(ValueError, match="its own inverse"):
-        HermitianOperator(matrix, reversal=np.roll(np.arange(basis.dimension), 1))
-    with pytest.raises(ValueError, match="its own inverse"):
-        HermitianOperator(matrix, reversal=time_reversal(basis)[:-1])
-
-
-def test_block_drops_the_reversal_on_a_set_it_does_not_map_onto_itself():
-    basis = build_basis(ModelConfig(num_modes=4, n_max=2))
-    ham = build_hamiltonian(basis)
-    p = ham.reversal
-    moved = np.flatnonzero(p != np.arange(basis.dimension))
-    one_side = np.sort(moved[moved < p[moved]])
-    assert ham.block(one_side).reversal is None
-    assert restricted_reversal(p, one_side) is None
-    both = np.sort(np.concatenate([one_side, p[one_side]]))
-    kept = ham.block(both).reversal
-    assert np.array_equal(both[kept], p[both])
+    ham = running_wave_hamiltonian(basis)
+    assert np.any(ham.imag != 0)
+    assert_allclose(ham[p][:, p].conjugate(), ham, rtol=0, atol=1e-15)
+    assert build_hamiltonian(basis).matrix.dtype == np.float64
 
 
 def test_real_form_eigh_matches_complex_eigh_on_random_symmetric_matrices():
-    # random Hermitian X, then H = X + conj(X[p][:, p]) has the symmetry
-    # exactly, for a p with both fixed points and swapped pairs
+    # a real symmetric matrix stays float64 and gets the real eigh; a
+    # complex Hermitian one stays complex128
     rng = np.random.default_rng(3)
     for dim in (1, 2, 7, 40):
-        p = np.arange(dim)
-        swaps = rng.permutation(dim)[:2 * ((dim + 1) // 3)].reshape(-1, 2)
-        p[swaps[:, 0]], p[swaps[:, 1]] = swaps[:, 1], swaps[:, 0]
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        x = x + x.conjugate().T
-        h = x + x[p][:, p].conjugate()
-        HermitianOperator(sparse.csr_matrix(h), reversal=p)  # exact by construction
-        w, v = reversal_eigh(sparse.csr_matrix(h), p)
-        assert_allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-12 * np.abs(h).max())
+        x = rng.standard_normal((dim, dim))
+        h = x + x.T
+        operator = HermitianOperator(sparse.csr_matrix(h))
+        assert operator.matrix.dtype == np.float64
+        w, v = operator.eigensystem()
+        assert v.dtype == np.float64
+        assert_allclose(w, np.linalg.eigvalsh(h.astype(complex)), rtol=0,
+                        atol=1e-12 * np.abs(h).max())
         assert np.linalg.norm(h @ v - v * w, 2) <= 1e-12 * np.abs(h).max() * dim
-        assert np.linalg.norm(v.conjugate().T @ v - np.eye(dim), 2) <= 1e-13 * dim
+        assert np.linalg.norm(v.T @ v - np.eye(dim), 2) <= 1e-13 * dim
+        y = h + 1j * (x - x.T)
+        assert HermitianOperator(sparse.csr_matrix(y)).matrix.dtype == np.complex128
 
 
 @pytest.mark.parametrize("config", [ModelConfig(), ModelConfig(num_modes=30)],
                          ids=["default", "modes30"])
 def test_dense_path_runs_real_eigh(monkeypatch, config):
-    # a change to the mode order that loses the reversal would fall back to
-    # the complex eigh of H, about four times slower, with no other sign;
-    # the photon observable runs one eigh, of the m x m region kernel
+    # a change that made H complex would fall back to the complex eigh of H,
+    # about four times slower, with no other sign; the photon observable
+    # runs one eigh, of the real m x m region kernel
     shapes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
@@ -187,7 +271,7 @@ def test_dense_path_runs_real_eigh(monkeypatch, config):
     observable = "photon_region" if config.num_modes == 30 else "excitation_b"
     probability_series(config, observable, np.linspace(0.0, 1.0, 5), method="dense")
     kernel = [(shape, dtype) for shape, dtype in shapes if shape == (30, 30)]
-    assert kernel == ([((30, 30), np.dtype(np.complex128))]
+    assert kernel == ([((30, 30), np.dtype(np.float64))]
                       if observable == "photon_region" else [])
     others = [dtype for shape, dtype in shapes if shape != (30, 30)]
     assert others and set(others) == {np.dtype(np.float64)}
