@@ -18,7 +18,9 @@ import os
 from .config import AnyConfig, LatticeConfig, ModelConfig, ModeTable, mode_table
 from .errors import BasisLookupError, DimensionError
 
-# hard limit protecting the dense fallback paths further down the stack
+# hard cap on the basis dimension, checked before enumeration: it bounds the
+# occupation table and every sparse matrix and vector over the basis; dense
+# arrays are checked against physical memory instead (require_memory)
 DIMENSION_LIMIT = 300_000
 
 

@@ -26,9 +26,11 @@ and unknown keys are rejected outright.  Every flag can also be supplied
 through an environment variable with the ``TWOATOM_`` prefix (for example
 ``TWOATOM_GRID``); explicit flags win over the environment.
 
-Exit codes: 0 success, 2 configuration, usage or output-path error, 3
-numerical non-convergence, 4 basis dimension overflow (or a photon-region
-sector too large for physical memory), 1 unexpected failure.
+Exit codes: 0 success, 2 configuration, usage or output-path error (or a
+grid whose states or series table would not fit in physical memory), 3
+numerical non-convergence, 4 basis dimension overflow (or a dense
+eigendecomposition or photon-region sector too large for physical memory),
+1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -279,6 +281,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _switch(text: str) -> bool:
+    """An on/off value: 1, true or yes, or 0, false or no, in any case."""
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
 def _parse_float_list(text: str) -> list[float]:
     values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
@@ -391,6 +403,8 @@ def _run_series(args):
     method, tol = _propagation(args, manifest)
     observable = _observable(args)
     region = _resolve(args, "region", convert=_parse_pair)
+    dump = (args.subcommand == "simulate"
+            and _resolve(args, "dump-hamiltonian", default=False, convert=_switch))
     manifest.update(observable=observable, region=list(region) if region else None)
     series = analysis.probability_series(config, observable, grid,
                                          method=method, tol=tol, region=region)
@@ -406,8 +420,7 @@ def _run_series(args):
                        log_integral=report.log_integral,
                        max_value=float(series.values.max()),
                        final_value=float(series.values[-1]))
-        if _resolve(args, "dump-hamiltonian", default=False,
-                    convert=lambda s: s.lower() in ("1", "true", "yes")):
+        if dump:
             _, hamiltonian = analysis.build_model(config)
             extra_files["hamiltonian.txt"] = format_triplets(hamiltonian)
     return config, _series_csv(series, "value"), results, extra_files, manifest

@@ -16,8 +16,10 @@ class BasisLookupError(TwoAtomError):
 class DimensionError(TwoAtomError):
     """Basis dimension exceeds the configured hard limit, or physical memory.
 
-    Raised for a basis above basis.DIMENSION_LIMIT and for a photon-number
-    sector whose dense arrays could not fit in physical memory.
+    Raised for a basis above basis.DIMENSION_LIMIT, for a dense
+    eigendecomposition (HermitianOperator.eigensystem) whose matrix and
+    eigenvectors could not fit in physical memory, and for a photon-number
+    sector whose dense arrays could not.
     """
 
 

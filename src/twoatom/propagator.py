@@ -66,6 +66,10 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _dense_apply(hamiltonian, amplitudes, times) -> np.ndarray:
+    # two complex arrays of one entry per eigenvalue and time: phases and states
+    require_memory(2 * len(times) * len(amplitudes) * 16, DomainError,
+                   f"a grid of {len(times)} dense states of dimension {len(amplitudes)}",
+                   "shorten the grid")
     w, v = hamiltonian.eigensystem()
     coeff = _real_product(v.conjugate().T, amplitudes.astype(np.complex128)[:, None])
     phases = np.exp(-1j * w[:, None] * times[None, :])  # per eigenvalue and time
@@ -116,17 +120,18 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
     The series stops at the least order K whose computed tail,
     max_t sum_{k >= K} |a_k(rho t)|, is at most unit roundoff.  The table
     starts past k = rho |t|, and higher until K is ten orders below.
-    A table and vectors that could not fit in physical memory raise
-    DomainError before either is formed.
+    A table, vectors and states that could not fit in physical memory
+    raise DomainError before any of them is formed.
     """
     lo, hi = hamiltonian.spectral_bounds
     radius = (hi - lo) / 2 or 1.0  # a scalar H: any interval holding it serves
     largest = float(np.max(np.abs(radius * times), initial=0.0))
     order = int(largest + 18 * np.cbrt(largest) + 30)
     while True:
-        # entries of up to 16 bytes: (order + 2) coefficients per point and
-        # up to order vectors of the state
-        require_memory((order + 2) * (len(times) + psi0.size) * 16, DomainError,
+        # entries of up to 16 bytes: (order + 2) coefficients per point, up
+        # to order vectors of the state, and the states returned
+        require_memory(((order + 2) * (len(times) + psi0.size) + len(times) * psi0.size) * 16,
+                       DomainError,
                        f"the Chebyshev series of order {order} for rho*|t| up to {largest:.3g}",
                        "shorten the grid")
         coeff = _exp_coefficients(radius * times, order) * np.exp(-1j * lo * times)
@@ -175,8 +180,8 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
     evolve_grid(H, psi0, [t])[0].  A complex-typed grid raises DomainError,
     even where every imaginary part is 0, and so does a time that is not
     finite or whose product with the spectral bounds overflows, before
-    anything is computed; on the sparse path so does a grid whose series
-    table would not fit in physical memory.
+    anything is computed.  So does a grid whose states, or on the sparse
+    path whose series table, would not fit in physical memory.
 
     Parameters
     ----------

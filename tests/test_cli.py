@@ -567,6 +567,73 @@ def test_photon_sector_beyond_memory_exits_four(tmp_path, small_config, capsys, 
     assert not out.exists()
 
 
+def test_dense_eigh_beyond_memory_exits_four(tmp_path, capsys, monkeypatch):
+    # the default start's 1122-state block needs two dense float64 arrays,
+    # 20.1 MB, for its eigh: refused against 15 MB before either is formed
+    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 15 * 10**6)
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--out", str(out), "--grid", "1,10", "--method", "dense"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "dense eigendecomposition of dimension 1122 needs 0.0201 GB" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    # the model itself peaks near 14 MB; the eigh would add at least 20 MB
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_grid_of_states_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, method):
+    # 4001 states of the default 1122-state block are 72 MB of complex
+    # amplitudes, counted with the Chebyshev table or the dense phases and
+    # refused against 40 MB, which holds the block's eigh (20.1 MB)
+    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--out", str(out), "--grid", "6.28,4000",
+                     "--method", method])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "physical memory: shorten the grid" in err
+    assert not out.exists()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("value, dumped", [
+    ("1", True), ("true", True), ("Yes", True), ("TRUE", True),
+    ("0", False), ("false", False), ("No", False),
+])
+def test_dump_hamiltonian_environment_switch(tmp_path, small_config, monkeypatch,
+                                             value, dumped):
+    monkeypatch.setenv("TWOATOM_DUMP_HAMILTONIAN", value)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", small_config, "--out", str(out), "--grid", "2,4"])
+    assert code == 0
+    assert (out / "hamiltonian.txt").exists() == dumped
+
+
+@pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+def test_malformed_dump_hamiltonian_exits_two_before_any_model(tmp_path, small_config,
+                                                               capsys, monkeypatch, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run went on past a malformed switch")
+    monkeypatch.setattr("twoatom.analysis.build_basis", refuse)
+    monkeypatch.setenv("TWOATOM_DUMP_HAMILTONIAN", value)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", small_config, "--out", str(out), "--grid", "2,4"])
+    assert code == 2
+    assert "bad value for --dump-hamiltonian" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oversized_basis_exits_four(tmp_path, capsys):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("num_modes = 80000\nn_max = 1\ncutoff = 1e6\n")

@@ -15,7 +15,8 @@ from twoatom.errors import DimensionError, DomainError
 from twoatom.operators import (
     BoundedObservable,
     HermitianOperator,
-    _annihilators,
+    _lowering_entries,
+    _smeared,
     build_hamiltonian,
     exchange_projector,
     excitation_observable_b,
@@ -110,6 +111,31 @@ def test_decoupled_hamiltonian_is_diagonal():
         ]
     )
     assert_allclose(ham.matrix.diagonal().real, expected, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig(num_modes=5, n_max=3),
+    LatticeConfig(num_sites=5, site_a=1, site_b=3, n_max=3),
+], ids=["box5", "chain5"])
+def test_smeared_annihilator_matches_state_by_state_oracle(config):
+    # a(w) = sum_j w_j a_j for random complex w, assembled state by state from
+    # <occ - e_j| a_j |occ> = sqrt(occ_j); each entry comes from one slot
+    # alone, so the package's a(w) must match it bit for bit
+    basis = build_basis(config)
+    occs = basis.occupations
+    assert len(occs) == 56 and max(max(occ) for occ in occs) == 3
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=basis.num_slots) + 1j * rng.normal(size=basis.num_slots)
+    row_of = {occ: i for i, occ in enumerate(occs)}
+    oracle = np.zeros((len(occs), len(occs)), dtype=complex)
+    for col, occ in enumerate(occs):
+        for j, count in enumerate(occ):
+            if count:
+                lowered = occ[:j] + (count - 1,) + occ[j + 1:]
+                oracle[row_of[lowered], col] += w[j] * math.sqrt(count)
+    smeared = _smeared(w, _lowering_entries(basis), oracle.shape)
+    assert smeared.dtype == np.complex128
+    assert np.array_equal(smeared.toarray(), oracle)
 
 
 def test_single_excitation_block_hand_oracle():
@@ -400,15 +426,12 @@ def test_photon_factor_is_the_sector_factors_on_each_atom_state(config):
     if config.num_modes == 30:
         # rows below the resolution rule are left out (1960 -> 1928 rows)
         assert w.shape[0] == 1928
-        # each sector's min(N_S, 1) = F^dagger F against N_S assembled here
-        # from the per-slot annihilators and diagonalized sector by sector;
-        # the count of stored entries would also count exact zeros of the
-        # eigenvectors, which move with the construction
-        ann = _annihilators(basis)
-        kernel = region_kernel(basis, 0.0, config.box_length / 2)
-        number = sum(kernel[j, l] * (ann[j].T @ ann[l])
-                     for j in range(basis.num_slots) for l in range(basis.num_slots))
-        assert_sectors_match(obs, basis, number.toarray(), atol=1e-12)
+        # each sector's min(N_S, 1) = F^dagger F against the hand-enumerated
+        # N_S, diagonalized sector by sector; the count of stored entries
+        # would also count exact zeros of the eigenvectors, which move with
+        # the construction
+        assert_sectors_match(obs, basis, hand_region_number(basis, 0.0, config.box_length / 2),
+                             atol=1e-12)
         # inside the invariant block of the start: dense blocks only, none
         # joining two photon numbers or two atom states
         ham = build_hamiltonian(basis)
