@@ -29,8 +29,8 @@ from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
                         local_photon_observable)
 from .perturbation import mode_sum_amplitude
-from .propagator import (DEFAULT_TOL, evolve_grid, expectation_grid,
-                         prepare_initial_state, resolve_method)
+from .propagator import (DEFAULT_TOL, chebyshev_expectation, evolve_grid,
+                         expectation_grid, prepare_initial_state, resolve_method)
 
 DEFAULT_EPSILON_ZERO = 1e-12
 DEFAULT_FLOOR = 1e-30
@@ -193,15 +193,23 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     backend on the full dimension, before the restriction, so a config keeps
     the backend it would get without it (see probability_series for the
     measured reason).
+
+    The sparse backend sums P(t) from the Chebyshev series itself
+    (propagator.chebyshev_expectation) and forms no state.  The dense
+    backend forms every state with evolve_grid and evaluates them with
+    expectation_grid; it shares no evaluation with the sparse one, which
+    makes it the sparse one's oracle.
     """
     initial = np.asarray(initial)
     if initial.shape != (hamiltonian.dimension,):
         raise ValueError("initial state and Hamiltonian differ in dimension")
     method = resolve_method(method, hamiltonian.dimension)
     block = hamiltonian.invariant_block(np.flatnonzero(initial))
-    states = evolve_grid(hamiltonian.block(block), initial[block], time_grid,
-                         method=method, tol=tol)
-    values = expectation_grid(observable.restricted(block), states)
+    sub, start, obs = hamiltonian.block(block), initial[block], observable.restricted(block)
+    if method == "krylov":
+        values = chebyshev_expectation(sub, obs, start, time_grid, tol=tol)
+    else:
+        values = expectation_grid(obs, evolve_grid(sub, start, time_grid, method=method))
     return ProbabilitySeries(np.asarray(time_grid, dtype=float), values, observable.label)
 
 
@@ -223,11 +231,11 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
     method : {"auto", "dense", "krylov"}
         "auto" is resolved on the full dimension (dense up to DENSE_LIMIT),
         not on the block's.  This is measured: on the default config's
-        1122-dim block, the real dense eigh plus an 801-point grid and its
-        expectation values took 0.31-0.43 s against 0.05-0.06 s for the
-        Chebyshev series (the model already built; process peaks 103 and
-        75 MB; 2 cores, OpenBLAS), so keying the switch on the block would
-        slow that config down.
+        1122-dim block, the real dense eigh plus an 801-point grid of
+        states and its expectation values took 0.39-0.49 s against
+        0.05-0.07 s for P(t) from the Chebyshev series (the model already
+        built; `simulate` peaks at 103 and 61 MB; 2 cores, OpenBLAS), so
+        keying the switch on the block would slow that config down.
     """
     basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)

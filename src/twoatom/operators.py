@@ -187,10 +187,12 @@ class BoundedObservable:
         """F_k psi[I_k] for each block k, for states stacked as rows.
 
         Each part has one column per state, and one row per factor row (per
-        index for an identity block).  A real factor meets the states in one
-        real product (_real_product), with no complex copy of the factor.
+        index for an identity block).  Real states stay real, and a real
+        factor meets complex states in one real product (_real_product):
+        neither is copied to complex.
         """
-        columns = np.asarray(states, dtype=np.complex128).T
+        columns = np.asarray(states)
+        columns = columns.astype(np.result_type(columns.dtype, np.float64), copy=False).T
         for indices, factor in self.blocks:
             part = columns[indices]
             yield part if factor is None else _real_product(factor, part)
@@ -245,13 +247,16 @@ class BoundedObservable:
 
 
 def _real_product(left, right: np.ndarray) -> np.ndarray:
-    """left @ right for a complex C-contiguous right, with no complex copy of left.
+    """left @ right, with no complex copy of a real left.
 
-    A real left (dense or sparse) multiplies right's interleaved real and
-    imaginary parts, viewed as one real array with twice the columns;
-    numpy would copy it to complex, and scipy would upcast its data on
-    every call.  A complex left takes the plain complex product.
+    A real left (dense or sparse) multiplies a complex C-contiguous right's
+    interleaved real and imaginary parts, viewed as one real array with
+    twice the columns; numpy would copy it to complex, and scipy would
+    upcast its data on every call.  A complex left, or a real right, takes
+    the plain product.
     """
+    if not np.iscomplexobj(right):
+        return left @ right
     dtype = np.result_type(left.dtype, np.float64)
     return (left @ right.view(dtype)).view(np.complex128)
 

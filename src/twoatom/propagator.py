@@ -1,4 +1,4 @@
-"""Exact time evolution of truncated-basis states.
+"""Exact time evolution of truncated-basis states, and P(t) without the states.
 
 evolve_grid is the one propagation call.  It takes a state as a plain
 real or complex array and returns exp(-i H t) psi0 for every real time t
@@ -9,18 +9,25 @@ even num_modes, and every chain) that is a real symmetric eigh, in about
 a quarter of the complex eigh's time.  Above DENSE_LIMIT the sparse
 backend (method "krylov") sums the Chebyshev series of Tal-Ezer & Kosloff
 (J. Chem. Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho],
-with V_k = T_k((H - lo) / rho - 1) psi0 from the three-term recurrence,
-until its tail is below unit roundoff at every point; the recurrence runs
-in float64 when H and psi0 are both real.  Both backends evaluate all
-points in one matrix product and return psi0 at t = 0.  A real operand
-(eigenvectors or Chebyshev vectors) meets the complex phases or
-coefficients in one real product over their interleaved real and
-imaginary parts (_real_product), never as a complex copy.
+psi(t) = sum_k a_k(t) V_k with V_k = T_k((H - lo) / rho - 1) psi0 from the
+three-term recurrence, until its tail is below unit roundoff at every
+point; the recurrence runs in float64 when H and psi0 are both real.  Both
+backends evaluate all points in one matrix product and return psi0 at
+t = 0.  A real operand (eigenvectors or Chebyshev vectors) meets the
+complex phases or coefficients in one real product over their interleaved
+real and imaginary parts (_real_product), never as a complex copy.
 
 expectation_grid is the one evaluation of an observable held as blocks
 (indices I_k, factor F_k): sum_k ||F_k psi[I_k]||^2 for a stack of states,
 one matrix product per factor block and a plain sum of |psi|^2 per
 identity block.  A single state psi is the stack psi[None, :].
+
+chebyshev_expectation is the sparse backend's P(t) = <psi(t)|O|psi(t)>
+with no state formed: the observable's blocks meet the K series vectors
+once, a thin QR reduces them to a K x K triangular factor S, and
+P(t) = ||S a(t)||^2 at each point.  Its memory is the K vectors and K
+coordinates per point, where evolve_grid's states are one entry per point
+and basis state.
 """
 
 from __future__ import annotations
@@ -56,8 +63,11 @@ def resolve_method(method: str, dim: int) -> str:
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     """sum_j |x_ij|^2 for each row i, from the real and imaginary views: no copy."""
-    re, im = rows.real, rows.imag
-    return np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+    re = rows.real
+    out = np.einsum("ij,ij->i", re, re)
+    if np.iscomplexobj(rows):
+        out += np.einsum("ij,ij->i", rows.imag, rows.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +76,13 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _dense_apply(hamiltonian, amplitudes, times) -> np.ndarray:
-    # two complex arrays of one entry per eigenvalue and time: phases and states
-    require_memory(2 * len(times) * len(amplitudes) * 16, DomainError,
-                   f"a grid of {len(times)} dense states of dimension {len(amplitudes)}",
+    # two complex arrays of one entry per eigenvalue and time, phases and
+    # states, beside the n x n eigenvectors
+    n = len(amplitudes)
+    require_memory(2 * len(times) * n * 16 + n * n * hamiltonian.matrix.dtype.itemsize,
+                   DomainError,
+                   f"a grid of {len(times)} dense states of dimension {n}, "
+                   "beside the eigenvectors,",
                    "shorten the grid")
     w, v = hamiltonian.eigensystem()
     coeff = _real_product(v.conjugate().T, amplitudes.astype(np.complex128)[:, None])
@@ -107,20 +121,31 @@ def _exp_coefficients(w: np.ndarray, order: int) -> np.ndarray:
             table[k - 1:, big] /= np.abs(table[k - 1, big])
     weights = 2.0 * np.array([1, 1j, -1, -1j])[np.arange(order + 1) % 4]
     weights[0] = 1.0  # (2 - delta_k0) i^k
-    coeff = weights.conjugate()[:, None] * table[:-1] / (weights @ table[:-1])
+    coeff = table[:-1] / (weights @ table[:-1])
+    coeff *= weights.conjugate()[:, None]
     coeff[:, small] = 0.0
     coeff[0, small] = 1.0
     return coeff
 
 
-def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
-                     times: np.ndarray, tol: float) -> np.ndarray:
-    """exp(-i H t) psi0 by the Chebyshev series over H's spectral bounds.
+def _series_length(coeff: np.ndarray) -> int:
+    """The least K >= 1 with max_t sum_{k >= K} |a_k(t)| at most unit roundoff."""
+    sums = np.abs(coeff[::-1])
+    tail = np.cumsum(sums, axis=0, out=sums)[::-1].max(axis=1, initial=0.0)
+    return max(int(np.count_nonzero(tail > np.finfo(float).eps / 2)), 1)
 
-    The series stops at the least order K whose computed tail,
-    max_t sum_{k >= K} |a_k(rho t)|, is at most unit roundoff.  The table
-    starts past k = rho |t|, and higher until K is ten orders below.
-    A table, vectors and states that could not fit in physical memory
+
+def _chebyshev_series(hamiltonian: HermitianOperator, psi0: np.ndarray,
+                      times: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(V, a) with exp(-i H t) psi0 = sum_k a_k(t) V_k over H's spectral bounds.
+
+    V holds the K vectors V_k = T_k((H - lo) / rho - 1) psi0 as rows, and a
+    the complex coefficients, one column per time.  The series stops at the
+    least order K whose computed tail, max_t sum_{k >= K} |a_k(rho t)|, is
+    at most unit roundoff.  The table starts past k = rho |t|, and higher
+    until K is ten orders below.  The coefficient table, the vectors, K x
+    len(times) coordinates and `width` more entries per term, which the
+    caller forms from the vectors, that could not fit in physical memory
     raise DomainError before any of them is formed.
     """
     lo, hi = hamiltonian.spectral_bounds
@@ -128,19 +153,19 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
     largest = float(np.max(np.abs(radius * times), initial=0.0))
     order = int(largest + 18 * np.cbrt(largest) + 30)
     while True:
-        # entries of up to 16 bytes: (order + 2) coefficients per point, up
-        # to order vectors of the state, and the states returned
-        require_memory(((order + 2) * (len(times) + psi0.size) + len(times) * psi0.size) * 16,
+        # entries of up to 16 bytes, (order + 2) of each kind: coefficients
+        # and coordinates per point, vector entries, and the caller's width
+        require_memory((order + 2) * (2 * len(times) + psi0.size + width) * 16,
                        DomainError,
                        f"the Chebyshev series of order {order} for rho*|t| up to {largest:.3g}",
                        "shorten the grid")
-        coeff = _exp_coefficients(radius * times, order) * np.exp(-1j * lo * times)
-        sums = np.cumsum(np.abs(coeff[::-1]), axis=0)[::-1]
-        tail = sums.max(axis=1, initial=0.0)
-        terms = max(int(np.count_nonzero(tail > np.finfo(float).eps / 2)), 1)
+        coeff = _exp_coefficients(radius * times, order)
+        coeff *= np.exp(-1j * lo * times)
+        terms = _series_length(coeff)
         if terms <= order - 10:
             break
         order *= 2
+    coeff = coeff[:terms].copy()  # the orders past the tail cut are dropped
     scaled = (hamiltonian.matrix - (lo + radius) * scipy.sparse.identity(psi0.size)) / radius
     # one cast of a real H for a complex psi0: scipy would upcast it per product
     scaled = scaled.astype(np.result_type(scaled.dtype, psi0.dtype), copy=False)
@@ -150,15 +175,33 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
         vectors[1] = scaled @ psi0
     for k in range(2, terms):
         vectors[k] = 2.0 * (scaled @ vectors[k - 1]) - vectors[k - 2]
-    out = _real_product(vectors.T, coeff[:terms]).T
+    return vectors, coeff
+
+
+def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
+                     times: np.ndarray, tol: float) -> np.ndarray:
+    """exp(-i H t) psi0 as the sum of the Chebyshev series; shape (len(times), dim).
+
+    States that could not fit in physical memory raise DomainError before
+    the series is summed, and so does the series itself (_chebyshev_series).
+    """
+    require_memory(len(times) * psi0.size * 16, DomainError,
+                   f"a grid of {len(times)} states of dimension {psi0.size}",
+                   "shorten the grid")
+    vectors, coeff = _chebyshev_series(hamiltonian, psi0, times)
+    out = _real_product(vectors.T, coeff).T
     out[times == 0] = psi0
-    _check_accuracy(out, psi0, tol)
+    _check_accuracy(np.sqrt(_squared_norms(out)), psi0, tol)
     return out
 
 
-def _check_accuracy(states: np.ndarray, psi0: np.ndarray, tol: float) -> None:
+def _squared_lengths(factor: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """||factor @ a||^2 for every column a of coeff."""
+    return _squared_norms(_real_product(factor, coeff).T)
+
+
+def _check_accuracy(norms: np.ndarray, psi0: np.ndarray, tol: float) -> None:
     """Raise ConvergenceError where a sparse result's norm moved by more than tol."""
-    norms = np.sqrt(_squared_norms(states))
     worst = float(np.max(np.abs(norms - float(np.linalg.norm(psi0))), initial=0.0))
     if not worst <= tol:
         raise ConvergenceError(
@@ -170,6 +213,30 @@ def _check_accuracy(states: np.ndarray, psi0: np.ndarray, tol: float) -> None:
 # ---------------------------------------------------------------------------
 # public interface
 # ---------------------------------------------------------------------------
+
+
+def _checked(hamiltonian: HermitianOperator, psi0, times) -> tuple[np.ndarray, np.ndarray]:
+    """psi0 as float64 or complex128 and times as a float array, or the grid's errors.
+
+    A complex-typed grid raises DomainError, even where every imaginary part
+    is 0, and so does a time that is not finite or whose product with the
+    spectral bounds overflows.  Shapes that do not match raise ValueError.
+    """
+    psi0 = np.asarray(psi0)
+    psi0 = psi0.astype(np.result_type(psi0.dtype, np.float64), copy=False)
+    if np.iscomplexobj(times):
+        raise DomainError("propagation is in real time only: the grid is complex")
+    times = np.asarray(times, dtype=float)
+    if psi0.shape != (hamiltonian.dimension,) or times.ndim != 1:
+        raise ValueError(f"need a state of shape ({hamiltonian.dimension},) and a 1-D "
+                         f"grid, got shapes {psi0.shape} and {times.shape}")
+    lo, hi = hamiltonian.spectral_bounds
+    # either backend multiplies a time by at most max(hi - lo, |lo|)
+    limit = np.finfo(float).max / max(hi - lo, abs(lo), 1.0)
+    if not (np.all(np.isfinite(times)) and np.abs(times).max(initial=0.0) <= limit):
+        raise DomainError(f"grid points must be finite and at most {limit:.3g} in size, "
+                          "or exp(-iHt) overflows")
+    return psi0, times
 
 
 def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
@@ -197,23 +264,47 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
         it raises ConvergenceError.  It does not set the length of the
         series, which runs until its tail is below unit roundoff.
     """
-    psi0 = np.asarray(psi0)
-    psi0 = psi0.astype(np.result_type(psi0.dtype, np.float64), copy=False)
-    if np.iscomplexobj(times):
-        raise DomainError("evolve_grid propagates in real time only: the grid is complex")
-    times = np.asarray(times, dtype=float)
-    if psi0.shape != (hamiltonian.dimension,) or times.ndim != 1:
-        raise ValueError(f"need a state of shape ({hamiltonian.dimension},) and a 1-D "
-                         f"grid, got shapes {psi0.shape} and {times.shape}")
-    lo, hi = hamiltonian.spectral_bounds
-    # either backend multiplies a time by at most max(hi - lo, |lo|)
-    limit = np.finfo(float).max / max(hi - lo, abs(lo), 1.0)
-    if not (np.all(np.isfinite(times)) and np.abs(times).max(initial=0.0) <= limit):
-        raise DomainError(f"grid points must be finite and at most {limit:.3g} in size, "
-                          "or exp(-iHt) overflows")
+    psi0, times = _checked(hamiltonian, psi0, times)
     if resolve_method(method, hamiltonian.dimension) == "dense":
         return _dense_apply(hamiltonian, psi0, times)
     return _chebyshev_apply(hamiltonian, psi0, times, tol)
+
+
+def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObservable,
+                          psi0, times, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """<psi(t)|O|psi(t)> at every real time t of a grid, with no state formed.
+
+    The sparse backend's series gives psi(t) = sum_k a_k(t) V_k, so block b
+    of the observable sees F_b psi(t)[I_b] = M_b a(t), M_b = F_b V[:, I_b]^T.
+    With M = Q S the thin QR of the stacked M_b, P(t) = ||S a(t)||^2: a sum
+    of squares, non-negative by construction.  Householder QR is backward
+    stable column by column, so S a(t) carries the rounding of M a(t) and
+    a P of 1e-13 keeps its relative digits; the Gram form a^dagger M^dagger
+    M a would square M's conditioning instead.  The work is K x K per
+    point, and the memory K vectors and K coordinates per point; the
+    (points x dim) states of evolve_grid never exist.
+
+    The checks are evolve_grid's with method "krylov": the same DomainError
+    and ValueError on the grid and the state, a memory guard, and the norm
+    check ||psi(t)|| = ||S_0 a(t)|| (S_0 the triangular factor of V^T)
+    against tol.  P(0) is <psi0|O|psi0> itself.
+    """
+    psi0, times = _checked(hamiltonian, psi0, times)
+    if observable.dimension != hamiltonian.dimension:
+        raise ValueError("observable and Hamiltonian differ in dimension")
+    rows = sum(len(indices) if factor is None else factor.shape[0]
+               for indices, factor in observable.blocks)
+    # the observed vectors, and a copy of the vectors for their QR
+    vectors, coeff = _chebyshev_series(hamiltonian, psi0, times, width=rows + psi0.size)
+    # the two triangular factors are all the rest needs of the vectors
+    norm_factor = np.linalg.qr(vectors.T, mode="r")
+    observed = np.vstack([np.zeros((0, len(vectors))), *observable.factor_parts(vectors)])
+    factor = np.linalg.qr(observed, mode="r")
+    del vectors, observed
+    _check_accuracy(np.sqrt(_squared_lengths(norm_factor, coeff)), psi0, tol)
+    values = _squared_lengths(factor, coeff)
+    values[times == 0] = expectation_grid(observable, psi0[None, :])
+    return values
 
 
 def expectation_grid(observable: BoundedObservable, states: np.ndarray) -> np.ndarray:

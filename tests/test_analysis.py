@@ -1,11 +1,13 @@
 """Series diagnostics: dichotomy, witness integral, fronts, cutoff sweep."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from twoatom import analysis
 from twoatom.analysis import (
     DEFAULT_EPSILON_ZERO,
     ProbabilitySeries,
@@ -394,7 +396,7 @@ def test_block_series_matches_full_space(name, without_a, method):
 
 def test_auto_resolves_on_the_full_dimension(monkeypatch):
     # on the default config's 1122-dim block the dense path (a real eigh)
-    # plus an 801-point grid took 0.31-0.43 s against 0.05-0.06 s for the
+    # plus an 801-point grid took 0.39-0.49 s against 0.05-0.07 s for the
     # Chebyshev series, so "auto" keeps the backend the full dimension
     # (2244) selects
     config = ModelConfig()
@@ -422,6 +424,49 @@ def test_auto_resolves_on_the_full_dimension(monkeypatch):
     assert build_model(small)[0].dimension <= DENSE_LIMIT
     probability_series(small, "excitation_b", make_time_grid(1.0, 20), method="auto")
     assert calls
+
+
+def test_krylov_series_forms_no_grid_of_states(monkeypatch):
+    # the default config's 801 points over its 1122-state block would be a
+    # 14.4 MB complex grid of states; the series path sums P(t) from K
+    # coordinates per point and never calls the states path
+    config = ModelConfig()
+    build_model(config)
+    grid = make_time_grid(2 * config.light_cone_time, 800)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the krylov series went through the states")
+
+    monkeypatch.setattr("twoatom.analysis.evolve_grid", refuse)
+    monkeypatch.setattr("twoatom.analysis.expectation_grid", refuse)
+    tracemalloc.start()
+    try:
+        series = probability_series(config, "excitation_b", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.values[0] == 0.0
+    assert series.values[1:].min() > 0.0
+    assert peak < 801 * 1122 * 16 / 2
+
+
+def test_dense_series_goes_through_the_states(monkeypatch):
+    # the dense path is the oracle of the series path: it shares none of it
+    calls = []
+
+    def counted(name):
+        original = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("evolve_grid", "expectation_grid"):
+        monkeypatch.setattr(analysis, name, counted(name))
+    probability_series(ModelConfig(num_modes=4, n_max=2), "exchange",
+                       make_time_grid(2.0, 10), method="dense")
+    assert calls == ["evolve_grid", "expectation_grid"]
 
 
 def test_block_operator_is_cached_on_its_hamiltonian(monkeypatch):

@@ -586,16 +586,20 @@ def test_dense_eigh_beyond_memory_exits_four(tmp_path, capsys, monkeypatch):
     assert peak < 20 * 2**20
 
 
-@pytest.mark.parametrize("method", ["dense", "krylov"])
-def test_grid_of_states_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, method):
-    # 4001 states of the default 1122-state block are 72 MB of complex
-    # amplitudes, counted with the Chebyshev table or the dense phases and
-    # refused against 40 MB, which holds the block's eigh (20.1 MB)
+@pytest.mark.parametrize("method, steps", [("dense", 4000), ("krylov", 8000)],
+                         ids=["dense", "krylov"])
+def test_grid_of_states_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, method,
+                                                steps):
+    # dense: 4001 states of the default 1122-state block are 72 MB of complex
+    # amplitudes, counted with the phases and the eigenvectors; krylov forms
+    # no states, but the coefficient table of an 8001-point grid alone is
+    # 56 MB.  Both are refused against 40 MB, which holds the block's eigh
+    # (20.1 MB)
     monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
     out = tmp_path / "run"
     tracemalloc.start()
     try:
-        code = main(["simulate", "--out", str(out), "--grid", "6.28,4000",
+        code = main(["simulate", "--out", str(out), "--grid", f"6.28,{steps}",
                      "--method", method])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -605,6 +609,36 @@ def test_grid_of_states_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, m
     assert "physical memory: shorten the grid" in err
     assert not out.exists()
     assert peak < 32 * 2**20
+
+
+def test_dense_grid_counts_the_eigenvectors(tmp_path, capsys, monkeypatch):
+    # the phases and states of 1001 points are 35.9 MB and fit in 40 MB on
+    # their own; beside the block's 10.1 MB of real eigenvectors they do not
+    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
+    out = tmp_path / "run"
+    code = main(["simulate", "--out", str(out), "--grid", "6.28,1000", "--method", "dense"])
+    assert code == 2
+    assert ("a grid of 1001 dense states of dimension 1122, beside the eigenvectors, "
+            "needs 0.046 GB") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_long_krylov_grid_forms_no_state_grid(tmp_path, monkeypatch):
+    # the series path sums P(t) from K coordinates per point, so the 4001
+    # points that the states path refuses against 40 MB now run, and the
+    # run never holds the 72 MB grid of states
+    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--out", str(out), "--grid", "6.28,4000",
+                     "--method", "krylov"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len((out / "simulate.csv").read_text().splitlines()) == 4002
+    assert peak < 4001 * 1122 * 16
 
 
 @pytest.mark.parametrize("value, dumped", [

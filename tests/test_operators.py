@@ -389,6 +389,29 @@ def test_photon_observable_spectrum_in_unit_interval():
     assert w[-1] <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("num_modes, factor_dtype", [(4, np.float64), (5, np.complex128)])
+def test_factor_parts_keep_a_real_stack_real(num_modes, factor_dtype):
+    # a real stack (the Chebyshev vectors of a real H) meets a real factor
+    # in a real product and is never copied to complex; a complex factor
+    # (odd num_modes) or a complex stack gives the complex parts
+    cfg = ModelConfig(num_modes=num_modes, n_max=2)
+    basis = build_basis(cfg)
+    obs = local_photon_observable(basis, (0.0, cfg.box_length / 2))
+    assert {f.dtype for _, f in obs.blocks} == {np.dtype(factor_dtype)}
+    rng = np.random.default_rng(11)
+    real = rng.standard_normal((5, basis.dimension))
+    for part, oracle in zip(obs.factor_parts(real), obs.factor_parts(real.astype(complex)),
+                            strict=True):
+        assert part.dtype == factor_dtype
+        assert oracle.dtype == np.complex128
+        assert np.max(np.abs(part - oracle)) <= 1e-14
+    identity = exchange_projector(basis)
+    (part,) = identity.factor_parts(real)
+    assert part.dtype == np.float64
+    assert np.array_equal(expectation_grid(identity, real),
+                          expectation_grid(identity, real.astype(complex)))
+
+
 def test_photon_factor_rows_stay_in_one_photon_number_sector():
     # N_S conserves the photon count, so no row of W may join two counts
     # (or two atom states)

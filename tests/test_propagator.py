@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
+from twoatom.analysis import build_model, make_time_grid, resolve_observable
 from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
-from twoatom.errors import DomainError
+from twoatom.errors import ConvergenceError, DomainError
 from twoatom.operators import (
     build_hamiltonian,
     exchange_projector,
@@ -18,6 +19,7 @@ from twoatom.operators import (
 )
 from twoatom.propagator import (
     _exp_coefficients,
+    chebyshev_expectation,
     evolve_grid,
     expectation_grid,
     prepare_initial_state,
@@ -252,3 +254,110 @@ def test_exp_coefficients_match_scipy_jv():
     # the normalising sum has order terms, each rounded once
     assert np.max(np.abs(coeff[:order - 50] - oracle)) <= order * np.finfo(float).eps / 2
     assert np.array_equal(coeff[:, 0], np.eye(order + 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# P(t) from the Chebyshev series, against the dense states
+# ---------------------------------------------------------------------------
+
+CRITERION_6_CONFIGS = {
+    "box8": ModelConfig(num_modes=8, n_max=2, coupling_strength=0.3),
+    "box8_rwa": ModelConfig(num_modes=8, n_max=2, coupling_strength=0.3,
+                            coupling_form="rotating_wave"),
+    "box24_n1": ModelConfig(num_modes=24, n_max=1),
+    "box12_cut4": ModelConfig(num_modes=12, n_max=2, cutoff=4.0),
+    "lattice": LatticeConfig(),
+    "lattice8": LatticeConfig(num_sites=8, site_a=1, site_b=6),
+}
+
+
+def _observables(config):
+    names = ["excitation_b", "exchange"]
+    if isinstance(config, ModelConfig):
+        names.append("photon_region")
+    return [resolve_observable(config, name) for name in names]
+
+
+def _dense_series(ham, obs, psi, grid):
+    return expectation_grid(obs, evolve_grid(ham, psi, grid, method="dense"))
+
+
+@pytest.mark.parametrize("name", CRITERION_6_CONFIGS)
+def test_chebyshev_expectation_matches_dense_states(name):
+    config = CRITERION_6_CONFIGS[name]
+    basis, ham = build_model(config)
+    psi = prepare_initial_state(basis)
+    grid = make_time_grid(6.0, 30)
+    for obs in _observables(config):
+        values = chebyshev_expectation(ham, obs, psi, grid)
+        assert np.max(np.abs(values - _dense_series(ham, obs, psi, grid))) <= 1e-12, obs
+        assert values.min() >= 0.0
+
+
+def test_chebyshev_expectation_complex_hamiltonian_and_start():
+    # an odd num_modes keeps one running wave, so H is complex; the start is
+    # a random complex state spread over the whole basis
+    config = ModelConfig(num_modes=7, n_max=2, coupling_strength=0.3)
+    basis, ham = build_model(config)
+    assert ham.matrix.dtype == np.complex128
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    psi /= np.linalg.norm(psi)
+    grid = np.array([0.0, 0.4, 1.1, 2.5, 5.0, -0.7])
+    for obs in _observables(config):
+        values = chebyshev_expectation(ham, obs, psi, grid)
+        assert np.max(np.abs(values - _dense_series(ham, obs, psi, grid))) <= 1e-12, obs
+        # P(0) is <psi|O|psi> itself, not its round trip through the series
+        assert values[0] == expectation_grid(obs, psi[None, :])[0]
+
+
+def test_chebyshev_expectation_first_rwa_point_is_relatively_exact():
+    # at the default grid's first step under RWA, P is 8.2e-14: a value the
+    # dense eigenbasis gets only to ~4e-10 relative.  The oracle is the
+    # Taylor series of exp(-iHt) psi0 in extended precision on the 34-state
+    # block; the Chebyshev P must match it to 1e-12 relative.  The whole
+    # grid sets the series length: its tail cut is absolute, so a grid of
+    # [0, t] alone would stop early, near 1e-11 relative at this point
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    config = ModelConfig(coupling_form="rotating_wave")
+    basis, ham = build_model(config)
+    psi = prepare_initial_state(basis)
+    block = ham.invariant_block(np.flatnonzero(psi))
+    sub = ham.block(block)
+    obs = resolve_observable(config, "excitation_b").restricted(block)
+    grid = make_time_grid(2 * config.light_cone_time, 800)
+    value = chebyshev_expectation(sub, obs, psi[block], grid)
+    assert value[0] == 0.0
+    t = grid[1]
+    h = sub.matrix.toarray().astype(np.longdouble) * np.longdouble(t)
+    term_re, term_im = psi[block].astype(np.longdouble), np.zeros(len(block), np.longdouble)
+    sum_re, sum_im = term_re.copy(), term_im.copy()
+    for k in range(1, 40):   # ||H t|| < 0.3: the terms fall below 1e-40
+        term_re, term_im = h @ term_im / k, -(h @ term_re) / k
+        sum_re += term_re
+        sum_im += term_im
+    (indices, factor), = obs.blocks
+    assert factor is None
+    oracle = np.sum(sum_re[indices] ** 2 + sum_im[indices] ** 2)
+    assert 8e-14 < oracle < 8.5e-14
+    assert abs(value[1] - oracle) <= 1e-12 * oracle
+
+
+def test_chebyshev_expectation_keeps_the_checks_of_the_states_path(mid_model):
+    basis, ham = mid_model
+    psi = prepare_initial_state(basis)
+    obs = excitation_observable_b(basis)
+    # a norm tolerance below rounding: the same ConvergenceError, residual attached
+    with pytest.raises(ConvergenceError) as caught:
+        chebyshev_expectation(ham, obs, psi, [0.0, 1.0, 2.0], tol=1e-30)
+    assert 1e-30 < caught.value.residual < 1e-12
+    for grid in ([1.0 + 0.5j], np.array([0.0, 2.0], dtype=complex),
+                 [0.0, np.nan], [np.inf], [1.0, 1e308]):
+        with pytest.raises(DomainError):
+            chebyshev_expectation(ham, obs, psi, grid)
+    with pytest.raises(ValueError):
+        chebyshev_expectation(ham, obs, psi[:-1], [1.0])
+    with pytest.raises(ValueError):
+        chebyshev_expectation(ham, obs, psi, [[1.0]])
+    assert chebyshev_expectation(ham, obs, psi, []).shape == (0,)
