@@ -10,8 +10,10 @@ integral ln P(t) / (1 + t^2) dt is what forbids extended zero intervals),
 difference two-atom runs against atom-free runs, locate signal fronts, and
 compare the second-order exchange probability with the propagated one.
 
-States are plain real or complex arrays over the basis, and every
-propagation here is one propagator.evolve_grid call.
+States are plain real or complex arrays over the basis.  A series on the
+dense backend is one propagator.evolve_grid call, whose states meet the
+observable in propagator.expectation_grid; on the sparse backend it is one
+propagator.chebyshev_expectation call, which forms no state.
 """
 
 from __future__ import annotations
@@ -232,10 +234,11 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
         "auto" is resolved on the full dimension (dense up to DENSE_LIMIT),
         not on the block's.  This is measured: on the default config's
         1122-dim block, the real dense eigh plus an 801-point grid of
-        states and its expectation values took 0.39-0.49 s against
-        0.05-0.07 s for P(t) from the Chebyshev series (the model already
-        built; `simulate` peaks at 103 and 61 MB; 2 cores, OpenBLAS), so
-        keying the switch on the block would slow that config down.
+        states and its expectation values took 0.24-0.30 s against
+        0.023-0.032 s for P(t) from the Chebyshev series (the model
+        already built; `simulate` peaks at 103 and 56 MB; 2 cores,
+        OpenBLAS), so keying the switch on the block would slow that
+        config down.
     """
     basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)
@@ -256,8 +259,13 @@ def log_integral(series: ProbabilitySeries, floor: float = DEFAULT_FLOOR) -> flo
     """
     if floor <= 0:
         raise DomainError("floor must be positive")
-    vals = np.log(np.maximum(np.abs(series.values), floor)) / (1.0 + series.times ** 2)
-    return float(np.trapezoid(vals, series.times))
+    t = series.times
+    vals = np.log(np.maximum(np.abs(series.values), floor))
+    # t^2 overflows past 1.3e154; past 1e150 the 1 is below its rounding anyway
+    huge = np.abs(t) > 1e150
+    vals[~huge] /= 1.0 + t[~huge] ** 2
+    vals[huge] *= (1.0 / t[huge]) ** 2
+    return float(np.trapezoid(vals, t))
 
 
 def dichotomy_scan(series: ProbabilitySeries, *,

@@ -9,13 +9,15 @@ even num_modes, and every chain) that is a real symmetric eigh, in about
 a quarter of the complex eigh's time.  Above DENSE_LIMIT the sparse
 backend (method "krylov") sums the Chebyshev series of Tal-Ezer & Kosloff
 (J. Chem. Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho],
-psi(t) = sum_k a_k(t) V_k with V_k = T_k((H - lo) / rho - 1) psi0 from the
-three-term recurrence, until its tail is below unit roundoff at every
-point; the recurrence runs in float64 when H and psi0 are both real.  Both
-backends evaluate all points in one matrix product and return psi0 at
-t = 0.  A real operand (eigenvectors or Chebyshev vectors) meets the
-complex phases or coefficients in one real product over their interleaved
-real and imaginary parts (_real_product), never as a complex copy.
+psi(t) = sum_k a_k(t) V_k with V_k = T_k((H - lo) / rho - 1) psi0, until
+its tail is below unit roundoff at every point.  The three-term
+recurrence runs once, BLOCK vectors at a time, in float64 when H and psi0
+are both real; each block is summed into the states as it is formed, and
+the coefficients a(t) are built a chunk of points at a time.  Both
+backends return psi0 at t = 0.  A real operand (eigenvectors or
+Chebyshev vectors) meets the complex phases or coefficients in one real
+product over their interleaved real and imaginary parts (_real_product),
+never as a complex copy.
 
 expectation_grid is the one evaluation of an observable held as blocks
 (indices I_k, factor F_k): sum_k ||F_k psi[I_k]||^2 for a stack of states,
@@ -23,11 +25,14 @@ one matrix product per factor block and a plain sum of |psi|^2 per
 identity block.  A single state psi is the stack psi[None, :].
 
 chebyshev_expectation is the sparse backend's P(t) = <psi(t)|O|psi(t)>
-with no state formed: the observable's blocks meet the K series vectors
-once, a thin QR reduces them to a K x K triangular factor S, and
-P(t) = ||S a(t)||^2 at each point.  Its memory is the K vectors and K
-coordinates per point, where evolve_grid's states are one entry per point
-and basis state.
+with no state formed and no series vector kept: each block of vectors
+leaves its observed rows M and its Chebyshev moments, a thin QR reduces
+M to a K x K triangular factor S, and P(t) = ||S a(t)||^2 at each point.
+The moments give the vectors' Gram matrix G, and with it the norm check
+||psi(t)||^2 = a(t)^dagger G a(t).  Its memory is the K observed rows,
+the K x K factors, one block of vectors and one chunk of the
+coefficients, where evolve_grid's states are one entry per point and
+basis state.
 """
 
 from __future__ import annotations
@@ -43,6 +48,11 @@ from .operators import BoundedObservable, HermitianOperator, _real_product
 DENSE_LIMIT = 2000
 # default norm-drift tolerance of the sparse backend, shared by every caller
 DEFAULT_TOL = 1e-10
+# series vectors formed, observed and summed at a time
+BLOCK = 32
+# points whose coefficients are evaluated at a time: each chunk runs Miller's
+# recurrence once, so fewer points per chunk cost more interpreter time
+CHUNK = 256
 
 
 def prepare_initial_state(basis: FockBasis) -> np.ndarray:
@@ -99,30 +109,44 @@ def _dense_apply(hamiltonian, amplitudes, times) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _exp_coefficients(w: np.ndarray, order: int) -> np.ndarray:
-    """a_k(w) for k <= order, where exp(-i w (1 + x)) = sum_k a_k T_k(x) on [-1, 1].
+def _exp_coefficients(w: np.ndarray, order: int, terms: int | None = None) -> np.ndarray:
+    """a_k(w) for k < terms, where exp(-i w (1 + x)) = sum_k a_k T_k(x) on [-1, 1].
 
     a_k = (2 - delta_k0) (-i)^k J_k(w) e^{-iw}, one column per real point w,
     so |a_k| <= 2.  The real J_k come from Miller's backward recurrence from
     J_{order+1} = 0, normalised by e^{iw} = J_0 + 2 sum_k i^k J_k, which has
-    modulus 1 and also supplies the factor e^{-iw}.  A column is rescaled
-    whenever it passes 1e100, so a tiny |w| cannot overflow; below
-    |w| = 1e-150 it is J_k = delta_k0 to double precision.  Orders near the
-    start are inaccurate.
+    modulus 1 and also supplies the factor e^{-iw}.  A step from order k
+    grows the recurrence by at most k max|2/w| + 1, so before that growth
+    since the last rescale could pass 1e100, every column above 1e100 is
+    rescaled: a tiny |w| cannot overflow.  Below |w| = 1e-150 it is
+    J_k = delta_k0 to double precision.  Orders near the start are
+    inaccurate.  terms defaults to order + 1, every order.
     """
+    terms = order + 1 if terms is None else terms
     small = np.abs(w) < 1e-150
     ratio = 2.0 / np.where(small, 1, w)
+    steepest = float(np.max(np.abs(ratio), initial=0.0))
     table = np.zeros((order + 2, len(w)))
     table[order] = 1.0
+    growth = 1.0  # the entries are at most 1e100 * growth
     for k in range(order, 0, -1):
-        table[k - 1] = k * ratio * table[k] - table[k + 1]
-        big = np.abs(table[k - 1]) > 1e100
-        if big.any():
-            table[k - 1:, big] /= np.abs(table[k - 1, big])
+        bound = k * steepest + 1
+        if growth * bound > 1e100:
+            scale = np.maximum(np.abs(table[k]), np.abs(table[k + 1]))
+            big = scale > 1e100
+            table[k:, big] /= scale[big]
+            growth = 1.0
+        growth *= bound
+        row = table[k - 1]
+        np.multiply(k, ratio, out=row)
+        row *= table[k]
+        row -= table[k + 1]
     weights = 2.0 * np.array([1, 1j, -1, -1j])[np.arange(order + 1) % 4]
     weights[0] = 1.0  # (2 - delta_k0) i^k
-    coeff = table[:-1] / (weights @ table[:-1])
-    coeff *= weights.conjugate()[:, None]
+    # the weights are real or imaginary: two real products, no complex table
+    norm = weights.real @ table[:-1] + 1j * (weights.imag @ table[:-1])
+    coeff = table[:terms] / norm
+    coeff *= weights.conjugate()[:terms, None]
     coeff[:, small] = 0.0
     coeff[0, small] = 1.0
     return coeff
@@ -135,61 +159,109 @@ def _series_length(coeff: np.ndarray) -> int:
     return max(int(np.count_nonzero(tail > np.finfo(float).eps / 2)), 1)
 
 
-def _chebyshev_series(hamiltonian: HermitianOperator, psi0: np.ndarray,
-                      times: np.ndarray, width: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(V, a) with exp(-i H t) psi0 = sum_k a_k(t) V_k over H's spectral bounds.
-
-    V holds the K vectors V_k = T_k((H - lo) / rho - 1) psi0 as rows, and a
-    the complex coefficients, one column per time.  The series stops at the
-    least order K whose computed tail, max_t sum_{k >= K} |a_k(rho t)|, is
-    at most unit roundoff.  The table starts past k = rho |t|, and higher
-    until K is ten orders below.  The coefficient table, the vectors, K x
-    len(times) coordinates and `width` more entries per term, which the
-    caller forms from the vectors, that could not fit in physical memory
-    raise DomainError before any of them is formed.
-    """
+def _interval(hamiltonian: HermitianOperator) -> tuple[float, float]:
+    """(lo, rho): H's spectrum lies in [lo, lo + 2 rho], from its spectral bounds."""
     lo, hi = hamiltonian.spectral_bounds
-    radius = (hi - lo) / 2 or 1.0  # a scalar H: any interval holding it serves
+    return lo, (hi - lo) / 2 or 1.0  # a scalar H: any interval holding it serves
+
+
+def _series_order(hamiltonian: HermitianOperator, times: np.ndarray, size: int,
+                  held) -> tuple[int, int]:
+    """(order, K): the table's starting order, and the series length K.
+
+    K is the least order whose computed tail, max_t sum_{k >= K} |a_k(rho t)|,
+    is at most unit roundoff.  Above the order |w|, every |J_k(w)| grows
+    with |w| (J_k rises on [0, k]), and K lies above rho |t| at every point,
+    so the largest rho |t| sets K alone: one column of the table.  The table
+    starts past k = rho |t|, and higher until K is ten orders below.
+
+    held(order) counts the entries that the caller keeps for a series of up
+    to `order` terms, beside one block of vectors and one chunk of the
+    coefficient table.  A run whose entries, at 16 bytes each, could not fit
+    in physical memory raises DomainError before the table at that order
+    is formed.
+    """
+    lo, radius = _interval(hamiltonian)
     largest = float(np.max(np.abs(radius * times), initial=0.0))
     order = int(largest + 18 * np.cbrt(largest) + 30)
     while True:
-        # entries of up to 16 bytes, (order + 2) of each kind: coefficients
-        # and coordinates per point, vector entries, and the caller's width
-        require_memory((order + 2) * (2 * len(times) + psi0.size + width) * 16,
+        # a chunk of the table beside its a(t), S a(t) and G a(t)
+        table = 4 * (order + 2) * min(CHUNK, len(times))
+        require_memory((held(order) + (BLOCK + 2) * size + table) * 16,
                        DomainError,
                        f"the Chebyshev series of order {order} for rho*|t| up to {largest:.3g}",
                        "shorten the grid")
-        coeff = _exp_coefficients(radius * times, order)
-        coeff *= np.exp(-1j * lo * times)
-        terms = _series_length(coeff)
+        terms = _series_length(_exp_coefficients(np.array([largest]), order))
         if terms <= order - 10:
-            break
+            return order, terms
         order *= 2
-    coeff = coeff[:terms].copy()  # the orders past the tail cut are dropped
+
+
+def _coefficient_chunks(hamiltonian: HermitianOperator, times: np.ndarray,
+                        order: int, terms: int):
+    """(columns, a) for consecutive chunks of the grid, a[k] = a_k(t) for k < terms.
+
+    exp(-i H t) psi0 = sum_k a_k(t) V_k over H's spectral bounds; each chunk
+    of the table is built at the starting order and cut to K rows.
+    """
+    lo, radius = _interval(hamiltonian)
+    for first in range(0, len(times), CHUNK):
+        columns = slice(first, first + CHUNK)
+        coeff = _exp_coefficients(radius * times[columns], order, terms)
+        coeff *= np.exp(-1j * lo * times[columns])
+        yield columns, coeff
+
+
+def _chebyshev_blocks(hamiltonian: HermitianOperator, psi0: np.ndarray, terms: int):
+    """(k0, V[k0:k0 + m]) for the vectors V_k = T_k((H - lo) / rho - 1) psi0, k < terms.
+
+    The three-term recurrence runs once, BLOCK vectors at a time, in one
+    buffer that also carries the two vectors before each block.  The
+    recurrence is float64 when H and psi0 are both real.  Each block
+    yielded is overwritten by the next: the caller keeps what it needs.
+    """
+    lo, radius = _interval(hamiltonian)
     scaled = (hamiltonian.matrix - (lo + radius) * scipy.sparse.identity(psi0.size)) / radius
     # one cast of a real H for a complex psi0: scipy would upcast it per product
     scaled = scaled.astype(np.result_type(scaled.dtype, psi0.dtype), copy=False)
-    vectors = np.empty((terms, psi0.size), dtype=scaled.dtype)
-    vectors[0] = psi0
-    if terms > 1:
-        vectors[1] = scaled @ psi0
-    for k in range(2, terms):
-        vectors[k] = 2.0 * (scaled @ vectors[k - 1]) - vectors[k - 2]
-    return vectors, coeff
+    rows = np.empty((min(BLOCK, terms) + 2, psi0.size), dtype=scaled.dtype)
+    for start in range(0, terms, BLOCK):
+        if start:
+            rows[:2] = rows[-2:]  # every block but the last is full
+        stop = min(start + BLOCK, terms)
+        for k in range(start, stop):
+            i = k - start + 2
+            if k == 0:
+                rows[i] = psi0
+            elif k == 1:
+                rows[i] = scaled @ psi0
+            else:
+                rows[i] = 2.0 * (scaled @ rows[i - 1]) - rows[i - 2]
+        yield start, rows[2:2 + stop - start]
 
 
 def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
                      times: np.ndarray, tol: float) -> np.ndarray:
     """exp(-i H t) psi0 as the sum of the Chebyshev series; shape (len(times), dim).
 
-    States that could not fit in physical memory raise DomainError before
-    the series is summed, and so does the series itself (_chebyshev_series).
+    Each block of series vectors is summed into the states as it is formed,
+    so the vectors are never held together.  States that could not fit in
+    physical memory raise DomainError before the series is summed, and so
+    does the series itself: K coordinates per point, and per chunk of
+    points one product of a block with them.
     """
     require_memory(len(times) * psi0.size * 16, DomainError,
                    f"a grid of {len(times)} states of dimension {psi0.size}",
                    "shorten the grid")
-    vectors, coeff = _chebyshev_series(hamiltonian, psi0, times)
-    out = _real_product(vectors.T, coeff).T
+    order, terms = _series_order(
+        hamiltonian, times, psi0.size,
+        lambda order: order * len(times) + psi0.size * min(CHUNK, len(times)))
+    chunks = list(_coefficient_chunks(hamiltonian, times, order, terms))
+    states = np.zeros((psi0.size, len(times)), dtype=np.complex128)
+    for start, vectors in _chebyshev_blocks(hamiltonian, psi0, terms):
+        for columns, coeff in chunks:
+            states[:, columns] += _real_product(vectors.T, coeff[start:start + len(vectors)])
+    out = states.T
     out[times == 0] = psi0
     _check_accuracy(np.sqrt(_squared_norms(out)), psi0, tol)
     return out
@@ -198,6 +270,66 @@ def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
 def _squared_lengths(factor: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """||factor @ a||^2 for every column a of coeff."""
     return _squared_norms(_real_product(factor, coeff).T)
+
+
+def _row_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Re <left_i, right_i> for each row i, over the interleaved real and imaginary parts."""
+    return np.einsum("ij,ij->i", left.view(np.float64), right.view(np.float64))
+
+
+def _gram_lengths(gram: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """a^dagger G a for every column a of coeff, G real symmetric."""
+    # Re(conj(x) y) = re x re y + im x im y, summed over each column's rows
+    sums = np.einsum("ij,ij->j", coeff.view(np.float64),
+                     _real_product(gram, coeff).view(np.float64))
+    return sums.reshape(-1, 2).sum(axis=1)
+
+
+def _observed_rows(observable: BoundedObservable) -> int:
+    """Rows of the observable's square-root factor: one per index of an identity block."""
+    return sum(len(indices) if factor is None else factor.shape[0]
+               for indices, factor in observable.blocks)
+
+
+def _observed_series(hamiltonian: HermitianOperator, observable: BoundedObservable,
+                     psi0: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, G) for the series vectors V_k, k < terms, from one pass of the recurrence.
+
+    M = [F_b V[:, I_b]^T] stacks the observed rows, one matrix product per
+    block of vectors and observable block.  G_jk = <V_j, V_k> is the Gram
+    matrix: T_j T_k = (T_{j+k} + T_{|j-k|}) / 2 gives
+    G_jk = (mu_{j+k} + mu_{|j-k|}) / 2 from the Chebyshev moments
+    mu_n = <psi0|T_n|psi0>, and each vector supplies two of them,
+    mu_2k = 2 <V_k, V_k> - mu_0 and mu_2k+1 = 2 <V_k+1, V_k> - mu_1 (the
+    kernel polynomial method: Weisse, Wellein, Alvermann & Fehske, Rev. Mod.
+    Phys. 78, 275, 2006).
+    """
+    dtype = np.result_type(hamiltonian.matrix.dtype, psi0.dtype,
+                           *(factor.dtype for _, factor in observable.blocks
+                             if factor is not None))
+    observed = np.empty((_observed_rows(observable), terms), dtype=dtype)
+    squares, crosses = np.empty(terms), np.empty(terms)  # <V_k, V_k>, <V_k, V_k-1>
+    for start, vectors in _chebyshev_blocks(hamiltonian, psi0, terms):
+        stop = start + len(vectors)
+        top = 0
+        for part in observable.factor_parts(vectors):
+            observed[top:top + len(part), start:stop] = part
+            top += len(part)
+        squares[start:stop] = _row_products(vectors, vectors)
+        crosses[start + 1:stop] = _row_products(vectors[1:], vectors[:-1])
+        if start:
+            crosses[start] = _row_products(vectors[:1], last)[0]
+        last = vectors[-1:].copy()
+    moments = np.empty(2 * terms - 1)
+    moments[0::2] = 2.0 * squares - squares[0]
+    moments[1::2] = 2.0 * crosses[1:] - crosses[1:2]
+    # Hankel plus Toeplitz: row j of each is a window of the moments, the
+    # second over mu_|n| for -K < n < K, so only G itself is formed
+    windows = np.lib.stride_tricks.sliding_window_view
+    mirrored = np.concatenate([moments[terms - 1:0:-1], moments[:terms]])
+    gram = windows(moments, terms) + windows(mirrored, terms)[::-1]
+    gram *= 0.5
+    return observed, gram
 
 
 def _check_accuracy(norms: np.ndarray, psi0: np.ndarray, tol: float) -> None:
@@ -248,7 +380,7 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
     even where every imaginary part is 0, and so does a time that is not
     finite or whose product with the spectral bounds overflows, before
     anything is computed.  So does a grid whose states, or on the sparse
-    path whose series table, would not fit in physical memory.
+    path whose series, would not fit in physical memory.
 
     Parameters
     ----------
@@ -280,29 +412,35 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     of squares, non-negative by construction.  Householder QR is backward
     stable column by column, so S a(t) carries the rounding of M a(t) and
     a P of 1e-13 keeps its relative digits; the Gram form a^dagger M^dagger
-    M a would square M's conditioning instead.  The work is K x K per
-    point, and the memory K vectors and K coordinates per point; the
-    (points x dim) states of evolve_grid never exist.
+    M a would square M's conditioning instead.
+
+    The recurrence runs once, and each block of vectors leaves only its
+    observed rows and its Chebyshev moments behind (_observed_series), so
+    no V is kept.  The coefficients a(t) are formed a chunk of points at a
+    time.  The work is K x K per point; the memory is K observed rows, the
+    K x K factors, one block of vectors and one chunk of the table.
 
     The checks are evolve_grid's with method "krylov": the same DomainError
     and ValueError on the grid and the state, a memory guard, and the norm
-    check ||psi(t)|| = ||S_0 a(t)|| (S_0 the triangular factor of V^T)
-    against tol.  P(0) is <psi0|O|psi0> itself.
+    check ||psi(t)||^2 = a(t)^dagger G a(t), G the Gram matrix of the V_k
+    from their moments, against tol.  P(0) is <psi0|O|psi0> itself.
     """
     psi0, times = _checked(hamiltonian, psi0, times)
     if observable.dimension != hamiltonian.dimension:
         raise ValueError("observable and Hamiltonian differ in dimension")
-    rows = sum(len(indices) if factor is None else factor.shape[0]
-               for indices, factor in observable.blocks)
-    # the observed vectors, and a copy of the vectors for their QR
-    vectors, coeff = _chebyshev_series(hamiltonian, psi0, times, width=rows + psi0.size)
-    # the two triangular factors are all the rest needs of the vectors
-    norm_factor = np.linalg.qr(vectors.T, mode="r")
-    observed = np.vstack([np.zeros((0, len(vectors))), *observable.factor_parts(vectors)])
+    rows = _observed_rows(observable)
+    # M and its QR copy, G and S, per series term
+    order, terms = _series_order(hamiltonian, times, psi0.size,
+                                 lambda order: order * (2 * rows + 2 * order))
+    observed, gram = _observed_series(hamiltonian, observable, psi0, terms)
     factor = np.linalg.qr(observed, mode="r")
-    del vectors, observed
-    _check_accuracy(np.sqrt(_squared_lengths(norm_factor, coeff)), psi0, tol)
-    values = _squared_lengths(factor, coeff)
+    del observed
+    values, norms = np.empty(len(times)), np.empty(len(times))
+    for columns, coeff in _coefficient_chunks(hamiltonian, times, order, terms):
+        values[columns] = _squared_lengths(factor, coeff)
+        norms[columns] = _gram_lengths(gram, coeff)
+    # a divergent series can make the Gram form negative: a norm of 0 then fails
+    _check_accuracy(np.sqrt(np.maximum(norms, 0.0)), psi0, tol)
     values[times == 0] = expectation_grid(observable, psi0[None, :])
     return values
 

@@ -485,6 +485,19 @@ def test_merely_huge_grid_exits_two_before_any_table(tmp_path, small_config, cap
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "dichotomy"])
+def test_huge_grid_times_weigh_the_log_integral_without_overflow(tmp_path, small_config,
+                                                                 subcommand):
+    # the witness weighs ln P by 1 / (1 + t^2), and t^2 overflows past
+    # t = 1.3e154; the run must not warn, since warnings are errors here
+    out = tmp_path / "run"
+    code = main([subcommand, "--config", small_config, "--out", str(out),
+                 "--grid", "1e300,2", "--method", "dense"])
+    assert code == 0
+    summary = json.loads((out / f"{subcommand}.json").read_text())
+    assert math.isfinite(summary.get("report", summary)["log_integral"])
+
+
 def test_malformed_grid_exits_two(tmp_path, small_config, capsys):
     code = main(["simulate", "--config", small_config,
                  "--out", str(tmp_path / "run"), "--grid", "5"])
@@ -586,21 +599,21 @@ def test_dense_eigh_beyond_memory_exits_four(tmp_path, capsys, monkeypatch):
     assert peak < 20 * 2**20
 
 
-@pytest.mark.parametrize("method, steps", [("dense", 4000), ("krylov", 8000)],
+@pytest.mark.parametrize("method, grid", [("dense", "6.28,4000"), ("krylov", "300,400")],
                          ids=["dense", "krylov"])
 def test_grid_of_states_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, method,
-                                                steps):
+                                                grid):
     # dense: 4001 states of the default 1122-state block are 72 MB of complex
     # amplitudes, counted with the phases and the eigenvectors; krylov forms
-    # no states, but the coefficient table of an 8001-point grid alone is
-    # 56 MB.  Both are refused against 40 MB, which holds the block's eigh
-    # (20.1 MB)
+    # no states, but out to t = 300 the series needs 5139 terms, whose rows
+    # observed on the 561 excited-B states are 46 MB with the QR's copy, and
+    # whose Gram matrix is 211 MB.  Both are refused against 40 MB, which
+    # holds the block's eigh (20.1 MB)
     monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
     out = tmp_path / "run"
     tracemalloc.start()
     try:
-        code = main(["simulate", "--out", str(out), "--grid", f"6.28,{steps}",
-                     "--method", method])
+        code = main(["simulate", "--out", str(out), "--grid", grid, "--method", method])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -639,6 +652,24 @@ def test_long_krylov_grid_forms_no_state_grid(tmp_path, monkeypatch):
     assert code == 0
     assert len((out / "simulate.csv").read_text().splitlines()) == 4002
     assert peak < 4001 * 1122 * 16
+
+
+def test_krylov_grid_of_8001_points_runs_in_40_mb(tmp_path, monkeypatch):
+    # the coefficient table is formed a chunk of points at a time, so the
+    # grid's length no longer sets the series' memory: 8001 points of the
+    # default block fit the 40 MB that refuses 4001 dense states
+    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--out", str(out), "--grid", "6.28,8000",
+                     "--method", "krylov"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len((out / "simulate.csv").read_text().splitlines()) == 8002
+    assert peak < 40 * 10**6
 
 
 @pytest.mark.parametrize("value, dumped", [

@@ -1,5 +1,6 @@
 """Real-time propagation against dense spectral oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,12 +14,17 @@ from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConvergenceError, DomainError
 from twoatom.operators import (
+    HermitianOperator,
     build_hamiltonian,
     exchange_projector,
     excitation_observable_b,
 )
 from twoatom.propagator import (
+    _chebyshev_blocks,
+    _coefficient_chunks,
     _exp_coefficients,
+    _observed_series,
+    _series_order,
     chebyshev_expectation,
     evolve_grid,
     expectation_grid,
@@ -361,3 +367,65 @@ def test_chebyshev_expectation_keeps_the_checks_of_the_states_path(mid_model):
     with pytest.raises(ValueError):
         chebyshev_expectation(ham, obs, psi, [[1.0]])
     assert chebyshev_expectation(ham, obs, psi, []).shape == (0,)
+
+
+@pytest.mark.parametrize("name", CRITERION_6_CONFIGS)
+def test_moment_norm_matches_the_vectors(name):
+    # the Gram matrix from the Chebyshev moments against the explicit one of
+    # the stored vectors, and the norm a^dagger G a against ||S_0 a||, S_0
+    # the triangular factor of V^T
+    config = CRITERION_6_CONFIGS[name]
+    basis, ham = build_model(config)
+    psi = prepare_initial_state(basis)
+    grid = make_time_grid(6.0, 30)
+    order, terms = _series_order(ham, grid, basis.dimension, lambda order: 0)
+    vectors = np.vstack([block.copy() for _, block in _chebyshev_blocks(ham, psi, terms)])
+    assert vectors.shape == (terms, basis.dimension)
+    _, gram = _observed_series(ham, exchange_projector(basis), psi, terms)
+    assert np.max(np.abs(gram - vectors @ vectors.T)) <= 1e-13
+    norm_factor = np.linalg.qr(vectors.T, mode="r")
+    for _, coeff in _coefficient_chunks(ham, grid, order, terms):
+        by_moments = np.sqrt(np.einsum("kt,kt->t", coeff.conj(), gram @ coeff).real)
+        by_qr = np.linalg.norm(norm_factor @ coeff, axis=0)
+        assert np.max(np.abs(by_moments - by_qr)) <= 1e-13
+
+
+def test_moment_norm_catches_a_divergent_series(mid_model, monkeypatch):
+    # a bracket 20 % narrower than the spectrum: the scaled H reaches past
+    # [-1, 1], where T_k grows like 2^k, so the truncated series is far off
+    # and its norm check must fail on both sparse paths
+    basis, ham = mid_model
+    w = np.linalg.eigvalsh(ham.matrix.toarray())
+    span = w[-1] - w[0]
+    narrow = HermitianOperator(ham.matrix)
+    monkeypatch.setattr(narrow, "spectral_bounds", (w[0] + 0.1 * span, w[-1] - 0.1 * span))
+    psi = prepare_initial_state(basis)
+    grid = make_time_grid(6.0, 30)
+    with pytest.raises(ConvergenceError):
+        chebyshev_expectation(narrow, excitation_observable_b(basis), psi, grid)
+    with pytest.raises(ConvergenceError):
+        evolve_grid(narrow, psi, grid, method="krylov")
+
+
+def test_series_keeps_no_vectors():
+    # at n_max = 3 the start's block holds 13 090 states, and the K series
+    # vectors would be K x block float64 entries; the exchange observable
+    # keeps one observed row per vector, so all the series holds is one
+    # block of vectors, its factors and a chunk of coefficients
+    config = ModelConfig(n_max=3, x_b=2.68, coupling_strength=0.23)
+    basis, ham = build_model(config)
+    psi = prepare_initial_state(basis)
+    block = ham.invariant_block(np.flatnonzero(psi))
+    sub = ham.block(block)
+    obs = resolve_observable(config, "exchange").restricted(block)
+    grid = make_time_grid(2 * config.light_cone_time, 800)
+    _, terms = _series_order(sub, grid, len(block), lambda order: 0)
+    tracemalloc.start()
+    try:
+        values = chebyshev_expectation(sub, obs, psi[block], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(block) == 13090
+    assert values[1:].min() > 0.0
+    assert peak < terms * len(block) * 8
