@@ -8,10 +8,12 @@ The operationally meaningful quantity is the difference between two
 ensembles, one prepared with atom A excited and one with atom A in its
 ground state.
 
-On a hopping-lattice field model that difference stays at numerical
-noise until the hopping front arrives, then grows sharply.  The script
-prints the before/after contrast and locates the front against the
-lattice light-cone time R / v with v the maximal group velocity.
+On a hopping-lattice field model that difference stays small until the
+hopping front arrives, then grows sharply; it is not at numerical noise
+before it.  At the defaults its largest value before the light-cone time
+R / v is 5.1e-5, against 3.1e-2 after it.  The script prints the
+before/after contrast and locates the front against R / v, with v the
+maximal group velocity.
 """
 
 import numpy as np

@@ -25,14 +25,16 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import FockBasis, build_basis, index_of_bare_state
-from .config import AnyConfig, LatticeConfig, ModelConfig, mode_table
+# make_time_grid is imported for the callers that find it here
+from .config import (DEFAULT_TOL, AnyConfig, LatticeConfig, ModelConfig, make_time_grid,
+                     mode_table)
 from .errors import ConfigError, DomainError, TwoAtomError
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
                         local_photon_observable)
 from .perturbation import mode_sum_amplitude
-from .propagator import (DEFAULT_TOL, chebyshev_expectation, evolve_grid,
-                         expectation_grid, prepare_initial_state, resolve_method)
+from .propagator import (chebyshev_expectation, evolve_grid, expectation_grid,
+                         prepare_initial_state, resolve_method)
 
 DEFAULT_EPSILON_ZERO = 1e-12
 DEFAULT_FLOOR = 1e-30
@@ -45,13 +47,6 @@ WEAK_COUPLING_BOUND = 1e-2
 OBSERVABLE_NAMES = ("excitation_b", "exchange", "photon_region")
 
 _BOUND_SLACK = 1e-9
-
-
-def make_time_grid(t_max: float, steps: int) -> np.ndarray:
-    """Uniform grid 0..t_max with `steps` intervals (steps+1 points)."""
-    if not 0 < t_max < np.inf or steps < 1:
-        raise ConfigError("time grid needs a finite t_max > 0 and steps >= 1")
-    return np.linspace(0.0, float(t_max), int(steps) + 1)
 
 
 @dataclass(frozen=True)

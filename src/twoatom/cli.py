@@ -46,14 +46,14 @@ import sys
 
 import numpy as np
 
-from . import analysis
-from .config import AnyConfig, LatticeConfig, ModelConfig, config_items
+# the model stack (analysis, operators, propagator) is imported by the
+# runners that use it, so fermi-integral loads only the quadrature
+from .config import (DEFAULT_TOL, AnyConfig, LatticeConfig, ModelConfig, config_items,
+                     make_time_grid)
 from .errors import (ConfigError, ConvergenceError, DimensionError,
                      DomainError, TwoAtomError)
-from .operators import format_triplets
 from .perturbation import (DEFAULT_QUAD_TOL, FREQUENCY_RANGES,
                            exchange_amplitude_series)
-from .propagator import DEFAULT_TOL
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "TWOATOM_"
@@ -352,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommand, config and outputs.  _artifacts builds the rest for all five.
 
 
-def _series_csv(series: analysis.ProbabilitySeries, value_name: str) -> str:
+def _series_csv(series, value_name: str) -> str:
+    """An analysis.ProbabilitySeries as ``t,<value_name>`` CSV."""
     rows = [f"{format_float(t)},{format_float(v)}"
             for t, v in zip(series.times, series.values)]
     return _csv(rows, f"t,{value_name}")
@@ -371,7 +372,7 @@ def _common_setup(args, default_steps: int = 800):
     config = load_config(_resolve(args, "config"))
     grid_spec = _resolve(args, "grid", convert=lambda text: _parse_pair(text, int))
     t_max, steps = grid_spec or (2.0 * config.light_cone_time, default_steps)
-    grid = analysis.make_time_grid(t_max, steps)
+    grid = make_time_grid(t_max, steps)
     return config, grid, {"grid": {"t_max": t_max, "steps": steps}}
 
 
@@ -383,7 +384,8 @@ def _propagation(args, manifest: dict) -> tuple[str, float]:
     return method, tol
 
 
-def _report_dict(report: analysis.DichotomyReport) -> dict:
+def _report_dict(report) -> dict:
+    """The summary entries of an analysis.DichotomyReport."""
     return {
         "classification": report.classification,
         "num_zero_candidates": len(report.zero_candidates),
@@ -399,6 +401,8 @@ def _report_dict(report: analysis.DichotomyReport) -> dict:
 
 def _run_series(args):
     """simulate and dichotomy: one observable's series, summarized two ways."""
+    from . import analysis
+
     config, grid, manifest = _common_setup(args)
     method, tol = _propagation(args, manifest)
     observable = _observable(args)
@@ -421,12 +425,16 @@ def _run_series(args):
                        max_value=float(series.values.max()),
                        final_value=float(series.values[-1]))
         if dump:
+            from .operators import format_triplets
+
             _, hamiltonian = analysis.build_model(config)
             extra_files["hamiltonian.txt"] = format_triplets(hamiltonian)
     return config, _series_csv(series, "value"), results, extra_files, manifest
 
 
 def _run_weak_causality(args):
+    from . import analysis
+
     config, grid, manifest = _common_setup(args)
     method, tol = _propagation(args, manifest)
     delta = analysis.weak_causality_difference(config, grid,
@@ -470,6 +478,8 @@ def _run_fermi_integral(args):
 
 
 def _run_cutoff_sweep(args):
+    from . import analysis
+
     config, grid, manifest = _common_setup(args)
     method, tol = _propagation(args, manifest)
     cutoffs = _resolve(args, "cutoffs", convert=_parse_float_list)

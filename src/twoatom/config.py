@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigError
 
 COUPLING_FORMS = ("full", "rotating_wave")
+# default norm-drift tolerance of the sparse propagator, shared by every caller
+DEFAULT_TOL = 1e-10
 
 
 def _check_atoms_and_coupling(config) -> None:
@@ -200,6 +202,13 @@ def mode_table(config: ModelConfig) -> ModeTable:
         omegas.append(omega)
         gs.append(g)
     return ModeTable(tuple(ks), tuple(omegas), tuple(gs))
+
+
+def make_time_grid(t_max: float, steps: int) -> np.ndarray:
+    """Uniform grid 0..t_max with `steps` intervals (steps+1 points)."""
+    if not 0 < t_max < np.inf or steps < 1:
+        raise ConfigError("time grid needs a finite t_max > 0 and steps >= 1")
+    return np.linspace(0.0, float(t_max), int(steps) + 1)
 
 
 def config_items(config: AnyConfig) -> dict:

@@ -41,18 +41,20 @@ import numpy as np
 import scipy
 
 from .basis import FockBasis, index_of_bare_state, require_memory
+from .config import DEFAULT_TOL
 from .errors import ConvergenceError, DomainError
 from .operators import BoundedObservable, HermitianOperator, _real_product
 
 # largest dimension that "auto" hands to the dense eigendecomposition
 DENSE_LIMIT = 2000
-# default norm-drift tolerance of the sparse backend, shared by every caller
-DEFAULT_TOL = 1e-10
 # series vectors formed, observed and summed at a time
 BLOCK = 32
 # points whose coefficients are evaluated at a time: each chunk runs Miller's
 # recurrence once, so fewer points per chunk cost more interpreter time
 CHUNK = 256
+# rows of the observed M that one QR call copies: a taller M is reduced a
+# chunk at a time, so its QR never holds a second M
+QR_ROWS = 2048
 
 
 def prepare_initial_state(basis: FockBasis) -> np.ndarray:
@@ -412,7 +414,9 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     of squares, non-negative by construction.  Householder QR is backward
     stable column by column, so S a(t) carries the rounding of M a(t) and
     a P of 1e-13 keeps its relative digits; the Gram form a^dagger M^dagger
-    M a would square M's conditioning instead.
+    M a would square M's conditioning instead.  An M taller than QR_ROWS
+    rows is reduced a chunk at a time, S <- qr([S; M_chunk]), because
+    np.linalg.qr copies its argument: the QR holds one chunk, not a second M.
 
     The recurrence runs once, and each block of vectors leaves only its
     observed rows and its Chebyshev moments behind (_observed_series), so
@@ -429,11 +433,21 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     if observable.dimension != hamiltonian.dimension:
         raise ValueError("observable and Hamiltonian differ in dimension")
     rows = _observed_rows(observable)
-    # M and its QR copy, G and S, per series term
-    order, terms = _series_order(hamiltonian, times, psi0.size,
-                                 lambda order: order * (2 * rows + 2 * order))
+
+    def held(order):
+        # M, the QR's copies (of M, or of one chunk stacked under the factor
+        # so far, and that stack's own copy), G and S, per series term
+        copies = rows if rows <= QR_ROWS else 2 * (QR_ROWS + order)
+        return order * (rows + copies + 2 * order)
+
+    order, terms = _series_order(hamiltonian, times, psi0.size, held)
     observed, gram = _observed_series(hamiltonian, observable, psi0, terms)
-    factor = np.linalg.qr(observed, mode="r")
+    # S <- qr([S; M_chunk]) down the chunks: an M of up to QR_ROWS rows is
+    # one plain QR, and a taller one never has a whole copy
+    factor = np.linalg.qr(observed[:QR_ROWS], mode="r")
+    for first in range(QR_ROWS, len(observed), QR_ROWS):
+        chunk = observed[first:first + QR_ROWS]
+        factor = np.linalg.qr(np.concatenate([factor, chunk]), mode="r")
     del observed
     values, norms = np.empty(len(times)), np.empty(len(times))
     for columns, coeff in _coefficient_chunks(hamiltonian, times, order, terms):

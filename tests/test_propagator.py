@@ -20,6 +20,7 @@ from twoatom.operators import (
     excitation_observable_b,
 )
 from twoatom.propagator import (
+    QR_ROWS,
     _chebyshev_blocks,
     _coefficient_chunks,
     _exp_coefficients,
@@ -429,3 +430,38 @@ def test_series_keeps_no_vectors():
     assert len(block) == 13090
     assert values[1:].min() > 0.0
     assert peak < terms * len(block) * 8
+
+
+def test_qr_of_tall_observed_rows_copies_one_chunk(monkeypatch):
+    # at n_max = 3 the excited-B rows M of the start's block are 6545 x 192,
+    # 10.1 MB; np.linalg.qr copies its argument, so one QR of all of M would
+    # hold a second M.  Reduced QR_ROWS rows at a time, the factorization
+    # adds one chunk's copies and the factor beside M
+    config = ModelConfig(n_max=3, x_b=2.68, coupling_strength=0.23)
+    basis, ham = build_model(config)
+    psi = prepare_initial_state(basis)
+    block = ham.invariant_block(np.flatnonzero(psi))
+    sub = ham.block(block)
+    obs = resolve_observable(config, "excitation_b").restricted(block)
+    grid = make_time_grid(2 * config.light_cone_time, 800)
+    held = {}
+
+    def observed_series(*args):
+        observed, gram = _observed_series(*args)
+        held.update(rows=len(observed), size=observed.nbytes,
+                    base=tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return observed, gram
+
+    monkeypatch.setattr("twoatom.propagator._observed_series", observed_series)
+    tracemalloc.start()
+    try:
+        values = chebyshev_expectation(sub, obs, psi[block], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held["rows"] > QR_ROWS
+    assert peak - held["base"] < held["size"]
+    monkeypatch.setattr("twoatom.propagator.QR_ROWS", held["rows"])
+    assert_allclose(values, chebyshev_expectation(sub, obs, psi[block], grid),
+                    atol=1e-15, rtol=0)
