@@ -193,9 +193,10 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
 
     The sparse backend sums P(t) from the Chebyshev series itself
     (propagator.chebyshev_expectation) and forms no state.  The dense
-    backend forms every state with evolve_grid and evaluates them with
-    expectation_grid; it shares no evaluation with the sparse one, which
-    makes it the sparse one's oracle.
+    backend forms every state with evolve_grid(sub, start, time_grid), the
+    dense eigendecomposition, and evaluates them with expectation_grid; it
+    shares no evaluation with the sparse one, which makes it the sparse
+    one's oracle.
     """
     initial = np.asarray(initial)
     if initial.shape != (hamiltonian.dimension,):
@@ -206,7 +207,7 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     if method == "krylov":
         values = chebyshev_expectation(sub, obs, start, time_grid, tol=tol)
     else:
-        values = expectation_grid(obs, evolve_grid(sub, start, time_grid, method=method))
+        values = expectation_grid(obs, evolve_grid(sub, start, time_grid))
     return ProbabilitySeries(np.asarray(time_grid, dtype=float), values, observable.label)
 
 
@@ -229,11 +230,10 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
         "auto" is resolved on the full dimension (dense up to DENSE_LIMIT),
         not on the block's.  This is measured: on the default config's
         1122-dim block, the real dense eigh plus an 801-point grid of
-        states and its expectation values took 0.24-0.30 s against
-        0.023-0.032 s for P(t) from the Chebyshev series (the model
-        already built; `simulate` peaks at 103 and 56 MB; 2 cores,
-        OpenBLAS), so keying the switch on the block would slow that
-        config down.
+        states and its expectation values took 0.27 s against 0.022 s for
+        P(t) from the Chebyshev series (medians of seven in-process runs,
+        the model already built; 2 cores, OpenBLAS), so keying the switch
+        on the block would slow that config down.
     """
     basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)

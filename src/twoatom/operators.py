@@ -102,12 +102,14 @@ class HermitianOperator:
     def eigensystem(self):
         """Dense eigendecomposition (w, V), cached after the first call.
 
-        A dense copy of the matrix and V that could not both fit in physical
-        memory raise DimensionError before either is formed.
+        np.linalg.eigh holds five n x n arrays at once: the dense copy of
+        the matrix, its own copy for LAPACK, V, and the divide-and-conquer
+        workspace of about 2 n^2 more.  Those that could not fit in physical
+        memory raise DimensionError before any is formed.
         """
         if self._eigensystem is None:
             n = self.dimension
-            require_memory(2 * n * n * self.matrix.dtype.itemsize, DimensionError,
+            require_memory(5 * n * n * self.matrix.dtype.itemsize, DimensionError,
                            f"a dense eigendecomposition of dimension {n}",
                            "propagate with method 'krylov', or lower n_max or num_modes")
             self._eigensystem = np.linalg.eigh(self.matrix.toarray())

@@ -1,38 +1,35 @@
 """Exact time evolution of truncated-basis states, and P(t) without the states.
 
-evolve_grid is the one propagation call.  It takes a state as a plain
-real or complex array and returns exp(-i H t) psi0 for every real time t
-of a grid, on one of two backends.  Up to DENSE_LIMIT the Hamiltonian is
-diagonalized once (cached on the operator) and evolution is exact phase
-multiplication in the eigenbasis.  Where H is real (every box model with
-even num_modes, and every chain) that is a real symmetric eigh, in about
-a quarter of the complex eigh's time.  Above DENSE_LIMIT the sparse
-backend (method "krylov") sums the Chebyshev series of Tal-Ezer & Kosloff
-(J. Chem. Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho],
-psi(t) = sum_k a_k(t) V_k with V_k = T_k((H - lo) / rho - 1) psi0, until
-its tail is below unit roundoff at every point.  The three-term
-recurrence runs once, BLOCK vectors at a time, in float64 when H and psi0
-are both real; each block is summed into the states as it is formed, and
-the coefficients a(t) are built a chunk of points at a time.  Both
-backends return psi0 at t = 0.  A real operand (eigenvectors or
-Chebyshev vectors) meets the complex phases or coefficients in one real
-product over their interleaved real and imaginary parts (_real_product),
-never as a complex copy.
+evolve_grid is the dense propagation call, and the independent oracle of
+the sparse backend.  It takes a state as a plain real or complex array and
+returns exp(-i H t) psi0 for every real time t of a grid: the Hamiltonian
+is diagonalized once (cached on the operator) and evolution is exact
+phase multiplication in the eigenbasis.  Where H is real (every box model
+with even num_modes, and every chain) that is a real symmetric eigh, in
+about a quarter of the complex eigh's time.  A real eigenbasis meets the
+complex phases in one real product over their interleaved real and
+imaginary parts (_real_product), never as a complex copy.  psi(0) is psi0
+itself.
 
 expectation_grid is the one evaluation of an observable held as blocks
 (indices I_k, factor F_k): sum_k ||F_k psi[I_k]||^2 for a stack of states,
 one matrix product per factor block and a plain sum of |psi|^2 per
 identity block.  A single state psi is the stack psi[None, :].
 
-chebyshev_expectation is the sparse backend's P(t) = <psi(t)|O|psi(t)>
-with no state formed and no series vector kept: each block of vectors
-leaves its observed rows M and its Chebyshev moments, a thin QR reduces
-M to a K x K triangular factor S, and P(t) = ||S a(t)||^2 at each point.
-The moments give the vectors' Gram matrix G, and with it the norm check
-||psi(t)||^2 = a(t)^dagger G a(t).  Its memory is the K observed rows,
-the K x K factors, one block of vectors and one chunk of the
-coefficients, where evolve_grid's states are one entry per point and
-basis state.
+chebyshev_expectation is the sparse backend ("krylov", and "auto" above
+DENSE_LIMIT): P(t) = <psi(t)|O|psi(t)> with no state formed and no series
+vector kept.  It sums the Chebyshev series of Tal-Ezer & Kosloff (J. Chem.
+Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho],
+psi(t) = sum_k a_k(t) V_k with V_k = T_k((H - lo) / rho - 1) psi0, until
+its tail is below unit roundoff at every point.  The three-term
+recurrence runs once, BLOCK vectors at a time, in float64 when H and psi0
+are both real; each block leaves its observed rows M and its Chebyshev
+moments, a thin QR reduces M to a K x K triangular factor S, and
+P(t) = ||S a(t)||^2 at each point.  The moments give the vectors' Gram
+matrix G, and with it the norm check ||psi(t)||^2 = a(t)^dagger G a(t).
+Its memory is the K observed rows, the K x K factors, one block of
+vectors and one chunk of the coefficients a(t), where evolve_grid's
+states are one entry per point and basis state.
 """
 
 from __future__ import annotations
@@ -79,30 +76,6 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     out = np.einsum("ij,ij->i", re, re)
     if np.iscomplexobj(rows):
         out += np.einsum("ij,ij->i", rows.imag, rows.imag)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dense path
-# ---------------------------------------------------------------------------
-
-
-def _dense_apply(hamiltonian, amplitudes, times) -> np.ndarray:
-    # two complex arrays of one entry per eigenvalue and time, phases and
-    # states, beside the n x n eigenvectors
-    n = len(amplitudes)
-    require_memory(2 * len(times) * n * 16 + n * n * hamiltonian.matrix.dtype.itemsize,
-                   DomainError,
-                   f"a grid of {len(times)} dense states of dimension {n}, "
-                   "beside the eigenvectors,",
-                   "shorten the grid")
-    w, v = hamiltonian.eigensystem()
-    coeff = _real_product(v.conjugate().T, amplitudes.astype(np.complex128)[:, None])
-    phases = np.exp(-1j * w[:, None] * times[None, :])  # per eigenvalue and time
-    phases *= coeff
-    out = _real_product(v, phases).T  # shape (len(times), dim)
-    # exp(0) is the identity: psi(0) exactly, not its round trip through V
-    out[times == 0] = amplitudes
     return out
 
 
@@ -168,7 +141,7 @@ def _interval(hamiltonian: HermitianOperator) -> tuple[float, float]:
 
 
 def _series_order(hamiltonian: HermitianOperator, times: np.ndarray, size: int,
-                  held) -> tuple[int, int]:
+                  rows: int) -> tuple[int, int]:
     """(order, K): the table's starting order, and the series length K.
 
     K is the least order whose computed tail, max_t sum_{k >= K} |a_k(rho t)|,
@@ -177,19 +150,22 @@ def _series_order(hamiltonian: HermitianOperator, times: np.ndarray, size: int,
     so the largest rho |t| sets K alone: one column of the table.  The table
     starts past k = rho |t|, and higher until K is ten orders below.
 
-    held(order) counts the entries that the caller keeps for a series of up
-    to `order` terms, beside one block of vectors and one chunk of the
-    coefficient table.  A run whose entries, at 16 bytes each, could not fit
-    in physical memory raises DomainError before the table at that order
-    is formed.
+    A series of up to `order` terms observed on `rows` rows keeps, per term,
+    the observed rows M, the QR's copies (of M, or of one chunk stacked
+    under the factor so far, and that stack's own copy), G and S, beside one
+    block of vectors of `size` entries and one chunk of the coefficient
+    table.  A run whose entries, at 16 bytes each, could not fit in physical
+    memory raises DomainError before the table at that order is formed.
     """
     lo, radius = _interval(hamiltonian)
     largest = float(np.max(np.abs(radius * times), initial=0.0))
     order = int(largest + 18 * np.cbrt(largest) + 30)
     while True:
+        copies = rows if rows <= QR_ROWS else 2 * (QR_ROWS + order)
+        held = order * (rows + copies + 2 * order)
         # a chunk of the table beside its a(t), S a(t) and G a(t)
         table = 4 * (order + 2) * min(CHUNK, len(times))
-        require_memory((held(order) + (BLOCK + 2) * size + table) * 16,
+        require_memory((held + (BLOCK + 2) * size + table) * 16,
                        DomainError,
                        f"the Chebyshev series of order {order} for rho*|t| up to {largest:.3g}",
                        "shorten the grid")
@@ -240,33 +216,6 @@ def _chebyshev_blocks(hamiltonian: HermitianOperator, psi0: np.ndarray, terms: i
             else:
                 rows[i] = 2.0 * (scaled @ rows[i - 1]) - rows[i - 2]
         yield start, rows[2:2 + stop - start]
-
-
-def _chebyshev_apply(hamiltonian: HermitianOperator, psi0: np.ndarray,
-                     times: np.ndarray, tol: float) -> np.ndarray:
-    """exp(-i H t) psi0 as the sum of the Chebyshev series; shape (len(times), dim).
-
-    Each block of series vectors is summed into the states as it is formed,
-    so the vectors are never held together.  States that could not fit in
-    physical memory raise DomainError before the series is summed, and so
-    does the series itself: K coordinates per point, and per chunk of
-    points one product of a block with them.
-    """
-    require_memory(len(times) * psi0.size * 16, DomainError,
-                   f"a grid of {len(times)} states of dimension {psi0.size}",
-                   "shorten the grid")
-    order, terms = _series_order(
-        hamiltonian, times, psi0.size,
-        lambda order: order * len(times) + psi0.size * min(CHUNK, len(times)))
-    chunks = list(_coefficient_chunks(hamiltonian, times, order, terms))
-    states = np.zeros((psi0.size, len(times)), dtype=np.complex128)
-    for start, vectors in _chebyshev_blocks(hamiltonian, psi0, terms):
-        for columns, coeff in chunks:
-            states[:, columns] += _real_product(vectors.T, coeff[start:start + len(vectors)])
-    out = states.T
-    out[times == 0] = psi0
-    _check_accuracy(np.sqrt(_squared_norms(out)), psi0, tol)
-    return out
 
 
 def _squared_lengths(factor: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -373,16 +322,17 @@ def _checked(hamiltonian: HermitianOperator, psi0, times) -> tuple[np.ndarray, n
     return psi0, times
 
 
-def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
-                method: str = "auto", tol: float = DEFAULT_TOL) -> np.ndarray:
+def evolve_grid(hamiltonian: HermitianOperator, psi0, times) -> np.ndarray:
     """exp(-i H t) psi0 at every real time t of a grid; shape (len(times), dim).
 
-    The times may come in any order.  A single time t is
-    evolve_grid(H, psi0, [t])[0].  A complex-typed grid raises DomainError,
-    even where every imaginary part is 0, and so does a time that is not
-    finite or whose product with the spectral bounds overflows, before
-    anything is computed.  So does a grid whose states, or on the sparse
-    path whose series, would not fit in physical memory.
+    Exact phase multiplication in H's dense eigenbasis
+    (HermitianOperator.eigensystem), so the result is complex128 and
+    psi(0) is psi0 itself.  The times may come in any order.  A single time
+    t is evolve_grid(H, psi0, [t])[0].  A complex-typed grid raises
+    DomainError, even where every imaginary part is 0, and so does a time
+    that is not finite or whose product with the spectral bounds overflows,
+    before anything is computed.  So does a grid whose states, beside the
+    eigenvectors, would not fit in physical memory.
 
     Parameters
     ----------
@@ -390,18 +340,24 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times, *,
         Initial amplitudes, read as float64 when real and as complex128
         otherwise.
     times : 1-D sequence of real times
-    method : {"auto", "dense", "krylov"}
-        "auto" picks dense up to dimension DENSE_LIMIT, the sparse
-        Chebyshev backend ("krylov") above.
-    tol : float
-        Largest norm change the sparse backend may leave at any time before
-        it raises ConvergenceError.  It does not set the length of the
-        series, which runs until its tail is below unit roundoff.
     """
     psi0, times = _checked(hamiltonian, psi0, times)
-    if resolve_method(method, hamiltonian.dimension) == "dense":
-        return _dense_apply(hamiltonian, psi0, times)
-    return _chebyshev_apply(hamiltonian, psi0, times, tol)
+    # two complex arrays of one entry per eigenvalue and time, phases and
+    # states, beside the n x n eigenvectors
+    n = len(psi0)
+    require_memory(2 * len(times) * n * 16 + n * n * hamiltonian.matrix.dtype.itemsize,
+                   DomainError,
+                   f"a grid of {len(times)} dense states of dimension {n}, "
+                   "beside the eigenvectors,",
+                   "shorten the grid")
+    w, v = hamiltonian.eigensystem()
+    coeff = _real_product(v.conjugate().T, psi0.astype(np.complex128)[:, None])
+    phases = np.exp(-1j * w[:, None] * times[None, :])  # per eigenvalue and time
+    phases *= coeff
+    out = _real_product(v, phases).T  # shape (len(times), dim)
+    # exp(0) is the identity: psi(0) exactly, not its round trip through V
+    out[times == 0] = psi0
+    return out
 
 
 def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObservable,
@@ -424,23 +380,17 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     time.  The work is K x K per point; the memory is K observed rows, the
     K x K factors, one block of vectors and one chunk of the table.
 
-    The checks are evolve_grid's with method "krylov": the same DomainError
-    and ValueError on the grid and the state, a memory guard, and the norm
-    check ||psi(t)||^2 = a(t)^dagger G a(t), G the Gram matrix of the V_k
-    from their moments, against tol.  P(0) is <psi0|O|psi0> itself.
+    The checks on the grid and the state are evolve_grid's: the same
+    DomainError and ValueError.  A series that could not fit in physical
+    memory raises DomainError before it is formed, and the norm check
+    ||psi(t)||^2 = a(t)^dagger G a(t), G the Gram matrix of the V_k from
+    their moments, raises ConvergenceError where the norm moved by more
+    than tol.  P(0) is <psi0|O|psi0> itself.
     """
     psi0, times = _checked(hamiltonian, psi0, times)
     if observable.dimension != hamiltonian.dimension:
         raise ValueError("observable and Hamiltonian differ in dimension")
-    rows = _observed_rows(observable)
-
-    def held(order):
-        # M, the QR's copies (of M, or of one chunk stacked under the factor
-        # so far, and that stack's own copy), G and S, per series term
-        copies = rows if rows <= QR_ROWS else 2 * (QR_ROWS + order)
-        return order * (rows + copies + 2 * order)
-
-    order, terms = _series_order(hamiltonian, times, psi0.size, held)
+    order, terms = _series_order(hamiltonian, times, psi0.size, _observed_rows(observable))
     observed, gram = _observed_series(hamiltonian, observable, psi0, terms)
     # S <- qr([S; M_chunk]) down the chunks: an M of up to QR_ROWS rows is
     # one plain QR, and a taller one never has a whole copy

@@ -27,6 +27,7 @@ from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.operators import BoundedObservable, HermitianOperator
 from twoatom.perturbation import exchange_amplitude_series
 from twoatom.propagator import (
+    chebyshev_expectation,
     evolve_grid,
     expectation_grid,
     prepare_initial_state,
@@ -179,6 +180,7 @@ def test_criterion_6_krylov_matches_dense():
         LatticeConfig(num_sites=8, site_a=1, site_b=6),
     ]
     grid = make_time_grid(6.0, 30)
+    rng = np.random.default_rng(6)
     worst = 0.0
     dims = []
     for config in suite:
@@ -186,11 +188,24 @@ def test_criterion_6_krylov_matches_dense():
         assert basis.dimension <= 2000
         dims.append(basis.dimension)
         psi = prepare_initial_state(basis)
-        dense = evolve_grid(ham, psi, grid, method="dense")
-        krylov = evolve_grid(ham, psi, grid, method="krylov", tol=1e-12)
-        worst = max(worst, float(np.max(np.linalg.norm(dense - krylov, axis=1))))
+        names = ["excitation_b", "exchange"]
+        if isinstance(config, ModelConfig):
+            names.append("photon_region")
+        observables = [resolve_observable(config, name) for name in names]
+        # rank-one projectors |u><u|, complex u: P sees the relative phases
+        for _ in range(2):
+            u = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(
+                basis.dimension)
+            u /= np.linalg.norm(u)
+            observables.append(BoundedObservable(
+                [(np.arange(basis.dimension), u.conj()[None, :])], basis.dimension))
+        # the series against the dense states, its oracle
+        states = evolve_grid(ham, psi, grid)
+        for obs in observables:
+            series = chebyshev_expectation(ham, obs, psi, grid, tol=1e-12)
+            worst = max(worst, float(np.max(np.abs(series - expectation_grid(obs, states)))))
     ok = worst <= 1e-10
-    _verdict(6, ok, f"worst vector-norm gap {worst:.3e} <= 1e-10 over "
+    _verdict(6, ok, f"worst |P_series - P_dense| {worst:.3e} <= 1e-10 over "
                     f"{len(suite)} instances, dims {dims}")
     assert worst <= 1e-10
 
@@ -205,18 +220,27 @@ def test_criterion_7_conservation_suite():
 
     rng = np.random.default_rng(11)
     grid = make_time_grid(5.0, 25)
-    unit_drift = 0.0
-    energy_drift = 0.0
-    for method, tol in (("dense", 1e-10), ("krylov", 1e-12)):
-        vec = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(
-            basis.dimension)
-        psi = vec / np.linalg.norm(vec)
-        states = evolve_grid(ham, psi, grid, method=method, tol=tol)
-        norms = np.linalg.norm(states, axis=1)
-        unit_drift = max(unit_drift, float(np.max(np.abs(norms - 1.0))))
-        energies = np.array([
-            np.vdot(s, ham.matrix @ s).real for s in states])
-        energy_drift = max(energy_drift, float(np.max(np.abs(energies - energies[0]))))
+    # dense: the norm and the energy of each state
+    vec = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    psi = vec / np.linalg.norm(vec)
+    states = evolve_grid(ham, psi, grid)
+    norms = np.linalg.norm(states, axis=1)
+    unit_drift = float(np.max(np.abs(norms - 1.0)))
+    energies = np.array([np.vdot(s, ham.matrix @ s).real for s in states])
+    energy_drift = float(np.max(np.abs(energies - energies[0])))
+    # series: P of the identity, and of (H - lo) / (hi - lo) from H's dense eigh
+    vec = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    psi = vec / np.linalg.norm(vec)
+    everything = np.arange(basis.dimension)
+    identity = BoundedObservable([(everything, None)], basis.dimension)
+    norms = np.sqrt(chebyshev_expectation(ham, identity, psi, grid, tol=1e-12))
+    unit_drift = max(unit_drift, float(np.max(np.abs(norms - 1.0))))
+    w, v = np.linalg.eigh(ham.matrix.toarray())
+    lo, span = w[0], w[-1] - w[0]
+    energy = BoundedObservable([(everything, np.sqrt((w - lo) / span)[:, None] * v.conj().T)],
+                               basis.dimension)
+    energies = lo + span * chebyshev_expectation(ham, energy, psi, grid, tol=1e-12)
+    energy_drift = max(energy_drift, float(np.max(np.abs(energies - energies[0]))))
 
     observables = [
         resolve_observable(config, "excitation_b"),

@@ -377,10 +377,9 @@ def test_block_series_matches_full_space(name, without_a, method):
     if isinstance(config, ModelConfig):
         observables.append("photon_region")
     grid = make_time_grid(6.0, 30)
-    full_states = evolve_grid(ham, psi, grid, method=method)
+    full_states = evolve_grid(ham, psi, grid)
     block_states = np.zeros_like(full_states)
-    block_states[:, block] = evolve_grid(ham.block(block), psi[block], grid,
-                                         method=method)
+    block_states[:, block] = evolve_grid(ham.block(block), psi[block], grid)
     for observable in observables:
         obs = resolve_observable(config, observable)
         series = series_from_operators(ham, psi, obs, grid, method=method)
@@ -396,9 +395,9 @@ def test_block_series_matches_full_space(name, without_a, method):
 
 def test_auto_resolves_on_the_full_dimension(monkeypatch):
     # on the default config's 1122-dim block the dense path (a real eigh)
-    # plus an 801-point grid took 0.39-0.49 s against 0.05-0.07 s for the
-    # Chebyshev series, so "auto" keeps the backend the full dimension
-    # (2244) selects
+    # plus an 801-point grid took 0.27 s against 0.022 s for the Chebyshev
+    # series (probability_series' docstring), so "auto" keeps the backend
+    # the full dimension (2244) selects
     config = ModelConfig()
     basis, ham = build_model(config)
     block = ham.invariant_block(np.flatnonzero(prepare_initial_state(basis)))
@@ -513,7 +512,7 @@ def test_block_of_a_two_component_start_is_their_union(method):
     obs = resolve_observable(config, "photon_region")
     grid = make_time_grid(3.0, 15)
     series = series_from_operators(ham, psi, obs, grid, method=method)
-    full = expectation_grid(obs, evolve_grid(ham, psi, grid, method=method))
+    full = expectation_grid(obs, evolve_grid(ham, psi, grid))
     assert np.max(np.abs(series.values - full)) <= 1e-12
 
 
@@ -597,7 +596,7 @@ def test_factor_leaving_the_block_is_evaluated_exactly(case, method):
     assert all(f is None or f.shape[0] > 0 for _, f in restricted.blocks)
     grid = make_time_grid(2.0, 12)
     series = series_from_operators(ham, psi, obs, grid, method=method)
-    states = evolve_grid(ham, psi, grid, method=method)
+    states = evolve_grid(ham, psi, grid)
     direct = np.real(np.einsum("ij,ij->i", states.conjugate(), states @ formed.T))
     assert np.max(np.abs(series.values - direct)) <= 1e-13
 

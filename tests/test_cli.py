@@ -581,8 +581,8 @@ def test_photon_sector_beyond_memory_exits_four(tmp_path, small_config, capsys, 
 
 
 def test_dense_eigh_beyond_memory_exits_four(tmp_path, capsys, monkeypatch):
-    # the default start's 1122-state block needs two dense float64 arrays,
-    # 20.1 MB, for its eigh: refused against 15 MB before either is formed
+    # the default start's 1122-state block needs five dense float64 arrays,
+    # 50.4 MB, for its eigh: refused against 15 MB before any is formed
     monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 15 * 10**6)
     out = tmp_path / "run"
     tracemalloc.start()
@@ -592,11 +592,24 @@ def test_dense_eigh_beyond_memory_exits_four(tmp_path, capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 4
-    assert "dense eigendecomposition of dimension 1122 needs 0.0201 GB" in \
+    assert "dense eigendecomposition of dimension 1122 needs 0.0504 GB" in \
         capsys.readouterr().err
     assert not out.exists()
     # the model itself peaks near 14 MB; the eigh would add at least 20 MB
     assert peak < 20 * 2**20
+
+
+def test_dense_eigh_counts_its_workspace(tmp_path, capsys, monkeypatch):
+    # eigh holds the dense matrix, its LAPACK copy, V and syevd's 2 n^2
+    # workspace: 50.4 MB on the 1122-state block, which 30 MB does not hold,
+    # though the matrix and V alone (20.1 MB) would fit
+    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 30 * 10**6)
+    out = tmp_path / "run"
+    code = main(["simulate", "--out", str(out), "--grid", "1,10", "--method", "dense"])
+    assert code == 4
+    assert "dense eigendecomposition of dimension 1122 needs 0.0504 GB" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method, grid", [("dense", "6.28,4000"), ("krylov", "300,400")],
@@ -607,8 +620,9 @@ def test_grid_of_states_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, m
     # amplitudes, counted with the phases and the eigenvectors; krylov forms
     # no states, but out to t = 300 the series needs 5139 terms, whose rows
     # observed on the 561 excited-B states are 46 MB with the QR's copy, and
-    # whose Gram matrix is 211 MB.  Both are refused against 40 MB, which
-    # holds the block's eigh (20.1 MB)
+    # whose Gram matrix is 211 MB.  Both are refused against 40 MB by the
+    # grid's own guard, which the dense path asks before the block's eigh
+    # (50.4 MB)
     monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
     out = tmp_path / "run"
     tracemalloc.start()

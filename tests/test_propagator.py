@@ -14,6 +14,7 @@ from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConvergenceError, DomainError
 from twoatom.operators import (
+    BoundedObservable,
     HermitianOperator,
     build_hamiltonian,
     exchange_projector,
@@ -45,6 +46,26 @@ def mid_model():
     return basis, build_hamiltonian(basis)
 
 
+def _rank_one_projectors(dimension, count=3, seed=29):
+    # |u><u| for random complex unit u over the whole basis, held as the
+    # factor u^dagger: P(t) = |<u|psi(t)>|^2 sees the relative phases of psi(t)
+    rng = np.random.default_rng(seed)
+    projectors = []
+    for _ in range(count):
+        u = rng.standard_normal(dimension) + 1j * rng.standard_normal(dimension)
+        u /= np.linalg.norm(u)
+        projectors.append(BoundedObservable([(np.arange(dimension), u.conj()[None, :])],
+                                            dimension, "rank_one"))
+    return projectors
+
+
+def _series_observables(basis):
+    # the three named observables of the box, and rank-one projectors
+    return [*(resolve_observable(basis.config, name)
+              for name in ("excitation_b", "exchange", "photon_region")),
+            *_rank_one_projectors(basis.dimension)]
+
+
 def test_initial_state(small_model):
     basis, _ = small_model
     psi0 = prepare_initial_state(basis)
@@ -59,11 +80,10 @@ def test_initial_state(small_model):
 def test_zero_time_is_identity(small_model):
     basis, ham = small_model
     psi0 = prepare_initial_state(basis)
-    for method in ("dense", "krylov"):
-        for grid in ([0.0], [0.0, 0.0]):
-            out = evolve_grid(ham, psi0, grid, method=method)
-            # exp(0) is the identity: psi0 itself, with no round-off
-            assert np.array_equal(out[0], psi0)
+    for grid in ([0.0], [0.0, 0.0]):
+        out = evolve_grid(ham, psi0, grid)
+        # exp(0) is the identity: psi0 itself, with no round-off
+        assert np.array_equal(out[0], psi0)
 
 
 def test_decoupled_probabilities_are_static():
@@ -89,20 +109,20 @@ def test_group_property(small_model):
     psi0 = prepare_initial_state(basis)
     # exp(-iH t1) exp(-iH t2) = exp(-iH (t1 + t2))
     t1, t2 = 1.1, 1.4
-    for method in ("dense", "krylov"):
-        one_shot = evolve_grid(ham, psi0, [t1 + t2], method=method)[0]
-        half = evolve_grid(ham, psi0, [t1], method=method)[0]
-        two_step = evolve_grid(ham, half, [t2], method=method)[0]
-        assert np.linalg.norm(one_shot - two_step) <= 1e-10
+    one_shot = evolve_grid(ham, psi0, [t1 + t2])[0]
+    half = evolve_grid(ham, psi0, [t1])[0]
+    two_step = evolve_grid(ham, half, [t2])[0]
+    assert np.linalg.norm(one_shot - two_step) <= 1e-10
 
 
 def test_krylov_matches_dense(mid_model):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
     grid = np.linspace(0.0, 2 * basis.config.light_cone_time, 30)
-    dense = evolve_grid(ham, psi0, grid, method="dense")
-    krylov = evolve_grid(ham, psi0, grid, method="krylov", tol=1e-12)
-    assert np.max(np.linalg.norm(dense - krylov, axis=1)) <= 1e-10
+    states = evolve_grid(ham, psi0, grid)
+    for obs in _series_observables(basis):
+        series = chebyshev_expectation(ham, obs, psi0, grid, tol=1e-12)
+        assert np.max(np.abs(series - expectation_grid(obs, states))) <= 1e-10, obs
 
 
 @pytest.mark.parametrize("grid", [
@@ -111,7 +131,7 @@ def test_krylov_matches_dense(mid_model):
     # uniform but starting after t = 0
     np.linspace(1.5, 6.0, 19),
     np.full(3, 2.0),
-    # empty: no states, but still a (0, dim) stack on both paths
+    # empty: no states, but still a (0, dim) stack and no values
     np.array([]),
     # every point is its own sum from t = 0: order and sign are free
     np.array([0.0, 1.0, 0.5, -1.0, -3.5]),
@@ -119,58 +139,73 @@ def test_krylov_matches_dense(mid_model):
 def test_krylov_matches_dense_on_grid(mid_model, grid):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
-    dense = evolve_grid(ham, psi0, grid, method="dense")
-    krylov = evolve_grid(ham, psi0, grid, method="krylov")
-    assert dense.shape == krylov.shape == (len(grid), basis.dimension)
-    assert np.max(np.linalg.norm(dense - krylov, axis=1), initial=0.0) <= 1e-10
+    states = evolve_grid(ham, psi0, grid)
+    assert states.shape == (len(grid), basis.dimension)
+    for obs in _series_observables(basis):
+        series = chebyshev_expectation(ham, obs, psi0, grid)
+        assert series.shape == (len(grid),)
+        dense = expectation_grid(obs, states)
+        assert np.max(np.abs(series - dense), initial=0.0) <= 1e-10, obs
 
 
 @pytest.mark.parametrize("method", ["dense", "krylov"])
 def test_global_phase_of_the_start_rides_along(mid_model, method):
-    # a real H and a real psi0 evolve through the float64 recurrence (or a
-    # real eigenbasis), e^{i phi} psi0 through the complex one: the two
-    # results differ by the phase alone
+    # a real H and a real psi0 evolve through a real eigenbasis (or the
+    # float64 recurrence), e^{i phi} psi0 through complex amplitudes (or the
+    # complex recurrence): the states differ by the phase alone, and P(t)
+    # by rounding alone
     basis, ham = mid_model
     assert ham.matrix.dtype == np.float64
     psi0 = prepare_initial_state(basis)
     phase = np.exp(0.83j)
     grid = np.linspace(0.0, 2 * basis.config.light_cone_time, 30)
-    real = evolve_grid(ham, psi0, grid, method=method)
-    rotated = evolve_grid(ham, phase * psi0, grid, method=method)
-    assert np.max(np.abs(rotated - phase * real)) <= 1e-13
+    if method == "dense":
+        real = evolve_grid(ham, psi0, grid)
+        rotated = evolve_grid(ham, phase * psi0, grid)
+        assert np.max(np.abs(rotated - phase * real)) <= 1e-13
+        return
+    for obs in _series_observables(basis):
+        real = chebyshev_expectation(ham, obs, psi0, grid)
+        rotated = chebyshev_expectation(ham, obs, phase * psi0, grid)
+        assert np.max(np.abs(rotated - real)) <= 1e-13, obs
 
 
 def test_krylov_matches_expm_multiply(mid_model):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
     t = 3.0
-    ours = evolve_grid(ham, psi0, [t], method="krylov", tol=1e-12)[0]
     reference = expm_multiply(-1j * t * ham.matrix.tocsc(), psi0)
-    assert np.linalg.norm(ours - reference) <= 1e-9
+    for obs in _series_observables(basis):
+        ours = chebyshev_expectation(ham, obs, psi0, [t], tol=1e-12)[0]
+        assert abs(ours - expectation_grid(obs, reference[None, :])[0]) <= 1e-9, obs
 
 
 def test_complex_time_rejects_upper_half_plane(small_model):
     # real time only: a complex-typed grid is refused on both backends
     basis, ham = small_model
     psi = prepare_initial_state(basis)
-    for method in ("dense", "krylov"):
-        for grid in ([1.0 + 0.5j], [0.0, -1j, 2.0 + 1e-9j]):
-            with pytest.raises(DomainError):
-                evolve_grid(ham, psi, grid, method=method)
+    obs = excitation_observable_b(basis)
+    for grid in ([1.0 + 0.5j], [0.0, -1j, 2.0 + 1e-9j]):
+        with pytest.raises(DomainError):
+            evolve_grid(ham, psi, grid)
+        with pytest.raises(DomainError):
+            chebyshev_expectation(ham, obs, psi, grid)
 
 
 def test_real_axis_consistency(small_model):
     # a complex-typed grid is refused even where every imaginary part is 0;
-    # the same points read as a real grid evolve alike on both backends
+    # the same points read as a real grid give the same P on both backends
     basis, ham = small_model
     psi0 = prepare_initial_state(basis)
-    for method in ("dense", "krylov"):
-        for grid in ([1.3 + 0j], np.array([0.0, 2.0], dtype=complex)):
-            with pytest.raises(DomainError):
-                evolve_grid(ham, psi0, grid, method=method)
-    a = evolve_grid(ham, psi0, [1.3], method="dense")[0]
-    b = evolve_grid(ham, psi0, [1.3], method="krylov", tol=1e-12)[0]
-    assert np.linalg.norm(a - b) <= 1e-10
+    for grid in ([1.3 + 0j], np.array([0.0, 2.0], dtype=complex)):
+        with pytest.raises(DomainError):
+            evolve_grid(ham, psi0, grid)
+        with pytest.raises(DomainError):
+            chebyshev_expectation(ham, excitation_observable_b(basis), psi0, grid)
+    state = evolve_grid(ham, psi0, [1.3])
+    for obs in _series_observables(basis):
+        series = chebyshev_expectation(ham, obs, psi0, [1.3], tol=1e-12)[0]
+        assert abs(series - expectation_grid(obs, state)[0]) <= 1e-10, obs
 
 
 def test_non_finite_or_overflowing_points_raise(small_model):
@@ -178,22 +213,42 @@ def test_non_finite_or_overflowing_points_raise(small_model):
     # scale (about 4.5 here) overflows, and a NaN or inf point has no value
     basis, ham = small_model
     psi = prepare_initial_state(basis)
-    for method in ("dense", "krylov"):
-        for grid in ([0.0, np.nan], [np.inf], [1.0, 1e308]):
-            with pytest.raises(DomainError):
-                evolve_grid(ham, psi, grid, method=method)
+    obs = excitation_observable_b(basis)
+    for grid in ([0.0, np.nan], [np.inf], [1.0, 1e308]):
+        with pytest.raises(DomainError):
+            evolve_grid(ham, psi, grid)
+        with pytest.raises(DomainError):
+            chebyshev_expectation(ham, obs, psi, grid)
 
 
 def test_unitarity_and_energy_conservation(mid_model):
     basis, ham = mid_model
     psi0 = prepare_initial_state(basis)
     grid = np.linspace(0.0, 12.0, 25)
-    for method in ("dense", "krylov"):
-        states = evolve_grid(ham, psi0, grid, method=method, tol=1e-12)
-        norms = np.linalg.norm(states, axis=1)
-        assert np.max(np.abs(norms - 1.0)) <= 1e-12
-        energies = np.real(np.einsum("ij,ij->i", states.conj(), (ham.matrix @ states.T).T))
-        assert np.max(np.abs(energies - energies[0])) <= 1e-10
+    states = evolve_grid(ham, psi0, grid)
+    norms = np.linalg.norm(states, axis=1)
+    assert np.max(np.abs(norms - 1.0)) <= 1e-12
+    energies = np.real(np.einsum("ij,ij->i", states.conj(), (ham.matrix @ states.T).T))
+    assert np.max(np.abs(energies - energies[0])) <= 1e-10
+    # the series: the norm from the identity observable, the energy from
+    # (H - lo) / (hi - lo), which lies in [0, 1]
+    identity = BoundedObservable([(np.arange(basis.dimension), None)], basis.dimension)
+    norms = np.sqrt(chebyshev_expectation(ham, identity, psi0, grid, tol=1e-12))
+    assert np.max(np.abs(norms - 1.0)) <= 1e-12
+    energy, lo, span = _energy_observable(ham)
+    energies = lo + span * chebyshev_expectation(ham, energy, psi0, grid, tol=1e-12)
+    assert np.max(np.abs(energies - energies[0])) <= 1e-10
+
+
+def _energy_observable(ham):
+    """((H - lo) / span, lo, span) from H's dense eigh, lo and lo + span its extremes.
+
+    The observable is held as its square-root factor diag(sqrt(w - lo) / span) V^dagger.
+    """
+    w, v = np.linalg.eigh(ham.matrix.toarray())
+    lo, span = w[0], w[-1] - w[0]
+    factor = np.sqrt((w - lo) / span)[:, None] * v.conj().T
+    return BoundedObservable([(np.arange(len(w)), factor)], len(w), "energy"), lo, span
 
 
 def test_probability_continuity(mid_model):
@@ -205,7 +260,7 @@ def test_probability_continuity(mid_model):
     lipschitz = 2.0 * max(abs(w[0]), abs(w[-1]))
     for steps in (40, 80, 160):
         grid = np.linspace(0.0, 6.0, steps + 1)
-        probs = expectation_grid(obs, evolve_grid(ham, psi0, grid, method="dense"))
+        probs = expectation_grid(obs, evolve_grid(ham, psi0, grid))
         delta = grid[1] - grid[0]
         assert np.max(np.abs(np.diff(probs))) <= lipschitz * delta * (1.0 + 1e-9)
 
@@ -226,14 +281,19 @@ def test_expectation_projector_mean_over_random_states(small_model):
 
 def test_wrong_shape_state_raises(small_model):
     basis, ham = small_model
-    for method in ("dense", "krylov"):
+    obs = excitation_observable_b(basis)
+
+    def series(ham, psi, grid):
+        return chebyshev_expectation(ham, obs, psi, grid)
+
+    for propagate in (evolve_grid, series):
         for psi in (np.zeros((2, basis.dimension), dtype=complex),
                     np.zeros(basis.dimension - 1, dtype=complex)):
             with pytest.raises(ValueError):
-                evolve_grid(ham, psi, [1.0], method=method)
+                propagate(ham, psi, [1.0])
         # and the grid is one-dimensional
         with pytest.raises(ValueError):
-            evolve_grid(ham, prepare_initial_state(basis), [[1.0]], method=method)
+            propagate(ham, prepare_initial_state(basis), [[1.0]])
 
 
 def test_lattice_propagation_unitary():
@@ -242,7 +302,7 @@ def test_lattice_propagation_unitary():
     ham = build_hamiltonian(basis)
     psi0 = prepare_initial_state(basis)
     grid = np.linspace(0.0, 8.0, 20)
-    states = evolve_grid(ham, psi0, grid, method="dense")
+    states = evolve_grid(ham, psi0, grid)
     assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-12
 
 
@@ -286,7 +346,7 @@ def _observables(config):
 
 
 def _dense_series(ham, obs, psi, grid):
-    return expectation_grid(obs, evolve_grid(ham, psi, grid, method="dense"))
+    return expectation_grid(obs, evolve_grid(ham, psi, grid))
 
 
 @pytest.mark.parametrize("name", CRITERION_6_CONFIGS)
@@ -379,7 +439,7 @@ def test_moment_norm_matches_the_vectors(name):
     basis, ham = build_model(config)
     psi = prepare_initial_state(basis)
     grid = make_time_grid(6.0, 30)
-    order, terms = _series_order(ham, grid, basis.dimension, lambda order: 0)
+    order, terms = _series_order(ham, grid, basis.dimension, 0)
     vectors = np.vstack([block.copy() for _, block in _chebyshev_blocks(ham, psi, terms)])
     assert vectors.shape == (terms, basis.dimension)
     _, gram = _observed_series(ham, exchange_projector(basis), psi, terms)
@@ -394,7 +454,7 @@ def test_moment_norm_matches_the_vectors(name):
 def test_moment_norm_catches_a_divergent_series(mid_model, monkeypatch):
     # a bracket 20 % narrower than the spectrum: the scaled H reaches past
     # [-1, 1], where T_k grows like 2^k, so the truncated series is far off
-    # and its norm check must fail on both sparse paths
+    # and its norm check must fail
     basis, ham = mid_model
     w = np.linalg.eigvalsh(ham.matrix.toarray())
     span = w[-1] - w[0]
@@ -404,8 +464,6 @@ def test_moment_norm_catches_a_divergent_series(mid_model, monkeypatch):
     grid = make_time_grid(6.0, 30)
     with pytest.raises(ConvergenceError):
         chebyshev_expectation(narrow, excitation_observable_b(basis), psi, grid)
-    with pytest.raises(ConvergenceError):
-        evolve_grid(narrow, psi, grid, method="krylov")
 
 
 def test_series_keeps_no_vectors():
@@ -420,7 +478,7 @@ def test_series_keeps_no_vectors():
     sub = ham.block(block)
     obs = resolve_observable(config, "exchange").restricted(block)
     grid = make_time_grid(2 * config.light_cone_time, 800)
-    _, terms = _series_order(sub, grid, len(block), lambda order: 0)
+    _, terms = _series_order(sub, grid, len(block), 0)
     tracemalloc.start()
     try:
         values = chebyshev_expectation(sub, obs, psi[block], grid)

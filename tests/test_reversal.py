@@ -6,8 +6,10 @@ package's field slots are the standing waves cos(k x) and sin(|k| x) of
 each pair, where that reversal is plain complex conjugation, so H is real
 from the start.  The oracle here assembles H in the running waves, by hand
 and independent of the package's slot basis, and the package's series
-must match dense evolution of it.  The real-form dense path and the float64
-recurrence are also checked against the complex eigh of the same matrix.
+must match dense evolution of it.  The real-form dense path is also
+checked against the complex eigh of the same matrix, and the float64
+series against that dense path, through rank-one projectors |u><u| with
+complex u that see every relative phase of psi(t).
 """
 
 import math
@@ -20,8 +22,9 @@ from scipy import sparse
 from twoatom.analysis import probability_series
 from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
-from twoatom.operators import HermitianOperator, build_hamiltonian
-from twoatom.propagator import evolve_grid, prepare_initial_state
+from twoatom.operators import BoundedObservable, HermitianOperator, build_hamiltonian
+from twoatom.propagator import (chebyshev_expectation, evolve_grid, expectation_grid,
+                                prepare_initial_state)
 
 
 def _random_configs(count, seed=15):
@@ -62,6 +65,17 @@ def start_block(request):
     return basis, ham, psi0, operator, psi0[block], reference
 
 
+def _assert_series_match_dense_states(operator, psi0, grid, states, bound):
+    # rank-one projectors |u><u| with random complex unit u over the block
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        u = rng.standard_normal(len(psi0)) + 1j * rng.standard_normal(len(psi0))
+        obs = BoundedObservable([(np.arange(len(u)), u.conj()[None, :] / np.linalg.norm(u))],
+                                len(u))
+        series = chebyshev_expectation(operator, obs, psi0, grid)
+        assert np.max(np.abs(series - expectation_grid(obs, states))) <= bound
+
+
 def test_start_block_is_diagonalized_in_real_form(start_block):
     # the real eigensystem against the complex eigh of the same matrix
     basis, ham, _, operator, _, (w_ref, _) = start_block
@@ -81,10 +95,9 @@ def test_dense_evolution_matches_complex_eigh_and_series(start_block):
     grid = np.linspace(0.0, 2.0 * basis.config.light_cone_time, 25)
     reference = (v_ref @ (np.exp(-1j * np.outer(grid, w_ref))
                           * (v_ref.conjugate().T @ psi0)).T).T
-    dense = evolve_grid(operator, psi0, grid, method="dense")
-    series = evolve_grid(operator, psi0, grid, method="krylov")
+    dense = evolve_grid(operator, psi0, grid)
     assert np.max(np.abs(dense - reference)) <= 1e-12
-    assert np.max(np.abs(dense - series)) <= 1e-12
+    _assert_series_match_dense_states(operator, psi0, grid, dense, 1e-12)
 
 
 def test_odd_mode_count_has_no_reversal_and_still_matches():
@@ -98,9 +111,8 @@ def test_odd_mode_count_has_no_reversal_and_still_matches():
     operator = ham.block(block)
     assert operator.eigensystem()[1].dtype == np.complex128
     grid = np.linspace(0.0, 2.0 * basis.config.light_cone_time, 25)
-    dense = evolve_grid(operator, psi0[block], grid, method="dense")
-    series = evolve_grid(operator, psi0[block], grid, method="krylov")
-    assert np.max(np.abs(dense - series)) <= 1e-12
+    dense = evolve_grid(operator, psi0[block], grid)
+    _assert_series_match_dense_states(operator, psi0[block], grid, dense, 1e-12)
 
 
 def running_wave_states(basis):
