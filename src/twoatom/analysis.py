@@ -130,25 +130,27 @@ class CutoffSweepResult:
 
 
 # ---------------------------------------------------------------------------
-# model cache
+# the model in use
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=1)
 def build_model(config: AnyConfig):
-    """(basis, hamiltonian) for a config, cached across calls."""
+    """(basis, hamiltonian) for a config; only the last one built is kept,
+    the one a run re-reads (resolve_observable, the Hamiltonian dump)."""
     basis = build_basis(config)
     return basis, build_hamiltonian(basis)
 
 
-@lru_cache(maxsize=4)
-def _photon_observable(config: ModelConfig, region: tuple[float, float]):
-    basis, _ = build_model(config)
-    return local_photon_observable(basis, region)
-
-
 def resolve_observable(config: AnyConfig, observable, region=None) -> BoundedObservable:
-    """Accept an observable instance or one of the documented names."""
+    """Accept an observable instance or one of the documented names.
+
+    region bounds photon_region; with any other observable it raises
+    ConfigError before a model is built.
+    """
+    if region is not None and observable != "photon_region":
+        raise ConfigError(f"a region applies to photon_region only, not to "
+                          f"{getattr(observable, 'label', observable)!r}")
     if isinstance(observable, BoundedObservable):
         return observable
     basis, _ = build_model(config)
@@ -161,7 +163,7 @@ def resolve_observable(config: AnyConfig, observable, region=None) -> BoundedObs
             raise DomainError("photon_region is defined for the box field only")
         if region is None:
             region = (0.0, config.box_length / 2.0)
-        return _photon_observable(config, (float(region[0]), float(region[1])))
+        return local_photon_observable(basis, (float(region[0]), float(region[1])))
     raise ConfigError(
         f"unknown observable {observable!r}; expected one of {OBSERVABLE_NAMES}"
     )
@@ -235,8 +237,8 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
         the model already built; 2 cores, OpenBLAS), so keying the switch
         on the block would slow that config down.
     """
-    basis, hamiltonian = build_model(config)
     obs = resolve_observable(config, observable, region=region)
+    basis, hamiltonian = build_model(config)
     return series_from_operators(hamiltonian, prepare_initial_state(basis), obs,
                                  time_grid, method=method, tol=tol)
 

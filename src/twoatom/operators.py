@@ -65,8 +65,7 @@ class HermitianOperator:
     """Sparse Hermitian matrix plus a certified bracket of its spectrum.
 
     spectral_bounds is (floor, ceiling) from gershgorin_bounds, the interval
-    the sparse backend expands over.  Bounds, dense
-    eigendecompositions and principal blocks are cached on the instance.
+    the sparse backend expands over; it is the one value the instance keeps.
 
     A real matrix is kept as float64 and a complex one as complex128, so
     the dense eigendecomposition is a real symmetric eigh whenever H is
@@ -83,8 +82,6 @@ class HermitianOperator:
         if herm_gap.nnz != 0:
             raise ValueError("matrix is not exactly Hermitian")
         self.matrix = matrix
-        self._eigensystem = None
-        self._blocks = {}
 
     @cached_property
     def spectral_bounds(self) -> tuple[float, float]:
@@ -100,20 +97,18 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
     def eigensystem(self):
-        """Dense eigendecomposition (w, V), cached after the first call.
+        """Dense eigendecomposition (w, V), computed afresh on every call.
 
         np.linalg.eigh holds five n x n arrays at once: the dense copy of
         the matrix, its own copy for LAPACK, V, and the divide-and-conquer
         workspace of about 2 n^2 more.  Those that could not fit in physical
         memory raise DimensionError before any is formed.
         """
-        if self._eigensystem is None:
-            n = self.dimension
-            require_memory(5 * n * n * self.matrix.dtype.itemsize, DimensionError,
-                           f"a dense eigendecomposition of dimension {n}",
-                           "propagate with method 'krylov', or lower n_max or num_modes")
-            self._eigensystem = np.linalg.eigh(self.matrix.toarray())
-        return self._eigensystem
+        n = self.dimension
+        require_memory(5 * n * n * self.matrix.dtype.itemsize, DimensionError,
+                       f"a dense eigendecomposition of dimension {n}",
+                       "propagate with method 'krylov', or lower n_max or num_modes")
+        return np.linalg.eigh(self.matrix.toarray())
 
     def invariant_block(self, support) -> np.ndarray:
         """Sorted indices C of every state that H's nonzero pattern links to support.
@@ -136,7 +131,7 @@ class HermitianOperator:
             reached = grown
 
     def block(self, indices) -> "HermitianOperator":
-        """H[C, C] as an operator, cached on this one per index set C.
+        """H[C, C] as a new operator.
 
         C holds sorted, distinct indices, as invariant_block returns them.
         The block brackets its own spectrum, which by Cauchy interlacing
@@ -146,10 +141,7 @@ class HermitianOperator:
         indices = np.asarray(indices, dtype=int)
         if len(indices) == self.dimension:
             return self
-        key = indices.tobytes()
-        if key not in self._blocks:
-            self._blocks[key] = HermitianOperator(self.matrix[indices][:, indices])
-        return self._blocks[key]
+        return HermitianOperator(self.matrix[indices][:, indices])
 
     def __repr__(self):
         return (

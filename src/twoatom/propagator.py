@@ -3,13 +3,12 @@
 evolve_grid is the dense propagation call, and the independent oracle of
 the sparse backend.  It takes a state as a plain real or complex array and
 returns exp(-i H t) psi0 for every real time t of a grid: the Hamiltonian
-is diagonalized once (cached on the operator) and evolution is exact
-phase multiplication in the eigenbasis.  Where H is real (every box model
-with even num_modes, and every chain) that is a real symmetric eigh, in
-about a quarter of the complex eigh's time.  A real eigenbasis meets the
-complex phases in one real product over their interleaved real and
-imaginary parts (_real_product), never as a complex copy.  psi(0) is psi0
-itself.
+is diagonalized once per call and evolution is exact phase multiplication
+in the eigenbasis.  Where H is real (every box model with even num_modes,
+and every chain) that is a real symmetric eigh, in about a quarter of the
+complex eigh's time.  A real eigenbasis meets the complex phases in one
+real product over their interleaved real and imaginary parts
+(_real_product), never as a complex copy.  psi(0) is psi0 itself.
 
 expectation_grid is the one evaluation of an observable held as blocks
 (indices I_k, factor F_k): sum_k ||F_k psi[I_k]||^2 for a stack of states,

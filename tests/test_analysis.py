@@ -310,6 +310,19 @@ def test_cutoff_sweep_validation(sweep_config):
         cutoff_sweep(LatticeConfig(), [4.0], grid)
 
 
+def test_a_region_needs_photon_region(monkeypatch):
+    def refuse(config):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(analysis, "build_basis", refuse)
+    build_model.cache_clear()
+    config = ModelConfig(num_modes=4, n_max=1)
+    identity = BoundedObservable([(np.arange(4), None)], 4, label="identity")
+    for observable in ("excitation_b", "exchange", identity):
+        with pytest.raises(ConfigError, match="photon_region only"):
+            resolve_observable(config, observable, region=(0.0, 1.0))
+
+
 def test_photon_region_series_stays_bounded():
     cfg = ModelConfig(num_modes=4, n_max=1, coupling_strength=0.3)
     region = (0.0, cfg.box_length / 4)
@@ -468,20 +481,28 @@ def test_dense_series_goes_through_the_states(monkeypatch):
     assert calls == ["evolve_grid", "expectation_grid"]
 
 
-def test_block_operator_is_cached_on_its_hamiltonian(monkeypatch):
+def test_series_leaves_no_state_on_its_hamiltonian():
     config = ModelConfig(num_modes=6, n_max=2, coupling_strength=0.2)
     basis, ham = build_model(config)
-    block = ham.invariant_block(np.flatnonzero(prepare_initial_state(basis)))
-    assert ham.block(block) is ham.block(block.copy())
+    psi = prepare_initial_state(basis)
+    assert len(ham.invariant_block(np.flatnonzero(psi))) < basis.dimension
     assert ham.block(np.arange(basis.dimension)) is ham
-    eighs = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(len(m)) or eigh(m))
+    obs = resolve_observable(config, "exchange")
     grid = make_time_grid(2.0, 10)
-    first = probability_series(config, "excitation_b", grid, method="dense")
-    second = probability_series(config, "exchange", grid, method="dense")
-    assert len(first) == len(second) == 11
-    assert eighs == [len(block)]   # one eigh, of the block, for both series
+    for method in ("dense", "krylov"):
+        first = series_from_operators(ham, psi, obs, grid, method=method).values
+        second = series_from_operators(ham, psi, obs, grid, method=method).values
+        assert np.array_equal(first, second)
+    assert np.array_equal(evolve_grid(ham, psi, grid), evolve_grid(ham, psi, grid))
+    # no block, eigensystem or other memo outlives the series
+    assert set(vars(ham)) <= {"matrix", "spectral_bounds"}
+
+
+def test_a_sweep_keeps_one_model(sweep_config):
+    build_model.cache_clear()
+    result = cutoff_sweep(sweep_config, [4.0, 8.0], make_time_grid(2.0, 10))
+    assert len(result.rows) == 2
+    assert build_model.cache_info().maxsize == build_model.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("method", ["dense", "krylov"])

@@ -353,6 +353,29 @@ def test_bogus_environment_observable(tmp_path, small_config, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, env", [
+    (["simulate", "--observable", "exchange", "--region", "0,1"], {}),
+    (["dichotomy"], {"TWOATOM_REGION": "0,1"}),
+])
+def test_region_without_photon_region_exits_two_before_any_model(
+        tmp_path, small_config, monkeypatch, capsys, args, env):
+    # the series would ignore the region, yet the manifest would record it
+    from twoatom import analysis
+
+    def refuse(config):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(analysis, "build_basis", refuse)
+    analysis.build_model.cache_clear()
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "run"
+    code = main(args + ["--config", small_config, "--out", str(out), "--grid", "2,10"])
+    assert code == 2
+    assert "photon_region only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # failure modes leave no partial outputs
 # ---------------------------------------------------------------------------
