@@ -17,8 +17,8 @@ finiteness certifies that the series is nonzero almost everywhere.
 
 import numpy as np
 
-from twoatom.analysis import dichotomy_scan, make_time_grid, probability_series
-from twoatom.config import ModelConfig
+from twoatom.analysis import dichotomy_scan, probability_series
+from twoatom.config import ModelConfig, make_time_grid
 
 GRID_STEPS = 200
 

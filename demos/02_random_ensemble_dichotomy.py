@@ -16,7 +16,8 @@ is an isolated touch of the axis.
 
 import numpy as np
 
-from twoatom.analysis import dichotomy_scan, make_time_grid, series_from_operators
+from twoatom.analysis import dichotomy_scan, series_from_operators
+from twoatom.config import make_time_grid
 from twoatom.operators import BoundedObservable, HermitianOperator
 
 SEED = 1932

@@ -18,8 +18,8 @@ maximal group velocity.
 
 import numpy as np
 
-from twoatom.analysis import detect_front, make_time_grid, weak_causality_difference
-from twoatom.config import LatticeConfig
+from twoatom.analysis import detect_front, weak_causality_difference
+from twoatom.config import LatticeConfig, make_time_grid
 
 GRID_STEPS = 800
 THRESHOLD_FRACTION = 0.005

@@ -17,8 +17,8 @@ set.  The table marks each row that keeps the same modes as the row
 above it.
 """
 
-from twoatom.analysis import cutoff_sweep, make_time_grid
-from twoatom.config import ModelConfig
+from twoatom.analysis import cutoff_sweep
+from twoatom.config import ModelConfig, make_time_grid
 
 CUTOFF_MULTIPLES = (2.0, 4.0, 8.0, 16.0, 32.0)
 GRID_STEPS = 160

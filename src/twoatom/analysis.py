@@ -19,15 +19,13 @@ propagator.chebyshev_expectation call, which forms no state.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import FockBasis, build_basis, index_of_bare_state
-# make_time_grid is imported for the callers that find it here
-from .config import (DEFAULT_TOL, AnyConfig, LatticeConfig, ModelConfig, make_time_grid,
-                     mode_table)
+from .basis import build_basis, index_of_bare_state
+from .config import DEFAULT_TOL, AnyConfig, ModelConfig, mode_table
 from .errors import ConfigError, DomainError, TwoAtomError
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
@@ -146,27 +144,28 @@ def resolve_observable(config: AnyConfig, observable, region=None) -> BoundedObs
     """Accept an observable instance or one of the documented names.
 
     region bounds photon_region; with any other observable it raises
-    ConfigError before a model is built.
+    ConfigError.  An unknown name, a region with another observable and
+    photon_region on a lattice config are refused before a model is built.
     """
     if region is not None and observable != "photon_region":
         raise ConfigError(f"a region applies to photon_region only, not to "
                           f"{getattr(observable, 'label', observable)!r}")
     if isinstance(observable, BoundedObservable):
         return observable
+    if observable not in OBSERVABLE_NAMES:
+        raise ConfigError(
+            f"unknown observable {observable!r}; expected one of {OBSERVABLE_NAMES}"
+        )
+    if observable == "photon_region" and not isinstance(config, ModelConfig):
+        raise DomainError("photon_region is defined for the box field only")
     basis, _ = build_model(config)
     if observable == "excitation_b":
         return excitation_observable_b(basis)
     if observable == "exchange":
         return exchange_projector(basis)
-    if observable == "photon_region":
-        if not isinstance(config, ModelConfig):
-            raise DomainError("photon_region is defined for the box field only")
-        if region is None:
-            region = (0.0, config.box_length / 2.0)
-        return local_photon_observable(basis, (float(region[0]), float(region[1])))
-    raise ConfigError(
-        f"unknown observable {observable!r}; expected one of {OBSERVABLE_NAMES}"
-    )
+    if region is None:
+        region = (0.0, config.box_length / 2.0)
+    return local_photon_observable(basis, (float(region[0]), float(region[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +202,9 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     initial = np.asarray(initial)
     if initial.shape != (hamiltonian.dimension,):
         raise ValueError("initial state and Hamiltonian differ in dimension")
+    # checked here, since the observable is restricted to the block below
+    if observable.dimension != hamiltonian.dimension:
+        raise ValueError("observable and Hamiltonian differ in dimension")
     method = resolve_method(method, hamiltonian.dimension)
     block = hamiltonian.invariant_block(np.flatnonzero(initial))
     sub, start, obs = hamiltonian.block(block), initial[block], observable.restricted(block)

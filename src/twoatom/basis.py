@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 
-from .config import AnyConfig, LatticeConfig, ModelConfig, ModeTable, mode_table
+from .config import AnyConfig, LatticeConfig, ModeTable, mode_table
 from .errors import BasisLookupError, DimensionError
 
 # hard cap on the basis dimension, checked before enumeration: it bounds the

@@ -89,10 +89,6 @@ class HermitianOperator:
         return gershgorin_bounds(self.matrix)
 
     @property
-    def spectral_floor(self) -> float:
-        return self.spectral_bounds[0]
-
-    @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
@@ -146,7 +142,7 @@ class HermitianOperator:
     def __repr__(self):
         return (
             f"HermitianOperator(dim={self.dimension}, nnz={self.matrix.nnz}, "
-            f"floor={self.spectral_floor:.6g})"
+            f"floor={self.spectral_bounds[0]:.6g})"
         )
 
 

@@ -83,23 +83,24 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _exp_coefficients(w: np.ndarray, order: int, terms: int | None = None) -> np.ndarray:
+def _exp_coefficients(w: np.ndarray, terms: int) -> np.ndarray:
     """a_k(w) for k < terms, where exp(-i w (1 + x)) = sum_k a_k T_k(x) on [-1, 1].
 
     a_k = (2 - delta_k0) (-i)^k J_k(w) e^{-iw}, one column per real point w,
     so |a_k| <= 2.  The real J_k come from Miller's backward recurrence from
-    J_{order+1} = 0, normalised by e^{iw} = J_0 + 2 sum_k i^k J_k, which has
-    modulus 1 and also supplies the factor e^{-iw}.  A step from order k
-    grows the recurrence by at most k max|2/w| + 1, so before that growth
-    since the last rescale could pass 1e100, every column above 1e100 is
-    rescaled: a tiny |w| cannot overflow.  Below |w| = 1e-150 it is
-    J_k = delta_k0 to double precision.  Orders near the start are
-    inaccurate.  terms defaults to order + 1, every order.
+    J_{order+1} = 0, order = max(terms, ceil(max|w|)) + 10, normalised by
+    e^{iw} = J_0 + 2 sum_k i^k J_k, which has modulus 1 and also supplies
+    the factor e^{-iw}.  Orders near the start are inaccurate; ten orders
+    below it, past |w|, they are not, which is the margin _series_order
+    leaves above K.  A step from order k grows the recurrence by at most
+    k max|2/w| + 1, so before that growth since the last rescale could pass
+    1e100, every column above 1e100 is rescaled: a tiny |w| cannot overflow.
+    Below |w| = 1e-150 it is J_k = delta_k0 to double precision.
     """
-    terms = order + 1 if terms is None else terms
     small = np.abs(w) < 1e-150
     ratio = 2.0 / np.where(small, 1, w)
     steepest = float(np.max(np.abs(ratio), initial=0.0))
+    order = max(terms, int(np.ceil(np.max(np.abs(w), initial=0.0)))) + 10
     table = np.zeros((order + 2, len(w)))
     table[order] = 1.0
     growth = 1.0  # the entries are at most 1e100 * growth
@@ -140,14 +141,15 @@ def _interval(hamiltonian: HermitianOperator) -> tuple[float, float]:
 
 
 def _series_order(hamiltonian: HermitianOperator, times: np.ndarray, size: int,
-                  rows: int) -> tuple[int, int]:
-    """(order, K): the table's starting order, and the series length K.
+                  rows: int) -> int:
+    """The series length K for a grid.
 
     K is the least order whose computed tail, max_t sum_{k >= K} |a_k(rho t)|,
     is at most unit roundoff.  Above the order |w|, every |J_k(w)| grows
     with |w| (J_k rises on [0, k]), and K lies above rho |t| at every point,
-    so the largest rho |t| sets K alone: one column of the table.  The table
-    starts past k = rho |t|, and higher until K is ten orders below.
+    so the largest rho |t| sets K alone: one column of a probe table of
+    `order` + 1 terms.  The probe starts past k = rho |t|, and doubles until
+    K is ten orders below `order`.
 
     A series of up to `order` terms observed on `rows` rows keeps, per term,
     the observed rows M, the QR's copies (of M, or of one chunk stacked
@@ -168,23 +170,23 @@ def _series_order(hamiltonian: HermitianOperator, times: np.ndarray, size: int,
                        DomainError,
                        f"the Chebyshev series of order {order} for rho*|t| up to {largest:.3g}",
                        "shorten the grid")
-        terms = _series_length(_exp_coefficients(np.array([largest]), order))
+        terms = _series_length(_exp_coefficients(np.array([largest]), order + 1))
         if terms <= order - 10:
-            return order, terms
+            return terms
         order *= 2
 
 
-def _coefficient_chunks(hamiltonian: HermitianOperator, times: np.ndarray,
-                        order: int, terms: int):
+def _coefficient_chunks(hamiltonian: HermitianOperator, times: np.ndarray, terms: int):
     """(columns, a) for consecutive chunks of the grid, a[k] = a_k(t) for k < terms.
 
     exp(-i H t) psi0 = sum_k a_k(t) V_k over H's spectral bounds; each chunk
-    of the table is built at the starting order and cut to K rows.
+    of the table holds its K rows, from a recurrence started ten orders
+    above K (_exp_coefficients).
     """
     lo, radius = _interval(hamiltonian)
     for first in range(0, len(times), CHUNK):
         columns = slice(first, first + CHUNK)
-        coeff = _exp_coefficients(radius * times[columns], order, terms)
+        coeff = _exp_coefficients(radius * times[columns], terms)
         coeff *= np.exp(-1j * lo * times[columns])
         yield columns, coeff
 
@@ -389,7 +391,7 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     psi0, times = _checked(hamiltonian, psi0, times)
     if observable.dimension != hamiltonian.dimension:
         raise ValueError("observable and Hamiltonian differ in dimension")
-    order, terms = _series_order(hamiltonian, times, psi0.size, _observed_rows(observable))
+    terms = _series_order(hamiltonian, times, psi0.size, _observed_rows(observable))
     observed, gram = _observed_series(hamiltonian, observable, psi0, terms)
     # S <- qr([S; M_chunk]) down the chunks: an M of up to QR_ROWS rows is
     # one plain QR, and a taller one never has a whole copy
@@ -399,7 +401,7 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
         factor = np.linalg.qr(np.concatenate([factor, chunk]), mode="r")
     del observed
     values, norms = np.empty(len(times)), np.empty(len(times))
-    for columns, coeff in _coefficient_chunks(hamiltonian, times, order, terms):
+    for columns, coeff in _coefficient_chunks(hamiltonian, times, terms):
         values[columns] = _squared_lengths(factor, coeff)
         norms[columns] = _gram_lengths(gram, coeff)
     # a divergent series can make the Gram form negative: a norm of 0 then fails

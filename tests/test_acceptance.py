@@ -15,7 +15,6 @@ from twoatom.analysis import (
     detect_front,
     dichotomy_scan,
     log_integral,
-    make_time_grid,
     probability_series,
     resolve_observable,
     series_from_operators,
@@ -23,7 +22,7 @@ from twoatom.analysis import (
     cutoff_sweep,
     build_model,
 )
-from twoatom.config import LatticeConfig, ModelConfig
+from twoatom.config import LatticeConfig, ModelConfig, make_time_grid
 from twoatom.operators import BoundedObservable, HermitianOperator
 from twoatom.perturbation import exchange_amplitude_series
 from twoatom.propagator import (

@@ -16,14 +16,13 @@ from twoatom.analysis import (
     detect_front,
     dichotomy_scan,
     log_integral,
-    make_time_grid,
     probability_series,
     resolve_observable,
     series_from_operators,
     weak_causality_difference,
 )
 from twoatom.basis import index_of_bare_state
-from twoatom.config import LatticeConfig, ModelConfig
+from twoatom.config import LatticeConfig, ModelConfig, make_time_grid
 from twoatom.errors import ConfigError, DomainError
 from twoatom.operators import BoundedObservable, HermitianOperator
 from twoatom.propagator import (DENSE_LIMIT, evolve_grid, expectation_grid,
@@ -654,3 +653,16 @@ def test_block_series_edge_inputs(method):
     assert np.all(series.values == 0.0)
     with pytest.raises(ValueError):
         series_from_operators(ham, np.ones(3), obs, [0.0], method=method)
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+@pytest.mark.parametrize("size", [3, 6])
+def test_series_refuses_an_observable_of_another_dimension(method, size):
+    # the observable is restricted to the start's block, whose own size would
+    # match, so its dimension is checked against H's before the restriction
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4))
+    ham = HermitianOperator(a + a.T)
+    obs = BoundedObservable([([0], None)], size)
+    with pytest.raises(ValueError, match="observable and Hamiltonian differ"):
+        series_from_operators(ham, np.eye(4)[0], obs, [0.0, 0.5], method=method)

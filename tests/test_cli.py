@@ -376,6 +376,25 @@ def test_region_without_photon_region_exits_two_before_any_model(
     assert not out.exists()
 
 
+def test_photon_region_on_a_lattice_exits_two_before_any_model(tmp_path, monkeypatch,
+                                                               capsys):
+    from twoatom import analysis
+
+    def refuse(config):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(analysis, "build_basis", refuse)
+    analysis.build_model.cache_clear()
+    config = tmp_path / "lattice.cfg"
+    config.write_text("field_model = lattice\n")
+    out = tmp_path / "run"
+    code = main(["simulate", "--observable", "photon_region", "--config", str(config),
+                 "--out", str(out), "--grid", "2,10"])
+    assert code == 2
+    assert "box field only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # failure modes leave no partial outputs
 # ---------------------------------------------------------------------------
@@ -825,8 +844,7 @@ def test_readme_table_lists_each_subcommands_own_flags():
 
 def test_cli_import_defers_scipy_submodules(tmp_path):
     # one process, four stages, each followed by the modules it must not have
-    # loaded: bare `import twoatom`, whose names resolve on first access and
-    # which loads only config and errors;
+    # loaded: bare `import twoatom`, which loads no submodule and not numpy;
     # importing the CLI; fermi-integral, which imports only config, errors
     # and perturbation, whose quadrature runs on numpy alone, and builds no
     # model; simulate, which needs scipy.sparse but not its graph or
@@ -834,7 +852,8 @@ def test_cli_import_defers_scipy_submodules(tmp_path):
     model_stack = ("scipy", "twoatom.analysis", "twoatom.basis", "twoatom.operators",
                    "twoatom.propagator")
     stages = [
-        ("import twoatom", model_stack + ("twoatom.cli", "twoatom.perturbation")),
+        ("import twoatom", model_stack + ("numpy", "twoatom.cli", "twoatom.config",
+                                          "twoatom.errors", "twoatom.perturbation")),
         ("import twoatom.cli", model_stack),
         (["fermi-integral", "--grid", "3,8"], model_stack),
         (["simulate", "--grid", "2,20"],

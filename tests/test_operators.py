@@ -281,7 +281,7 @@ def test_spectral_floor_is_lower_bound():
     basis = build_basis(ModelConfig(num_modes=4, n_max=2, coupling_strength=0.4))
     ham = build_hamiltonian(basis)
     w = np.linalg.eigvalsh(ham.matrix.toarray())
-    assert ham.spectral_floor <= w[0] + 1e-12
+    assert ham.spectral_bounds[0] <= w[0] + 1e-12
 
 
 def test_gershgorin_floor_exact_for_diagonal():

@@ -1,26 +1,42 @@
-"""The package's public names, and the memos it is allowed to keep."""
+"""The package's public names, its imports, and the memos it is allowed to keep."""
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
 
 import twoatom
 
+SOURCES = sorted(Path(twoatom.__file__).parent.glob("*.py"))
 
-def test_every_public_name_resolves_once():
-    assert len(set(twoatom.__all__)) == len(twoatom.__all__)
-    assert set(twoatom.__all__) <= set(dir(twoatom))
-    for name in twoatom.__all__:
-        # resolved lazily, each name is its submodule's own object, defined there
-        module = importlib.import_module(f"twoatom.{twoatom._SOURCE[name]}")
-        value = getattr(twoatom, name)
-        assert value is getattr(module, name)
-        if getattr(value, "__module__", "").startswith("twoatom."):
-            assert value.__module__ == module.__name__
-    with pytest.raises(AttributeError, match="no attribute 'evolve'"):
-        twoatom.evolve
+
+def test_the_package_re_exports_nothing():
+    # each public object has one import path, the submodule that defines it:
+    # the package's only public attributes are the submodules imported so far
+    importlib.import_module("twoatom.cli")
+    importlib.import_module("twoatom.analysis")
+    public = {name: value for name, value in vars(twoatom).items()
+              if not name.startswith("_")}
+    assert {"analysis", "cli"} <= set(public)
+    for name, value in public.items():
+        assert isinstance(value, types.ModuleType), name
+        assert value.__name__ == f"twoatom.{name}"
+    with pytest.raises(AttributeError):
+        twoatom.probability_series
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names} - {"annotations"}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(bound - read)]
+    assert unused == []
 
 
 MEMO_NAMES = {"lru_cache", "cache", "cached_property"}
@@ -41,7 +57,7 @@ ALLOWED_MEMOS = {
 
 def test_no_memo_beyond_the_allowlist():
     found, uses = {}, 0
-    for path in sorted(Path(twoatom.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             name = getattr(node, "id", getattr(node, "attr", None))

@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
-from twoatom.analysis import build_model, make_time_grid, resolve_observable
+from twoatom.analysis import build_model, resolve_observable
 from twoatom.basis import build_basis, index_of_bare_state
-from twoatom.config import LatticeConfig, ModelConfig
+from twoatom.config import LatticeConfig, ModelConfig, make_time_grid
 from twoatom.errors import ConvergenceError, DomainError
 from twoatom.operators import (
     BoundedObservable,
@@ -314,7 +314,7 @@ def test_exp_coefficients_match_scipy_jv():
     order = 600
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coeff = _exp_coefficients(w, order)
+        coeff = _exp_coefficients(w, order + 1)
     k = np.arange(order - 50)[:, None]
     # (2 - delta_k0) (-i)^k J_k(w) e^{-iw}: the Chebyshev coefficients of exp(-iw(1 + x))
     oracle = np.where(k == 0, 1, 2) * (-1j) ** k * jv(k, w) * np.exp(-1j * w)
@@ -439,13 +439,13 @@ def test_moment_norm_matches_the_vectors(name):
     basis, ham = build_model(config)
     psi = prepare_initial_state(basis)
     grid = make_time_grid(6.0, 30)
-    order, terms = _series_order(ham, grid, basis.dimension, 0)
+    terms = _series_order(ham, grid, basis.dimension, 0)
     vectors = np.vstack([block.copy() for _, block in _chebyshev_blocks(ham, psi, terms)])
     assert vectors.shape == (terms, basis.dimension)
     _, gram = _observed_series(ham, exchange_projector(basis), psi, terms)
     assert np.max(np.abs(gram - vectors @ vectors.T)) <= 1e-13
     norm_factor = np.linalg.qr(vectors.T, mode="r")
-    for _, coeff in _coefficient_chunks(ham, grid, order, terms):
+    for _, coeff in _coefficient_chunks(ham, grid, terms):
         by_moments = np.sqrt(np.einsum("kt,kt->t", coeff.conj(), gram @ coeff).real)
         by_qr = np.linalg.norm(norm_factor @ coeff, axis=0)
         assert np.max(np.abs(by_moments - by_qr)) <= 1e-13
@@ -478,7 +478,7 @@ def test_series_keeps_no_vectors():
     sub = ham.block(block)
     obs = resolve_observable(config, "exchange").restricted(block)
     grid = make_time_grid(2 * config.light_cone_time, 800)
-    _, terms = _series_order(sub, grid, len(block), 0)
+    terms = _series_order(sub, grid, len(block), 0)
     tracemalloc.start()
     try:
         values = chebyshev_expectation(sub, obs, psi[block], grid)
