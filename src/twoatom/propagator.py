@@ -22,13 +22,12 @@ Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho],
 psi(t) = sum_k a_k(t) V_k with V_k = T_k((H - lo) / rho - 1) psi0, until
 its tail is below unit roundoff at every point.  The three-term
 recurrence runs once, BLOCK vectors at a time, in float64 when H and psi0
-are both real; each block leaves its observed rows M and its Chebyshev
-moments, a thin QR reduces M to a K x K triangular factor S, and
-P(t) = ||S a(t)||^2 at each point.  The moments give the vectors' Gram
-matrix G, and with it the norm check ||psi(t)||^2 = a(t)^dagger G a(t).
-Its memory is the K observed rows, the K x K factors, one block of
-vectors and one chunk of the coefficients a(t), where evolve_grid's
-states are one entry per point and basis state.
+are both real; each block leaves its observed rows M and its lengths
+||V_k||, a thin QR reduces M to a K x K triangular factor S, and
+P(t) = ||S a(t)||^2 at each point.  The lengths and the coefficients
+certify the series (_check_accuracy).  Its memory is the K observed rows,
+the K x K factor, one block of vectors and one chunk of the coefficients
+a(t), where evolve_grid's states are one entry per point and basis state.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ def _series_order(hamiltonian: HermitianOperator, times: np.ndarray, size: int,
 
     A series of up to `order` terms observed on `rows` rows keeps, per term,
     the observed rows M, the QR's copies (of M, or of one chunk stacked
-    under the factor so far, and that stack's own copy), G and S, beside one
+    under the factor so far, and that stack's own copy) and S, beside one
     block of vectors of `size` entries and one chunk of the coefficient
     table.  A run whose entries, at 16 bytes each, could not fit in physical
     memory raises DomainError before the table at that order is formed.
@@ -163,9 +162,9 @@ def _series_order(hamiltonian: HermitianOperator, times: np.ndarray, size: int,
     order = int(largest + 18 * np.cbrt(largest) + 30)
     while True:
         copies = rows if rows <= QR_ROWS else 2 * (QR_ROWS + order)
-        held = order * (rows + copies + 2 * order)
-        # a chunk of the table beside its a(t), S a(t) and G a(t)
-        table = 4 * (order + 2) * min(CHUNK, len(times))
+        held = order * (rows + copies + order)
+        # a chunk of the table beside its a(t) and S a(t)
+        table = 3 * (order + 2) * min(CHUNK, len(times))
         require_memory((held + (BLOCK + 2) * size + table) * 16,
                        DomainError,
                        f"the Chebyshev series of order {order} for rho*|t| up to {largest:.3g}",
@@ -229,12 +228,13 @@ def _row_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", left.view(np.float64), right.view(np.float64))
 
 
-def _gram_lengths(gram: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """a^dagger G a for every column a of coeff, G real symmetric."""
-    # Re(conj(x) y) = re x re y + im x im y, summed over each column's rows
-    sums = np.einsum("ij,ij->j", coeff.view(np.float64),
-                     _real_product(gram, coeff).view(np.float64))
-    return sums.reshape(-1, 2).sum(axis=1)
+def _bessel_weights(coeff: np.ndarray) -> np.ndarray:
+    """|a_0|^2 + sum_{k >= 1} |a_k|^2 / 2 = J_0^2 + 2 sum_k J_k^2 for every column a of coeff."""
+    # one sum over the interleaved real and imaginary parts: no |a|^2 formed
+    halves = np.full(len(coeff), 0.5)
+    halves[0] = 1.0
+    parts = coeff.view(np.float64)
+    return np.einsum("k,kj,kj->j", halves, parts, parts).reshape(-1, 2).sum(axis=1)
 
 
 def _observed_rows(observable: BoundedObservable) -> int:
@@ -245,22 +245,16 @@ def _observed_rows(observable: BoundedObservable) -> int:
 
 def _observed_series(hamiltonian: HermitianOperator, observable: BoundedObservable,
                      psi0: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M, G) for the series vectors V_k, k < terms, from one pass of the recurrence.
+    """(M, ||V_k||) for the series vectors V_k, k < terms, from one pass of the recurrence.
 
     M = [F_b V[:, I_b]^T] stacks the observed rows, one matrix product per
-    block of vectors and observable block.  G_jk = <V_j, V_k> is the Gram
-    matrix: T_j T_k = (T_{j+k} + T_{|j-k|}) / 2 gives
-    G_jk = (mu_{j+k} + mu_{|j-k|}) / 2 from the Chebyshev moments
-    mu_n = <psi0|T_n|psi0>, and each vector supplies two of them,
-    mu_2k = 2 <V_k, V_k> - mu_0 and mu_2k+1 = 2 <V_k+1, V_k> - mu_1 (the
-    kernel polynomial method: Weisse, Wellein, Alvermann & Fehske, Rev. Mod.
-    Phys. 78, 275, 2006).
+    block of vectors and observable block.  ||V_0|| is ||psi0||.
     """
     dtype = np.result_type(hamiltonian.matrix.dtype, psi0.dtype,
                            *(factor.dtype for _, factor in observable.blocks
                              if factor is not None))
     observed = np.empty((_observed_rows(observable), terms), dtype=dtype)
-    squares, crosses = np.empty(terms), np.empty(terms)  # <V_k, V_k>, <V_k, V_k-1>
+    squares = np.empty(terms)
     for start, vectors in _chebyshev_blocks(hamiltonian, psi0, terms):
         stop = start + len(vectors)
         top = 0
@@ -268,25 +262,23 @@ def _observed_series(hamiltonian: HermitianOperator, observable: BoundedObservab
             observed[top:top + len(part), start:stop] = part
             top += len(part)
         squares[start:stop] = _row_products(vectors, vectors)
-        crosses[start + 1:stop] = _row_products(vectors[1:], vectors[:-1])
-        if start:
-            crosses[start] = _row_products(vectors[:1], last)[0]
-        last = vectors[-1:].copy()
-    moments = np.empty(2 * terms - 1)
-    moments[0::2] = 2.0 * squares - squares[0]
-    moments[1::2] = 2.0 * crosses[1:] - crosses[1:2]
-    # Hankel plus Toeplitz: row j of each is a window of the moments, the
-    # second over mu_|n| for -K < n < K, so only G itself is formed
-    windows = np.lib.stride_tricks.sliding_window_view
-    mirrored = np.concatenate([moments[terms - 1:0:-1], moments[:terms]])
-    gram = windows(moments, terms) + windows(mirrored, terms)[::-1]
-    gram *= 0.5
-    return observed, gram
+    return observed, np.sqrt(squares)
 
 
-def _check_accuracy(norms: np.ndarray, psi0: np.ndarray, tol: float) -> None:
-    """Raise ConvergenceError where a sparse result's norm moved by more than tol."""
-    worst = float(np.max(np.abs(norms - float(np.linalg.norm(psi0))), initial=0.0))
+def _check_accuracy(lengths: np.ndarray, weights: np.ndarray, tol: float) -> None:
+    """Raise ConvergenceError where the lengths ||V_k|| or the weights say the series is off.
+
+    On a true bracket |T_k| <= 1 on the spectrum, so no ||V_k|| exceeds
+    ||V_0|| = ||psi0||; a bracket too narrow makes some ||V_k|| grow like
+    2^k.  The weights (_bessel_weights) are 1 at every point, which checks
+    Miller's table.  With both, psi(t) is off the truncated series by at
+    most ||psi0|| sum_{k >= K} |a_k(t)|, which _series_length holds below
+    unit roundoff.
+    """
+    norm = lengths[0]
+    excess = lengths.max() - norm
+    defect = norm * np.max(np.abs(np.sqrt(weights) - 1.0), initial=0.0)
+    worst = float(np.maximum(excess, defect))
     if not worst <= tol:
         raise ConvergenceError(
             f"sparse propagation may be off by {worst:.3e}, above tol={tol:.3e}",
@@ -376,23 +368,23 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     np.linalg.qr copies its argument: the QR holds one chunk, not a second M.
 
     The recurrence runs once, and each block of vectors leaves only its
-    observed rows and its Chebyshev moments behind (_observed_series), so
-    no V is kept.  The coefficients a(t) are formed a chunk of points at a
-    time.  The work is K x K per point; the memory is K observed rows, the
-    K x K factors, one block of vectors and one chunk of the table.
+    observed rows and its lengths ||V_k|| behind (_observed_series), so no
+    V is kept.  The coefficients a(t) are formed a chunk of points at a
+    time.  The work per point is one product with S; the memory is K
+    observed rows, the K x K factor, one block of vectors and one chunk of
+    the table.
 
     The checks on the grid and the state are evolve_grid's: the same
     DomainError and ValueError.  A series that could not fit in physical
-    memory raises DomainError before it is formed, and the norm check
-    ||psi(t)||^2 = a(t)^dagger G a(t), G the Gram matrix of the V_k from
-    their moments, raises ConvergenceError where the norm moved by more
-    than tol.  P(0) is <psi0|O|psi0> itself.
+    memory raises DomainError before it is formed, and one whose largest
+    ||V_k|| or whose coefficient weights (_check_accuracy) are off by more
+    than tol raises ConvergenceError.  P(0) is <psi0|O|psi0> itself.
     """
     psi0, times = _checked(hamiltonian, psi0, times)
     if observable.dimension != hamiltonian.dimension:
         raise ValueError("observable and Hamiltonian differ in dimension")
     terms = _series_order(hamiltonian, times, psi0.size, _observed_rows(observable))
-    observed, gram = _observed_series(hamiltonian, observable, psi0, terms)
+    observed, lengths = _observed_series(hamiltonian, observable, psi0, terms)
     # S <- qr([S; M_chunk]) down the chunks: an M of up to QR_ROWS rows is
     # one plain QR, and a taller one never has a whole copy
     factor = np.linalg.qr(observed[:QR_ROWS], mode="r")
@@ -400,12 +392,11 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
         chunk = observed[first:first + QR_ROWS]
         factor = np.linalg.qr(np.concatenate([factor, chunk]), mode="r")
     del observed
-    values, norms = np.empty(len(times)), np.empty(len(times))
+    values, weights = np.empty(len(times)), np.empty(len(times))
     for columns, coeff in _coefficient_chunks(hamiltonian, times, terms):
         values[columns] = _squared_lengths(factor, coeff)
-        norms[columns] = _gram_lengths(gram, coeff)
-    # a divergent series can make the Gram form negative: a norm of 0 then fails
-    _check_accuracy(np.sqrt(np.maximum(norms, 0.0)), psi0, tol)
+        weights[columns] = _bessel_weights(coeff)
+    _check_accuracy(lengths, weights, tol)
     values[times == 0] = expectation_grid(observable, psi0[None, :])
     return values
 

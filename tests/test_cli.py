@@ -660,11 +660,10 @@ def test_grid_of_states_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, m
                                                 grid):
     # dense: 4001 states of the default 1122-state block are 72 MB of complex
     # amplitudes, counted with the phases and the eigenvectors; krylov forms
-    # no states, but out to t = 300 the series needs 5139 terms, whose rows
-    # observed on the 561 excited-B states are 46 MB with the QR's copy, and
-    # whose Gram matrix is 211 MB.  Both are refused against 40 MB by the
-    # grid's own guard, which the dense path asks before the block's eigh
-    # (50.4 MB)
+    # no states, but out to t = 300 the series needs 6117 terms, whose rows
+    # observed on the 561 excited-B states are 55 MB with the QR's copy.
+    # Both are refused against 40 MB by the grid's own guard, which the
+    # dense path asks before the block's eigh (50.4 MB)
     monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
     out = tmp_path / "run"
     tracemalloc.start()

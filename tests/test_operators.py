@@ -289,21 +289,6 @@ def test_gershgorin_floor_exact_for_diagonal():
     assert gershgorin_bounds(mat) == (-1.5, 3.0)
 
 
-def test_weighted_gershgorin_floor_is_tight():
-    # many couplings meet on one row: the plain discs reach 1.86 below E_min
-    # (atom A at x = 0 has no sin couplings), the weighted ones stop within
-    # 0.05 of it
-    ham = build_hamiltonian(build_basis(
-        ModelConfig(num_modes=8, n_max=2, coupling_strength=0.3)))
-    w = np.linalg.eigvalsh(ham.matrix.toarray())
-    diag = ham.matrix.diagonal().real
-    radii = np.asarray(abs(ham.matrix).sum(axis=1)).ravel() - np.abs(diag)
-    floor, ceiling = ham.spectral_bounds
-    assert np.min(diag - radii) < w[0] - 1.8
-    assert w[0] - 0.05 < floor <= w[0]
-    assert w[-1] <= ceiling == np.max(diag + radii)
-
-
 def test_excitation_observable_b():
     basis = build_basis(ModelConfig(num_modes=2, n_max=1))
     obs = excitation_observable_b(basis)

@@ -431,10 +431,10 @@ def test_chebyshev_expectation_keeps_the_checks_of_the_states_path(mid_model):
 
 
 @pytest.mark.parametrize("name", CRITERION_6_CONFIGS)
-def test_moment_norm_matches_the_vectors(name):
-    # the Gram matrix from the Chebyshev moments against the explicit one of
-    # the stored vectors, and the norm a^dagger G a against ||S_0 a||, S_0
-    # the triangular factor of V^T
+def test_series_certificate_holds_on_the_vectors(name):
+    # the two checks of the series from the stored vectors: every ||V_k||
+    # within ||psi0||, the weights |a_0|^2 + sum_k |a_k|^2 / 2 at 1, and with
+    # them the norm ||sum_k a_k V_k|| = ||psi0|| at every point
     config = CRITERION_6_CONFIGS[name]
     basis, ham = build_model(config)
     psi = prepare_initial_state(basis)
@@ -442,13 +442,30 @@ def test_moment_norm_matches_the_vectors(name):
     terms = _series_order(ham, grid, basis.dimension, 0)
     vectors = np.vstack([block.copy() for _, block in _chebyshev_blocks(ham, psi, terms)])
     assert vectors.shape == (terms, basis.dimension)
-    _, gram = _observed_series(ham, exchange_projector(basis), psi, terms)
-    assert np.max(np.abs(gram - vectors @ vectors.T)) <= 1e-13
-    norm_factor = np.linalg.qr(vectors.T, mode="r")
+    norm = np.linalg.norm(psi)
+    assert np.linalg.norm(vectors, axis=1).max() <= norm * (1 + 1e-13)
+    halves = np.where(np.arange(terms) == 0, 1.0, 0.5)
     for _, coeff in _coefficient_chunks(ham, grid, terms):
-        by_moments = np.sqrt(np.einsum("kt,kt->t", coeff.conj(), gram @ coeff).real)
-        by_qr = np.linalg.norm(norm_factor @ coeff, axis=0)
-        assert np.max(np.abs(by_moments - by_qr)) <= 1e-13
+        assert np.max(np.abs(halves @ np.abs(coeff) ** 2 - 1)) <= 1e-14
+        lengths = np.linalg.norm(vectors.T @ coeff, axis=0)
+        assert np.max(np.abs(lengths - norm)) <= 1e-13
+
+
+def test_coefficient_check_catches_a_perturbed_coefficient(mid_model, monkeypatch):
+    # one a_k off by 1e-6 relative moves the weights by about 1e-6 |a_k|^2,
+    # far above the tolerance, while the bracket check sees nothing
+    basis, ham = mid_model
+    chunks = _coefficient_chunks
+
+    def perturbed(*args):
+        for columns, coeff in chunks(*args):
+            coeff[1] *= 1 + 1e-6
+            yield columns, coeff
+
+    monkeypatch.setattr("twoatom.propagator._coefficient_chunks", perturbed)
+    with pytest.raises(ConvergenceError):
+        chebyshev_expectation(ham, excitation_observable_b(basis),
+                              prepare_initial_state(basis), make_time_grid(6.0, 30))
 
 
 def test_moment_norm_catches_a_divergent_series(mid_model, monkeypatch):
@@ -490,6 +507,25 @@ def test_series_keeps_no_vectors():
     assert peak < terms * len(block) * 8
 
 
+def test_series_holds_no_k_by_k_array(mid_model):
+    # out to t = 300 the series of the 180-state model has K far above the
+    # block, so a K x K array of float64, K^2 * 8 bytes, would outweigh all
+    # the series needs: its observed rows, their QR and a chunk of the table
+    basis, ham = mid_model
+    psi = prepare_initial_state(basis)
+    obs = excitation_observable_b(basis)
+    grid = make_time_grid(300.0, 400)
+    terms = _series_order(ham, grid, basis.dimension, 0)
+    tracemalloc.start()
+    try:
+        chebyshev_expectation(ham, obs, psi, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms > 5 * basis.dimension
+    assert peak < terms**2 * 8
+
+
 def test_qr_of_tall_observed_rows_copies_one_chunk(monkeypatch):
     # at n_max = 3 the excited-B rows M of the start's block are 6545 x 192,
     # 10.1 MB; np.linalg.qr copies its argument, so one QR of all of M would
@@ -505,11 +541,11 @@ def test_qr_of_tall_observed_rows_copies_one_chunk(monkeypatch):
     held = {}
 
     def observed_series(*args):
-        observed, gram = _observed_series(*args)
+        observed, lengths = _observed_series(*args)
         held.update(rows=len(observed), size=observed.nbytes,
                     base=tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
-        return observed, gram
+        return observed, lengths
 
     monkeypatch.setattr("twoatom.propagator._observed_series", observed_series)
     tracemalloc.start()
