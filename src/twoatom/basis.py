@@ -7,55 +7,34 @@ lexicographically on the full triple, so the layout is a plain tensor
 product: the occupation block repeats identically for every atom pair, and
 state (a, b, occ) sits at index (a * levels_b + b) * num_occupations + row,
 with row the position of occ in the occupation table.  Only that table is
-stored; no per-state list or map is built.
+stored, as one int64 array with one row lookup (FockBasis.rows_of).
 """
 
 from __future__ import annotations
 
 import math
-import os
+
+import numpy as np
 
 from .config import AnyConfig, LatticeConfig, ModeTable, mode_table
 from .errors import BasisLookupError, DimensionError
 
 # hard cap on the basis dimension, checked before enumeration: it bounds the
 # occupation table and every sparse matrix and vector over the basis; dense
-# arrays are checked against physical memory instead (require_memory)
+# arrays are checked against physical memory instead (config.require_memory)
 DIMENSION_LIMIT = 300_000
 
 
-def physical_memory() -> int:
-    """Bytes of physical memory, the ceiling of every dense-array guard."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def require_memory(needed: int, error: type, what: str, remedy: str) -> None:
-    """Raise error when `what` needs more bytes than physical memory holds.
-
-    Callers ask before they allocate, so a refused job forms nothing large.
-    """
-    memory = physical_memory()
-    if needed > memory:
-        raise error(f"{what} needs {needed / 1e9:.3g} GB against {memory / 1e9:.3g} GB "
-                    f"of physical memory: {remedy}")
-
-
 def occupation_count(slots: int, n_max: int) -> int:
-    """Number of occupation vectors over `slots` modes with total <= n_max."""
-    if slots == 0:
-        # only the empty occupation; comb(slots + s - 1, s) breaks down here
-        return 1
-    return sum(math.comb(slots + s - 1, s) for s in range(n_max + 1))
+    """Occupation vectors over `slots` modes with total <= n_max (hockey stick)."""
+    return math.comb(slots + n_max, n_max)
 
 
-def _occupations(slots, budget):
-    # lexicographically ascending enumeration of all occupation vectors
-    if slots == 0:
-        yield ()
-        return
-    for head in range(budget + 1):
-        for rest in _occupations(slots - 1, budget - head):
-            yield (head,) + rest
+def _keys(rows: np.ndarray) -> np.ndarray:
+    # one bytes key per occupation row, ordered as the rows: big-endian 4-byte
+    # words compare as the counts do, and no slots still take one (no dtype S0)
+    words = np.ascontiguousarray(rows if rows.shape[1] else np.zeros((len(rows), 1)), ">u4")
+    return words.view(f"S{words.shape[1] * 4}").ravel()
 
 
 class FockBasis:
@@ -70,10 +49,8 @@ class FockBasis:
 
     Attributes
     ----------
-    occupations : list of tuple
-        All occupation vectors in lexicographic order.
-    occupation_rows : dict
-        Inverse map from occupation vector to its row in `occupations`.
+    occupations : ndarray of int64, shape (num_occupations, num_slots)
+        All occupation vectors in lexicographic order, the vacuum as row 0.
     modes : ModeTable or None
         Retained box modes; None for the lattice variant.
     """
@@ -97,11 +74,19 @@ class FockBasis:
                 f"basis dimension {dim} exceeds the hard limit {DIMENSION_LIMIT}"
             )
 
-        self.occupations = list(_occupations(self.num_slots, self.n_max))
-        self.num_occupations = len(self.occupations)
-        assert self.num_occupations == n_occ
-        self.occupation_rows = {occ: i for i, occ in enumerate(self.occupations)}
+        table = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(self.num_slots):  # prepend each head the row totals leave room for
+            table = np.concatenate([np.insert(table[table.sum(1) <= self.n_max - h], 0, h, 1)
+                                    for h in range(self.n_max + 1)])
+        table.flags.writeable = False  # the keys below are built from it
+        self.occupations = table
+        self.num_occupations = n_occ
+        self._keys = _keys(table)
         self.dimension = dim
+
+    def rows_of(self, occupations: np.ndarray) -> np.ndarray:
+        """Table rows of the occupation rows given, each of which must be in the table."""
+        return np.searchsorted(self._keys, _keys(occupations))
 
     @property
     def vacuum(self) -> tuple:
@@ -132,23 +117,21 @@ def index_of_bare_state(basis: FockBasis, a_level: int, b_level: int, occupation
     ------
     BasisLookupError
         If the levels are out of range, the occupation vector has the wrong
-        length or negative entries, or the total photon number exceeds the
-        truncation.
+        length or entries that are negative or not whole numbers, or the
+        total photon number exceeds the truncation.
     """
     if not (0 <= a_level < basis.levels_a):
         raise BasisLookupError(f"a_level {a_level} outside 0..{basis.levels_a - 1}")
     if not (0 <= b_level < basis.levels_b):
         raise BasisLookupError(f"b_level {b_level} outside 0..{basis.levels_b - 1}")
-    occ = tuple(int(n) for n in occupations)
-    if len(occ) != basis.num_slots:
-        raise BasisLookupError(
-            f"occupation vector has {len(occ)} slots, basis has {basis.num_slots}"
-        )
-    if any(n < 0 for n in occ):
-        raise BasisLookupError("occupation numbers must be non-negative")
-    if sum(occ) > basis.n_max:
-        raise BasisLookupError(
-            f"total occupation {sum(occ)} exceeds truncation n_max={basis.n_max}"
-        )
+    occ = np.asarray(occupations)
+    if occ.shape != (basis.num_slots,):
+        raise BasisLookupError(f"occupation vector has {occ.size} slots, "
+                               f"basis has {basis.num_slots}")
+    if np.any(occ < 0) or np.any(occ % 1):
+        raise BasisLookupError("occupation numbers must be non-negative integers")
+    if occ.sum() > basis.n_max:
+        raise BasisLookupError(f"total occupation {occ.sum()} exceeds truncation "
+                               f"n_max={basis.n_max}")
     atoms = a_level * basis.levels_b + b_level
-    return atoms * basis.num_occupations + basis.occupation_rows[occ]
+    return atoms * basis.num_occupations + int(basis.rows_of(occ[None])[0])

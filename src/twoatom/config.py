@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,22 @@ from .errors import ConfigError
 COUPLING_FORMS = ("full", "rotating_wave")
 # default norm-drift tolerance of the sparse propagator, shared by every caller
 DEFAULT_TOL = 1e-10
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, the ceiling of every dense-array guard."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(needed: int, error: type, what: str, remedy: str) -> None:
+    """Raise error when `what` needs more bytes than physical memory holds.
+
+    Callers ask before they allocate, so a refused job forms nothing large.
+    """
+    memory = physical_memory()
+    if needed > memory:
+        raise error(f"{what} needs {needed / 1e9:.3g} GB against {memory / 1e9:.3g} GB "
+                    f"of physical memory: {remedy}")
 
 
 def _check_atoms_and_coupling(config) -> None:
@@ -208,6 +225,8 @@ def make_time_grid(t_max: float, steps: int) -> np.ndarray:
     """Uniform grid 0..t_max with `steps` intervals (steps+1 points)."""
     if not 0 < t_max < np.inf or steps < 1:
         raise ConfigError("time grid needs a finite t_max > 0 and steps >= 1")
+    require_memory((int(steps) + 1) * 8, ConfigError, f"a grid of {int(steps) + 1} points",
+                   "lower the step count")
     return np.linspace(0.0, float(t_max), int(steps) + 1)
 
 

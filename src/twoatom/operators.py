@@ -56,8 +56,8 @@ from functools import cached_property
 import numpy as np
 import scipy
 
-from .basis import FockBasis, index_of_bare_state, require_memory
-from .config import LatticeConfig
+from .basis import FockBasis, index_of_bare_state
+from .config import LatticeConfig, require_memory
 from .errors import DimensionError, DomainError
 
 
@@ -326,16 +326,20 @@ def _raising(levels: int):
 def _lowering_entries(basis: FockBasis):
     """(dst, src, slot, amp): every entry of every a_j on the occupation block.
 
-    One entry per occupied slot j of each occupation row src:
-    a_j |occ> = amp |occ - e_j>, with amp = sqrt(occ_j) and dst the row of
-    occ - e_j.  This is the one place the occupation table is looked up.
+    One entry per occupied slot j of each occupation row src, in row-major
+    order: a_j |occ> = amp |occ - e_j>, with amp = sqrt(occ_j) and dst the
+    row of occ - e_j.  The rows are looked up one slot at a time, so only
+    one slot's lowered occupations are held at once.
     """
-    rows = basis.occupation_rows
-    entries = [(rows[occ[:j] + (n - 1,) + occ[j + 1:]], src, j, n)
-               for src, occ in enumerate(basis.occupations)
-               for j, n in enumerate(occ) if n]
-    dst, src, slot, count = np.array(entries, dtype=int).reshape(-1, 4).T
-    return dst, src, slot, np.sqrt(count)
+    table = basis.occupations
+    src, slot = np.nonzero(table)
+    dst = np.empty_like(src)
+    for j in range(basis.num_slots):
+        own = slot == j
+        lowered = table[src[own]]
+        lowered[:, j] -= 1
+        dst[own] = basis.rows_of(lowered)
+    return dst, src, slot, np.sqrt(table[src, slot])
 
 
 def _smeared(w, entries, shape):
@@ -372,8 +376,7 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
     # D: atom ladders plus the field's one-particle diagonal, as an outer sum
     atoms = np.add.outer(np.arange(basis.levels_a) * cfg.omega_a,
                          np.arange(basis.levels_b) * cfg.omega_b).ravel()
-    occupations = np.array(basis.occupations, dtype=float).reshape(n_occ, basis.num_slots)
-    field = occupations @ np.diag(h1)
+    field = basis.occupations @ np.diag(h1)
     diagonal = scipy.sparse.diags(np.add.outer(atoms, field).ravel())
 
     # U: every term that raises the basis index; U^dagger supplies the rest
@@ -459,8 +462,7 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     if not (0.0 <= lo < hi <= cfg.box_length):
         raise DomainError("region must satisfy 0 <= lo < hi <= box_length")
     n_occ, m = basis.num_occupations, basis.num_slots
-    occupations = np.array(basis.occupations, dtype=int).reshape(n_occ, m)
-    photons = occupations.sum(axis=1)
+    photons = basis.occupations.sum(axis=1)
     sizes = np.bincount(photons)
     require_memory(2 * 16 * int(sizes.max()) ** 2, DimensionError,
                    f"a {sizes.max()}-dim photon-number sector", "lower n_max or num_modes")
@@ -473,18 +475,16 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     kappa, rotation = np.linalg.eigh(kernel.real if real else kernel)
 
     dst, src, slot, amp = _lowering_entries(basis)
-    lowered = np.empty((n_occ, m), dtype=int)  # row of occ - e_j, where occ_j > 0
-    lowered[src, slot] = dst
     position = np.zeros(n_occ, dtype=int)  # row of each occupation in its sector
     bras = np.ones((1, 1), dtype=rotation.dtype)  # <vacuum|
     sectors = []
     for n, size in enumerate(sizes):
         sector = np.flatnonzero(photons == n)
-        occ = occupations[sector]
+        occ = basis.occupations[sector]
         position[sector] = np.arange(size)
         if n:
             first = np.argmax(occ > 0, axis=1)
-            parent = position[lowered[sector, first]]
+            parent = position[basis.rows_of(occ - (np.arange(m) == first[:, None]))]
             inside = photons[src] == n
             entries = (position[dst[inside]], position[src[inside]], slot[inside], amp[inside])
             below, bras = bras, np.empty((size, size), dtype=rotation.dtype)

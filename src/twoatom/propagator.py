@@ -35,8 +35,8 @@ from __future__ import annotations
 import numpy as np
 import scipy
 
-from .basis import FockBasis, index_of_bare_state, require_memory
-from .config import DEFAULT_TOL
+from .basis import FockBasis, index_of_bare_state
+from .config import DEFAULT_TOL, require_memory
 from .errors import ConvergenceError, DomainError
 from .operators import BoundedObservable, HermitianOperator, _real_product
 

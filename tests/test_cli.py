@@ -527,6 +527,20 @@ def test_merely_huge_grid_exits_two_before_any_table(tmp_path, small_config, cap
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "fermi-integral"])
+def test_grid_of_points_beyond_memory_exits_two(tmp_path, small_config, capsys, monkeypatch,
+                                                subcommand):
+    # 1e11 + 1 float64 times are 800 GB: the grid's own guard refuses them
+    # against 8 GB before np.linspace forms any
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 8 * 10**9)
+    out = tmp_path / "run"
+    code = main([subcommand, "--config", small_config, "--out", str(out),
+                 "--grid", "2,100000000000"])
+    assert code == 2
+    assert "a grid of 100000000001 points needs 800 GB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["simulate", "dichotomy"])
 def test_huge_grid_times_weigh_the_log_integral_without_overflow(tmp_path, small_config,
                                                                  subcommand):
@@ -613,7 +627,7 @@ def test_zero_tolerance_is_valid_and_unmet_exits_three(tmp_path, small_config, c
 def test_photon_sector_beyond_memory_exits_four(tmp_path, small_config, capsys, monkeypatch):
     # physical memory made smaller than the two dense arrays of the
     # one-photon sector (4 x 4 entries of up to 16 bytes each)
-    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 2 * 16 * 4**2 - 1)
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 2 * 16 * 4**2 - 1)
     out = tmp_path / "run"
     code = main(["simulate", "--config", small_config, "--out", str(out),
                  "--grid", "2,4", "--observable", "photon_region"])
@@ -625,7 +639,7 @@ def test_photon_sector_beyond_memory_exits_four(tmp_path, small_config, capsys, 
 def test_dense_eigh_beyond_memory_exits_four(tmp_path, capsys, monkeypatch):
     # the default start's 1122-state block needs five dense float64 arrays,
     # 50.4 MB, for its eigh: refused against 15 MB before any is formed
-    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 15 * 10**6)
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 15 * 10**6)
     out = tmp_path / "run"
     tracemalloc.start()
     try:
@@ -645,7 +659,7 @@ def test_dense_eigh_counts_its_workspace(tmp_path, capsys, monkeypatch):
     # eigh holds the dense matrix, its LAPACK copy, V and syevd's 2 n^2
     # workspace: 50.4 MB on the 1122-state block, which 30 MB does not hold,
     # though the matrix and V alone (20.1 MB) would fit
-    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 30 * 10**6)
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 30 * 10**6)
     out = tmp_path / "run"
     code = main(["simulate", "--out", str(out), "--grid", "1,10", "--method", "dense"])
     assert code == 4
@@ -664,7 +678,7 @@ def test_grid_of_states_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, m
     # observed on the 561 excited-B states are 55 MB with the QR's copy.
     # Both are refused against 40 MB by the grid's own guard, which the
     # dense path asks before the block's eigh (50.4 MB)
-    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 40 * 10**6)
     out = tmp_path / "run"
     tracemalloc.start()
     try:
@@ -682,7 +696,7 @@ def test_grid_of_states_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, m
 def test_dense_grid_counts_the_eigenvectors(tmp_path, capsys, monkeypatch):
     # the phases and states of 1001 points are 35.9 MB and fit in 40 MB on
     # their own; beside the block's 10.1 MB of real eigenvectors they do not
-    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 40 * 10**6)
     out = tmp_path / "run"
     code = main(["simulate", "--out", str(out), "--grid", "6.28,1000", "--method", "dense"])
     assert code == 2
@@ -695,7 +709,7 @@ def test_long_krylov_grid_forms_no_state_grid(tmp_path, monkeypatch):
     # the series path sums P(t) from K coordinates per point, so the 4001
     # points that the states path refuses against 40 MB now run, and the
     # run never holds the 72 MB grid of states
-    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 40 * 10**6)
     out = tmp_path / "run"
     tracemalloc.start()
     try:
@@ -713,7 +727,7 @@ def test_krylov_grid_of_8001_points_runs_in_40_mb(tmp_path, monkeypatch):
     # the coefficient table is formed a chunk of points at a time, so the
     # grid's length no longer sets the series' memory: 8001 points of the
     # default block fit the 40 MB that refuses 4001 dense states
-    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 40 * 10**6)
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 40 * 10**6)
     out = tmp_path / "run"
     tracemalloc.start()
     try:

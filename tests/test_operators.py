@@ -113,17 +113,20 @@ def test_decoupled_hamiltonian_is_diagonal():
     assert_allclose(ham.matrix.diagonal().real, expected, rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("config", [
-    ModelConfig(num_modes=5, n_max=3),
-    LatticeConfig(num_sites=5, site_a=1, site_b=3, n_max=3),
-], ids=["box5", "chain5"])
-def test_smeared_annihilator_matches_state_by_state_oracle(config):
+@pytest.mark.parametrize("config, count, top", [
+    (ModelConfig(num_modes=5, n_max=3), 56, 3),
+    (LatticeConfig(num_sites=5, site_a=1, site_b=3, n_max=3), 56, 3),
+    (ModelConfig(num_modes=1, n_max=300), 301, 300),
+    (ModelConfig(num_modes=4, cutoff=0.5), 1, 0),
+], ids=["box5", "chain5", "one_slot_nmax300", "no_slots"])
+def test_smeared_annihilator_matches_state_by_state_oracle(config, count, top):
     # a(w) = sum_j w_j a_j for random complex w, assembled state by state from
     # <occ - e_j| a_j |occ> = sqrt(occ_j); each entry comes from one slot
     # alone, so the package's a(w) must match it bit for bit
     basis = build_basis(config)
-    occs = basis.occupations
-    assert len(occs) == 56 and max(max(occ) for occ in occs) == 3
+    assert basis.occupations.shape == (count, basis.num_slots)
+    assert basis.occupations.max(initial=0) == top
+    occs = [tuple(occ) for occ in basis.occupations.tolist()]
     rng = np.random.default_rng(11)
     w = rng.normal(size=basis.num_slots) + 1j * rng.normal(size=basis.num_slots)
     row_of = {occ: i for i, occ in enumerate(occs)}
@@ -483,7 +486,7 @@ def hand_region_number(basis, lo, hi):
     """N_S on the occupation block from hand-enumerated <occ'| adag_j a_l |occ>."""
     kernel = region_kernel(basis, lo, hi)
     m = len(kernel)
-    occs = basis.occupations
+    occs = [tuple(occ) for occ in basis.occupations.tolist()]
     row_of = {occ: i for i, occ in enumerate(occs)}
     n_s = np.zeros((len(occs), len(occs)), dtype=complex)
     for i, occ in enumerate(occs):
@@ -507,7 +510,7 @@ def assert_sectors_match(obs, basis, number, atol):
     diagonalized on its own, and every block of one photon number shares
     one factor.
     """
-    photons = np.array([sum(occ) for occ in basis.occupations])
+    photons = basis.occupations.sum(axis=1)
     first_atom_state = [(indices, factor) for indices, factor in obs.blocks
                         if indices[-1] < basis.num_occupations]
     assert [photons[indices[0]] for indices, _ in first_atom_state] == \
@@ -522,13 +525,13 @@ def assert_sectors_match(obs, basis, number, atol):
 
 def on_each_atom_state(basis, o_occ):
     """The occupation-block operator o_occ placed on every atom state."""
-    occs = basis.occupations
+    n_occ = basis.num_occupations
     oracle = np.zeros((basis.dimension, basis.dimension), dtype=complex)
     states = basis_states(basis)
-    for row, (a, b, occ_row) in enumerate(states):
-        for col, (a2, b2, occ_col) in enumerate(states):
+    for row, (a, b, _) in enumerate(states):
+        for col, (a2, b2, _) in enumerate(states):
             if (a, b) == (a2, b2):
-                oracle[row, col] = o_occ[occs.index(occ_row), occs.index(occ_col)]
+                oracle[row, col] = o_occ[row % n_occ, col % n_occ]
     return oracle
 
 
@@ -581,12 +584,11 @@ def test_photon_sector_vectors_are_orthonormal_with_exact_eigenvalues():
     region = (1.0, 4.0)
     kappa = np.linalg.eigvalsh(region_kernel(basis, *region))
     assert kappa.min() > 0.05
-    occupations = np.array(basis.occupations)
     obs = local_photon_observable(basis, region)
     for indices, factor in obs.blocks:
         if indices[-1] >= basis.num_occupations:
             continue
-        f = np.minimum(occupations[indices] @ kappa, 1.0)
+        f = np.minimum(basis.occupations[indices] @ kappa, 1.0)
         assert factor.shape == (len(indices), len(indices))
         assert np.max(np.abs(factor @ factor.conjugate().T - np.diag(f))) <= 1e-13
         bras = factor / np.sqrt(f)[:, None]
@@ -598,7 +600,7 @@ def test_photon_sector_too_large_for_memory_is_a_dimension_error(monkeypatch):
     # 50 modes at n_max = 3: the 22100-dim three-photon sector needs two
     # dense arrays, 15.6 GB, refused against 8 GB before either is formed
     basis = build_basis(ModelConfig(num_modes=50, n_max=3, cutoff=100.0))
-    monkeypatch.setattr("twoatom.basis.physical_memory", lambda: 8 * 10**9)
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 8 * 10**9)
     tracemalloc.start()
     try:
         with pytest.raises(DimensionError,
@@ -618,7 +620,7 @@ def test_photon_factor_keeps_no_row_below_eigh_resolution():
     basis = build_basis(cfg)
     region = (0.0, cfg.box_length / 2)
     n_s = hand_region_number(basis, *region)
-    photons = np.array([sum(occ) for occ in basis.occupations])
+    photons = basis.occupations.sum(axis=1)
     threshold = np.empty(len(photons))
     dropped = 0
     for n in range(basis.n_max + 1):

@@ -117,8 +117,8 @@ def test_odd_mode_count_has_no_reversal_and_still_matches():
 
 def running_wave_states(basis):
     """(a_level, b_level, occupations) per basis index, atoms outermost."""
-    return [(a, b, occ) for a in range(basis.levels_a) for b in range(basis.levels_b)
-            for occ in basis.occupations]
+    return [(a, b, tuple(occ)) for a in range(basis.levels_a) for b in range(basis.levels_b)
+            for occ in basis.occupations.tolist()]
 
 
 def running_wave_hamiltonian(basis):
@@ -182,7 +182,7 @@ def running_wave_observable(basis, name, region):
     with np.errstate(invalid="ignore", divide="ignore"):
         kernel = np.where(q == 0, (hi - lo) / cfg.box_length,
                           (np.exp(1j * q * hi) - np.exp(1j * q * lo)) / (1j * q * cfg.box_length))
-    occs = basis.occupations
+    occs = [tuple(occ) for occ in basis.occupations.tolist()]
     row = {occ: i for i, occ in enumerate(occs)}
     number = np.zeros((len(occs), len(occs)), dtype=complex)
     for i, occ in enumerate(occs):
