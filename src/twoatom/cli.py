@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -240,6 +239,7 @@ def _manifest(subcommand: str, config: AnyConfig, outputs: dict, **extras) -> di
         "outputs": outputs,
     }
     manifest.update(extras)
+    import hashlib  # here: its OpenSSL would otherwise sit beside fermi-integral's quadrature
     manifest["fingerprint"] = hashlib.sha256(
         canonical_json(manifest).encode()).hexdigest()
     return manifest

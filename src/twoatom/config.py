@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ConfigError
 
 COUPLING_FORMS = ("full", "rotating_wave")
-# default norm-drift tolerance of the sparse propagator, shared by every caller
+# default tolerance on the sparse series' certificate (propagator._check_accuracy),
+# shared by every caller
 DEFAULT_TOL = 1e-10
 
 

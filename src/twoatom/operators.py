@@ -64,8 +64,9 @@ from .errors import DimensionError, DomainError
 class HermitianOperator:
     """Sparse Hermitian matrix plus a certified bracket of its spectrum.
 
-    spectral_bounds is (floor, ceiling) from gershgorin_bounds, the interval
-    the sparse backend expands over; it is the one value the instance keeps.
+    spectral_bounds is (floor, ceiling) from gershgorin_bounds, weighted
+    discs for the floor and plain ones for the ceiling: the interval the
+    sparse backend expands over, and the one value the instance keeps.
 
     A real matrix is kept as float64 and a complex one as complex128, so
     the dense eigendecomposition is a real symmetric eigh whenever H is
@@ -251,13 +252,25 @@ def _real_product(left, right: np.ndarray) -> np.ndarray:
     return (left @ right.view(dtype)).view(np.complex128)
 
 
+# Power steps behind the weighted floor.  On the seed-1 benchmark block 10
+# steps give K = 142, 20 give 140 and 200 give 139, against 167 for the plain
+# discs; at n_max = 4 the 20 steps take about 25 ms, the 200 took 0.35-0.54 s.
+FLOOR_STEPS = 20
+
+
 def gershgorin_bounds(matrix) -> tuple[float, float]:
     """Rigorous (floor, ceiling) of a Hermitian spectrum from Gershgorin discs.
 
-    Every eigenvalue lies within sum_{j != i} |H_ij| of some diagonal entry
-    H_ii, so the floor is min_i (H_ii - r_i) and the ceiling max_i (H_ii + r_i).
-    The floor is loose, -6.66 on the default model against E_min = -0.187;
-    the sparse backend pays for that only in a longer series.
+    With H = D + X, D diagonal, every eigenvalue lies within r_i =
+    sum_{j != i} |H_ij| of some D_ii: the plain discs, with floor
+    min_i (D_ii - r_i) and ceiling max_i (D_ii + r_i).  The discs of
+    S^-1 H S, S = diag(s) > 0, have the same centres and radii
+    (|X| s)_i / s_i, so any positive s gives a floor too.  FLOOR_STEPS power
+    steps on max(D) - D + |X| from s = 1 lift it toward lambda_min(D - |X|)
+    <= E_min (Collatz-Wielandt), and the floor is the higher of the two: on
+    the default start's block -5.98 becomes 0.277, against E_min = 0.639.
+    The ceiling stays plain, 33.47 against E_max = 33.01; weights would move
+    it to 33.03, worth a term or two of the series.
     """
     matrix = scipy.sparse.csr_matrix(matrix)
     if matrix.shape[0] == 0:
@@ -265,7 +278,15 @@ def gershgorin_bounds(matrix) -> tuple[float, float]:
     diag = matrix.diagonal().real
     couplings = abs(matrix - scipy.sparse.diags(matrix.diagonal()))
     radii = np.asarray(couplings.sum(axis=1)).ravel()
-    return float(np.min(diag - radii)), float(np.max(diag + radii))
+    shift = np.max(diag) - diag
+    weights, spread = np.ones(len(diag)), radii  # spread = |X| @ weights
+    for _ in range(FLOOR_STEPS):
+        weights = shift * weights + spread
+        # a positive floor keeps every disc finite; a tiny weight only loosens it
+        weights = np.maximum(weights / (np.max(weights) or 1.0), 1e-30)
+        spread = couplings @ weights
+    weighted = np.min(diag - spread / weights)
+    return float(max(np.min(diag - radii), weighted)), float(np.max(diag + radii))
 
 
 def _standing_waves(k):

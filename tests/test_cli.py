@@ -612,13 +612,15 @@ def test_bad_tolerance_exits_two_before_any_model(tmp_path, small_config, capsys
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--method", "krylov", "--tol", "0"],
-    ["fermi-integral", "--quad-tol", "0"],
+    # on 40 steps the weights miss 1 by 3.3e-16; on the 5 points of "2,4"
+    # both certificate terms are exactly 0, and a zero tolerance is met there
+    ["simulate", "--method", "krylov", "--tol", "0", "--grid", "2,40"],
+    ["fermi-integral", "--quad-tol", "0", "--grid", "2,4"],
 ], ids=["tol", "quad-tol"])
 def test_zero_tolerance_is_valid_and_unmet_exits_three(tmp_path, small_config, capsys,
                                                       argv):
     out = tmp_path / "run"
-    code = main(argv + ["--config", small_config, "--out", str(out), "--grid", "2,4"])
+    code = main(argv + ["--config", small_config, "--out", str(out)])
     assert code == 3
     assert "did not converge" in capsys.readouterr().err
     assert not out.exists()
@@ -858,7 +860,8 @@ def test_readme_table_lists_each_subcommands_own_flags():
 def test_cli_import_defers_scipy_submodules(tmp_path):
     # one process, four stages, each followed by the modules it must not have
     # loaded: bare `import twoatom`, which loads no submodule and not numpy;
-    # importing the CLI; fermi-integral, which imports only config, errors
+    # importing the CLI, which defers hashlib and its OpenSSL to the manifest;
+    # fermi-integral, which imports only config, errors
     # and perturbation, whose quadrature runs on numpy alone, and builds no
     # model; simulate, which needs scipy.sparse but not its graph or
     # linear-algebra parts
@@ -867,7 +870,7 @@ def test_cli_import_defers_scipy_submodules(tmp_path):
     stages = [
         ("import twoatom", model_stack + ("numpy", "twoatom.cli", "twoatom.config",
                                           "twoatom.errors", "twoatom.perturbation")),
-        ("import twoatom.cli", model_stack),
+        ("import twoatom.cli", model_stack + ("hashlib", "_hashlib")),
         (["fermi-integral", "--grid", "3,8"], model_stack),
         (["simulate", "--grid", "2,20"],
          ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg")),

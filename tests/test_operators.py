@@ -24,7 +24,7 @@ from twoatom.operators import (
     gershgorin_bounds,
     local_photon_observable,
 )
-from twoatom.propagator import expectation_grid, prepare_initial_state
+from twoatom.propagator import _series_order, expectation_grid, prepare_initial_state
 
 
 def basis_states(basis):
@@ -280,11 +280,47 @@ def test_invariant_block_is_the_components_that_meet_the_support():
     assert 1 < len(block) < basis.dimension
 
 
-def test_spectral_floor_is_lower_bound():
-    basis = build_basis(ModelConfig(num_modes=4, n_max=2, coupling_strength=0.4))
+def _start_block(config):
+    basis = build_basis(config)
     ham = build_hamiltonian(basis)
-    w = np.linalg.eigvalsh(ham.matrix.toarray())
-    assert ham.spectral_bounds[0] <= w[0] + 1e-12
+    return ham.block(ham.invariant_block(np.flatnonzero(prepare_initial_state(basis))))
+
+
+def test_spectral_floor_is_lower_bound():
+    # the whole H of one box, then the start's block of every criterion-6
+    # config, a complex H (odd num_modes) and a diagonal one (no coupling)
+    configs = [
+        ModelConfig(num_modes=8, n_max=2, coupling_strength=0.3),
+        ModelConfig(num_modes=8, n_max=2, coupling_strength=0.3,
+                    coupling_form="rotating_wave"),
+        ModelConfig(num_modes=24, n_max=1),
+        ModelConfig(num_modes=12, n_max=2, cutoff=4.0),
+        LatticeConfig(),
+        LatticeConfig(num_sites=8, site_a=1, site_b=6),
+        ModelConfig(num_modes=5, n_max=2, coupling_strength=0.4),
+        ModelConfig(num_modes=4, n_max=2, coupling_strength=0.0),
+    ]
+    whole = build_hamiltonian(build_basis(ModelConfig(num_modes=4, n_max=2,
+                                                      coupling_strength=0.4)))
+    blocks = [whole] + [_start_block(config) for config in configs]
+    assert blocks[-2].matrix.dtype == np.complex128 and blocks[-1].dimension == 1
+    for ham in blocks:
+        w = np.linalg.eigvalsh(ham.matrix.toarray())
+        floor, ceiling = ham.spectral_bounds
+        assert floor <= w[0] + 1e-12 and w[-1] - 1e-12 <= ceiling, ham
+
+
+def test_weighted_floor_shortens_the_default_series():
+    ham = _start_block(ModelConfig())
+    diag = ham.matrix.diagonal().real
+    radii = np.asarray(abs(ham.matrix).sum(axis=1)).ravel() - np.abs(diag)
+    plain = HermitianOperator(ham.matrix)
+    plain.spectral_bounds = (np.min(diag - radii), np.max(diag + radii))
+    assert ham.spectral_bounds[1] == pytest.approx(plain.spectral_bounds[1], rel=1e-14)
+    assert ham.spectral_bounds[0] > plain.spectral_bounds[0] + 1.0
+    times = np.array([2.0 * ModelConfig().light_cone_time])
+    assert _series_order(ham, times, ham.dimension, 1) < _series_order(
+        plain, times, ham.dimension, 1)
 
 
 def test_gershgorin_floor_exact_for_diagonal():
