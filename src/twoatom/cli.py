@@ -312,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if propagates:
             p.add_argument("--method", choices=["auto", "dense", "krylov"],
                            help="propagation backend (default auto)")
-            p.add_argument("--tol", help=f"propagation tolerance (default {DEFAULT_TOL:g})")
+            p.add_argument("--tol", help=f"propagation tolerance (default {DEFAULT_TOL:g}); "
+                                         "below about 1e-14 it is met or missed by rounding")
         return p
 
     p = subcommand("simulate", "probability series for one observable")

@@ -160,18 +160,21 @@ class BoundedObservable:
     so expectation values are sum_k ||F_k psi[I_k]||^2, non-negative by
     construction and never clamped after the fact.  O itself is never
     formed.  A factor W over all `dimension` states is the single block
-    (arange(dimension), W).
+    (arange(dimension), W).  factor_rows counts W's rows, one per index of
+    an identity block.
     """
 
     def __init__(self, blocks, dimension: int, label: str = "observable"):
         self.dimension = int(dimension)
         self.blocks = tuple((np.asarray(indices, dtype=int), factor)
                             for indices, factor in blocks)
+        self.factor_rows = 0
         for indices, factor in self.blocks:
             if indices.size and not 0 <= indices.min() <= indices.max() < self.dimension:
                 raise ValueError("block index outside the basis")
             if factor is not None and factor.shape[1] != len(indices):
                 raise ValueError("block factor needs one column per index")
+            self.factor_rows += len(indices) if factor is None else factor.shape[0]
         self.label = label
 
     def factor_parts(self, states):
@@ -227,9 +230,8 @@ class BoundedObservable:
         return BoundedObservable(blocks, len(indices), self.label)
 
     def __repr__(self):
-        rows = sum(len(i) if f is None else f.shape[0] for i, f in self.blocks)
         return (f"BoundedObservable({self.label!r}, dim={self.dimension}, "
-                f"blocks={len(self.blocks)}, factor_rows={rows})")
+                f"blocks={len(self.blocks)}, factor_rows={self.factor_rows})")
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,11 @@ def second_order_time_kernel(a, b, t):
 
     a is the energy mismatch entering at the earlier vertex, b the one at
     the later vertex.  Vectorized over a, b and t, which broadcast against
-    each other; every t must be >= 0, and t = 0 gives exactly 0.
+    each other; every t must be finite and >= 0, and t = 0 gives exactly 0.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("second-order kernel needs t >= 0")
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise DomainError("second-order kernel needs finite t >= 0")
     a, b, t = np.broadcast_arrays(np.asarray(a, dtype=float),
                                   np.asarray(b, dtype=float), t)
     shape = a.shape
@@ -288,19 +288,51 @@ def _panel_coefficients(panels, cfg: ModelConfig):
     return mids, halfs, to_coef(u1), to_coef(u2), to_coef(u3), to_coef(u4)
 
 
+def _miller_recurrence(ratio: np.ndarray, offset: float, start: int, keep: int) -> np.ndarray:
+    """Rows y_n, n < keep <= start + 1, of Miller's backward recurrence, a column per ratio.
+
+    y_{n-1} = (n + offset) ratio y_n - y_{n+1} runs down from y_{start+1} = 0
+    and y_start = 1 (Gautschi, SIAM Rev. 9, 24, 1967).  With ratio = 2/w and
+    offset 0 it is the recurrence of J_n(w), with ratio = 2/x and offset 1/2
+    that of j_n(x); well below start each column is that minimal solution up
+    to one factor, which the caller fixes by a normalisation.  Only the rows
+    below keep are held, beside two rolling rows.  A step from order n grows
+    the recurrence by at most (n + offset) max|ratio| + 1, so before that
+    growth since the last rescale could pass 1e100, every column above 1e100
+    is rescaled: a huge ratio cannot overflow.
+    """
+    steepest = float(np.max(np.abs(ratio), initial=0.0))
+    rows = np.empty((keep, ratio.size))
+    above, here, below = np.zeros(ratio.size), np.ones(ratio.size), np.empty(ratio.size)
+    rows[start:] = here  # y_start, where keep = start + 1
+    growth = 1.0  # the entries are at most 1e100 * growth
+    for n in range(start, 0, -1):
+        bound = (n + offset) * steepest + 1
+        if growth * bound > 1e100:
+            scale = np.maximum(np.abs(here), np.abs(above))
+            big = scale > 1e100
+            for row in (above, here, rows[n:]):
+                row[..., big] /= scale[big]
+            growth = 1.0
+        growth *= bound
+        np.multiply(n + offset, ratio, out=below)
+        below *= here
+        below -= above
+        if n <= keep:
+            rows[n - 1] = below
+        above, here, below = here, below, above
+    return rows
+
+
 def _spherical_jn_table(order: int, x) -> np.ndarray:
     """j_n(x) for n = 0..order at every x >= 0, shape (order+1,) + x.shape.
 
     Above x = order the forward recurrence j_{n+1} = (2n+1)/x j_n - j_{n-1}
     from j_0 = sin x/x and j_1 = (j_0 - cos x)/x is stable, since n < x.
-    Elsewhere Miller's backward recurrence runs down from j_{order+31} = 0,
-    j_{order+30} = 1, keeping two rolling rows and the orders it returns,
-    and is normalised by whichever of j_0 and j_1 is the larger, in closed
-    form.  A step from order n grows the recurrence by at most
-    (2n+1)/min(x) + 1, so before that growth since the last rescale could
-    pass 1e100, every column above 1e100 is rescaled: nothing overflows.
-    Below x = 1e-150 the leading series term x^n/(2n+1)!! is j_n to double
-    precision, and j_n(0) = delta_n0 exactly.
+    Elsewhere Miller's backward recurrence (_miller_recurrence) runs down
+    from j_{order+30} = 1 and is normalised by whichever of j_0 and j_1 is
+    the larger, in closed form.  Below x = 1e-150 the leading series term
+    x^n/(2n+1)!! is j_n to double precision, and j_n(0) = delta_n0 exactly.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -322,25 +354,7 @@ def _spherical_jn_table(order: int, x) -> np.ndarray:
 
     miller = ~(tiny | forward)
     xm = flat[miller]
-    rows = np.empty((order + 1, xm.size))   # orders 0..order, once reached
-    above, here, below = np.zeros(xm.size), np.ones(xm.size), np.empty(xm.size)
-    smallest = float(np.min(xm, initial=np.inf))
-    growth = 1.0  # the entries are at most 1e100 * growth
-    for n in range(order + 30, 0, -1):
-        bound = (2 * n + 1) / smallest + 1
-        if growth * bound > 1e100:
-            scale = np.maximum(np.abs(here), np.abs(above))
-            big = scale > 1e100
-            for row in (above, here, rows[n:]):
-                row[..., big] /= scale[big]
-            growth = 1.0
-        growth *= bound
-        np.divide(2 * n + 1, xm, out=below)
-        below *= here
-        below -= above
-        if n <= order + 1:
-            rows[n - 1] = below
-        above, here, below = here, below, above
+    rows = _miller_recurrence(2.0 / xm, 0.5, order + 30, order + 1)
     # the closed form j_1 cancels at small x, where j_0 is the larger
     j0 = np.sin(xm) / xm
     first = np.abs(rows[0]) >= np.abs(rows[1])
@@ -489,7 +503,8 @@ def exchange_amplitude_series(config: ModelConfig, times, *,
     Adaptive Filon-type quadrature with requested absolute error `tol`;
     raises ConvergenceError (carrying the achieved error) if refinement
     stalls above it.  The reported achieved_error is the worst per-time
-    estimate actually reached.
+    estimate actually reached.  A time that is negative or not finite
+    raises DomainError before any work.
     """
     cfg = _two_level_box(config)
     if frequency_range not in FREQUENCY_RANGES:
@@ -498,8 +513,8 @@ def exchange_amplitude_series(config: ModelConfig, times, *,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise DomainError("times must be a 1-D array")
-    if times.size and times.min() < 0:
-        raise DomainError("amplitude times must be non-negative")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise DomainError("amplitude times must be finite and non-negative")
     if (not times.size or cfg.coupling_strength == 0
             or cfg.coupling_scale_a == 0 or cfg.coupling_scale_b == 0):
         return AmplitudeSeries(times, np.zeros(times.size, dtype=np.complex128),
@@ -529,12 +544,12 @@ def mode_sum_amplitude(config: ModelConfig, times) -> AmplitudeSeries:
     Exact (up to roundoff) for the discrete model, so it doubles as the
     convergence oracle for the continuum quadrature: refining the mode set
     at fixed spectral span drives this sum toward the positive_only
-    integral.
+    integral.  A time that is negative or not finite raises DomainError.
     """
     cfg = _two_level_box(config)
     times = np.asarray(times, dtype=float)
-    if times.size and times.min() < 0:
-        raise DomainError("amplitude times must be non-negative")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise DomainError("amplitude times must be finite and non-negative")
     k, omega, g = mode_table(cfg).as_arrays()
     weight = g ** 2 * cfg.coupling_scale_a * cfg.coupling_scale_b
     phase = np.exp(1j * k * (cfg.x_b - cfg.x_a))

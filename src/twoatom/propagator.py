@@ -39,6 +39,7 @@ from .basis import FockBasis, index_of_bare_state
 from .config import DEFAULT_TOL, require_memory
 from .errors import ConvergenceError, DomainError
 from .operators import BoundedObservable, HermitianOperator, _real_product
+from .perturbation import _miller_recurrence
 
 # largest dimension that "auto" hands to the dense eigendecomposition
 DENSE_LIMIT = 2000
@@ -86,39 +87,21 @@ def _exp_coefficients(w: np.ndarray, terms: int) -> np.ndarray:
     """a_k(w) for k < terms, where exp(-i w (1 + x)) = sum_k a_k T_k(x) on [-1, 1].
 
     a_k = (2 - delta_k0) (-i)^k J_k(w) e^{-iw}, one column per real point w,
-    so |a_k| <= 2.  The real J_k come from Miller's backward recurrence from
-    J_{order+1} = 0, order = max(terms, ceil(max|w|)) + 10, normalised by
-    e^{iw} = J_0 + 2 sum_k i^k J_k, which has modulus 1 and also supplies
-    the factor e^{-iw}.  Orders near the start are inaccurate; ten orders
-    below it, past |w|, they are not, which is the margin _series_order
-    leaves above K.  A step from order k grows the recurrence by at most
-    k max|2/w| + 1, so before that growth since the last rescale could pass
-    1e100, every column above 1e100 is rescaled: a tiny |w| cannot overflow.
-    Below |w| = 1e-150 it is J_k = delta_k0 to double precision.
+    so |a_k| <= 2.  The real J_k come from Miller's backward recurrence
+    (_miller_recurrence) from J_order = 1, order = max(terms, ceil(max|w|))
+    + 10, normalised by e^{iw} = J_0 + 2 sum_k i^k J_k, which has modulus 1
+    and also supplies the factor e^{-iw}.  Orders near the start are
+    inaccurate; ten orders below it, past |w|, they are not, which is the
+    margin _series_order leaves above K.  Below |w| = 1e-150 it is
+    J_k = delta_k0 to double precision.
     """
     small = np.abs(w) < 1e-150
-    ratio = 2.0 / np.where(small, 1, w)
-    steepest = float(np.max(np.abs(ratio), initial=0.0))
     order = max(terms, int(np.ceil(np.max(np.abs(w), initial=0.0)))) + 10
-    table = np.zeros((order + 2, len(w)))
-    table[order] = 1.0
-    growth = 1.0  # the entries are at most 1e100 * growth
-    for k in range(order, 0, -1):
-        bound = k * steepest + 1
-        if growth * bound > 1e100:
-            scale = np.maximum(np.abs(table[k]), np.abs(table[k + 1]))
-            big = scale > 1e100
-            table[k:, big] /= scale[big]
-            growth = 1.0
-        growth *= bound
-        row = table[k - 1]
-        np.multiply(k, ratio, out=row)
-        row *= table[k]
-        row -= table[k + 1]
+    table = _miller_recurrence(2.0 / np.where(small, 1, w), 0.0, order, order + 1)
     weights = 2.0 * np.array([1, 1j, -1, -1j])[np.arange(order + 1) % 4]
     weights[0] = 1.0  # (2 - delta_k0) i^k
     # the weights are real or imaginary: two real products, no complex table
-    norm = weights.real @ table[:-1] + 1j * (weights.imag @ table[:-1])
+    norm = weights.real @ table + 1j * (weights.imag @ table)
     coeff = table[:terms] / norm
     coeff *= weights.conjugate()[:terms, None]
     coeff[:, small] = 0.0
@@ -223,16 +206,6 @@ def _chebyshev_blocks(hamiltonian: HermitianOperator, psi0: np.ndarray, terms: i
         yield start, rows[2:2 + stop - start]
 
 
-def _squared_lengths(factor: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """||factor @ a||^2 for every column a of coeff."""
-    return _squared_norms(_real_product(factor, coeff).T)
-
-
-def _row_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Re <left_i, right_i> for each row i, over the interleaved real and imaginary parts."""
-    return np.einsum("ij,ij->i", left.view(np.float64), right.view(np.float64))
-
-
 def _bessel_weights(coeff: np.ndarray) -> np.ndarray:
     """|a_0|^2 + sum_{k >= 1} |a_k|^2 / 2 = J_0^2 + 2 sum_k J_k^2 for every column a of coeff."""
     # one sum over the interleaved real and imaginary parts: no |a|^2 formed
@@ -240,12 +213,6 @@ def _bessel_weights(coeff: np.ndarray) -> np.ndarray:
     halves[0] = 1.0
     parts = coeff.view(np.float64)
     return np.einsum("k,kj,kj->j", halves, parts, parts).reshape(-1, 2).sum(axis=1)
-
-
-def _observed_rows(observable: BoundedObservable) -> int:
-    """Rows of the observable's square-root factor: one per index of an identity block."""
-    return sum(len(indices) if factor is None else factor.shape[0]
-               for indices, factor in observable.blocks)
 
 
 def _observed_series(hamiltonian: HermitianOperator, observable: BoundedObservable,
@@ -258,7 +225,7 @@ def _observed_series(hamiltonian: HermitianOperator, observable: BoundedObservab
     dtype = np.result_type(hamiltonian.matrix.dtype, psi0.dtype,
                            *(factor.dtype for _, factor in observable.blocks
                              if factor is not None))
-    observed = np.empty((_observed_rows(observable), terms), dtype=dtype)
+    observed = np.empty((observable.factor_rows, terms), dtype=dtype)
     squares = np.empty(terms)
     for start, vectors in _chebyshev_blocks(hamiltonian, psi0, terms):
         stop = start + len(vectors)
@@ -266,7 +233,7 @@ def _observed_series(hamiltonian: HermitianOperator, observable: BoundedObservab
         for part in observable.factor_parts(vectors):
             observed[top:top + len(part), start:stop] = part
             top += len(part)
-        squares[start:stop] = _row_products(vectors, vectors)
+        squares[start:stop] = _squared_norms(vectors)
     return observed, np.sqrt(squares)
 
 
@@ -388,7 +355,7 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     psi0, times = _checked(hamiltonian, psi0, times)
     if observable.dimension != hamiltonian.dimension:
         raise ValueError("observable and Hamiltonian differ in dimension")
-    terms = _series_order(hamiltonian, times, psi0.size, _observed_rows(observable))
+    terms = _series_order(hamiltonian, times, psi0.size, observable.factor_rows)
     observed, lengths = _observed_series(hamiltonian, observable, psi0, terms)
     # S <- qr([S; M_chunk]) down the chunks: an M of up to QR_ROWS rows is
     # one plain QR, and a taller one never has a whole copy
@@ -399,7 +366,7 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     del observed
     values, weights = np.empty(len(times)), np.empty(len(times))
     for columns, coeff in _coefficient_chunks(hamiltonian, times, terms):
-        values[columns] = _squared_lengths(factor, coeff)
+        values[columns] = _squared_norms(_real_product(factor, coeff).T)
         weights[columns] = _bessel_weights(coeff)
     _check_accuracy(lengths, weights, tol)
     values[times == 0] = expectation_grid(observable, psi0[None, :])

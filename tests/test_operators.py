@@ -499,6 +499,23 @@ def test_observable_blocks_are_validated():
         BoundedObservable([([2, 4], None)], 4)
 
 
+def test_factor_rows_count_the_rows_of_every_part():
+    basis = build_basis(ModelConfig(num_modes=3, n_max=2))
+    photons = local_photon_observable(basis, (0.0, basis.config.box_length / 2))
+    start = np.flatnonzero(prepare_initial_state(basis))
+    in_block = photons.restricted(build_hamiltonian(basis).invariant_block(start))
+    u = np.random.default_rng(3).standard_normal(basis.dimension)
+    rank_one = BoundedObservable([(np.arange(basis.dimension), u[None, :] / np.linalg.norm(u))],
+                                 basis.dimension)
+    # an identity block, dense factors, the same on a start block, one dense row
+    for obs in (excitation_observable_b(basis), photons, in_block, rank_one):
+        parts = obs.factor_parts(np.zeros((1, obs.dimension)))
+        assert obs.factor_rows == sum(len(part) for part in parts)
+        assert repr(obs).endswith(f"factor_rows={obs.factor_rows})")
+    assert rank_one.factor_rows == 1
+    assert 0 < in_block.factor_rows < photons.factor_rows
+
+
 def region_kernel(basis, lo, hi):
     """The slots' region kernel V K V^dagger, V from standing_waves.
 

@@ -39,6 +39,20 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def test_every_private_definition_is_referenced():
+    # a private helper serves the package alone: once its last caller goes,
+    # it must go too
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    read = {getattr(node, "id", getattr(node, "attr", None))
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert defined
+    assert [name for name in defined if name.split(".")[1] not in read] == []
+
+
 MEMO_NAMES = {"lru_cache", "cache", "cached_property"}
 
 # every memo in src/twoatom, as (module, function) -> its decorator, and why

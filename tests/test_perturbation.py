@@ -46,8 +46,9 @@ def nested_gl_kernel(a, b, t, nodes=160):
 def test_kernel_trivial_time():
     out = second_order_time_kernel([0.3, 2.0], [1.0, -4.0], 0.0)
     assert_array_equal(out, np.zeros(2, dtype=np.complex128))
-    with pytest.raises(DomainError):
-        second_order_time_kernel(0.3, 1.0, -0.5)
+    for t in (-0.5, np.nan, np.inf, [0.5, np.nan]):
+        with pytest.raises(DomainError):
+            second_order_time_kernel(0.3, 1.0, t)
 
 
 def test_kernel_broadcasts():
@@ -376,6 +377,12 @@ def test_amplitude_validation():
         exchange_amplitude_series(cfg, np.array([-1.0, 1.0]))
     with pytest.raises(DomainError):
         mode_sum_amplitude(cfg, np.array([-1.0]))
+    # a time that is not finite is a domain error, not a stalled quadrature
+    for times in ([np.nan], [1.0, np.inf]):
+        with pytest.raises(DomainError):
+            exchange_amplitude_series(cfg, np.array(times))
+        with pytest.raises(DomainError):
+            mode_sum_amplitude(cfg, np.array(times))
     with pytest.raises(DomainError):
         exchange_amplitude_series(LatticeConfig(), np.array([1.0]))
     with pytest.raises(DomainError):
