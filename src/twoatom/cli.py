@@ -22,9 +22,8 @@ written; a run whose outputs cannot be written leaves none of them.
 
 Config files are flat ``key = value`` text; keys are exactly the config
 dataclass field names plus ``field_model`` (``continuum`` or ``lattice``),
-and unknown keys are rejected outright.  Every flag can also be supplied
-through an environment variable with the ``TWOATOM_`` prefix (for example
-``TWOATOM_GRID``); explicit flags win over the environment.
+and unknown keys are rejected outright.  Flags and the config file are a
+run's only inputs.
 
 Exit codes: 0 success, 2 configuration, usage or output-path error (or a
 grid whose states or series table would not fit in physical memory), 3
@@ -55,7 +54,6 @@ from .perturbation import (DEFAULT_QUAD_TOL, FREQUENCY_RANGES,
                            exchange_amplitude_series)
 
 SCHEMA_VERSION = 1
-ENV_PREFIX = "TWOATOM_"
 
 OBSERVABLE_CHOICES = {
     "excitation_B": "excitation_b",
@@ -250,19 +248,19 @@ def _manifest(subcommand: str, config: AnyConfig, outputs: dict, **extras) -> di
 # ---------------------------------------------------------------------------
 
 
-def _resolve(args: argparse.Namespace, name: str, default=None, convert=str):
-    """Flag beats environment beats default."""
-    value = getattr(args, name.replace("-", "_"))
-    if value is None:
-        value = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-    if value is None:
+def _parsed(args: argparse.Namespace, name: str, parse, default=None):
+    """--name's text through parse, or default when the flag was not given.
+
+    Parsed here rather than by argparse, so that a value parse refuses is a
+    ConfigError: main returns 2 for it before any work.
+    """
+    text = getattr(args, name.replace("-", "_"))
+    if text is None:
         return default
-    if isinstance(value, str):
-        try:
-            return convert(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for --{name}: {value!r}") from exc
-    return value
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for --{name}: {text!r}") from exc
 
 
 def _parse_pair(text: str, second=float) -> tuple:
@@ -281,16 +279,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _switch(text: str) -> bool:
-    """An on/off value: 1, true or yes, or 0, false or no, in any case."""
-    value = text.lower()
-    if value in ("1", "true", "yes"):
-        return True
-    if value in ("0", "false", "no"):
-        return False
-    raise ValueError(text)
-
-
 def _parse_float_list(text: str) -> list[float]:
     values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
@@ -307,25 +295,25 @@ def _build_parser() -> argparse.ArgumentParser:
     def subcommand(name, help, propagates=True):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory (default: current)")
+        p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--grid", help='time grid as "t_max,steps"')
         if propagates:
-            p.add_argument("--method", choices=["auto", "dense", "krylov"],
-                           help="propagation backend (default auto)")
+            p.add_argument("--method", choices=["auto", "dense", "krylov"], default="auto",
+                           help="propagation backend (default %(default)s)")
             p.add_argument("--tol", help=f"propagation tolerance (default {DEFAULT_TOL:g}); "
                                          "below about 1e-14 it is met or missed by rounding")
         return p
 
     p = subcommand("simulate", "probability series for one observable")
     p.add_argument("--observable", choices=sorted(OBSERVABLE_CHOICES),
-                   help="default excitation_B")
+                   default="excitation_B", help="default %(default)s")
     p.add_argument("--region", help='photon_region bounds as "lo,hi"')
-    p.add_argument("--dump-hamiltonian", action="store_true", default=None,
+    p.add_argument("--dump-hamiltonian", action="store_true",
                    help="also write the Hamiltonian as text triplets")
 
     p = subcommand("dichotomy", "series plus zero/nonzero classification")
     p.add_argument("--observable", choices=sorted(OBSERVABLE_CHOICES),
-                   help="default excitation_B")
+                   default="excitation_B", help="default %(default)s")
     p.add_argument("--region", help='photon_region bounds as "lo,hi"')
 
     subcommand("weak-causality", "ensemble difference with and without the emitter")
@@ -333,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subcommand("fermi-integral", "second-order amplitude over one or both ranges",
                    propagates=False)
     p.add_argument("--range", choices=list(FREQUENCY_RANGES) + ["both"],
-                   help="default both")
+                   default="both", help="default %(default)s")
     p.add_argument("--quad-tol",
                    help=f"quadrature absolute error (default {DEFAULT_QUAD_TOL:g})")
 
@@ -360,18 +348,10 @@ def _series_csv(series, value_name: str) -> str:
     return _csv(rows, f"t,{value_name}")
 
 
-def _observable(args) -> str:
-    name = _resolve(args, "observable", default="excitation_B")
-    if name not in OBSERVABLE_CHOICES:
-        raise ConfigError(
-            f"observable must be one of {sorted(OBSERVABLE_CHOICES)}, got {name!r}")
-    return OBSERVABLE_CHOICES[name]
-
-
 def _common_setup(args, default_steps: int = 800):
     """Config, time grid, and the manifest entries holding the grid."""
-    config = load_config(_resolve(args, "config"))
-    grid_spec = _resolve(args, "grid", convert=lambda text: _parse_pair(text, int))
+    config = load_config(args.config)
+    grid_spec = _parsed(args, "grid", lambda text: _parse_pair(text, int))
     t_max, steps = grid_spec or (2.0 * config.light_cone_time, default_steps)
     grid = make_time_grid(t_max, steps)
     return config, grid, {"grid": {"t_max": t_max, "steps": steps}}
@@ -379,10 +359,9 @@ def _common_setup(args, default_steps: int = 800):
 
 def _propagation(args, manifest: dict) -> tuple[str, float]:
     """--method and --tol, also recorded in the manifest entries."""
-    method = _resolve(args, "method", default="auto")
-    tol = _resolve(args, "tol", default=DEFAULT_TOL, convert=_tolerance)
-    manifest.update(method=method, tolerances={"tol": tol})
-    return method, tol
+    tol = _parsed(args, "tol", _tolerance, default=DEFAULT_TOL)
+    manifest.update(method=args.method, tolerances={"tol": tol})
+    return args.method, tol
 
 
 def _report_dict(report) -> dict:
@@ -406,10 +385,8 @@ def _run_series(args):
 
     config, grid, manifest = _common_setup(args)
     method, tol = _propagation(args, manifest)
-    observable = _observable(args)
-    region = _resolve(args, "region", convert=_parse_pair)
-    dump = (args.subcommand == "simulate"
-            and _resolve(args, "dump-hamiltonian", default=False, convert=_switch))
+    observable = OBSERVABLE_CHOICES[args.observable]
+    region = _parsed(args, "region", _parse_pair)
     manifest.update(observable=observable, region=list(region) if region else None)
     series = analysis.probability_series(config, observable, grid,
                                          method=method, tol=tol, region=region)
@@ -425,7 +402,7 @@ def _run_series(args):
                        log_integral=report.log_integral,
                        max_value=float(series.values.max()),
                        final_value=float(series.values[-1]))
-        if dump:
+        if args.dump_hamiltonian:
             from .operators import format_triplets
 
             _, hamiltonian = analysis.build_model(config)
@@ -453,9 +430,8 @@ def _run_weak_causality(args):
 
 def _run_fermi_integral(args):
     config, grid, manifest = _common_setup(args, default_steps=160)
-    quad_tol = _resolve(args, "quad-tol", default=DEFAULT_QUAD_TOL, convert=_tolerance)
-    choice = _resolve(args, "range", default="both")
-    ranges = list(FREQUENCY_RANGES) if choice == "both" else [choice]
+    quad_tol = _parsed(args, "quad-tol", _tolerance, default=DEFAULT_QUAD_TOL)
+    ranges = list(FREQUENCY_RANGES) if args.range == "both" else [args.range]
     manifest.update(tolerances={"quad_tol": quad_tol}, ranges=ranges)
 
     rows = []
@@ -483,7 +459,7 @@ def _run_cutoff_sweep(args):
 
     config, grid, manifest = _common_setup(args)
     method, tol = _propagation(args, manifest)
-    cutoffs = _resolve(args, "cutoffs", convert=_parse_float_list)
+    cutoffs = _parsed(args, "cutoffs", _parse_float_list)
     if cutoffs is None:
         cutoffs = [m * config.omega_a for m in (4.0, 8.0, 16.0, 32.0)]
     manifest["cutoffs"] = list(cutoffs)
@@ -522,8 +498,7 @@ def _artifacts(args) -> list[tuple[str, str]]:
                "manifest": _manifest(name, config, outputs, **manifest_extras),
                **results}
     texts = [csv_text, canonical_json(summary) + "\n", *extra_files.values()]
-    out_dir = _resolve(args, "out", default=".")
-    return [(os.path.join(out_dir, f), text)
+    return [(os.path.join(args.out, f), text)
             for f, text in zip(outputs.values(), texts)]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 COUPLING_FORMS = ("full", "rotating_wave")
 # default tolerance on the sparse series' certificate (propagator._check_accuracy),
@@ -229,6 +229,22 @@ def make_time_grid(t_max: float, steps: int) -> np.ndarray:
     require_memory((int(steps) + 1) * 8, ConfigError, f"a grid of {int(steps) + 1} points",
                    "lower the step count")
     return np.linspace(0.0, float(t_max), int(steps) + 1)
+
+
+def checked_times(times) -> np.ndarray:
+    """times as a 1-D float array of finite, non-negative values, or DomainError.
+
+    A complex-typed grid is refused even where every imaginary part is 0, as
+    the propagator refuses it: a cast to float would drop the imaginary part.
+    """
+    if np.iscomplexobj(times):
+        raise DomainError("times must be real: the grid is complex")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise DomainError("times must be a 1-D array")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise DomainError("amplitude times must be finite and non-negative")
+    return times
 
 
 def config_items(config: AnyConfig) -> dict:

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .config import LatticeConfig, ModelConfig, mode_table
+from .config import LatticeConfig, ModelConfig, checked_times, mode_table
 from .errors import ConvergenceError, DomainError
 
 FREQUENCY_RANGES = ("positive_only", "extended")
@@ -129,13 +129,15 @@ def second_order_time_kernel(a, b, t):
 
     a is the energy mismatch entering at the earlier vertex, b the one at
     the later vertex.  Vectorized over a, b and t, which broadcast against
-    each other; every t must be finite and >= 0, and t = 0 gives exactly 0.
+    each other; every a and b must be finite, every t finite and >= 0, and
+    t = 0 gives exactly 0.
     """
-    t = np.asarray(t, dtype=float)
+    a, b, t = (np.asarray(x, dtype=float) for x in (a, b, t))
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise DomainError("second-order kernel needs finite t >= 0")
-    a, b, t = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                  np.asarray(b, dtype=float), t)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DomainError("second-order kernel needs finite energy mismatches a and b")
+    a, b, t = np.broadcast_arrays(a, b, t)
     shape = a.shape
     a, b, t = a.ravel(), b.ravel(), t.ravel()
     gaps = np.stack([a * t, b * t, (a + b) * t])     # (y - x, x, y) / i
@@ -503,18 +505,15 @@ def exchange_amplitude_series(config: ModelConfig, times, *,
     Adaptive Filon-type quadrature with requested absolute error `tol`;
     raises ConvergenceError (carrying the achieved error) if refinement
     stalls above it.  The reported achieved_error is the worst per-time
-    estimate actually reached.  A time that is negative or not finite
-    raises DomainError before any work.
+    estimate actually reached.  A grid that is complex-typed or not 1-D,
+    or a time that is negative or not finite, raises DomainError before
+    any work.
     """
     cfg = _two_level_box(config)
     if frequency_range not in FREQUENCY_RANGES:
         raise DomainError(
             f"frequency_range must be one of {FREQUENCY_RANGES}, got {frequency_range!r}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise DomainError("times must be a 1-D array")
-    if not np.all(np.isfinite(times) & (times >= 0)):
-        raise DomainError("amplitude times must be finite and non-negative")
+    times = checked_times(times)
     if (not times.size or cfg.coupling_strength == 0
             or cfg.coupling_scale_a == 0 or cfg.coupling_scale_b == 0):
         return AmplitudeSeries(times, np.zeros(times.size, dtype=np.complex128),
@@ -544,12 +543,11 @@ def mode_sum_amplitude(config: ModelConfig, times) -> AmplitudeSeries:
     Exact (up to roundoff) for the discrete model, so it doubles as the
     convergence oracle for the continuum quadrature: refining the mode set
     at fixed spectral span drives this sum toward the positive_only
-    integral.  A time that is negative or not finite raises DomainError.
+    integral.  A grid that is complex-typed or not 1-D, or a time that is
+    negative or not finite, raises DomainError.
     """
     cfg = _two_level_box(config)
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times) & (times >= 0)):
-        raise DomainError("amplitude times must be finite and non-negative")
+    times = checked_times(times)
     k, omega, g = mode_table(cfg).as_arrays()
     weight = g ** 2 * cfg.coupling_scale_a * cfg.coupling_scale_b
     phase = np.exp(1j * k * (cfg.x_b - cfg.x_a))

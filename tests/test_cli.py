@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from twoatom.cli import (
-    ENV_PREFIX,
     _build_parser,
     canonical_json,
     format_float,
@@ -26,12 +25,6 @@ from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import ConfigError
 from twoatom.analysis import build_model
 from twoatom.operators import format_triplets
-
-
-@pytest.fixture(autouse=True)
-def clean_environment(monkeypatch):
-    for key in [k for k in os.environ if k.startswith(ENV_PREFIX)]:
-        monkeypatch.delenv(key)
 
 
 @pytest.fixture()
@@ -317,48 +310,29 @@ def test_files_follow_the_umask(tmp_path, small_config):
 
 
 # ---------------------------------------------------------------------------
-# environment and precedence
+# inputs and their refusals
 # ---------------------------------------------------------------------------
 
 
-def test_environment_supplies_flags(tmp_path, small_config, monkeypatch):
-    out = tmp_path / "run"
+def test_environment_is_no_input(tmp_path, small_config, monkeypatch):
+    # flags and the config file are a run's only inputs: variables named
+    # after its flags leave every byte of its outputs as it was
+    argv = ["simulate", "--config", small_config]
+    names = ["simulate.csv", "simulate.json"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
     monkeypatch.setenv("TWOATOM_GRID", "2,10")
     monkeypatch.setenv("TWOATOM_OBSERVABLE", "exchange")
-    code = main(["simulate", "--config", small_config, "--out", str(out)])
-    assert code == 0
-    lines = (out / "simulate.csv").read_text().splitlines()
-    assert len(lines) == 1 + 11
-    summary = json.loads((out / "simulate.json").read_text())
-    assert summary["observable"] == "exchange"
+    assert main(argv + ["--out", str(tmp_path / "set")]) == 0
+    assert [(tmp_path / "set" / n).read_bytes() for n in names] == \
+        [(tmp_path / "plain" / n).read_bytes() for n in names]
 
 
-def test_flags_beat_environment(tmp_path, small_config, monkeypatch):
-    out = tmp_path / "run"
-    monkeypatch.setenv("TWOATOM_OBSERVABLE", "exchange")
-    code = main(["simulate", "--config", small_config, "--out", str(out),
-                 "--grid", "2,10", "--observable", "excitation_B"])
-    assert code == 0
-    summary = json.loads((out / "simulate.json").read_text())
-    assert summary["observable"] == "excitation_b"
-
-
-def test_bogus_environment_observable(tmp_path, small_config, monkeypatch, capsys):
-    out = tmp_path / "run"
-    monkeypatch.setenv("TWOATOM_OBSERVABLE", "population_inversion")
-    code = main(["simulate", "--config", small_config, "--out", str(out),
-                 "--grid", "2,10"])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("args, env", [
-    (["simulate", "--observable", "exchange", "--region", "0,1"], {}),
-    (["dichotomy"], {"TWOATOM_REGION": "0,1"}),
-])
+@pytest.mark.parametrize("args", [
+    ["simulate", "--observable", "exchange", "--region", "0,1"],
+    ["dichotomy", "--region", "0,1"],
+], ids=["simulate", "dichotomy"])
 def test_region_without_photon_region_exits_two_before_any_model(
-        tmp_path, small_config, monkeypatch, capsys, args, env):
+        tmp_path, small_config, monkeypatch, capsys, args):
     # the series would ignore the region, yet the manifest would record it
     from twoatom import analysis
 
@@ -367,8 +341,6 @@ def test_region_without_photon_region_exits_two_before_any_model(
 
     monkeypatch.setattr(analysis, "build_basis", refuse)
     analysis.build_model.cache_clear()
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     out = tmp_path / "run"
     code = main(args + ["--config", small_config, "--out", str(out), "--grid", "2,10"])
     assert code == 2
@@ -743,33 +715,6 @@ def test_krylov_grid_of_8001_points_runs_in_40_mb(tmp_path, monkeypatch):
     assert peak < 40 * 10**6
 
 
-@pytest.mark.parametrize("value, dumped", [
-    ("1", True), ("true", True), ("Yes", True), ("TRUE", True),
-    ("0", False), ("false", False), ("No", False),
-])
-def test_dump_hamiltonian_environment_switch(tmp_path, small_config, monkeypatch,
-                                             value, dumped):
-    monkeypatch.setenv("TWOATOM_DUMP_HAMILTONIAN", value)
-    out = tmp_path / "run"
-    code = main(["simulate", "--config", small_config, "--out", str(out), "--grid", "2,4"])
-    assert code == 0
-    assert (out / "hamiltonian.txt").exists() == dumped
-
-
-@pytest.mark.parametrize("value", ["ture", "on", "2", ""])
-def test_malformed_dump_hamiltonian_exits_two_before_any_model(tmp_path, small_config,
-                                                               capsys, monkeypatch, value):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the run went on past a malformed switch")
-    monkeypatch.setattr("twoatom.analysis.build_basis", refuse)
-    monkeypatch.setenv("TWOATOM_DUMP_HAMILTONIAN", value)
-    out = tmp_path / "run"
-    code = main(["simulate", "--config", small_config, "--out", str(out), "--grid", "2,4"])
-    assert code == 2
-    assert "bad value for --dump-hamiltonian" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_oversized_basis_exits_four(tmp_path, capsys):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("num_modes = 80000\nn_max = 1\ncutoff = 1e6\n")
@@ -858,13 +803,14 @@ def test_readme_table_lists_each_subcommands_own_flags():
 
 
 def test_cli_import_defers_scipy_submodules(tmp_path):
-    # one process, four stages, each followed by the modules it must not have
+    # one process, five stages, each followed by the modules it must not have
     # loaded: bare `import twoatom`, which loads no submodule and not numpy;
     # importing the CLI, which defers hashlib and its OpenSSL to the manifest;
     # fermi-integral, which imports only config, errors
     # and perturbation, whose quadrature runs on numpy alone, and builds no
     # model; simulate, which needs scipy.sparse but not its graph or
-    # linear-algebra parts
+    # linear-algebra parts; and simulate on the dense path, whose eigh is
+    # numpy's, so that scipy.linalg and the second BLAS it links never load
     model_stack = ("scipy", "twoatom.analysis", "twoatom.basis", "twoatom.operators",
                    "twoatom.propagator")
     stages = [
@@ -874,6 +820,7 @@ def test_cli_import_defers_scipy_submodules(tmp_path):
         (["fermi-integral", "--grid", "3,8"], model_stack),
         (["simulate", "--grid", "2,20"],
          ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg")),
+        (["simulate", "--method", "dense", "--grid", "2,20"], ("scipy.linalg",)),
     ]
     lines = ["import sys"]
     for step, absent in stages:

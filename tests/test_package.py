@@ -53,6 +53,18 @@ def test_every_private_definition_is_referenced():
     assert [name for name in defined if name.split(".")[1] not in read] == []
 
 
+def test_no_module_reads_the_process_environment():
+    # flags and the config file are the CLI's only inputs: no module reads
+    # the environment, whether through os.environ or a name imported from os
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [f"{path.stem}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr in names)
+             or (isinstance(node, ast.Name) and node.id in names)
+             or (isinstance(node, ast.alias) and node.name in names)]
+    assert found == []
+
+
 MEMO_NAMES = {"lru_cache", "cache", "cached_property"}
 
 # every memo in src/twoatom, as (module, function) -> its decorator, and why

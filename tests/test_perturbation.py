@@ -51,6 +51,15 @@ def test_kernel_trivial_time():
             second_order_time_kernel(0.3, 1.0, t)
 
 
+@pytest.mark.parametrize("a, b", [(np.nan, 1.0), (np.inf, 1.0), (0.3, -np.inf),
+                                  ([0.3, np.nan], 1.0)],
+                         ids=["a-nan", "a-inf", "b-inf", "a-array-nan"])
+def test_kernel_refuses_a_non_finite_mismatch(a, b):
+    # a NaN or infinite mismatch would come back as NaN, with warnings
+    with pytest.raises(DomainError, match="energy mismatches"):
+        second_order_time_kernel(a, b, 0.5)
+
+
 def test_kernel_broadcasts():
     a = np.array([[0.2], [3.0], [7.0]])
     b = np.array([[1.0, -2.0, 5.0, 9.0]])
@@ -373,6 +382,10 @@ def test_amplitude_validation():
         exchange_amplitude_series(cfg, np.array([1.0]), frequency_range="both")
     with pytest.raises(DomainError):
         exchange_amplitude_series(cfg, np.array([[1.0]]))
+    # the mode sum broadcasts its times against the modes: without the check
+    # a 2-D grid would meet numpy's own ValueError
+    with pytest.raises(DomainError, match="1-D"):
+        mode_sum_amplitude(cfg, np.array([[0.5, 1.0]]))
     with pytest.raises(DomainError):
         exchange_amplitude_series(cfg, np.array([-1.0, 1.0]))
     with pytest.raises(DomainError):
@@ -389,6 +402,15 @@ def test_amplitude_validation():
         perturbative_vs_exact(LatticeConfig(), np.array([1.0]))
     with pytest.raises(DomainError):
         exchange_amplitude_series(ModelConfig(levels_a=3), np.array([1.0]))
+
+
+@pytest.mark.parametrize("times", [[1 + 1j], np.array([1.0], dtype=complex)],
+                         ids=["complex", "complex-typed-real"])
+@pytest.mark.parametrize("amplitude", [exchange_amplitude_series, mode_sum_amplitude])
+def test_amplitudes_refuse_a_complex_grid(amplitude, times):
+    # a cast to float would drop the imaginary part with only a ComplexWarning
+    with pytest.raises(DomainError, match="complex"):
+        amplitude(ModelConfig(cutoff=4.0), times)
 
 
 def test_unreachable_tolerance_raises():
