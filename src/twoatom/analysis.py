@@ -264,7 +264,11 @@ def log_integral(series: ProbabilitySeries, floor: float = DEFAULT_FLOOR) -> flo
     huge = np.abs(t) > 1e150
     vals[~huge] /= 1.0 + t[~huge] ** 2
     vals[huge] *= (1.0 / t[huge]) ** 2
-    return float(np.trapezoid(vals, t))
+    with np.errstate(over="ignore"):  # a step past about 1e306 times ln P overflows
+        value = float(np.trapezoid(vals, t))
+    if not np.isfinite(value):
+        raise DomainError("the log integral overflows on this grid: shorten its steps")
+    return value
 
 
 def dichotomy_scan(series: ProbabilitySeries, *,
@@ -372,9 +376,9 @@ def perturbative_vs_exact(config: ModelConfig, times, *, method: str = "auto",
     when either probability exceeds WEAK_COUPLING_BOUND, beyond which the
     dropped fourth-order terms are no longer decisively small.
     """
-    times = np.asarray(times, dtype=float)
-    # the mode sum first: it raises DomainError for a lattice or multi-level config
-    pert = np.abs(mode_sum_amplitude(config, times).values) ** 2
+    # the mode sum first: it checks the grid, and refuses a lattice or multi-level config
+    amplitude = mode_sum_amplitude(config, times)
+    times, pert = amplitude.times, np.abs(amplitude.values) ** 2
     exact = probability_series(config, "exchange", times, method=method, tol=tol)
     peak = max(float(exact.values.max(initial=0.0)), float(pert.max(initial=0.0)))
     note = None

@@ -15,10 +15,10 @@ that propagate (all but fermi-integral) also take ``--method`` and
 ``--tol``.  Every subcommand writes a CSV plus a JSON summary that embeds
 the run manifest (config snapshot, grid, tolerances, output names, and a
 fingerprint hashing all of them).  Floats are printed with 17 significant
-digits and no timestamps are recorded, so a rerun of the same manifest is
-byte-identical on either backend.  Files are written to temporaries only
-after the computation succeeded, and renamed into place once every one is
-written; a run whose outputs cannot be written leaves none of them.
+digits and no timestamps are recorded, so on one BLAS build at one thread
+count a rerun of the same manifest is byte-identical on either backend.
+Files go to temporaries after the computation and are renamed into place
+once all are written: a run whose outputs cannot be written leaves none.
 
 Config files are flat ``key = value`` text; keys are exactly the config
 dataclass field names plus ``field_model`` (``continuum`` or ``lattice``),
@@ -26,10 +26,10 @@ and unknown keys are rejected outright.  Flags and the config file are a
 run's only inputs.
 
 Exit codes: 0 success, 2 configuration, usage or output-path error (or a
-grid whose states or series table would not fit in physical memory), 3
-numerical non-convergence, 4 basis dimension overflow (or a dense
-eigendecomposition or photon-region sector too large for physical memory),
-1 unexpected failure.
+grid whose points repeat or exceed the subcommand's arithmetic, or whose
+states or series table would not fit in physical memory), 3 numerical
+non-convergence, 4 basis dimension overflow (or a dense eigendecomposition
+or photon-region sector too large for physical memory), 1 unexpected failure.
 """
 
 from __future__ import annotations

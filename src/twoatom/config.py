@@ -41,7 +41,10 @@ def require_memory(needed: int, error: type, what: str, remedy: str) -> None:
     """
     memory = physical_memory()
     if needed > memory:
-        raise error(f"{what} needs {needed / 1e9:.3g} GB against {memory / 1e9:.3g} GB "
+        if needed > 1e300:  # past a float's range: only such a refusal imports Decimal
+            from decimal import Decimal
+            needed = Decimal(int(needed))
+        raise error(f"{what} needs {needed / 10**9:.3g} GB against {memory / 1e9:.3g} GB "
                     f"of physical memory: {remedy}")
 
 
@@ -223,27 +226,31 @@ def mode_table(config: ModelConfig) -> ModeTable:
 
 
 def make_time_grid(t_max: float, steps: int) -> np.ndarray:
-    """Uniform grid 0..t_max with `steps` intervals (steps+1 points)."""
+    """Uniform grid 0..t_max with `steps` intervals (steps+1 points); repeated points raise."""
     if not 0 < t_max < np.inf or steps < 1:
         raise ConfigError("time grid needs a finite t_max > 0 and steps >= 1")
     require_memory((int(steps) + 1) * 8, ConfigError, f"a grid of {int(steps) + 1} points",
                    "lower the step count")
-    return np.linspace(0.0, float(t_max), int(steps) + 1)
+    grid = np.linspace(0.0, float(t_max), int(steps) + 1)
+    if not np.all(grid[1:] > grid[:-1]):  # np.linspace repeats subnormal points
+        raise ConfigError(f"a grid of {int(steps)} steps to {t_max!r} repeats points")
+    return grid
 
 
-def checked_times(times) -> np.ndarray:
-    """times as a 1-D float array of finite, non-negative values, or DomainError.
+def checked_times(times, limit: float) -> np.ndarray:
+    """times as a 1-D float array of finite points at most `limit` in size, or DomainError.
 
-    A complex-typed grid is refused even where every imaginary part is 0, as
-    the propagator refuses it: a cast to float would drop the imaginary part.
+    The one check of every time grid, at the size past which the caller's
+    arithmetic on a time overflows.  A complex-typed grid is refused even
+    where every imaginary part is 0, which a cast to float would drop.
     """
     if np.iscomplexobj(times):
         raise DomainError("times must be real: the grid is complex")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise DomainError("times must be a 1-D array")
-    if not np.all(np.isfinite(times) & (times >= 0)):
-        raise DomainError("amplitude times must be finite and non-negative")
+    if not (np.all(np.isfinite(times)) and np.abs(times).max(initial=0.0) <= limit):
+        raise DomainError(f"grid points must be finite and at most {limit:.3g} in size")
     return times
 
 

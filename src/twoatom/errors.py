@@ -23,11 +23,11 @@ class DimensionError(TwoAtomError):
     """
 
 
-class DomainError(TwoAtomError):
+class DomainError(TwoAtomError, ValueError):
     """Argument outside the mathematical domain of an operation.
 
-    Raised for complex time grids, empty detector regions, unknown
-    frequency-range tags, and similar misuse.
+    Raised for time grids config.checked_times refuses, empty detector regions,
+    unknown frequency-range tags and similar misuse; a ValueError, as Python's are.
     """
 
 

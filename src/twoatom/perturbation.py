@@ -170,6 +170,16 @@ def _two_level_box(config) -> ModelConfig:
     return config
 
 
+def _amplitude_times(cfg: ModelConfig, times) -> np.ndarray:
+    """times through config.checked_times, and >= 0.  The limit keeps t^2 and the
+    kernel's gaps a t finite, as |a| <= GAUSS_SUPPORT * cutoff + max(omega_a, omega_b)."""
+    widest = max(GAUSS_SUPPORT * cfg.cutoff + max(cfg.omega_a, cfg.omega_b), 1.0)
+    times = checked_times(times, min(1e154, np.finfo(float).max / widest))
+    if np.any(times < 0):
+        raise DomainError("amplitude times must be non-negative")
+    return times
+
+
 def oscillatory_kernel(config: ModelConfig, omega, t):
     """Integrand of the exchange amplitude (prefactor g^2 s_A s_B / 2pi off).
 
@@ -505,15 +515,14 @@ def exchange_amplitude_series(config: ModelConfig, times, *,
     Adaptive Filon-type quadrature with requested absolute error `tol`;
     raises ConvergenceError (carrying the achieved error) if refinement
     stalls above it.  The reported achieved_error is the worst per-time
-    estimate actually reached.  A grid that is complex-typed or not 1-D,
-    or a time that is negative or not finite, raises DomainError before
-    any work.
+    estimate actually reached.  The grid is checked (_amplitude_times)
+    before any work.
     """
     cfg = _two_level_box(config)
     if frequency_range not in FREQUENCY_RANGES:
         raise DomainError(
             f"frequency_range must be one of {FREQUENCY_RANGES}, got {frequency_range!r}")
-    times = checked_times(times)
+    times = _amplitude_times(cfg, times)
     if (not times.size or cfg.coupling_strength == 0
             or cfg.coupling_scale_a == 0 or cfg.coupling_scale_b == 0):
         return AmplitudeSeries(times, np.zeros(times.size, dtype=np.complex128),
@@ -543,11 +552,10 @@ def mode_sum_amplitude(config: ModelConfig, times) -> AmplitudeSeries:
     Exact (up to roundoff) for the discrete model, so it doubles as the
     convergence oracle for the continuum quadrature: refining the mode set
     at fixed spectral span drives this sum toward the positive_only
-    integral.  A grid that is complex-typed or not 1-D, or a time that is
-    negative or not finite, raises DomainError.
+    integral.  The grid passes _amplitude_times, as in exchange_amplitude_series.
     """
     cfg = _two_level_box(config)
-    times = checked_times(times)
+    times = _amplitude_times(cfg, times)
     k, omega, g = mode_table(cfg).as_arrays()
     weight = g ** 2 * cfg.coupling_scale_a * cfg.coupling_scale_b
     phase = np.exp(1j * k * (cfg.x_b - cfg.x_a))

@@ -36,7 +36,7 @@ import numpy as np
 import scipy
 
 from .basis import FockBasis, index_of_bare_state
-from .config import DEFAULT_TOL, require_memory
+from .config import DEFAULT_TOL, checked_times, require_memory
 from .errors import ConvergenceError, DomainError
 from .operators import BoundedObservable, HermitianOperator, _real_product
 from .perturbation import _miller_recurrence
@@ -155,7 +155,7 @@ def _series_order(hamiltonian: HermitianOperator, times: np.ndarray, size: int,
         table = 3 * (order + 2) * min(CHUNK, len(times))
         require_memory((held + (BLOCK + 2) * size + table) * 16,
                        DomainError,
-                       f"the Chebyshev series of order {order} for rho*|t| up to {largest:.3g}",
+                       f"the Chebyshev series of order {order:.3g} for rho*|t| up to {largest:.3g}",
                        "shorten the grid")
         terms = _series_length(_exp_coefficients(np.array([largest]), order + 1))
         if terms <= order - 10:
@@ -264,27 +264,13 @@ def _check_accuracy(lengths: np.ndarray, weights: np.ndarray, tol: float) -> Non
 
 
 def _checked(hamiltonian: HermitianOperator, psi0, times) -> tuple[np.ndarray, np.ndarray]:
-    """psi0 as float64 or complex128 and times as a float array, or the grid's errors.
-
-    A complex-typed grid raises DomainError, even where every imaginary part
-    is 0, and so does a time that is not finite or whose product with the
-    spectral bounds overflows.  Shapes that do not match raise ValueError.
-    """
+    """psi0 as float64 or complex128, or ValueError, and times through config.checked_times."""
     psi0 = np.asarray(psi0)
     psi0 = psi0.astype(np.result_type(psi0.dtype, np.float64), copy=False)
-    if np.iscomplexobj(times):
-        raise DomainError("propagation is in real time only: the grid is complex")
-    times = np.asarray(times, dtype=float)
-    if psi0.shape != (hamiltonian.dimension,) or times.ndim != 1:
-        raise ValueError(f"need a state of shape ({hamiltonian.dimension},) and a 1-D "
-                         f"grid, got shapes {psi0.shape} and {times.shape}")
-    lo, hi = hamiltonian.spectral_bounds
-    # either backend multiplies a time by at most max(hi - lo, |lo|)
-    limit = np.finfo(float).max / max(hi - lo, abs(lo), 1.0)
-    if not (np.all(np.isfinite(times)) and np.abs(times).max(initial=0.0) <= limit):
-        raise DomainError(f"grid points must be finite and at most {limit:.3g} in size, "
-                          "or exp(-iHt) overflows")
-    return psi0, times
+    if psi0.shape != (hamiltonian.dimension,):
+        raise ValueError(f"need a state of shape ({hamiltonian.dimension},), got {psi0.shape}")
+    lo, hi = hamiltonian.spectral_bounds  # either backend multiplies t by max(hi - lo, |lo|)
+    return psi0, checked_times(times, np.finfo(float).max / max(hi - lo, abs(lo), 1.0))
 
 
 def evolve_grid(hamiltonian: HermitianOperator, psi0, times) -> np.ndarray:
@@ -292,19 +278,12 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times) -> np.ndarray:
 
     Exact phase multiplication in H's dense eigenbasis
     (HermitianOperator.eigensystem), so the result is complex128 and
-    psi(0) is psi0 itself.  The times may come in any order.  A single time
-    t is evolve_grid(H, psi0, [t])[0].  A complex-typed grid raises
-    DomainError, even where every imaginary part is 0, and so does a time
-    that is not finite or whose product with the spectral bounds overflows,
-    before anything is computed.  So does a grid whose states, beside the
-    eigenvectors, would not fit in physical memory.
-
-    Parameters
-    ----------
-    psi0 : array of shape (dim,)
-        Initial amplitudes, read as float64 when real and as complex128
-        otherwise.
-    times : 1-D sequence of real times
+    psi(0) is psi0 itself.  psi0, of shape (dim,), is read as float64 when
+    real and as complex128 otherwise.  The times may come in any order; a
+    single time t is evolve_grid(H, psi0, [t])[0].  The grid passes
+    config.checked_times (_checked) before anything is computed, and a grid
+    whose states, beside the eigenvectors, would not fit in physical memory
+    raises DomainError.
     """
     psi0, times = _checked(hamiltonian, psi0, times)
     # two complex arrays of one entry per eigenvalue and time, phases and
@@ -346,11 +325,11 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     observed rows, the K x K factor, one block of vectors and one chunk of
     the table.
 
-    The checks on the grid and the state are evolve_grid's: the same
-    DomainError and ValueError.  A series that could not fit in physical
-    memory raises DomainError before it is formed, and one whose largest
-    ||V_k|| or whose coefficient weights (_check_accuracy) are off by more
-    than tol raises ConvergenceError.  P(0) is <psi0|O|psi0> itself.
+    The grid and the state are checked as in evolve_grid.  A series that
+    could not fit in physical memory raises DomainError before it is
+    formed, and one whose largest ||V_k|| or whose coefficient weights
+    (_check_accuracy) are off by more than tol raises ConvergenceError.
+    P(0) is <psi0|O|psi0> itself.
     """
     psi0, times = _checked(hamiltonian, psi0, times)
     if observable.dimension != hamiltonian.dimension:

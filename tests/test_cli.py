@@ -292,6 +292,15 @@ def test_cutoff_sweep_csv(tmp_path, small_config):
     assert [row["cutoff"] for row in summary["rows"]] == [2.0, 4.0, 8.0]
     assert all(row["error"] is None for row in summary["rows"])
     assert "workers" not in summary["manifest"]
+    # a grid whose series cannot fit in memory fails every row, not the sweep
+    code = main(["cutoff-sweep", "--config", small_config, "--out", str(out),
+                 "--grid", "1e300,2", "--cutoffs", "2,4", "--method", "krylov"])
+    assert code == 0
+    lines = (out / "cutoff_sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == 2
+    assert all(line.endswith("of physical memory: shorten the grid") for line in lines)
+    summary = json.loads((out / "cutoff_sweep.json").read_text())
+    assert all("physical memory" in row["error"] for row in summary["rows"])
 
 
 def test_files_follow_the_umask(tmp_path, small_config):
@@ -736,8 +745,27 @@ def test_oversized_basis_exits_four(tmp_path, capsys):
     (["fermi-integral", "--grid", "2,4"], "omega_a = nan"),
     (["simulate", "--grid", "1e308,2"], ""),
     (["simulate", "--method", "dense", "--grid", "1e308,2"], "num_modes = 4\nn_max = 1"),
+    # np.linspace repeats subnormal points: refused before any model is built
+    (["simulate", "--grid", "1e-320,800"], ""),
+    (["weak-causality", "--grid", "1e-320,800"], ""),
+    (["fermi-integral", "--grid", "1e-320,800"], ""),
+    # series orders past a float's range: the memory refusal still reports its size
+    (["simulate", "--grid", "1e153,2"], ""),
+    (["simulate", "--grid", "1e160,2"], ""),
+    (["simulate", "--grid", "1e300,2"], ""),
+    (["dichotomy", "--grid", "1e200,2"], ""),
+    (["weak-causality", "--grid", "1e300,2"], ""),
+    # one step of the log integral overflows
+    (["simulate", "--method", "dense", "--grid", "1e307,2"], "num_modes = 4\nn_max = 1"),
+    # t^2 overflows in the amplitude's kernel
+    (["fermi-integral", "--grid", "1e160,2"], ""),
+    (["fermi-integral", "--grid", "1e300,2"], ""),
 ], ids=["grid-nan", "grid-inf", "cutoff-nan", "coupling-inf", "hopping-nan",
-        "cutoffs-nan", "omega-nan", "grid-huge", "grid-huge-dense"])
+        "cutoffs-nan", "omega-nan", "grid-huge", "grid-huge-dense",
+        "grid-repeats", "grid-repeats-weak-causality", "grid-repeats-fermi",
+        "grid-1e153", "grid-1e160", "grid-1e300", "grid-1e200-dichotomy",
+        "grid-1e300-weak-causality", "grid-1e307-dense", "grid-1e160-fermi",
+        "grid-1e300-fermi"])
 def test_non_finite_inputs_exit_two(tmp_path, capsys, argv, config_text):
     # the default config unless the case changes it
     cfg = tmp_path / "case.cfg"

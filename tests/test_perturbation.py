@@ -390,8 +390,9 @@ def test_amplitude_validation():
         exchange_amplitude_series(cfg, np.array([-1.0, 1.0]))
     with pytest.raises(DomainError):
         mode_sum_amplitude(cfg, np.array([-1.0]))
-    # a time that is not finite is a domain error, not a stalled quadrature
-    for times in ([np.nan], [1.0, np.inf]):
+    # a time that is not finite, or whose square overflows in the kernel, is
+    # a domain error, not a stalled quadrature
+    for times in ([np.nan], [1.0, np.inf], [1e300]):
         with pytest.raises(DomainError):
             exchange_amplitude_series(cfg, np.array(times))
         with pytest.raises(DomainError):
@@ -406,7 +407,8 @@ def test_amplitude_validation():
 
 @pytest.mark.parametrize("times", [[1 + 1j], np.array([1.0], dtype=complex)],
                          ids=["complex", "complex-typed-real"])
-@pytest.mark.parametrize("amplitude", [exchange_amplitude_series, mode_sum_amplitude])
+@pytest.mark.parametrize("amplitude", [exchange_amplitude_series, mode_sum_amplitude,
+                                       perturbative_vs_exact])
 def test_amplitudes_refuse_a_complex_grid(amplitude, times):
     # a cast to float would drop the imaginary part with only a ComplexWarning
     with pytest.raises(DomainError, match="complex"):
