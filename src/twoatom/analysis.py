@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import build_basis, index_of_bare_state
-from .config import DEFAULT_TOL, AnyConfig, ModelConfig, mode_table
+from .config import DEFAULT_TOL, AnyConfig, ModelConfig, checked_times, mode_table
 from .errors import ConfigError, DomainError, TwoAtomError
 from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         exchange_projector, excitation_observable_b,
@@ -192,13 +192,16 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     the backend it would get without it (see probability_series for the
     measured reason).
 
-    The sparse backend sums P(t) from the Chebyshev series itself
-    (propagator.chebyshev_expectation) and forms no state.  The dense
-    backend forms every state with evolve_grid(sub, start, time_grid), the
-    dense eigendecomposition, and evaluates them with expectation_grid; it
-    shares no evaluation with the sparse one, which makes it the sparse
-    one's oracle.
+    A grid that config.checked_times refuses or that is not strictly
+    increasing raises DomainError before any work.  The sparse backend sums
+    P(t) from the Chebyshev series (propagator.chebyshev_expectation) and
+    forms no state.  The dense backend forms every state with evolve_grid,
+    the dense eigendecomposition, and evaluates them with expectation_grid.
+    It shares no evaluation with the sparse backend and is its oracle.
     """
+    times = checked_times(time_grid, np.finfo(float).max)  # each backend checks its own limit
+    if np.any(np.diff(times) <= 0):
+        raise DomainError("time grid must be strictly increasing")
     initial = np.asarray(initial)
     if initial.shape != (hamiltonian.dimension,):
         raise ValueError("initial state and Hamiltonian differ in dimension")
@@ -209,10 +212,10 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     block = hamiltonian.invariant_block(np.flatnonzero(initial))
     sub, start, obs = hamiltonian.block(block), initial[block], observable.restricted(block)
     if method == "krylov":
-        values = chebyshev_expectation(sub, obs, start, time_grid, tol=tol)
+        values = chebyshev_expectation(sub, obs, start, times, tol=tol)
     else:
-        values = expectation_grid(obs, evolve_grid(sub, start, time_grid))
-    return ProbabilitySeries(np.asarray(time_grid, dtype=float), values, observable.label)
+        values = expectation_grid(obs, evolve_grid(sub, start, times))
+    return ProbabilitySeries(times, values, observable.label)
 
 
 def probability_series(config: AnyConfig, observable, time_grid, *,
@@ -254,7 +257,10 @@ def log_integral(series: ProbabilitySeries, floor: float = DEFAULT_FLOOR) -> flo
     """Trapezoid value of integral ln(max(P, floor)) / (1 + t^2) dt.
 
     The floor regularizes grid zeros.  A finite, floor-stable value is the
-    discrete witness that zeros of the series cannot fill an interval.
+    discrete witness that zeros of the series cannot fill an interval, but
+    only on grids whose steps resolve 1/(1 + t^2) near t = 0: on
+    num_modes = 4, n_max = 1, `simulate --method dense --grid 1e300,2` gives
+    -1.73e301, where |ln floor| * pi / 2 ~ 108.5 bounds the integral itself.
     """
     if floor <= 0:
         raise DomainError("floor must be positive")

@@ -5,9 +5,10 @@ is one photon count per retained mode (or per chain site for the lattice
 variant) with total count at most n_max.  States are ordered
 lexicographically on the full triple, so the layout is a plain tensor
 product: the occupation block repeats identically for every atom pair, and
-state (a, b, occ) sits at index (a * levels_b + b) * num_occupations + row,
-with row the position of occ in the occupation table.  Only that table is
-stored, as one int64 array with one row lookup (FockBasis.rows_of).
+state (a, b, occ) sits at index (a * levels_b + b) * num_occupations + row
+(FockBasis.states), with row the position of occ in the occupation table,
+stored as one int64 array with one row lookup (FockBasis.rows_of) and the
+lowering entries of every field term built from it (FockBasis.lowering).
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ class FockBasis:
         All occupation vectors in lexicographic order, the vacuum as row 0.
     modes : ModeTable or None
         Retained box modes; None for the lattice variant.
+    lowering : (dst, src, slot, amp), four ndarrays
+        One entry a_j |occ> = amp |occ - e_j> per occupied slot j of each
+        row src, with amp = sqrt(occ_j) and dst the row of occ - e_j, in
+        row-major order: src is sorted, and each row's first entry lowers
+        its first occupied slot.
+    states : method
+        Basis indices of (atom pair, occupation row), the one layout formula.
     """
 
     def __init__(self, config: AnyConfig):
@@ -83,10 +91,22 @@ class FockBasis:
         self.num_occupations = n_occ
         self._keys = _keys(table)
         self.dimension = dim
+        src, slot = np.nonzero(table)
+        dst = np.empty_like(src)
+        for j in range(self.num_slots):  # one slot's lowered occupations held at a time
+            own = slot == j
+            lowered = table[src[own]]
+            lowered[:, j] -= 1
+            dst[own] = self.rows_of(lowered)
+        self.lowering = (dst, src, slot, np.sqrt(table[src, slot]))
 
     def rows_of(self, occupations: np.ndarray) -> np.ndarray:
         """Table rows of the occupation rows given, each of which must be in the table."""
         return np.searchsorted(self._keys, _keys(occupations))
+
+    def states(self, pairs, rows) -> np.ndarray:
+        """Indices pair * num_occupations + row, pairs outermost; pair = a * levels_b + b."""
+        return np.add.outer(np.multiply(pairs, self.num_occupations), rows).ravel()
 
     @property
     def vacuum(self) -> tuple:
@@ -103,10 +123,7 @@ class FockBasis:
 
 
 def build_basis(config: AnyConfig) -> FockBasis:
-    """Construct the truncated basis for a config.
-
-    Deterministic: equal configs give identical state orderings.
-    """
+    """The truncated basis of a config; equal configs give identical state orderings."""
     return FockBasis(config)
 
 
@@ -133,5 +150,4 @@ def index_of_bare_state(basis: FockBasis, a_level: int, b_level: int, occupation
     if occ.sum() > basis.n_max:
         raise BasisLookupError(f"total occupation {occ.sum()} exceeds truncation "
                                f"n_max={basis.n_max}")
-    atoms = a_level * basis.levels_b + b_level
-    return atoms * basis.num_occupations + int(basis.rows_of(occ[None])[0])
+    return int(basis.states(a_level * basis.levels_b + b_level, basis.rows_of(occ[None]))[0])

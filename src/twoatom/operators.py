@@ -24,15 +24,15 @@ g * scale_X * exp(i k x_X), and H is complex.
 Every field term is linear in the smeared annihilator a(w) = sum_j w_j a_j
 on the occupation block, and all of them come from one table of lowering
 entries: a_j |occ> = sqrt(occ_j) |occ - e_j> for every occupied slot j of
-every occupation (_lowering_entries).  a(w) is that table as one sparse
-matrix with entries w_j sqrt(occ_j) (_smeared): Phi_X = a(c_X), a_j = a(e_j)
-in the hopping, and the rotated modes of the photon-region observable are
-a(conj U[:, i]).  Each term is placed on the atoms by a Kronecker product
-(the basis is atoms x occupations).  Hermiticity is structural: the
-Hamiltonian is assembled as D + U + U^dagger from its real diagonal D and
-the terms U that raise the basis index, and IEEE addition commutes with
-conjugation, so matrix == matrix.conj().T holds with zero floating-point
-slack.  A real H is stored as float64.
+every occupation, which the basis holds (FockBasis.lowering).  a(w) is that
+table as one sparse matrix with entries w_j sqrt(occ_j) (_smeared):
+Phi_X = a(c_X), a_j = a(e_j) in the hopping, and the rotated modes of the
+photon-region observable are a(conj U[:, i]).  Each term is placed on the
+atoms by a Kronecker product (the basis is atoms x occupations).
+Hermiticity is structural: the Hamiltonian is assembled as D + U + U^dagger
+from its real diagonal D and the terms U that raise the basis index, and
+IEEE addition commutes with conjugation, so matrix == matrix.conj().T holds
+with zero floating-point slack.  A real H is stored as float64.
 
 Every observable 0 <= O <= 1 is stored as a few blocks of a square-root
 factor W with O = W^dagger W, and O itself is never formed.  A block is a
@@ -353,25 +353,6 @@ def _raising(levels: int):
     return scipy.sparse.eye(levels, k=-1, format="csr")
 
 
-def _lowering_entries(basis: FockBasis):
-    """(dst, src, slot, amp): every entry of every a_j on the occupation block.
-
-    One entry per occupied slot j of each occupation row src, in row-major
-    order: a_j |occ> = amp |occ - e_j>, with amp = sqrt(occ_j) and dst the
-    row of occ - e_j.  The rows are looked up one slot at a time, so only
-    one slot's lowered occupations are held at once.
-    """
-    table = basis.occupations
-    src, slot = np.nonzero(table)
-    dst = np.empty_like(src)
-    for j in range(basis.num_slots):
-        own = slot == j
-        lowered = table[src[own]]
-        lowered[:, j] -= 1
-        dst[own] = basis.rows_of(lowered)
-    return dst, src, slot, np.sqrt(table[src, slot])
-
-
 def _smeared(w, entries, shape):
     """a(w) = sum_j w_j a_j as one csr matrix, from lowering entries (dst, src, slot, amp)."""
     dst, src, slot, amp = entries
@@ -396,9 +377,7 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
     """
     cfg = basis.config
     h1, c_a, c_b = _one_particle_data(basis)
-    table = _lowering_entries(basis)
-    n_occ = basis.num_occupations
-    shape = (n_occ, n_occ)
+    shape = (basis.num_occupations,) * 2
     eye_a = scipy.sparse.identity(basis.levels_a, format="csr")
     eye_b = scipy.sparse.identity(basis.levels_b, format="csr")
     empty = scipy.sparse.csr_matrix(shape)
@@ -411,13 +390,13 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
 
     # U: every term that raises the basis index; U^dagger supplies the rest
     unit = np.eye(basis.num_slots)  # a_j = a(e_j)
-    hopping = sum((h1[j, l] * (_smeared(unit[j], table, shape).T
-                               @ _smeared(unit[l], table, shape))
+    hopping = sum((h1[j, l] * (_smeared(unit[j], basis.lowering, shape).T
+                               @ _smeared(unit[l], basis.lowering, shape))
                    for j, l in zip(*np.nonzero(np.triu(h1, 1)))), empty)
     upper = scipy.sparse.kron(scipy.sparse.identity(basis.levels_a * basis.levels_b), hopping)
     for raise_x, c_x in ((scipy.sparse.kron(_raising(basis.levels_a), eye_b), c_a),
                          (scipy.sparse.kron(eye_a, _raising(basis.levels_b)), c_b)):
-        phi = _smeared(c_x, table, shape)
+        phi = _smeared(c_x, basis.lowering, shape)
         upper += scipy.sparse.kron(raise_x, phi)
         if cfg.coupling_form == "full":
             upper += scipy.sparse.kron(raise_x, phi.conjugate().T)
@@ -433,8 +412,8 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
 
 def excitation_observable_b(basis: FockBasis) -> BoundedObservable:
     """Projector onto 'atom B is in any excited level': one identity block."""
-    layout = np.arange(basis.dimension).reshape(basis.levels_a, basis.levels_b, -1)
-    excited = layout[:, 1:].ravel()
+    pairs = np.arange(basis.levels_a * basis.levels_b)
+    excited = basis.states(pairs[pairs % basis.levels_b > 0], np.arange(basis.num_occupations))
     return BoundedObservable([(excited, None)], basis.dimension, label="excitation_b")
 
 
@@ -469,10 +448,11 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     n-photon sector, the rows of V_n^dagger, come from those of sector
     n - 1: <nu| = <nu - e_i| b_i / sqrt(nu_i), with i the first occupied
     slot of nu.  Each b_i, restricted to sector n, is a(conj U[:, i]) from
-    the lowering entries whose source has n photons, and gives every row
-    whose first occupied slot is i; occ - e_i, the parent row, is read from
-    the same entries.  No eigh runs but the one of K, N_S is never formed,
-    and the same code serves every num_modes.
+    the basis' lowering entries whose source has n photons, and gives every
+    row whose first occupied slot is i; i and occ - e_i, the parent row, are
+    read from the row's first entry in that table (FockBasis.lowering).  No
+    eigh runs but the one of K, N_S is never formed, and the same code
+    serves every num_modes.
 
     Each sector gives the dense factor F_n = diag(sqrt(f)) V_n^dagger with
     f = min(lambda, 1), less the rows whose lambda is at or below
@@ -491,7 +471,6 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     lo, hi = float(region[0]), float(region[1])
     if not (0.0 <= lo < hi <= cfg.box_length):
         raise DomainError("region must satisfy 0 <= lo < hi <= box_length")
-    n_occ, m = basis.num_occupations, basis.num_slots
     photons = basis.occupations.sum(axis=1)
     sizes = np.bincount(photons)
     require_memory(2 * 16 * int(sizes.max()) ** 2, DimensionError,
@@ -504,33 +483,32 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     kernel = v @ kernel @ v.conjugate().T
     kappa, rotation = np.linalg.eigh(kernel.real if real else kernel)
 
-    dst, src, slot, amp = _lowering_entries(basis)
-    position = np.zeros(n_occ, dtype=int)  # row of each occupation in its sector
+    dst, src, slot, amp = basis.lowering
+    position = np.zeros(basis.num_occupations, dtype=int)  # row of each occupation in its sector
     bras = np.ones((1, 1), dtype=rotation.dtype)  # <vacuum|
     sectors = []
     for n, size in enumerate(sizes):
         sector = np.flatnonzero(photons == n)
-        occ = basis.occupations[sector]
         position[sector] = np.arange(size)
         if n:
-            first = np.argmax(occ > 0, axis=1)
-            parent = position[basis.rows_of(occ - (np.arange(m) == first[:, None]))]
+            head = np.searchsorted(src, sector)  # each row's entry for its first occupied slot
+            first, parent, norm = slot[head], position[dst[head]], amp[head]
             inside = photons[src] == n
             entries = (position[dst[inside]], position[src[inside]], slot[inside], amp[inside])
             below, bras = bras, np.empty((size, size), dtype=rotation.dtype)
             for i in np.unique(first):
                 own = first == i
                 lowering = _smeared(rotation[:, i].conjugate(), entries, (len(below), size))
-                bras[own] = (below[parent[own]] / np.sqrt(occ[own, i])[:, None]) @ lowering
-        lam = occ @ kappa
+                bras[own] = (below[parent[own]] / norm[own, None]) @ lowering
+        lam = basis.occupations[sector] @ kappa
         keep = lam > size * np.finfo(float).eps * max(1.0, lam.max(initial=0.0))
         if keep.any():
             factor = bras[keep]
             factor *= np.sqrt(np.minimum(lam[keep], 1.0))[:, None]
             sectors.append((sector, factor))
 
-    blocks = [(atoms * n_occ + sector, factor)
-              for atoms in range(basis.levels_a * basis.levels_b)
+    blocks = [(basis.states(pair, sector), factor)
+              for pair in range(basis.levels_a * basis.levels_b)
               for sector, factor in sectors]
     return BoundedObservable(blocks, basis.dimension, label="photon_region")
 

@@ -656,6 +656,23 @@ def test_block_series_edge_inputs(method):
 
 
 @pytest.mark.parametrize("method", ["dense", "krylov"])
+@pytest.mark.parametrize("grid", [[1.0, 0.5, -2.0], [0.0, 1.0, 1.0]], ids=["unordered", "repeated"])
+def test_series_refuses_a_grid_out_of_order_before_any_work(monkeypatch, method, grid):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran on a grid out of order")
+
+    config = ModelConfig(num_modes=4, n_max=1)
+    basis, ham = build_model(config)
+    obs = resolve_observable(config, "excitation_b")
+    for name in ("chebyshev_expectation", "evolve_grid"):
+        monkeypatch.setattr(analysis, name, refuse)
+    monkeypatch.setattr(HermitianOperator, "invariant_block", refuse)
+    with pytest.raises(DomainError, match="strictly increasing") as refused:
+        series_from_operators(ham, prepare_initial_state(basis), obs, grid, method=method)
+    assert isinstance(refused.value, ValueError)
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
 @pytest.mark.parametrize("size", [3, 6])
 def test_series_refuses_an_observable_of_another_dimension(method, size):
     # the observable is restricted to the start's block, whose own size would

@@ -14,6 +14,7 @@ from twoatom.basis import (
 )
 from twoatom.config import LatticeConfig, ModelConfig, mode_table
 from twoatom.errors import BasisLookupError, DimensionError
+from twoatom.operators import excitation_observable_b
 
 
 def brute_occupations(slots, n_max):
@@ -182,3 +183,46 @@ def test_vacuum_property():
     basis = build_basis(ModelConfig(num_modes=3, n_max=1))
     assert basis.vacuum == (0, 0, 0)
     assert sum(basis.vacuum) == 0
+
+
+@pytest.mark.parametrize("config", [ModelConfig(num_modes=6, n_max=3), LatticeConfig()],
+                         ids=["box6_nmax3", "chain"])
+def test_lowering_table_matches_a_per_state_search(config):
+    # one entry per occupied slot of each row, in row-major order, with the
+    # lowered occupation found by scanning the table state by state
+    basis = build_basis(config)
+    table = basis.occupations
+    expected = []
+    for row, occ in enumerate(table):
+        for j in np.flatnonzero(occ):
+            lowered = occ.copy()
+            lowered[j] -= 1
+            (dst,) = np.flatnonzero((table == lowered).all(axis=1))
+            expected.append((dst, row, j, math.sqrt(occ[j])))
+    dst, src, slot, amp = basis.lowering
+    assert len(src) == np.count_nonzero(table)
+    assert [tuple(entry) for entry in zip(dst.tolist(), src.tolist(), slot.tolist(),
+                                          amp.tolist())] == expected
+    # each row's first entry lowers its first occupied slot
+    rows = np.arange(1, basis.num_occupations)  # every row but the vacuum
+    head = np.searchsorted(src, rows)
+    assert np.array_equal(src[head], rows)
+    assert np.array_equal(slot[head], np.argmax(table[rows] > 0, axis=1))
+
+
+def test_states_is_the_one_layout():
+    basis = build_basis(ModelConfig(num_modes=3, n_max=2, levels_a=3, levels_b=2))
+    rows = {tuple(occ): row for row, occ in enumerate(basis.occupations.tolist())}
+    for a, b, occ in bare_states(basis):
+        pair = a * basis.levels_b + b
+        assert basis.states(pair, rows[occ]).tolist() == [
+            index_of_bare_state(basis, a, b, occ)]
+    # pairs outermost: every pair's rows in a row
+    pairs, picked = np.array([4, 1]), np.array([0, 7, 2])
+    assert basis.states(pairs, picked).tolist() == [
+        int(basis.states(pair, row)[0]) for pair in pairs for row in picked]
+    excited = {index_of_bare_state(basis, a, b, occ)
+               for a, b, occ in bare_states(basis) if b >= 1}
+    ((indices, factor),) = excitation_observable_b(basis).blocks
+    assert factor is None
+    assert indices.tolist() == sorted(excited)

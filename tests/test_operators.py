@@ -9,13 +9,12 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from twoatom.basis import build_basis, index_of_bare_state
+from twoatom.basis import FockBasis, build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig
 from twoatom.errors import DimensionError, DomainError
 from twoatom.operators import (
     BoundedObservable,
     HermitianOperator,
-    _lowering_entries,
     _smeared,
     build_hamiltonian,
     exchange_projector,
@@ -136,7 +135,7 @@ def test_smeared_annihilator_matches_state_by_state_oracle(config, count, top):
             if count:
                 lowered = occ[:j] + (count - 1,) + occ[j + 1:]
                 oracle[row_of[lowered], col] += w[j] * math.sqrt(count)
-    smeared = _smeared(w, _lowering_entries(basis), oracle.shape)
+    smeared = _smeared(w, basis.lowering, oracle.shape)
     assert smeared.dtype == np.complex128
     assert np.array_equal(smeared.toarray(), oracle)
 
@@ -750,3 +749,22 @@ def test_lattice_hamiltonian_structure():
         hand[j, j + 1] = hand[j + 1, j] = -cfg.hopping
     assert_allclose(block, hand, atol=1e-15)
 
+
+
+def test_photon_region_makes_no_second_row_search(monkeypatch):
+    # every parent row and lowering entry comes from the table the basis built
+    calls = []
+    rows_of = FockBasis.rows_of
+
+    def counted(self, occupations):
+        calls.append(len(occupations))
+        return rows_of(self, occupations)
+
+    monkeypatch.setattr(FockBasis, "rows_of", counted)
+    basis = build_basis(ModelConfig(num_modes=6, n_max=3))
+    calls.clear()
+    obs = local_photon_observable(basis, (0.0, basis.config.box_length / 2))
+    assert obs.factor_rows > 0
+    assert calls == []
+    basis.rows_of(basis.occupations[:2])  # the count does see a search
+    assert calls == [2]
