@@ -112,9 +112,6 @@ class FockBasis:
     def vacuum(self) -> tuple:
         return (0,) * self.num_slots
 
-    def __len__(self):
-        return self.dimension
-
     def __repr__(self):
         return (
             f"FockBasis(dim={self.dimension}, levels={self.levels_a}x{self.levels_b}, "

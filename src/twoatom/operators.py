@@ -25,10 +25,10 @@ Every field term is linear in the smeared annihilator a(w) = sum_j w_j a_j
 on the occupation block, and all of them come from one table of lowering
 entries: a_j |occ> = sqrt(occ_j) |occ - e_j> for every occupied slot j of
 every occupation, which the basis holds (FockBasis.lowering).  a(w) is that
-table as one sparse matrix with entries w_j sqrt(occ_j) (_smeared):
-Phi_X = a(c_X), a_j = a(e_j) in the hopping, and the rotated modes of the
-photon-region observable are a(conj U[:, i]).  Each term is placed on the
-atoms by a Kronecker product (the basis is atoms x occupations).
+table with entries w_j sqrt(occ_j) (_smeared): Phi_X = a(c_X), a_j = a(e_j)
+in the hopping, and the rotated modes of the photon-region observable are
+a(conj U[:, i]).  The Hamiltonian's terms are (row, col, value) triplets
+placed on their atom pairs by FockBasis.states, the basis layout's formula.
 Hermiticity is structural: the Hamiltonian is assembled as D + U + U^dagger
 from its real diagonal D and the terms U that raise the basis index, and
 IEEE addition commutes with conjugation, so matrix == matrix.conj().T holds
@@ -348,11 +348,6 @@ def _one_particle_data(basis: FockBasis):
     return (h, c_a.real, c_b.real) if real else (h, c_a, c_b)
 
 
-def _raising(levels: int):
-    """|j + 1><j| on one atom's ladder (unit amplitudes)."""
-    return scipy.sparse.eye(levels, k=-1, format="csr")
-
-
 def _smeared(w, entries, shape):
     """a(w) = sum_j w_j a_j as one csr matrix, from lowering entries (dst, src, slot, amp)."""
     dst, src, slot, amp = entries
@@ -367,41 +362,49 @@ def build_hamiltonian(basis: FockBasis) -> HermitianOperator:
 
     Notes
     -----
-    H = D + U + U^dagger: D is the diagonal, U collects the raising-side
-    terms (field hopping adag_j a_l with j < l, raise_X Phi_X, and under
-    "full" also raise_X Phi_X^dagger), each a Kronecker product of an atom
-    factor and a field factor.  Every field factor comes from the smeared
-    annihilator a(w) (_smeared): Phi_X = a(c_X), and the hopping term is
-    h[j, l] (a(e_j)^T a(e_l)).  H has the dtype of the couplings: float64
-    for the chain and for a box whose every mode has its partner.
+    H = D + U + U^dagger: D is the diagonal, U the terms that raise the
+    basis index (hopping adag_j a_l with j < l, raise_X Phi_X, and under
+    "full" raise_X Phi_X^dagger), each one field factor's (row, col, value)
+    triplets placed on atom pairs by FockBasis.states.  Phi_X is the
+    lowering table's c_X[slot] * amp, src to dst, from each pair whose atom
+    X can rise to the pair one step up (levels_b for A, 1 for B);
+    Phi_X^dagger the same with conj(c_X[slot]), dst to src; the hopping is
+    h[j, l] a(e_j)^T a(e_l) (_smeared) on every pair.  D + U is one csr
+    matrix, and U^dagger joins it as a sparse sum; H is real when c_X is.
     """
-    cfg = basis.config
     h1, c_a, c_b = _one_particle_data(basis)
     shape = (basis.num_occupations,) * 2
-    eye_a = scipy.sparse.identity(basis.levels_a, format="csr")
-    eye_b = scipy.sparse.identity(basis.levels_b, format="csr")
-    empty = scipy.sparse.csr_matrix(shape)
+    pairs = np.arange(basis.levels_a * basis.levels_b)
+    level_a, level_b = np.divmod(pairs, basis.levels_b)
 
-    # D: atom ladders plus the field's one-particle diagonal, as an outer sum
-    atoms = np.add.outer(np.arange(basis.levels_a) * cfg.omega_a,
-                         np.arange(basis.levels_b) * cfg.omega_b).ravel()
-    field = basis.occupations @ np.diag(h1)
-    diagonal = scipy.sparse.diags(np.add.outer(atoms, field).ravel())
+    # D: atom ladders plus the field's one-particle diagonal, on every state
+    states = basis.states(pairs, np.arange(basis.num_occupations))
+    atoms = level_a * basis.config.omega_a + level_b * basis.config.omega_b
+    diagonal = np.add.outer(atoms, basis.occupations @ np.diag(h1)).ravel()
 
-    # U: every term that raises the basis index; U^dagger supplies the rest
-    unit = np.eye(basis.num_slots)  # a_j = a(e_j)
-    hopping = sum((h1[j, l] * (_smeared(unit[j], basis.lowering, shape).T
-                               @ _smeared(unit[l], basis.lowering, shape))
-                   for j, l in zip(*np.nonzero(np.triu(h1, 1)))), empty)
-    upper = scipy.sparse.kron(scipy.sparse.identity(basis.levels_a * basis.levels_b), hopping)
-    for raise_x, c_x in ((scipy.sparse.kron(_raising(basis.levels_a), eye_b), c_a),
-                         (scipy.sparse.kron(eye_a, _raising(basis.levels_b)), c_b)):
-        phi = _smeared(c_x, basis.lowering, shape)
-        upper += scipy.sparse.kron(raise_x, phi)
-        if cfg.coupling_form == "full":
-            upper += scipy.sparse.kron(raise_x, phi.conjugate().T)
-
-    matrix = diagonal + upper + upper.conjugate().T
+    # U: field factors (occupation rows r <- c, values v) on atom pairs p <- q
+    factors = []
+    slots = np.arange(basis.num_slots)  # a_j = a(e_j), e_j = (slots == j)
+    for j, l in zip(*np.nonzero(np.triu(h1, 1))):
+        hop = (h1[j, l] * (_smeared(slots == j, basis.lowering, shape).T
+                           @ _smeared(slots == l, basis.lowering, shape))).tocoo()
+        factors.append((pairs, pairs, hop.row, hop.col, hop.data))
+    dst, src, slot, amp = basis.lowering
+    for c_x, step, can_rise in ((c_a, basis.levels_b, level_a < basis.levels_a - 1),
+                                (c_b, 1, level_b < basis.levels_b - 1)):
+        on = c_x[slot] != 0  # no zero entry, which would leave slack in H's arrays
+        below, coupling = pairs[can_rise], c_x[slot[on]]
+        factors.append((below + step, below, dst[on], src[on], coupling * amp[on]))
+        if basis.config.coupling_form == "full":
+            factors.append((below + step, below, src[on], dst[on], coupling.conjugate() * amp[on]))
+    row = np.concatenate([states] + [basis.states(p, r) for p, _, r, _, _ in factors])
+    col = np.concatenate([states] + [basis.states(q, c) for _, q, _, c, _ in factors])
+    value = np.concatenate([diagonal] + [np.tile(v, len(p)) for p, _, _, _, v in factors])
+    up, dim = slice(len(states), None), (basis.dimension,) * 2
+    # a sparse sum adds U^dagger: exact zeros drop, and 0 + (-0) stores +0
+    matrix = scipy.sparse.csr_matrix((value, (row, col)), shape=dim) + (
+        scipy.sparse.csr_matrix((value[up].conjugate(), (col[up], row[up])), shape=dim))
+    del row, col, value  # freed before the Hermiticity check makes its temporaries
     return HermitianOperator(matrix)
 
 

@@ -26,7 +26,7 @@ from twoatom.config import LatticeConfig, ModelConfig, make_time_grid
 from twoatom.errors import ConfigError, DomainError
 from twoatom.operators import BoundedObservable, HermitianOperator
 from twoatom.propagator import (DENSE_LIMIT, evolve_grid, expectation_grid,
-                                prepare_initial_state)
+                                prepare_initial_state, resolve_method)
 
 
 def synthetic_series(values, signed=False, t_max=None):
@@ -52,6 +52,8 @@ def test_series_validation():
         ProbabilitySeries(np.array([0.0, 1.0]), np.array([0.1, 1.5]), "x")
     with pytest.raises(ValueError):
         ProbabilitySeries(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), "x")
+    with pytest.raises(ValueError, match="matching 1-D arrays"):
+        ProbabilitySeries(np.array([0.0, 1.0]), np.array([0.5]), "x")
     # signed series admit negative values down to -1
     s = ProbabilitySeries(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), "x",
                           signed=True)
@@ -251,7 +253,14 @@ def test_cutoff_sweep_rows_and_trend(sweep_config):
     grid = make_time_grid(4.0, 40)
     result = cutoff_sweep(sweep_config, [2.0, 4.0, 8.0], grid)
     assert len(result.rows) == 3
-    assert result.trend in {"constant", "increasing", "decreasing", "non_monotone"}
+    maxima = [row.max_prob_before_cone for row in result.rows]
+    assert result.trend == analysis._classify_trend(maxima)
+    # every label, on points whose trend is plain; equal points within
+    # 1e-12 of the largest are one level
+    for points, label in (([0.3], "constant"), ([0.3, 0.3, 0.3 + 1e-14], "constant"),
+                          ([0.1, 0.2, 0.2], "increasing"), ([0.3, 0.2, 0.2], "decreasing"),
+                          ([0.1, 0.3, 0.2], "non_monotone")):
+        assert analysis._classify_trend(points) == label
     retained = [row.modes_retained for row in result.rows]
     assert retained == sorted(retained)
     for row in result.rows:
@@ -435,6 +444,8 @@ def test_auto_resolves_on_the_full_dimension(monkeypatch):
     assert build_model(small)[0].dimension <= DENSE_LIMIT
     probability_series(small, "excitation_b", make_time_grid(1.0, 20), method="auto")
     assert calls
+    with pytest.raises(DomainError, match="unknown propagation method"):
+        resolve_method("bogus", basis.dimension)
 
 
 def test_krylov_series_forms_no_grid_of_states(monkeypatch):

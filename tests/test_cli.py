@@ -87,9 +87,29 @@ def test_parse_config_rejections():
         parse_config_text("num_sites = 8\n")
 
 
-def test_parse_config_invalid_values_carry_config_error():
-    with pytest.raises(ConfigError, match="separated"):
-        parse_config_text("x_b = 0.0\n")
+@pytest.mark.parametrize("text, message", [
+    ("levels_a = 1", "at least 2 levels"),
+    ("omega_b = 0.0", "frequencies must be positive"),
+    ("n_max = 0", "n_max must be at least 1"),
+    ("coupling_strength = -0.1", "coupling_strength must be non-negative"),
+    ("coupling_form = dipole", "coupling_form must be one of"),
+    ("coupling_scale_b = -1.0", "coupling scales must be non-negative"),
+    ("box_length = 0.0", "box_length must be positive"),
+    ("x_b = 7.0", "positions must lie in [0, box_length)"),
+    ("x_b = 0.0", "separated"),
+    ("num_modes = 0", "num_modes must be at least 1"),
+    ("cutoff = 0.0", "cutoff must be positive"),
+    ("field_model = lattice\nnum_sites = 1", "num_sites must be at least 2"),
+    ("field_model = lattice\nhopping = 0.0", "hopping must be positive"),
+    ("field_model = lattice\nsite_frequency = 0.5", "site_frequency must be at least 2*hopping"),
+    ("field_model = lattice\nsite_b = 12", "site_b must lie in [0, num_sites)"),
+    ("field_model = lattice\nsite_a = 9", "atoms must sit on different sites"),
+], ids=["levels", "frequency", "n_max", "coupling_strength", "coupling_form",
+        "coupling_scale", "box_length", "position", "separated", "num_modes", "cutoff",
+        "num_sites", "hopping", "site_frequency", "site_range", "same_site"])
+def test_parse_config_invalid_values_carry_config_error(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +780,13 @@ def test_oversized_basis_exits_four(tmp_path, capsys):
     # t^2 overflows in the amplitude's kernel
     (["fermi-integral", "--grid", "1e160,2"], ""),
     (["fermi-integral", "--grid", "1e300,2"], ""),
+    (["simulate", "--grid", "2,4"], "n_max = 0"),
 ], ids=["grid-nan", "grid-inf", "cutoff-nan", "coupling-inf", "hopping-nan",
         "cutoffs-nan", "omega-nan", "grid-huge", "grid-huge-dense",
         "grid-repeats", "grid-repeats-weak-causality", "grid-repeats-fermi",
         "grid-1e153", "grid-1e160", "grid-1e300", "grid-1e200-dichotomy",
         "grid-1e300-weak-causality", "grid-1e307-dense", "grid-1e160-fermi",
-        "grid-1e300-fermi"])
+        "grid-1e300-fermi", "n_max-0"])
 def test_non_finite_inputs_exit_two(tmp_path, capsys, argv, config_text):
     # the default config unless the case changes it
     cfg = tmp_path / "case.cfg"

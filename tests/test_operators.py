@@ -15,6 +15,7 @@ from twoatom.errors import DimensionError, DomainError
 from twoatom.operators import (
     BoundedObservable,
     HermitianOperator,
+    _one_particle_data,
     _smeared,
     build_hamiltonian,
     exchange_projector,
@@ -231,6 +232,53 @@ def test_three_level_ladder_hand_oracle():
     assert np.any(a_level[coo.row] == 2)
 
 
+@pytest.mark.parametrize("config", [
+    ModelConfig(num_modes=4, n_max=2),
+    ModelConfig(num_modes=5, n_max=2),
+    ModelConfig(levels_a=3, levels_b=2, num_modes=4, n_max=2, x_a=0.7),
+    ModelConfig(num_modes=5, n_max=2, coupling_form="rotating_wave"),
+    ModelConfig(num_modes=4, n_max=2, coupling_scale_a=0.0),
+    LatticeConfig(num_sites=5, site_a=1, site_b=3, n_max=2),
+], ids=["modes4", "modes5", "levels3x2", "rwa", "scale_a0", "chain5"])
+def test_hamiltonian_matches_state_by_state_oracle(config):
+    # H element by element from its definition: the bare diagonal, each
+    # atom's rise with one photon absorbed (and, under "full", one emitted),
+    # the hopping adag_j a_l with j < l, and the adjoint of all of these
+    basis = build_basis(config)
+    h1, c_a, c_b = _one_particle_data(basis)
+    states = basis_states(basis)
+    index = {(a, b, tuple(occ)): i for i, (a, b, occ) in enumerate(states)}
+    raising = np.zeros((len(states), len(states)), dtype=complex)
+    diagonal = np.zeros(len(states))
+    for col, (a, b, occ) in enumerate(states):
+        occ = tuple(int(n) for n in occ)
+        diagonal[col] = a * config.omega_a + b * config.omega_b + np.dot(occ, np.diag(h1))
+        for j, n in enumerate(occ):
+            lowered = occ[:j] + (n - 1,) + occ[j + 1:]
+            raised = occ[:j] + (n + 1,) + occ[j + 1:]
+            for rise, c_x in (((1, 0), c_a), ((0, 1), c_b)):
+                top = (a + rise[0], b + rise[1])
+                if top[0] == basis.levels_a or top[1] == basis.levels_b:
+                    continue
+                if n:
+                    raising[index[(*top, lowered)], col] += c_x[j] * math.sqrt(n)
+                if config.coupling_form == "full" and sum(occ) < basis.n_max:
+                    raising[index[(*top, raised)], col] += np.conj(c_x[j]) * math.sqrt(n + 1)
+            for l, m in enumerate(occ):
+                if l > j and m and h1[j, l]:
+                    hopped = list(occ)
+                    hopped[l] -= 1
+                    hopped[j] += 1
+                    raising[index[(a, b, tuple(hopped))], col] += (
+                        h1[j, l] * math.sqrt(m) * math.sqrt(n + 1))
+    oracle = np.diag(diagonal) + raising + raising.conj().T
+    matrix = build_hamiltonian(basis).matrix
+    ham = matrix.toarray()
+    assert matrix.nnz == np.count_nonzero(oracle)  # no stored zeros
+    assert np.array_equal(ham != 0, oracle != 0)
+    assert_allclose(ham, oracle, rtol=0, atol=1e-14 * np.abs(ham).max())
+
+
 def test_hermiticity_is_exact():
     for cfg in (
         ModelConfig(num_modes=6, n_max=2, coupling_form="full"),
@@ -248,6 +296,8 @@ def test_constructor_rejects_non_hermitian():
     bad = sparse.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         HermitianOperator(bad)
+    with pytest.raises(ValueError, match="square"):
+        HermitianOperator(sparse.csr_matrix(np.zeros((2, 3))))
 
 
 def test_invariant_block_is_the_components_that_meet_the_support():

@@ -215,10 +215,22 @@ def test_amplitude_starts_at_zero():
     assert ms.values[0] == 0.0
 
 
-@pytest.mark.parametrize("form", ["full", "rotating_wave"])
-@pytest.mark.parametrize("frequency_range", ["positive_only", "extended"])
-def test_amplitude_against_scipy_quad(form, frequency_range):
-    cfg = ModelConfig(cutoff=4.0, omega_b=1.3, x_b=0.5 * math.pi,
+# layouts of the quadrature beside the default one: no resonance window in
+# the support (window-free panels), and a window clipped at the support's
+# edge (an empty segment after it)
+QUAD_LAYOUTS = {"": dict(omega_b=1.3, cutoff=4.0),
+                "no_window": dict(omega_a=5.0, omega_b=5.0, cutoff=0.5),
+                "clipped_window": dict(omega_b=1.3, cutoff=0.3)}
+
+
+@pytest.mark.parametrize("layout, frequency_range, form", [
+    pytest.param(layout, frequency_range, form,
+                 id="-".join(filter(None, (layout, frequency_range, form))))
+    for layout in QUAD_LAYOUTS for frequency_range in ("positive_only", "extended")
+    for form in ("full", "rotating_wave")
+])
+def test_amplitude_against_scipy_quad(layout, frequency_range, form):
+    cfg = ModelConfig(**QUAD_LAYOUTS[layout], x_b=0.5 * math.pi,
                       coupling_strength=0.3, coupling_form=form)
     prefactor = cfg.coupling_strength**2 / (2.0 * math.pi)
     hi = GAUSS_SUPPORT * cfg.cutoff

@@ -427,6 +427,9 @@ def test_chebyshev_expectation_keeps_the_checks_of_the_states_path(mid_model):
         chebyshev_expectation(ham, obs, psi[:-1], [1.0])
     with pytest.raises(ValueError):
         chebyshev_expectation(ham, obs, psi, [[1.0]])
+    with pytest.raises(ValueError, match="differ in dimension"):
+        chebyshev_expectation(ham, BoundedObservable([([0], None)], ham.dimension + 1),
+                              psi, [1.0])
     assert chebyshev_expectation(ham, obs, psi, []).shape == (0,)
 
 
