@@ -57,13 +57,13 @@ class ProbabilitySeries:
     signed: bool = False
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = checked_times(self.times, np.finfo(float).max)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and values must be matching 1-D arrays")
-        if len(times) >= 2 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("time grid must be strictly increasing")
         lo = -1.0 - _BOUND_SLACK if self.signed else -_BOUND_SLACK
         if values.size and (values.min() < lo or values.max() > 1.0 + _BOUND_SLACK):
@@ -200,7 +200,7 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     It shares no evaluation with the sparse backend and is its oracle.
     """
     times = checked_times(time_grid, np.finfo(float).max)  # each backend checks its own limit
-    if np.any(np.diff(times) <= 0):
+    if np.any(times[1:] <= times[:-1]):
         raise DomainError("time grid must be strictly increasing")
     initial = np.asarray(initial)
     if initial.shape != (hamiltonian.dimension,):
@@ -254,27 +254,36 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
 
 
 def log_integral(series: ProbabilitySeries, floor: float = DEFAULT_FLOOR) -> float:
-    """Trapezoid value of integral ln(max(P, floor)) / (1 + t^2) dt.
+    """integral ln(max(|P|, floor)) / (1 + t^2) dt, ln P linear between grid points.
 
-    The floor regularizes grid zeros.  A finite, floor-stable value is the
-    discrete witness that zeros of the series cannot fill an interval, but
-    only on grids whose steps resolve 1/(1 + t^2) near t = 0: on
-    num_modes = 4, n_max = 1, `simulate --method dense --grid 1e300,2` gives
-    -1.73e301, where |ln floor| * pi / 2 ~ 108.5 bounds the integral itself.
+    The floor regularizes grid zeros; a finite, floor-stable value is the
+    discrete witness that zeros of the series cannot fill an interval, and
+    |value| <= |ln floor| * pi on any grid.  Each step [p, q], 0 <= p < q
+    (split at t = 0, mirrored from t <= 0), is exact: it weighs 1 by
+    D = arctan(h / (1 + pq)) and (t - p) / h by W = (L - p D) / h, h = q - p,
+    L = 1/2 log1p(x), x = h (p + q) / (1 + p^2), all from h / max(p, 1) with
+    no cancellation or overflow (past h / max(p, 1) = 1e150, log1p(x) is ln x).
     """
     if floor <= 0:
         raise DomainError("floor must be positive")
     t = series.times
-    vals = np.log(np.maximum(np.abs(series.values), floor))
-    # t^2 overflows past 1.3e154; past 1e150 the 1 is below its rounding anyway
-    huge = np.abs(t) > 1e150
-    vals[~huge] /= 1.0 + t[~huge] ** 2
-    vals[huge] *= (1.0 / t[huge]) ** 2
-    with np.errstate(over="ignore"):  # a step past about 1e306 times ln P overflows
-        value = float(np.trapezoid(vals, t))
-    if not np.isfinite(value):
-        raise DomainError("the log integral overflows on this grid: shorten its steps")
-    return value
+    v = np.log(np.maximum(np.abs(series.values), floor))
+    k = np.searchsorted(t, 0.0, side="right")
+    if 0 < k < len(t) and t[k - 1] < 0:  # v(0) on the step's line, with no h formed
+        size = max(-t[k - 1], t[k])
+        share = -t[k - 1] / size / (t[k] / size - t[k - 1] / size)
+        t, v = np.insert(t, k, 0.0), np.insert(v, k, v[k - 1] + share * (v[k] - v[k - 1]))
+    right = t[1:] > 0
+    p, q = np.where(right, t[:-1], -t[1:]), np.where(right, t[1:], -t[:-1])
+    h, m = q - p, np.maximum(p, 1.0)
+    r, u = h / m, p / m
+    factor = (2 * u + r) / (m ** -2.0 + u ** 2)  # x / r
+    far = r > 1e150  # where x overflows
+    x = np.maximum(np.where(far, 1.0, r) * factor, 1e-300)  # log1p(x) / x is 1 below
+    logs = (np.log(r) + np.log(factor)) / np.where(far, h, 1.0)  # L / h where far
+    delta = np.arctan(r / (1 / m + u * q))
+    slope = np.where(far, logs, np.log1p(x) / x * factor / m) / 2 - p / h * delta  # W
+    return float(np.sum(v[:-1] * delta + np.diff(v) * np.where(right, slope, delta - slope)))
 
 
 def dichotomy_scan(series: ProbabilitySeries, *,

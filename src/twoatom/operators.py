@@ -66,7 +66,7 @@ class HermitianOperator:
 
     spectral_bounds is (floor, ceiling) from gershgorin_bounds, weighted
     discs for the floor and plain ones for the ceiling: the interval the
-    sparse backend expands over, and the one value the instance keeps.
+    sparse backend expands over, computed on each read: the series reads it once.
 
     A real matrix is kept as float64 and a complex one as complex128, so
     the dense eigendecomposition is a real symmetric eigh whenever H is
@@ -84,7 +84,7 @@ class HermitianOperator:
             raise ValueError("matrix is not exactly Hermitian")
         self.matrix = matrix
 
-    @cached_property
+    @property
     def spectral_bounds(self) -> tuple[float, float]:
         """(floor, ceiling) with floor <= E_min and E_max <= ceiling."""
         return gershgorin_bounds(self.matrix)
@@ -148,10 +148,7 @@ class HermitianOperator:
         return HermitianOperator(self.matrix[indices][:, indices])
 
     def __repr__(self):
-        return (
-            f"HermitianOperator(dim={self.dimension}, nnz={self.matrix.nnz}, "
-            f"floor={self.spectral_bounds[0]:.6g})"
-        )
+        return f"HermitianOperator(dim={self.dimension}, nnz={self.matrix.nnz})"
 
 
 class BoundedObservable:

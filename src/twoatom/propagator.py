@@ -18,16 +18,17 @@ identity block.  A single state psi is the stack psi[None, :].
 chebyshev_expectation is the sparse backend ("krylov", and "auto" above
 DENSE_LIMIT): P(t) = <psi(t)|O|psi(t)> with no state formed and no series
 vector kept.  It sums the Chebyshev series of Tal-Ezer & Kosloff (J. Chem.
-Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho],
-psi(t) = sum_k a_k(t) V_k with V_k = T_k((H - lo) / rho - 1) psi0, until
-its tail is below unit roundoff at every point.  The three-term
-recurrence runs once, BLOCK vectors at a time, in float64 when H and psi0
-are both real; each block leaves its observed rows M and its lengths
-||V_k||, a thin QR reduces M to a K x K triangular factor S, and
-P(t) = ||S a(t)||^2 at each point.  The lengths and the coefficients
-certify the series (_check_accuracy).  Its memory is the K observed rows,
-the K x K factor, one block of vectors and one chunk of the coefficients
-a(t), where evolve_grid's states are one entry per point and basis state.
+Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho], read once
+and handed on as values with the length K, psi(t) = sum_k a_k(t) V_k with
+V_k = T_k((H - lo) / rho - 1) psi0, until its tail is below unit roundoff
+at every point.  The three-term recurrence runs once, BLOCK vectors at a
+time, in float64 when H and psi0 are both real; each block leaves its
+observed rows M and its lengths ||V_k||, a thin QR reduces M to a K x K
+triangular factor S, and P(t) = ||S a(t)||^2 at each point.  The lengths
+and the coefficients certify the series (_check_accuracy).  Its memory is
+the K observed rows, the K x K factor, one block of vectors and one chunk
+of the coefficients a(t), where evolve_grid's states are one entry per
+point and basis state.
 """
 
 from __future__ import annotations
@@ -116,61 +117,48 @@ def _series_length(coeff: np.ndarray) -> int:
     return max(int(np.count_nonzero(tail > np.finfo(float).eps / 2)), 1)
 
 
-def _interval(hamiltonian: HermitianOperator) -> tuple[float, float]:
-    """(lo, rho): H's spectrum lies in [lo, lo + 2 rho], from its spectral bounds.
-
-    The series length grows with rho, which the floor's weighted discs
-    (gershgorin_bounds) keep small: K = 158 at the defaults, against 180
-    on the plain discs.
-    """
-    lo, hi = hamiltonian.spectral_bounds
-    return lo, (hi - lo) / 2 or 1.0  # a scalar H: any interval holding it serves
-
-
-def _series_order(hamiltonian: HermitianOperator, times: np.ndarray, size: int,
-                  rows: int) -> int:
-    """The series length K for a grid.
+def _series_order(radius: float, times: np.ndarray, size: int, rows: int) -> int:
+    """The series length K for a grid, on a bracket of half-width rho = radius.
 
     K is the least order whose computed tail, max_t sum_{k >= K} |a_k(rho t)|,
     is at most unit roundoff.  Above the order |w|, every |J_k(w)| grows
     with |w| (J_k rises on [0, k]), and K lies above rho |t| at every point,
-    so the largest rho |t| sets K alone: one column of a probe table of
-    `order` + 1 terms.  The probe starts past k = rho |t|, and doubles until
-    K is ten orders below `order`.
+    so w = max rho |t| sets K alone: one probe of order w + 18 w^(1/3) + 30.
+    The tail past k = w falls over a width like w^(1/3), and K is at least
+    29 below that order for every w in [0, 1e6], where _exp_coefficients
+    needs 10; a probe short of 10, which the weights would not see, raises
+    ConvergenceError.
 
     A series of up to `order` terms observed on `rows` rows keeps, per term,
     the observed rows M, the QR's copies (of M, or of one chunk stacked
     under the factor so far, and that stack's own copy) and S, beside one
     block of vectors of `size` entries and one chunk of the coefficient
     table.  A run whose entries, at 16 bytes each, could not fit in physical
-    memory raises DomainError before the table at that order is formed.
+    memory raises DomainError before the probe table is formed.
     """
-    lo, radius = _interval(hamiltonian)
     largest = float(np.max(np.abs(radius * times), initial=0.0))
     order = int(largest + 18 * np.cbrt(largest) + 30)
-    while True:
-        copies = rows if rows <= QR_ROWS else 2 * (QR_ROWS + order)
-        held = order * (rows + copies + order)
-        # a chunk of the table beside its a(t) and S a(t)
-        table = 3 * (order + 2) * min(CHUNK, len(times))
-        require_memory((held + (BLOCK + 2) * size + table) * 16,
-                       DomainError,
-                       f"the Chebyshev series of order {order:.3g} for rho*|t| up to {largest:.3g}",
-                       "shorten the grid")
-        terms = _series_length(_exp_coefficients(np.array([largest]), order + 1))
-        if terms <= order - 10:
-            return terms
-        order *= 2
+    copies = rows if rows <= QR_ROWS else 2 * (QR_ROWS + order)
+    held = order * (rows + copies + order)
+    # a chunk of the table beside its a(t) and S a(t)
+    table = 3 * (order + 2) * min(CHUNK, len(times))
+    require_memory((held + (BLOCK + 2) * size + table) * 16, DomainError,
+                   f"the Chebyshev series of order {order:.3g} for rho*|t| up to {largest:.3g}",
+                   "shorten the grid")
+    terms = _series_length(_exp_coefficients(np.array([largest]), order + 1))
+    if terms > order - 10:
+        raise ConvergenceError(f"the Chebyshev series for rho*|t| up to {largest:.3g} "
+                               f"needs more than the {order} terms probed")
+    return terms
 
 
-def _coefficient_chunks(hamiltonian: HermitianOperator, times: np.ndarray, terms: int):
+def _coefficient_chunks(lo: float, radius: float, times: np.ndarray, terms: int):
     """(columns, a) for consecutive chunks of the grid, a[k] = a_k(t) for k < terms.
 
-    exp(-i H t) psi0 = sum_k a_k(t) V_k over H's spectral bounds; each chunk
-    of the table holds its K rows, from a recurrence started ten orders
-    above K (_exp_coefficients).
+    exp(-i H t) psi0 = sum_k a_k(t) V_k over the bracket [lo, lo + 2 radius];
+    each chunk of the table holds its K rows, from a recurrence started ten
+    orders above K (_exp_coefficients).
     """
-    lo, radius = _interval(hamiltonian)
     for first in range(0, len(times), CHUNK):
         columns = slice(first, first + CHUNK)
         coeff = _exp_coefficients(radius * times[columns], terms)
@@ -178,7 +166,8 @@ def _coefficient_chunks(hamiltonian: HermitianOperator, times: np.ndarray, terms
         yield columns, coeff
 
 
-def _chebyshev_blocks(hamiltonian: HermitianOperator, psi0: np.ndarray, terms: int):
+def _chebyshev_blocks(hamiltonian: HermitianOperator, lo: float, radius: float,
+                      psi0: np.ndarray, terms: int):
     """(k0, V[k0:k0 + m]) for the vectors V_k = T_k((H - lo) / rho - 1) psi0, k < terms.
 
     The three-term recurrence runs once, BLOCK vectors at a time, in one
@@ -186,7 +175,6 @@ def _chebyshev_blocks(hamiltonian: HermitianOperator, psi0: np.ndarray, terms: i
     recurrence is float64 when H and psi0 are both real.  Each block
     yielded is overwritten by the next: the caller keeps what it needs.
     """
-    lo, radius = _interval(hamiltonian)
     scaled = (hamiltonian.matrix - (lo + radius) * scipy.sparse.identity(psi0.size)) / radius
     # one cast of a real H for a complex psi0: scipy would upcast it per product
     scaled = scaled.astype(np.result_type(scaled.dtype, psi0.dtype), copy=False)
@@ -215,8 +203,9 @@ def _bessel_weights(coeff: np.ndarray) -> np.ndarray:
     return np.einsum("k,kj,kj->j", halves, parts, parts).reshape(-1, 2).sum(axis=1)
 
 
-def _observed_series(hamiltonian: HermitianOperator, observable: BoundedObservable,
-                     psi0: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
+def _observed_series(hamiltonian: HermitianOperator, lo: float, radius: float,
+                     observable: BoundedObservable, psi0: np.ndarray,
+                     terms: int) -> tuple[np.ndarray, np.ndarray]:
     """(M, ||V_k||) for the series vectors V_k, k < terms, from one pass of the recurrence.
 
     M = [F_b V[:, I_b]^T] stacks the observed rows, one matrix product per
@@ -227,7 +216,7 @@ def _observed_series(hamiltonian: HermitianOperator, observable: BoundedObservab
                              if factor is not None))
     observed = np.empty((observable.factor_rows, terms), dtype=dtype)
     squares = np.empty(terms)
-    for start, vectors in _chebyshev_blocks(hamiltonian, psi0, terms):
+    for start, vectors in _chebyshev_blocks(hamiltonian, lo, radius, psi0, terms):
         stop = start + len(vectors)
         top = 0
         for part in observable.factor_parts(vectors):
@@ -263,13 +252,13 @@ def _check_accuracy(lengths: np.ndarray, weights: np.ndarray, tol: float) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _checked(hamiltonian: HermitianOperator, psi0, times) -> tuple[np.ndarray, np.ndarray]:
+def _checked(hamiltonian: HermitianOperator, psi0, times, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """psi0 as float64 or complex128, or ValueError, and times through config.checked_times."""
     psi0 = np.asarray(psi0)
     psi0 = psi0.astype(np.result_type(psi0.dtype, np.float64), copy=False)
     if psi0.shape != (hamiltonian.dimension,):
         raise ValueError(f"need a state of shape ({hamiltonian.dimension},), got {psi0.shape}")
-    lo, hi = hamiltonian.spectral_bounds  # either backend multiplies t by max(hi - lo, |lo|)
+    # on H's bracket [lo, hi] either backend multiplies t by max(hi - lo, |lo|)
     return psi0, checked_times(times, np.finfo(float).max / max(hi - lo, abs(lo), 1.0))
 
 
@@ -285,7 +274,7 @@ def evolve_grid(hamiltonian: HermitianOperator, psi0, times) -> np.ndarray:
     whose states, beside the eigenvectors, would not fit in physical memory
     raises DomainError.
     """
-    psi0, times = _checked(hamiltonian, psi0, times)
+    psi0, times = _checked(hamiltonian, psi0, times, *hamiltonian.spectral_bounds)
     # two complex arrays of one entry per eigenvalue and time, phases and
     # states, beside the n x n eigenvectors
     n = len(psi0)
@@ -331,11 +320,15 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     (_check_accuracy) are off by more than tol raises ConvergenceError.
     P(0) is <psi0|O|psi0> itself.
     """
-    psi0, times = _checked(hamiltonian, psi0, times)
+    lo, hi = hamiltonian.spectral_bounds
+    psi0, times = _checked(hamiltonian, psi0, times, lo, hi)
     if observable.dimension != hamiltonian.dimension:
         raise ValueError("observable and Hamiltonian differ in dimension")
-    terms = _series_order(hamiltonian, times, psi0.size, observable.factor_rows)
-    observed, lengths = _observed_series(hamiltonian, observable, psi0, terms)
+    # K grows with rho, which the floor's weighted discs (gershgorin_bounds)
+    # keep small: K = 158 at the defaults, against 180 on the plain discs
+    radius = (hi - lo) / 2 or 1.0  # a scalar H: any interval holding it serves
+    terms = _series_order(radius, times, psi0.size, observable.factor_rows)
+    observed, lengths = _observed_series(hamiltonian, lo, radius, observable, psi0, terms)
     # S <- qr([S; M_chunk]) down the chunks: an M of up to QR_ROWS rows is
     # one plain QR, and a taller one never has a whole copy
     factor = np.linalg.qr(observed[:QR_ROWS], mode="r")
@@ -344,7 +337,7 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
         factor = np.linalg.qr(np.concatenate([factor, chunk]), mode="r")
     del observed
     values, weights = np.empty(len(times)), np.empty(len(times))
-    for columns, coeff in _coefficient_chunks(hamiltonian, times, terms):
+    for columns, coeff in _coefficient_chunks(lo, radius, times, terms):
         values[columns] = _squared_norms(_real_product(factor, coeff).T)
         weights[columns] = _bessel_weights(coeff)
     _check_accuracy(lengths, weights, tol)

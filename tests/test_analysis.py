@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from twoatom import analysis
 from twoatom.analysis import (
@@ -54,6 +55,8 @@ def test_series_validation():
         ProbabilitySeries(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), "x")
     with pytest.raises(ValueError, match="matching 1-D arrays"):
         ProbabilitySeries(np.array([0.0, 1.0]), np.array([0.5]), "x")
+    with pytest.raises(ValueError, match="finite"):
+        ProbabilitySeries(np.array([0.0, np.inf]), np.array([0.1, 0.2]), "x")
     # signed series admit negative values down to -1
     s = ProbabilitySeries(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), "x",
                           signed=True)
@@ -140,11 +143,42 @@ def test_log_integral_identically_zero_matches_floor_formula():
     series = ProbabilitySeries(times, np.zeros_like(times), "x")
     floor = 1e-30
     got = log_integral(series, floor)
-    expected = np.log(floor) * np.trapezoid(1.0 / (1.0 + times**2), times)
+    # the steps' exact weights sum to the weight's integral, arctan(30)
+    assert_allclose(got, np.log(floor) * np.arctan(30.0), rtol=1e-12)
+
+
+def test_log_integral_is_exact_for_the_linear_interpolant():
+    # ln P linear between the points of an uneven grid through negative
+    # times, integrated step by step by scipy's quad
+    rng = np.random.default_rng(3)
+    times = np.sort(rng.uniform(-6.0, 9.0, 40))
+    values = rng.uniform(1e-3, 1.0, 40)
+    values[[5, 6, 20]] = 0.0
+    floor = 1e-30
+    logs = np.log(np.maximum(values, floor))
+    expected = sum(quad(lambda t: np.interp(t, times, logs) / (1 + t * t), a, b,
+                        epsabs=0, epsrel=1e-13)[0]
+                   for a, b in zip(times[:-1], times[1:]))
+    got = log_integral(ProbabilitySeries(times, values, "x"), floor)
     assert_allclose(got, expected, rtol=1e-12)
-    # and the trapezoid weight approaches arctan(30)
-    assert_allclose(np.trapezoid(1.0 / (1.0 + times**2), times),
-                    np.arctan(30.0), rtol=1e-3)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 1e300], [0.0, 1.7e308], [-1.7e308, 1.7e308], [-1.7e308, -1e-10, 5e-324],
+    [1e200, 1e201, 1e250], [-5e-324, 0.0, 5e-324], [1.0, 1.0 + 2**-52, 1e154, 1e156],
+], ids=["1e300", "max", "both-signs", "negative", "far", "subnormal", "spread"])
+def test_log_integral_stays_within_its_bound_on_extreme_grids(times):
+    # |value| <= |ln floor| (arctan t_end - arctan t_start) for any grid, with
+    # no overflow (a warning is an error here); P = 0 reaches the bound
+    times = np.array(times)
+    if times[0] > 1:  # arctan t_end - arctan t_start, without their cancellation
+        span = np.arctan(1 / times[0]) - np.arctan(1 / times[-1])
+    else:
+        span = np.arctan(times[-1]) - np.arctan(times[0])
+    zero = ProbabilitySeries(times, np.zeros_like(times), "x")
+    assert_allclose(log_integral(zero), np.log(1e-30) * span, rtol=1e-12)
+    some = ProbabilitySeries(times, np.linspace(0.0, 0.9, len(times)), "x")
+    assert abs(log_integral(some)) <= abs(np.log(1e-30)) * span * (1 + 1e-12)
 
 
 def test_log_integral_floor_validation():
@@ -505,7 +539,7 @@ def test_series_leaves_no_state_on_its_hamiltonian():
         assert np.array_equal(first, second)
     assert np.array_equal(evolve_grid(ham, psi, grid), evolve_grid(ham, psi, grid))
     # no block, eigensystem or other memo outlives the series
-    assert set(vars(ham)) <= {"matrix", "spectral_bounds"}
+    assert set(vars(ham)) == {"matrix"}
 
 
 def test_a_sweep_keeps_one_model(sweep_config):

@@ -44,6 +44,7 @@ def test_dimension_two_modes_two_photons():
     assert basis.dimension == 24
     expected = [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0]]
     assert np.array_equal(basis.occupations, expected)
+    assert repr(basis) == "FockBasis(dim=24, levels=2x2, slots=2, n_max=2)"
 
 
 def test_dimension_eight_modes_brute_force():

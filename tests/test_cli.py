@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from twoatom.cli import (
+    _RUNNERS,
     _build_parser,
     canonical_json,
     format_float,
@@ -22,7 +23,7 @@ from twoatom.cli import (
     parse_config_text,
 )
 from twoatom.config import LatticeConfig, ModelConfig
-from twoatom.errors import ConfigError
+from twoatom.errors import BasisLookupError, ConfigError
 from twoatom.analysis import build_model
 from twoatom.operators import format_triplets
 
@@ -503,6 +504,15 @@ def test_failed_rename_restores_the_previous_run(tmp_path, small_config, capsys,
     assert "cannot write outputs: rename failed" in capsys.readouterr().err
     assert [(out / n).read_bytes() for n in names] == first
     assert sorted(p.name for p in out.iterdir()) == names
+    # into a fresh --out the first file has no predecessor: it goes, and
+    # so do the directories the run made
+    landed.clear()
+    fresh = tmp_path / "fresh" / "run"
+    code = main(["simulate", "--config", small_config, "--out", str(fresh),
+                 "--grid", "3,6"])
+    assert code == 2
+    assert "cannot write outputs: rename failed" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
 
 
 @pytest.mark.parametrize("t_max", ["1e9", "1e15"])
@@ -546,13 +556,29 @@ def test_grid_of_points_beyond_memory_exits_two(tmp_path, small_config, capsys, 
 def test_huge_grid_times_weigh_the_log_integral_without_overflow(tmp_path, small_config,
                                                                  subcommand):
     # the witness weighs ln P by 1 / (1 + t^2), and t^2 overflows past
-    # t = 1.3e154; the run must not warn, since warnings are errors here
+    # t = 1.3e154; the run must not warn, since warnings are errors here.
+    # One step of the grid weighs ln P(0) = ln 1e-30 by arctan(t_max) at
+    # most, so the value stays within |ln 1e-30| pi / 2 = 108.51
     out = tmp_path / "run"
     code = main([subcommand, "--config", small_config, "--out", str(out),
                  "--grid", "1e300,2", "--method", "dense"])
     assert code == 0
     summary = json.loads((out / f"{subcommand}.json").read_text())
-    assert math.isfinite(summary.get("report", summary)["log_integral"])
+    assert abs(summary.get("report", summary)["log_integral"]) <= 108.51
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "dichotomy"])
+def test_one_step_past_1e306_integrates_without_overflow(tmp_path, subcommand):
+    # a trapezoid step of length 1e307 times ln P overflowed to -inf; the
+    # exact step integral stays within the same 108.51 bound and exits 0
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("num_modes = 4\nn_max = 1\n")
+    out = tmp_path / "run"
+    code = main([subcommand, "--config", str(cfg), "--out", str(out),
+                 "--method", "dense", "--grid", "1e307,2"])
+    assert code == 0
+    summary = json.loads((out / f"{subcommand}.json").read_text())
+    assert abs(summary.get("report", summary)["log_integral"]) <= 108.51
 
 
 def test_malformed_grid_exits_two(tmp_path, small_config, capsys):
@@ -560,6 +586,28 @@ def test_malformed_grid_exits_two(tmp_path, small_config, capsys):
                  "--out", str(tmp_path / "run"), "--grid", "5"])
     assert code == 2
     assert "bad value for --grid" in capsys.readouterr().err
+
+
+def test_empty_cutoff_list_exits_two(tmp_path, small_config, capsys):
+    out = tmp_path / "run"
+    code = main(["cutoff-sweep", "--config", small_config, "--out", str(out),
+                 "--grid", "2,4", "--cutoffs", ","])
+    assert code == 2
+    assert "bad value for --cutoffs: ','" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_other_package_errors_exit_one(tmp_path, small_config, capsys, monkeypatch):
+    # a TwoAtomError outside the four mapped kinds is reported, exit 1
+    def lookup_fails(args):
+        raise BasisLookupError("no such state")
+
+    monkeypatch.setitem(_RUNNERS, "simulate", lookup_fails)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", small_config, "--out", str(out), "--grid", "2,4"])
+    assert code == 1
+    assert capsys.readouterr().err == "twoatom: no such state\n"
+    assert not out.exists()
 
 
 def test_unconverged_quadrature_exits_three(tmp_path, small_config, capsys):
@@ -775,8 +823,6 @@ def test_oversized_basis_exits_four(tmp_path, capsys):
     (["simulate", "--grid", "1e300,2"], ""),
     (["dichotomy", "--grid", "1e200,2"], ""),
     (["weak-causality", "--grid", "1e300,2"], ""),
-    # one step of the log integral overflows
-    (["simulate", "--method", "dense", "--grid", "1e307,2"], "num_modes = 4\nn_max = 1"),
     # t^2 overflows in the amplitude's kernel
     (["fermi-integral", "--grid", "1e160,2"], ""),
     (["fermi-integral", "--grid", "1e300,2"], ""),
@@ -785,7 +831,7 @@ def test_oversized_basis_exits_four(tmp_path, capsys):
         "cutoffs-nan", "omega-nan", "grid-huge", "grid-huge-dense",
         "grid-repeats", "grid-repeats-weak-causality", "grid-repeats-fermi",
         "grid-1e153", "grid-1e160", "grid-1e300", "grid-1e200-dichotomy",
-        "grid-1e300-weak-causality", "grid-1e307-dense", "grid-1e160-fermi",
+        "grid-1e300-weak-causality", "grid-1e160-fermi",
         "grid-1e300-fermi", "n_max-0"])
 def test_non_finite_inputs_exit_two(tmp_path, capsys, argv, config_text):
     # the default config unless the case changes it

@@ -292,12 +292,16 @@ def test_hermiticity_is_exact():
         assert gap.nnz == 0
 
 
-def test_constructor_rejects_non_hermitian():
+def test_constructor_rejects_non_hermitian(monkeypatch):
     bad = sparse.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         HermitianOperator(bad)
     with pytest.raises(ValueError, match="square"):
         HermitianOperator(sparse.csr_matrix(np.zeros((2, 3))))
+    # a repr reads the matrix only: no Gershgorin discs
+    monkeypatch.setattr("twoatom.operators.gershgorin_bounds", None)
+    good = HermitianOperator(sparse.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]])))
+    assert repr(good) == "HermitianOperator(dim=2, nnz=3)"
 
 
 def test_invariant_block_is_the_components_that_meet_the_support():
@@ -363,13 +367,13 @@ def test_weighted_floor_shortens_the_default_series():
     ham = _start_block(ModelConfig())
     diag = ham.matrix.diagonal().real
     radii = np.asarray(abs(ham.matrix).sum(axis=1)).ravel() - np.abs(diag)
-    plain = HermitianOperator(ham.matrix)
-    plain.spectral_bounds = (np.min(diag - radii), np.max(diag + radii))
-    assert ham.spectral_bounds[1] == pytest.approx(plain.spectral_bounds[1], rel=1e-14)
-    assert ham.spectral_bounds[0] > plain.spectral_bounds[0] + 1.0
+    floor, ceiling = ham.spectral_bounds
+    plain_floor, plain_ceiling = np.min(diag - radii), np.max(diag + radii)
+    assert ceiling == pytest.approx(plain_ceiling, rel=1e-14)
+    assert floor > plain_floor + 1.0
     times = np.array([2.0 * ModelConfig().light_cone_time])
-    assert _series_order(ham, times, ham.dimension, 1) < _series_order(
-        plain, times, ham.dimension, 1)
+    assert _series_order((ceiling - floor) / 2, times, ham.dimension, 1) < _series_order(
+        (plain_ceiling - plain_floor) / 2, times, ham.dimension, 1)
 
 
 def test_gershgorin_floor_exact_for_diagonal():

@@ -67,15 +67,15 @@ def test_no_module_reads_the_process_environment():
 
 MEMO_NAMES = {"lru_cache", "cache", "cached_property"}
 
-# every memo in src/twoatom, as (module, function) -> its decorator, and why
+# every memo in src/twoatom, as (module, function) -> its decorator, and why;
+# HermitianOperator.spectral_bounds is none: the series reads it once and
+# hands (lo, rho) on as values
 ALLOWED_MEMOS = {
     # resolve_observable and the Hamiltonian dump re-read the model just built
     ("analysis", "build_model"): "lru_cache(maxsize=1)",
     # Gauss-Legendre nodes and projections, read on every quadrature pass
     ("perturbation", "_gauss"): "lru_cache(maxsize=4)",
     ("perturbation", "_projection"): "lru_cache(maxsize=4)",
-    # the Chebyshev series reads the bounds several times per series
-    ("operators", "spectral_bounds"): "cached_property",
     # the stacked factor, which only the benchmark's layer table reads
     ("operators", "sqrt_factor"): "cached_property",
 }

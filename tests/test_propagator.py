@@ -15,7 +15,6 @@ from twoatom.config import LatticeConfig, ModelConfig, make_time_grid
 from twoatom.errors import ConvergenceError, DomainError
 from twoatom.operators import (
     BoundedObservable,
-    HermitianOperator,
     build_hamiltonian,
     exchange_projector,
     excitation_observable_b,
@@ -44,6 +43,12 @@ def small_model():
 def mid_model():
     basis = build_basis(ModelConfig(num_modes=8, n_max=2, coupling_strength=0.3))
     return basis, build_hamiltonian(basis)
+
+
+def _bracket(ham):
+    # (lo, rho) as chebyshev_expectation forms them: H's spectrum in [lo, lo + 2 rho]
+    lo, hi = ham.spectral_bounds
+    return lo, (hi - lo) / 2 or 1.0
 
 
 def _rank_one_projectors(dimension, count=3, seed=29):
@@ -442,13 +447,15 @@ def test_series_certificate_holds_on_the_vectors(name):
     basis, ham = build_model(config)
     psi = prepare_initial_state(basis)
     grid = make_time_grid(6.0, 30)
-    terms = _series_order(ham, grid, basis.dimension, 0)
-    vectors = np.vstack([block.copy() for _, block in _chebyshev_blocks(ham, psi, terms)])
+    lo, radius = _bracket(ham)
+    terms = _series_order(radius, grid, basis.dimension, 0)
+    vectors = np.vstack([block.copy()
+                         for _, block in _chebyshev_blocks(ham, lo, radius, psi, terms)])
     assert vectors.shape == (terms, basis.dimension)
     norm = np.linalg.norm(psi)
     assert np.linalg.norm(vectors, axis=1).max() <= norm * (1 + 1e-13)
     halves = np.where(np.arange(terms) == 0, 1.0, 0.5)
-    for _, coeff in _coefficient_chunks(ham, grid, terms):
+    for _, coeff in _coefficient_chunks(lo, radius, grid, terms):
         assert np.max(np.abs(halves @ np.abs(coeff) ** 2 - 1)) <= 1e-14
         lengths = np.linalg.norm(vectors.T @ coeff, axis=0)
         assert np.max(np.abs(lengths - norm)) <= 1e-13
@@ -471,6 +478,28 @@ def test_coefficient_check_catches_a_perturbed_coefficient(mid_model, monkeypatc
                               prepare_initial_state(basis), make_time_grid(6.0, 30))
 
 
+@pytest.mark.parametrize("reach", [0.0, 0.1, 1.0, 10.0, 100.0, 1e4])
+def test_one_probe_leaves_the_series_its_margin(reach):
+    # _series_order probes once, at order = rho|t| + 18 (rho|t|)^(1/3) + 30,
+    # and Miller's table needs K ten orders below that; the probe leaves at
+    # least 19 more.  K itself is the tail count from scipy's J_k, give or
+    # take the one term where that tail crosses unit roundoff
+    order = int(reach + 18 * np.cbrt(reach) + 30)
+    terms = _series_order(1.0, np.array([0.0, -reach]), 1, 1)
+    assert terms <= order - 10 - 19
+    weights = np.where(np.arange(order) == 0, 1.0, 2.0) * np.abs(jv(np.arange(order), reach))
+    tail = np.cumsum(weights[::-1])[::-1]
+    assert abs(terms - max(np.count_nonzero(tail > np.finfo(float).eps / 2), 1)) <= 1
+
+
+def test_a_probe_that_falls_short_raises(monkeypatch):
+    # a tail still above unit roundoff ten orders below the probe would cut
+    # the series short by more than the coefficient weights can see
+    monkeypatch.setattr("twoatom.propagator._series_length", lambda coeff: len(coeff) - 10)
+    with pytest.raises(ConvergenceError, match="needs more than the 65 terms probed"):
+        _series_order(1.0, np.array([5.0]), 1, 1)
+
+
 def test_moment_norm_catches_a_divergent_series(mid_model, monkeypatch):
     # a bracket 20 % narrower than the spectrum: the scaled H reaches past
     # [-1, 1], where T_k grows like 2^k, so the truncated series is far off
@@ -478,12 +507,12 @@ def test_moment_norm_catches_a_divergent_series(mid_model, monkeypatch):
     basis, ham = mid_model
     w = np.linalg.eigvalsh(ham.matrix.toarray())
     span = w[-1] - w[0]
-    narrow = HermitianOperator(ham.matrix)
-    monkeypatch.setattr(narrow, "spectral_bounds", (w[0] + 0.1 * span, w[-1] - 0.1 * span))
+    monkeypatch.setattr("twoatom.operators.gershgorin_bounds",
+                        lambda matrix: (w[0] + 0.1 * span, w[-1] - 0.1 * span))
     psi = prepare_initial_state(basis)
     grid = make_time_grid(6.0, 30)
     with pytest.raises(ConvergenceError):
-        chebyshev_expectation(narrow, excitation_observable_b(basis), psi, grid)
+        chebyshev_expectation(ham, excitation_observable_b(basis), psi, grid)
 
 
 def test_series_keeps_no_vectors():
@@ -498,7 +527,7 @@ def test_series_keeps_no_vectors():
     sub = ham.block(block)
     obs = resolve_observable(config, "exchange").restricted(block)
     grid = make_time_grid(2 * config.light_cone_time, 800)
-    terms = _series_order(sub, grid, len(block), 0)
+    terms = _series_order(_bracket(sub)[1], grid, len(block), 0)
     tracemalloc.start()
     try:
         values = chebyshev_expectation(sub, obs, psi[block], grid)
@@ -518,7 +547,7 @@ def test_series_holds_no_k_by_k_array(mid_model):
     psi = prepare_initial_state(basis)
     obs = excitation_observable_b(basis)
     grid = make_time_grid(300.0, 400)
-    terms = _series_order(ham, grid, basis.dimension, 0)
+    terms = _series_order(_bracket(ham)[1], grid, basis.dimension, 0)
     tracemalloc.start()
     try:
         chebyshev_expectation(ham, obs, psi, grid)
