@@ -10,10 +10,10 @@ integral ln P(t) / (1 + t^2) dt is what forbids extended zero intervals),
 difference two-atom runs against atom-free runs, locate signal fronts, and
 compare the second-order exchange probability with the propagated one.
 
-States are plain real or complex arrays over the basis.  A series on the
-dense backend is one propagator.evolve_grid call, whose states meet the
-observable in propagator.expectation_grid; on the sparse backend it is one
-propagator.chebyshev_expectation call, which forms no state.
+States are plain real or complex arrays over the basis.  A series is one
+propagator.chebyshev_expectation call, which forms no state; on the dense
+oracle it is one propagator.evolve_grid call, whose states meet the
+observable in propagator.expectation_grid.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .operators import (BoundedObservable, HermitianOperator, build_hamiltonian,
                         local_photon_observable)
 from .perturbation import mode_sum_amplitude
 from .propagator import (chebyshev_expectation, evolve_grid, expectation_grid,
-                         prepare_initial_state, resolve_method)
+                         prepare_initial_state)
 
 DEFAULT_EPSILON_ZERO = 1e-12
 DEFAULT_FLOOR = 1e-30
@@ -173,6 +173,11 @@ def resolve_observable(config: AnyConfig, observable, region=None) -> BoundedObs
 # ---------------------------------------------------------------------------
 
 
+def _check_method(method: str) -> None:
+    if method not in ("auto", "dense", "krylov"):
+        raise DomainError(f"unknown propagation method {method!r}")
+
+
 def series_from_operators(hamiltonian: HermitianOperator, initial,
                           observable: BoundedObservable, time_grid, *,
                           method: str = "auto", tol: float = DEFAULT_TOL) -> ProbabilitySeries:
@@ -187,18 +192,17 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     joins C to the rest of the space, so psi(t) = exp(-iHt) psi_0 vanishes
     outside C and evolving H[C, C] is exact, with no assumption about which
     symmetry H has.  P(t) is then evaluated with the observable restricted
-    to C (BoundedObservable.restricted), also exact.  "auto" picks the
-    backend on the full dimension, before the restriction, so a config keeps
-    the backend it would get without it (see probability_series for the
-    measured reason).
+    to C (BoundedObservable.restricted), also exact.
 
-    A grid that config.checked_times refuses or that is not strictly
-    increasing raises DomainError before any work.  The sparse backend sums
-    P(t) from the Chebyshev series (propagator.chebyshev_expectation) and
-    forms no state.  The dense backend forms every state with evolve_grid,
-    the dense eigendecomposition, and evaluates them with expectation_grid.
-    It shares no evaluation with the sparse backend and is its oracle.
+    An unknown method, or a grid that config.checked_times refuses or that
+    is not strictly increasing, raises DomainError before any work.  "auto"
+    and "krylov" sum P(t) from the Chebyshev series
+    (propagator.chebyshev_expectation) and form no state.  "dense" forms
+    every state with evolve_grid, the dense eigendecomposition, and
+    evaluates them with expectation_grid: it shares no evaluation with the
+    series and is its oracle.
     """
+    _check_method(method)
     times = checked_times(time_grid, np.finfo(float).max)  # each backend checks its own limit
     if np.any(times[1:] <= times[:-1]):
         raise DomainError("time grid must be strictly increasing")
@@ -208,13 +212,12 @@ def series_from_operators(hamiltonian: HermitianOperator, initial,
     # checked here, since the observable is restricted to the block below
     if observable.dimension != hamiltonian.dimension:
         raise ValueError("observable and Hamiltonian differ in dimension")
-    method = resolve_method(method, hamiltonian.dimension)
     block = hamiltonian.invariant_block(np.flatnonzero(initial))
     sub, start, obs = hamiltonian.block(block), initial[block], observable.restricted(block)
-    if method == "krylov":
-        values = chebyshev_expectation(sub, obs, start, times, tol=tol)
-    else:
+    if method == "dense":
         values = expectation_grid(obs, evolve_grid(sub, start, times))
+    else:
+        values = chebyshev_expectation(sub, obs, start, times, tol=tol)
     return ProbabilitySeries(times, values, observable.label)
 
 
@@ -234,14 +237,11 @@ def probability_series(config: AnyConfig, observable, time_grid, *,
         One of "excitation_b", "exchange", "photon_region", or a prebuilt
         observable on the config's basis.
     method : {"auto", "dense", "krylov"}
-        "auto" is resolved on the full dimension (dense up to DENSE_LIMIT),
-        not on the block's.  This is measured: on the default config's
-        1122-dim block, the real dense eigh plus an 801-point grid of
-        states and its expectation values took 0.27 s against 0.022 s for
-        P(t) from the Chebyshev series (medians of seven in-process runs,
-        the model already built; 2 cores, OpenBLAS), so keying the switch
-        on the block would slow that config down.
+        "auto" and "krylov" are the Chebyshev series; "dense" is the
+        eigendecomposition oracle (series_from_operators).  An unknown
+        name raises DomainError before the model is built.
     """
+    _check_method(method)
     obs = resolve_observable(config, observable, region=region)
     basis, hamiltonian = build_model(config)
     return series_from_operators(hamiltonian, prepare_initial_state(basis), obs,

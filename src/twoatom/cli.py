@@ -28,8 +28,9 @@ run's only inputs.
 Exit codes: 0 success, 2 configuration, usage or output-path error (or a
 grid whose points repeat or exceed the subcommand's arithmetic, or whose
 states or series table would not fit in physical memory), 3 numerical
-non-convergence, 4 basis dimension overflow (or a dense eigendecomposition
-or photon-region sector too large for physical memory), 1 unexpected failure.
+non-convergence, 4 basis dimension overflow (or a photon-region sector, or
+the dense eigendecomposition that only --method dense reaches, too large
+for physical memory), 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -299,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help='time grid as "t_max,steps"')
         if propagates:
             p.add_argument("--method", choices=["auto", "dense", "krylov"], default="auto",
-                           help="propagation backend (default %(default)s)")
+                           help="auto and krylov: the Chebyshev series; dense: the "
+                                "eigendecomposition oracle (default %(default)s)")
             p.add_argument("--tol", help=f"propagation tolerance (default {DEFAULT_TOL:g}); "
                                          "below about 1e-14 it is met or missed by rounding")
         return p

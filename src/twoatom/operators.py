@@ -104,7 +104,7 @@ class HermitianOperator:
         n = self.dimension
         require_memory(5 * n * n * self.matrix.dtype.itemsize, DimensionError,
                        f"a dense eigendecomposition of dimension {n}",
-                       "propagate with method 'krylov', or lower n_max or num_modes")
+                       "drop --method dense, or lower n_max or num_modes")
         # numpy's eigh, not scipy.linalg's in-place one: scipy links its own
         # OpenBLAS (scipy.libs/libscipy_openblas) beside numpy's
         # (numpy.libs/libscipy_openblas64_), and a model run maps only

@@ -1,7 +1,7 @@
 """Exact time evolution of truncated-basis states, and P(t) without the states.
 
-evolve_grid is the dense propagation call, and the independent oracle of
-the sparse backend.  It takes a state as a plain real or complex array and
+evolve_grid is the dense propagation call ("dense"), and the independent
+oracle of the series.  It takes a state as a plain real or complex array and
 returns exp(-i H t) psi0 for every real time t of a grid: the Hamiltonian
 is diagonalized once per call and evolution is exact phase multiplication
 in the eigenbasis.  Where H is real (every box model with even num_modes,
@@ -15,8 +15,8 @@ expectation_grid is the one evaluation of an observable held as blocks
 one matrix product per factor block and a plain sum of |psi|^2 per
 identity block.  A single state psi is the stack psi[None, :].
 
-chebyshev_expectation is the sparse backend ("krylov", and "auto" above
-DENSE_LIMIT): P(t) = <psi(t)|O|psi(t)> with no state formed and no series
+chebyshev_expectation is the production backend ("auto" and "krylov" at
+every dimension): P(t) = <psi(t)|O|psi(t)> with no state formed and no series
 vector kept.  It sums the Chebyshev series of Tal-Ezer & Kosloff (J. Chem.
 Phys. 81, 3967, 1984) over H's spectral bounds [lo, lo + 2 rho], read once
 and handed on as values with the length K, psi(t) = sum_k a_k(t) V_k with
@@ -42,7 +42,9 @@ from .errors import ConvergenceError, DomainError
 from .operators import BoundedObservable, HermitianOperator, _real_product
 from .perturbation import _miller_recurrence
 
-# largest dimension that "auto" hands to the dense eigendecomposition
+# Read by nothing in the package: auto runs the series at every dimension.
+# Kept only for bench/test_bench.py, which imports it; the benchmark's next
+# refresh (ROADMAP item 1a) deletes it together with that test.
 DENSE_LIMIT = 2000
 # series vectors formed, observed and summed at a time
 BLOCK = 32
@@ -59,15 +61,6 @@ def prepare_initial_state(basis: FockBasis) -> np.ndarray:
     psi0 = np.zeros(basis.dimension)
     psi0[index_of_bare_state(basis, 1, 0, basis.vacuum)] = 1.0
     return psi0
-
-
-def resolve_method(method: str, dim: int) -> str:
-    """The backend that `method` names for a Hamiltonian of dimension dim."""
-    if method == "auto":
-        return "dense" if dim <= DENSE_LIMIT else "krylov"
-    if method not in ("dense", "krylov"):
-        raise DomainError(f"unknown propagation method {method!r}")
-    return method
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:

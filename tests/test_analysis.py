@@ -26,8 +26,7 @@ from twoatom.basis import index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig, make_time_grid
 from twoatom.errors import ConfigError, DomainError
 from twoatom.operators import BoundedObservable, HermitianOperator
-from twoatom.propagator import (DENSE_LIMIT, evolve_grid, expectation_grid,
-                                prepare_initial_state, resolve_method)
+from twoatom.propagator import evolve_grid, expectation_grid, prepare_initial_state
 
 
 def synthetic_series(values, signed=False, t_max=None):
@@ -448,38 +447,64 @@ def test_block_series_matches_full_space(name, without_a, method):
             assert np.max(np.abs(values - formed)) <= 1e-13, observable
 
 
-def test_auto_resolves_on_the_full_dimension(monkeypatch):
-    # on the default config's 1122-dim block the dense path (a real eigh)
-    # plus an 801-point grid took 0.27 s against 0.022 s for the Chebyshev
-    # series (probability_series' docstring), so "auto" keeps the backend
-    # the full dimension (2244) selects
-    config = ModelConfig()
-    basis, ham = build_model(config)
-    block = ham.invariant_block(np.flatnonzero(prepare_initial_state(basis)))
-    assert len(block) <= DENSE_LIMIT < basis.dimension
-    eigensystem = HermitianOperator.eigensystem
+AUTO_CONFIGS = {
+    "default": ModelConfig(),
+    "box8": ModelConfig(num_modes=8, n_max=2),
+    "lattice": LatticeConfig(),
+    "rotating_wave": ModelConfig(coupling_form="rotating_wave"),
+    "box7_complex": ModelConfig(num_modes=7),
+}
+
+
+@pytest.mark.parametrize("name", AUTO_CONFIGS)
+def test_auto_is_the_series_at_every_dimension(name, monkeypatch):
+    # "auto" names the Chebyshev series at every dimension: 2244 states
+    # (default, rotating_wave), 364 (lattice), 180 (box8) and a complex H of
+    # 144 (odd num_modes)
+    config = AUTO_CONFIGS[name]
+    if name == "box7_complex":
+        assert np.iscomplexobj(build_model(config)[1].matrix.data)
 
     def refuse(self):
-        raise AssertionError("auto took the dense path above DENSE_LIMIT")
+        raise AssertionError("auto took the dense eigendecomposition")
 
     monkeypatch.setattr(HermitianOperator, "eigensystem", refuse)
-    series = probability_series(config, "excitation_b", make_time_grid(1.0, 20),
-                                method="auto")
-    assert series.values[-1] > 0
+    grid = make_time_grid(2.0, 20)
+    auto = probability_series(config, "excitation_b", grid, method="auto")
+    krylov = probability_series(config, "excitation_b", grid, method="krylov")
+    assert auto.values.tobytes() == krylov.values.tobytes()
+    assert auto.values[-1] > 0
 
+
+def test_dense_is_one_eigendecomposition(monkeypatch):
     calls = []
+    eigensystem = HermitianOperator.eigensystem
 
     def counted(self):
         calls.append(self.dimension)
         return eigensystem(self)
 
     monkeypatch.setattr(HermitianOperator, "eigensystem", counted)
-    small = ModelConfig(num_modes=8, n_max=2)
-    assert build_model(small)[0].dimension <= DENSE_LIMIT
-    probability_series(small, "excitation_b", make_time_grid(1.0, 20), method="auto")
-    assert calls
-    with pytest.raises(DomainError, match="unknown propagation method"):
-        resolve_method("bogus", basis.dimension)
+    probability_series(ModelConfig(num_modes=8, n_max=2), "excitation_b",
+                       make_time_grid(2.0, 20), method="dense")
+    assert len(calls) == 1
+
+
+def test_unknown_method_is_refused_before_the_model(monkeypatch):
+    config = ModelConfig(num_modes=8, n_max=2)
+    ham = build_model(config)[1]
+    obs = resolve_observable(config, "excitation_b")
+
+    def refuse(config):
+        raise AssertionError("a model was built for an unknown method")
+
+    monkeypatch.setattr("twoatom.analysis.build_model", refuse)
+    grid = make_time_grid(1.0, 4)
+    with pytest.raises(DomainError, match="unknown propagation method 'bogus'"):
+        probability_series(config, "excitation_b", grid, method="bogus")
+    # the operator-level call refuses it before checking anything else
+    with pytest.raises(DomainError, match="unknown propagation method 'bogus'"):
+        series_from_operators(ham, np.zeros(1), obs, grid, method="bogus")
 
 
 def test_krylov_series_forms_no_grid_of_states(monkeypatch):

@@ -675,6 +675,41 @@ def test_zero_tolerance_is_valid_and_unmet_exits_three(tmp_path, small_config, c
     assert not out.exists()
 
 
+def test_tol_gates_auto_on_the_lattice(tmp_path, capsys):
+    # the lattice's 364 states once took the dense path under auto, which
+    # ignores --tol; the series' certificate reads 1.1e-15 there
+    config = tmp_path / "lattice.cfg"
+    config.write_text("field_model = lattice\n")
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", str(config), "--out", str(out), "--tol", "0"])
+    assert code == 3
+    assert "off by 1.110e-15" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--tol", "1e-13"]) == 0
+
+
+def test_criterion_6_auto_matches_dense_at_the_benchmark_shape(tmp_path):
+    # dichotomy --observable photon_region on 30 modes (992-state block):
+    # the series under auto against the dense eigendecomposition
+    config = tmp_path / "photon.cfg"
+    config.write_text("num_modes = 30\n")
+    runs = {}
+    for method in ("auto", "dense"):
+        out = tmp_path / method
+        assert main(["dichotomy", "--observable", "photon_region", "--config", str(config),
+                     "--out", str(out), "--method", method]) == 0
+        values = np.loadtxt(out / "dichotomy.csv", delimiter=",", skiprows=1)
+        report = json.loads((out / "dichotomy.json").read_text())["report"]
+        runs[method] = values, report
+    (auto, auto_report), (dense, dense_report) = runs["auto"], runs["dense"]
+    assert np.array_equal(auto[:, 0], dense[:, 0])
+    assert np.max(np.abs(auto[:, 1] - dense[:, 1])) <= 1e-12
+    for key in ("classification", "num_zero_candidates", "num_isolated_zero_candidates",
+                "interior_plateaus"):
+        assert auto_report[key] == dense_report[key], key
+
+
 def test_photon_sector_beyond_memory_exits_four(tmp_path, small_config, capsys, monkeypatch):
     # physical memory made smaller than the two dense arrays of the
     # one-photon sector (4 x 4 entries of up to 16 bytes each)
@@ -699,8 +734,9 @@ def test_dense_eigh_beyond_memory_exits_four(tmp_path, capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 4
-    assert "dense eigendecomposition of dimension 1122 needs 0.0504 GB" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dense eigendecomposition of dimension 1122 needs 0.0504 GB" in err
+    assert "drop --method dense" in err
     assert not out.exists()
     # the model itself peaks near 14 MB; the eigh would add at least 20 MB
     assert peak < 20 * 2**20
@@ -714,8 +750,9 @@ def test_dense_eigh_counts_its_workspace(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     code = main(["simulate", "--out", str(out), "--grid", "1,10", "--method", "dense"])
     assert code == 4
-    assert "dense eigendecomposition of dimension 1122 needs 0.0504 GB" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dense eigendecomposition of dimension 1122 needs 0.0504 GB" in err
+    assert "drop --method dense" in err
     assert not out.exists()
 
 
