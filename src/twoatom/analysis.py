@@ -447,8 +447,10 @@ def cutoff_sweep(config: ModelConfig, cutoffs, time_grid, *,
     probability before the light cone, and the log-integral; rows that fail
     keep their error message instead of aborting the sweep.  The observed
     trend of the pre-cone maxima is reported as is, with no expectation
-    attached.  Rows are computed one after another in the input order.
+    attached.  Rows are computed one after another in the input order.  An
+    unknown method raises DomainError before any row.
     """
+    _check_method(method)
     if not isinstance(config, ModelConfig):
         raise ConfigError("cutoff sweeps apply to the box-field config only")
     cutoffs = [float(c) for c in cutoffs]

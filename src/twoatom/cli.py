@@ -15,8 +15,9 @@ that propagate (all but fermi-integral) also take ``--method`` and
 ``--tol``.  Every subcommand writes a CSV plus a JSON summary that embeds
 the run manifest (config snapshot, grid, tolerances, output names, and a
 fingerprint hashing all of them).  Floats are printed with 17 significant
-digits and no timestamps are recorded, so on one BLAS build at one thread
-count a rerun of the same manifest is byte-identical on either backend.
+digits and no timestamps are recorded, so a rerun of the same manifest,
+with the same --method, is byte-identical on one BLAS build at one thread
+count.
 Files go to temporaries after the computation and are renamed into place
 once all are written: a run whose outputs cannot be written leaves none.
 

@@ -23,12 +23,13 @@ and handed on as values with the length K, psi(t) = sum_k a_k(t) V_k with
 V_k = T_k((H - lo) / rho - 1) psi0, until its tail is below unit roundoff
 at every point.  The three-term recurrence runs once, BLOCK vectors at a
 time, in float64 when H and psi0 are both real; each block leaves its
-observed rows M and its lengths ||V_k||, a thin QR reduces M to a K x K
-triangular factor S, and P(t) = ||S a(t)||^2 at each point.  The lengths
-and the coefficients certify the series (_check_accuracy).  Its memory is
-the K observed rows, the K x K factor, one block of vectors and one chunk
-of the coefficients a(t), where evolve_grid's states are one entry per
-point and basis state.
+observed rows M and its lengths ||V_k||, a thin QR reduces M to a
+triangular factor S, and P(t) = ||T J(rho t)||^2 at each point, in real
+arithmetic: T is real, formed once from S, and J is a real Bessel table.
+The lengths and the table certify the series (_check_accuracy).  Its
+memory is the K observed rows, the factor, one block of vectors and one
+chunk of J, where evolve_grid's states are one entry per point and basis
+state.
 """
 
 from __future__ import annotations
@@ -77,14 +78,12 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _exp_coefficients(w: np.ndarray, terms: int) -> np.ndarray:
-    """a_k(w) for k < terms, where exp(-i w (1 + x)) = sum_k a_k T_k(x) on [-1, 1].
+def _bessel_table(w: np.ndarray, terms: int) -> np.ndarray:
+    """J_k(w) for k < terms as float64, one column per real point w.
 
-    a_k = (2 - delta_k0) (-i)^k J_k(w) e^{-iw}, one column per real point w,
-    so |a_k| <= 2.  The real J_k come from Miller's backward recurrence
-    (_miller_recurrence) from J_order = 1, order = max(terms, ceil(max|w|))
-    + 10, normalised by e^{iw} = J_0 + 2 sum_k i^k J_k, which has modulus 1
-    and also supplies the factor e^{-iw}.  Orders near the start are
+    Miller's backward recurrence (_miller_recurrence) from J_order = 1,
+    order = max(terms, ceil(max|w|)) + 10, normalised by J_0 + 2 sum_k J_2k
+    = 1 (Abramowitz & Stegun, section 9.1).  Orders near the start are
     inaccurate; ten orders below it, past |w|, they are not, which is the
     margin _series_order leaves above K.  Below |w| = 1e-150 it is
     J_k = delta_k0 to double precision.
@@ -92,20 +91,19 @@ def _exp_coefficients(w: np.ndarray, terms: int) -> np.ndarray:
     small = np.abs(w) < 1e-150
     order = max(terms, int(np.ceil(np.max(np.abs(w), initial=0.0)))) + 10
     table = _miller_recurrence(2.0 / np.where(small, 1, w), 0.0, order, order + 1)
-    weights = 2.0 * np.array([1, 1j, -1, -1j])[np.arange(order + 1) % 4]
-    weights[0] = 1.0  # (2 - delta_k0) i^k
-    # the weights are real or imaginary: two real products, no complex table
-    norm = weights.real @ table + 1j * (weights.imag @ table)
-    coeff = table[:terms] / norm
-    coeff *= weights.conjugate()[:terms, None]
-    coeff[:, small] = 0.0
-    coeff[0, small] = 1.0
-    return coeff
+    bessel = table[:terms] / (table[0] + 2.0 * table[2::2].sum(axis=0))
+    bessel[:, small] = 0.0
+    bessel[0, small] = 1.0
+    return bessel
 
 
-def _series_length(coeff: np.ndarray) -> int:
-    """The least K >= 1 with max_t sum_{k >= K} |a_k(t)| at most unit roundoff."""
-    sums = np.abs(coeff[::-1])
+def _series_length(table: np.ndarray) -> int:
+    """The least K >= 1 with max_t sum_{k >= K} |a_k(t)| at most unit roundoff.
+
+    |a_k| = (2 - delta_k0) |J_k| for the table J; the factor at k = 0 is in
+    no tail past K = 0, so 2 |J_k| serves at every k.
+    """
+    sums = 2.0 * np.abs(table[::-1])
     tail = np.cumsum(sums, axis=0, out=sums)[::-1].max(axis=1, initial=0.0)
     return max(int(np.count_nonzero(tail > np.finfo(float).eps / 2)), 1)
 
@@ -118,45 +116,43 @@ def _series_order(radius: float, times: np.ndarray, size: int, rows: int) -> int
     with |w| (J_k rises on [0, k]), and K lies above rho |t| at every point,
     so w = max rho |t| sets K alone: one probe of order w + 18 w^(1/3) + 30.
     The tail past k = w falls over a width like w^(1/3), and K is at least
-    29 below that order for every w in [0, 1e6], where _exp_coefficients
+    29 below that order for every w in [0, 1e6], where _bessel_table
     needs 10; a probe short of 10, which the weights would not see, raises
     ConvergenceError.
 
     A series of up to `order` terms observed on `rows` rows keeps, per term,
     the observed rows M, the QR's copies (of M, or of one chunk stacked
-    under the factor so far, and that stack's own copy) and S, beside one
-    block of vectors of `size` entries and one chunk of the coefficient
-    table.  A run whose entries, at 16 bytes each, could not fit in physical
-    memory raises DomainError before the probe table is formed.
+    under the factor so far, and that stack's own copy) and S, or once M is
+    gone S and S', beside one block of vectors of `size` entries and one
+    chunk of the Bessel table.  A run whose entries, at 16 bytes each,
+    could not fit in physical memory raises DomainError before the probe
+    table is formed.
     """
     largest = float(np.max(np.abs(radius * times), initial=0.0))
     order = int(largest + 18 * np.cbrt(largest) + 30)
     copies = rows if rows <= QR_ROWS else 2 * (QR_ROWS + order)
     held = order * (rows + copies + order)
-    # a chunk of the table beside its a(t) and S a(t)
+    # a chunk of Miller's table beside J and T J
     table = 3 * (order + 2) * min(CHUNK, len(times))
     require_memory((held + (BLOCK + 2) * size + table) * 16, DomainError,
                    f"the Chebyshev series of order {order:.3g} for rho*|t| up to {largest:.3g}",
                    "shorten the grid")
-    terms = _series_length(_exp_coefficients(np.array([largest]), order + 1))
+    terms = _series_length(_bessel_table(np.array([largest]), order + 1))
     if terms > order - 10:
         raise ConvergenceError(f"the Chebyshev series for rho*|t| up to {largest:.3g} "
                                f"needs more than the {order} terms probed")
     return terms
 
 
-def _coefficient_chunks(lo: float, radius: float, times: np.ndarray, terms: int):
-    """(columns, a) for consecutive chunks of the grid, a[k] = a_k(t) for k < terms.
+def _coefficient_chunks(radius: float, times: np.ndarray, terms: int):
+    """(columns, J) for consecutive chunks of the grid, J[k] = J_k(radius t) for k < terms.
 
-    exp(-i H t) psi0 = sum_k a_k(t) V_k over the bracket [lo, lo + 2 radius];
-    each chunk of the table holds its K rows, from a recurrence started ten
-    orders above K (_exp_coefficients).
+    Each chunk of the table holds its K rows, from a recurrence started ten
+    orders above K (_bessel_table).
     """
     for first in range(0, len(times), CHUNK):
         columns = slice(first, first + CHUNK)
-        coeff = _exp_coefficients(radius * times[columns], terms)
-        coeff *= np.exp(-1j * lo * times[columns])
-        yield columns, coeff
+        yield columns, _bessel_table(radius * times[columns], terms)
 
 
 def _chebyshev_blocks(hamiltonian: HermitianOperator, lo: float, radius: float,
@@ -187,13 +183,9 @@ def _chebyshev_blocks(hamiltonian: HermitianOperator, lo: float, radius: float,
         yield start, rows[2:2 + stop - start]
 
 
-def _bessel_weights(coeff: np.ndarray) -> np.ndarray:
-    """|a_0|^2 + sum_{k >= 1} |a_k|^2 / 2 = J_0^2 + 2 sum_k J_k^2 for every column a of coeff."""
-    # one sum over the interleaved real and imaginary parts: no |a|^2 formed
-    halves = np.full(len(coeff), 0.5)
-    halves[0] = 1.0
-    parts = coeff.view(np.float64)
-    return np.einsum("k,kj,kj->j", halves, parts, parts).reshape(-1, 2).sum(axis=1)
+def _bessel_weights(table: np.ndarray) -> np.ndarray:
+    """J_0^2 + 2 sum_{k >= 1} J_k^2 for every column of a table J_k, which is 1 (A & S 9.1)."""
+    return 2.0 * np.einsum("kj,kj->j", table, table) - table[0] ** 2
 
 
 def _observed_series(hamiltonian: HermitianOperator, lo: float, radius: float,
@@ -224,10 +216,11 @@ def _check_accuracy(lengths: np.ndarray, weights: np.ndarray, tol: float) -> Non
 
     On a true bracket |T_k| <= 1 on the spectrum, so no ||V_k|| exceeds
     ||V_0|| = ||psi0||; a bracket too narrow makes some ||V_k|| grow like
-    2^k.  The weights (_bessel_weights) are 1 at every point, which checks
-    Miller's table.  With both, psi(t) is off the truncated series by at
-    most ||psi0|| sum_{k >= K} |a_k(t)|, which _series_length holds below
-    unit roundoff.
+    2^k.  The weights J_0^2 + 2 sum_k J_k^2 (_bessel_weights) are 1 at
+    every point, which checks Miller's table against an identity other than
+    its normalisation.  With both, psi(t) is off the truncated series by at
+    most ||psi0|| sum_{k >= K} (2 - delta_k0) |J_k(rho t)|, which
+    _series_length holds below unit roundoff.
     """
     norm = lengths[0]
     excess = lengths.max() - norm
@@ -292,24 +285,29 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
 
     The sparse backend's series gives psi(t) = sum_k a_k(t) V_k, so block b
     of the observable sees F_b psi(t)[I_b] = M_b a(t), M_b = F_b V[:, I_b]^T.
-    With M = Q S the thin QR of the stacked M_b, P(t) = ||S a(t)||^2: a sum
-    of squares, non-negative by construction.  Householder QR is backward
-    stable column by column, so S a(t) carries the rounding of M a(t) and
-    a P of 1e-13 keeps its relative digits; the Gram form a^dagger M^dagger
-    M a would square M's conditioning instead.  An M taller than QR_ROWS
-    rows is reduced a chunk at a time, S <- qr([S; M_chunk]), because
-    np.linalg.qr copies its argument: the QR holds one chunk, not a second M.
+    With M = Q S the thin QR of the stacked M_b, P(t) = ||S a(t)||^2, where
+    a_k(t) = (2 - delta_k0) (-i)^k J_k(rho t) e^{-i (lo + rho) t}.  The
+    phase drops out of the norm, so with S' = S diag((2 - delta_k0) (-i)^k),
+    formed once, and the real T = [Re S'; Im S'], a view of S' and no copy,
+    P(t) = ||T J(rho t)||^2: a sum of squares of one real product,
+    non-negative by construction (for a real S, Re S' holds the even
+    columns and Im S' the odd ones).
+    Householder QR is backward stable column by column, so T J carries the
+    rounding of M a(t) and a P of 1e-13 keeps its relative digits; the Gram
+    form a^dagger M^dagger M a would square M's conditioning instead.  An M
+    taller than QR_ROWS rows is reduced a chunk at a time,
+    S <- qr([S; M_chunk]), because np.linalg.qr copies its argument: the QR
+    holds one chunk, not a second M.
 
     The recurrence runs once, and each block of vectors leaves only its
     observed rows and its lengths ||V_k|| behind (_observed_series), so no
-    V is kept.  The coefficients a(t) are formed a chunk of points at a
-    time.  The work per point is one product with S; the memory is K
-    observed rows, the K x K factor, one block of vectors and one chunk of
-    the table.
+    V is kept.  The real table J is formed a chunk of points at a time.
+    The work per point is one real product with T; the memory is K
+    observed rows, the factor, one block of vectors and one chunk of J.
 
     The grid and the state are checked as in evolve_grid.  A series that
     could not fit in physical memory raises DomainError before it is
-    formed, and one whose largest ||V_k|| or whose coefficient weights
+    formed, and one whose largest ||V_k|| or whose Bessel weights
     (_check_accuracy) are off by more than tol raises ConvergenceError.
     P(0) is <psi0|O|psi0> itself.
     """
@@ -329,10 +327,16 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
         chunk = observed[first:first + QR_ROWS]
         factor = np.linalg.qr(np.concatenate([factor, chunk]), mode="r")
     del observed
+    # S'^T = diag((2 - delta_k0) (-i)^k) S^T, formed once; its float64 view
+    # is T^T with the rows of T = [Re S'; Im S'] interleaved, which leaves
+    # every norm as it is and needs no copy of S'
+    scale = np.array([2, -2j, -2, 2j])[np.arange(terms) % 4]
+    scale[0] = 1
+    factor = np.multiply(scale[:, None], factor.T, order="C").view(np.float64)
     values, weights = np.empty(len(times)), np.empty(len(times))
-    for columns, coeff in _coefficient_chunks(lo, radius, times, terms):
-        values[columns] = _squared_norms(_real_product(factor, coeff).T)
-        weights[columns] = _bessel_weights(coeff)
+    for columns, table in _coefficient_chunks(radius, times, terms):
+        values[columns] = _squared_norms(table.T @ factor)
+        weights[columns] = _bessel_weights(table)
     _check_accuracy(lengths, weights, tol)
     values[times == 0] = expectation_grid(observable, psi0[None, :])
     return values

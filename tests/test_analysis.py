@@ -351,6 +351,17 @@ def test_cutoff_sweep_validation(sweep_config):
         cutoff_sweep(LatticeConfig(), [4.0], grid)
 
 
+def test_cutoff_sweep_refuses_an_unknown_method_before_any_row(monkeypatch):
+    # an unknown method is the caller's error, not one error row per cutoff
+    def refuse(*args):
+        raise AssertionError("a row was computed for an unknown method")
+
+    monkeypatch.setattr("twoatom.analysis._sweep_row", refuse)
+    grid = make_time_grid(2.0, 10)
+    with pytest.raises(DomainError, match="unknown propagation method 'bogus'"):
+        cutoff_sweep(ModelConfig(), [4, 8], grid, method="bogus")
+
+
 def test_a_region_needs_photon_region(monkeypatch):
     def refuse(config):
         raise AssertionError("a model was built")

@@ -518,12 +518,12 @@ def test_failed_rename_restores_the_previous_run(tmp_path, small_config, capsys,
 @pytest.mark.parametrize("t_max", ["1e9", "1e15"])
 def test_merely_huge_grid_exits_two_before_any_table(tmp_path, small_config, capsys,
                                                      monkeypatch, t_max):
-    # the series order grows like rho * t_max, so its coefficient table would
+    # the series order grows like rho * t_max, so its Bessel table would
     # outgrow physical memory; it is refused before any table is formed
     def refuse(*args, **kwargs):
-        raise AssertionError("a coefficient table was formed")
+        raise AssertionError("a Bessel table was formed")
 
-    monkeypatch.setattr("twoatom.propagator._exp_coefficients", refuse)
+    monkeypatch.setattr("twoatom.propagator._bessel_table", refuse)
     out = tmp_path / "run"
     tracemalloc.start()
     try:
@@ -661,8 +661,8 @@ def test_bad_tolerance_exits_two_before_any_model(tmp_path, small_config, capsys
 
 
 @pytest.mark.parametrize("argv", [
-    # on 40 steps the weights miss 1 by 3.3e-16; on the 5 points of "2,4"
-    # both certificate terms are exactly 0, and a zero tolerance is met there
+    # on 40 steps the weights miss 1 by 4.4e-16, a rounding that a grid of
+    # a few points may not show
     ["simulate", "--method", "krylov", "--tol", "0", "--grid", "2,40"],
     ["fermi-integral", "--quad-tol", "0", "--grid", "2,4"],
 ], ids=["tol", "quad-tol"])
@@ -677,13 +677,13 @@ def test_zero_tolerance_is_valid_and_unmet_exits_three(tmp_path, small_config, c
 
 def test_tol_gates_auto_on_the_lattice(tmp_path, capsys):
     # the lattice's 364 states once took the dense path under auto, which
-    # ignores --tol; the series' certificate reads 1.1e-15 there
+    # ignores --tol; the series' certificate reads 1.3e-15 there
     config = tmp_path / "lattice.cfg"
     config.write_text("field_model = lattice\n")
     out = tmp_path / "run"
     code = main(["simulate", "--config", str(config), "--out", str(out), "--tol", "0"])
     assert code == 3
-    assert "off by 1.110e-15" in capsys.readouterr().err
+    assert "off by 1.332e-15" in capsys.readouterr().err
     assert not out.exists()
     assert main(["simulate", "--config", str(config), "--out", str(out),
                  "--tol", "1e-13"]) == 0

@@ -21,9 +21,9 @@ from twoatom.operators import (
 )
 from twoatom.propagator import (
     QR_ROWS,
+    _bessel_table,
     _chebyshev_blocks,
     _coefficient_chunks,
-    _exp_coefficients,
     _observed_series,
     _series_order,
     chebyshev_expectation,
@@ -311,7 +311,7 @@ def test_lattice_propagation_unitary():
     assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-12
 
 
-def test_exp_coefficients_match_scipy_jv():
+def test_bessel_table_matches_scipy_jv():
     # Miller's recurrence against scipy's J_k, with no warning on the way:
     # w = 0, tiny |w| (ratios 2k/w near 1e14 before rescaling), either sign
     # and |w| near 400
@@ -319,13 +319,12 @@ def test_exp_coefficients_match_scipy_jv():
     order = 600
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coeff = _exp_coefficients(w, order + 1)
+        table = _bessel_table(w, order + 1)
+    assert table.dtype == np.float64
     k = np.arange(order - 50)[:, None]
-    # (2 - delta_k0) (-i)^k J_k(w) e^{-iw}: the Chebyshev coefficients of exp(-iw(1 + x))
-    oracle = np.where(k == 0, 1, 2) * (-1j) ** k * jv(k, w) * np.exp(-1j * w)
-    # the normalising sum has order terms, each rounded once
-    assert np.max(np.abs(coeff[:order - 50] - oracle)) <= order * np.finfo(float).eps / 2
-    assert np.array_equal(coeff[:, 0], np.eye(order + 1)[0])
+    # the normalising sum has order / 2 terms, each rounded once
+    assert np.max(np.abs(table[:order - 50] - jv(k, w))) <= order * np.finfo(float).eps / 2
+    assert np.array_equal(table[:, 0], np.eye(order + 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +419,10 @@ def test_chebyshev_expectation_keeps_the_checks_of_the_states_path(mid_model):
     basis, ham = mid_model
     psi = prepare_initial_state(basis)
     obs = excitation_observable_b(basis)
-    # a norm tolerance below rounding: the same ConvergenceError, residual attached
+    # a norm tolerance below rounding: the same ConvergenceError, residual
+    # attached (on [0, 1, 2] alone the weights round to exactly 1)
     with pytest.raises(ConvergenceError) as caught:
-        chebyshev_expectation(ham, obs, psi, [0.0, 1.0, 2.0], tol=1e-30)
+        chebyshev_expectation(ham, obs, psi, [0.0, 1.0, 2.0, 3.0], tol=1e-30)
     assert 1e-30 < caught.value.residual < 1e-12
     for grid in ([1.0 + 0.5j], np.array([0.0, 2.0], dtype=complex),
                  [0.0, np.nan], [np.inf], [1.0, 1e308]):
@@ -441,8 +441,9 @@ def test_chebyshev_expectation_keeps_the_checks_of_the_states_path(mid_model):
 @pytest.mark.parametrize("name", CRITERION_6_CONFIGS)
 def test_series_certificate_holds_on_the_vectors(name):
     # the two checks of the series from the stored vectors: every ||V_k||
-    # within ||psi0||, the weights |a_0|^2 + sum_k |a_k|^2 / 2 at 1, and with
-    # them the norm ||sum_k a_k V_k|| = ||psi0|| at every point
+    # within ||psi0||, the weights J_0^2 + 2 sum_k J_k^2 at 1, and with them
+    # the norm ||sum_k a_k V_k|| = ||psi0|| at every point, for the complex
+    # a_k = (2 - delta_k0) (-i)^k J_k (the phase e^{-i (lo + rho) t} keeps norms)
     config = CRITERION_6_CONFIGS[name]
     basis, ham = build_model(config)
     psi = prepare_initial_state(basis)
@@ -454,23 +455,25 @@ def test_series_certificate_holds_on_the_vectors(name):
     assert vectors.shape == (terms, basis.dimension)
     norm = np.linalg.norm(psi)
     assert np.linalg.norm(vectors, axis=1).max() <= norm * (1 + 1e-13)
-    halves = np.where(np.arange(terms) == 0, 1.0, 0.5)
-    for _, coeff in _coefficient_chunks(lo, radius, grid, terms):
-        assert np.max(np.abs(halves @ np.abs(coeff) ** 2 - 1)) <= 1e-14
+    k = np.arange(terms)
+    doubles = np.where(k == 0, 1.0, 2.0)
+    for _, table in _coefficient_chunks(radius, grid, terms):
+        assert np.max(np.abs(doubles @ table ** 2 - 1)) <= 1e-14
+        coeff = (doubles * (-1j) ** k)[:, None] * table
         lengths = np.linalg.norm(vectors.T @ coeff, axis=0)
         assert np.max(np.abs(lengths - norm)) <= 1e-13
 
 
 def test_coefficient_check_catches_a_perturbed_coefficient(mid_model, monkeypatch):
-    # one a_k off by 1e-6 relative moves the weights by about 1e-6 |a_k|^2,
+    # one J_k off by 1e-6 relative moves the weights by about 2e-6 J_k^2,
     # far above the tolerance, while the bracket check sees nothing
     basis, ham = mid_model
     chunks = _coefficient_chunks
 
     def perturbed(*args):
-        for columns, coeff in chunks(*args):
-            coeff[1] *= 1 + 1e-6
-            yield columns, coeff
+        for columns, table in chunks(*args):
+            table[1] *= 1 + 1e-6
+            yield columns, table
 
     monkeypatch.setattr("twoatom.propagator._coefficient_chunks", perturbed)
     with pytest.raises(ConvergenceError):
@@ -495,7 +498,7 @@ def test_one_probe_leaves_the_series_its_margin(reach):
 def test_a_probe_that_falls_short_raises(monkeypatch):
     # a tail still above unit roundoff ten orders below the probe would cut
     # the series short by more than the coefficient weights can see
-    monkeypatch.setattr("twoatom.propagator._series_length", lambda coeff: len(coeff) - 10)
+    monkeypatch.setattr("twoatom.propagator._series_length", lambda table: len(table) - 10)
     with pytest.raises(ConvergenceError, match="needs more than the 65 terms probed"):
         _series_order(1.0, np.array([5.0]), 1, 1)
 
