@@ -29,9 +29,9 @@ run's only inputs.
 Exit codes: 0 success, 2 configuration, usage or output-path error (or a
 grid whose points repeat or exceed the subcommand's arithmetic, or whose
 states or series table would not fit in physical memory), 3 numerical
-non-convergence, 4 basis dimension overflow (or a photon-region sector, or
-the dense eigendecomposition that only --method dense reaches, too large
-for physical memory), 1 unexpected failure.
+non-convergence, 4 basis dimension overflow (or a photon-region contraction
+step, or the dense eigendecomposition that only --method dense reaches, too
+large for physical memory), 1 unexpected failure.
 """
 
 from __future__ import annotations

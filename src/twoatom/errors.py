@@ -18,8 +18,8 @@ class DimensionError(TwoAtomError):
 
     Raised for a basis above basis.DIMENSION_LIMIT, for a dense
     eigendecomposition (HermitianOperator.eigensystem) whose matrix and
-    eigenvectors could not fit in physical memory, and for a photon-number
-    sector whose dense arrays could not.
+    eigenvectors could not fit in physical memory, and for a photon-region
+    observable whose widest contraction step could not.
     """
 
 

@@ -25,9 +25,9 @@ Every field term is linear in the smeared annihilator a(w) = sum_j w_j a_j
 on the occupation block, and all of them come from one table of lowering
 entries: a_j |occ> = sqrt(occ_j) |occ - e_j> for every occupied slot j of
 every occupation, which the basis holds (FockBasis.lowering).  a(w) is that
-table with entries w_j sqrt(occ_j) (_smeared): Phi_X = a(c_X), a_j = a(e_j)
-in the hopping, and the rotated modes of the photon-region observable are
-a(conj U[:, i]).  The Hamiltonian's terms are (row, col, value) triplets
+table with entries w_j sqrt(occ_j) (_smeared): Phi_X = a(c_X) and
+a_j = a(e_j) in the hopping; the photon-region observable reads its
+contraction tables from the same entries.  The Hamiltonian's terms are (row, col, value) triplets
 placed on their atom pairs by FockBasis.states, the basis layout's formula.
 Hermiticity is structural: the Hamiltonian is assembled as D + U + U^dagger
 from its real diagonal D and the terms U that raise the basis index, and
@@ -39,10 +39,12 @@ factor W with O = W^dagger W, and O itself is never formed.  A block is a
 set of basis indices with a factor acting on just those amplitudes, or with
 none for the identity.  The two projectors are one identity block each; the
 photon-region observable is one block per atom state and photon number,
-and the blocks of one photon number share a single dense factor.  Its
-region count N_S is the second quantization of an m x m one-body kernel,
-so one eigh of that kernel gives every eigenvector, as a Fock state of
-rotated modes, and no sector of N_S is ever formed or diagonalized.
+and the blocks of one photon number share a single factor.  Its region
+count N_S is the second quantization of an m x m one-body kernel, so one
+eigh of that kernel gives every eigenvector, as a Fock state of rotated
+modes, and no sector of N_S is ever formed or diagonalized.  A sector's
+factor is applied by contracting the kernel's eigenvectors along each axis
+of a symmetric tensor (_SectorFactor), so it is never formed either.
 
 format_triplets renders a Hamiltonian as the text dump that
 `twoatom simulate --dump-hamiltonian` writes: '#' header lines, then one
@@ -51,6 +53,7 @@ format_triplets renders a Hamiltonian as the text dump that
 
 from __future__ import annotations
 
+import dataclasses
 from functools import cached_property
 
 import numpy as np
@@ -156,8 +159,9 @@ class BoundedObservable:
 
     Block k is a pair (indices, factor): I_k, a sorted array of basis
     indices, and F_k, any matrix with one column per index that supports
-    .shape, column slicing and @ (a numpy array or a scipy sparse matrix),
-    or None for the identity.  With P_k the map psi -> psi[I_k],
+    .shape, .dtype, column slicing F[:, mask] and F @ X for a 2-d X (a
+    numpy array, a scipy sparse matrix or a _SectorFactor), or None for
+    the identity.  With P_k the map psi -> psi[I_k],
 
         O = sum_k P_k^T F_k^dagger F_k P_k,
 
@@ -199,12 +203,14 @@ class BoundedObservable:
     def sqrt_factor(self):
         """W as one csr matrix: the blocks' rows stacked in block order.
 
-        Assembled on first use and then kept; evaluation never needs it.
+        Each factor is applied to the identity, so this forms every block
+        densely; assembled on first use and then kept, and evaluation never
+        needs it.
         """
         parts = [scipy.sparse.csr_matrix((0, self.dimension), dtype=np.complex128)]
         for indices, factor in self.blocks:
             rows = (scipy.sparse.identity(len(indices), format="csr") if factor is None
-                    else scipy.sparse.csr_matrix(factor))
+                    else scipy.sparse.csr_matrix(factor @ np.identity(len(indices))))
             parts.append(scipy.sparse.csr_matrix(
                 (rows.data, indices[rows.indices], rows.indptr),
                 shape=(rows.shape[0], self.dimension)))
@@ -236,6 +242,87 @@ class BoundedObservable:
     def __repr__(self):
         return (f"BoundedObservable({self.label!r}, dim={self.dimension}, "
                 f"blocks={len(self.blocks)}, factor_rows={self.factor_rows})")
+
+
+# bytes of one contraction step's tensor that _SectorFactor forms at a time,
+# whenever one column fits.  On a 2-core host with 2 MiB of L2 per core,
+# 1 MiB chunks ran as fast as 8 MiB ones or faster (16 modes, n_max = 4:
+# 0.03 against 0.05-0.06 s per 32 columns) and held an eighth of the memory
+CONTRACTION_BYTES = 2**20
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _SectorFactor:
+    """F_n = diag(sqrt(f)) V_n^dagger on one n-photon sector, applied by contractions.
+
+    V_n^dagger = Gamma(U)^dagger: on the symmetric tensors of (C^m)^(x n) it
+    is U^dagger on each of the n axes.  F @ x, for a block of columns,
+    embeds each column as the symmetric tensor whose entry at every index
+    tuple of occupation occ is x[occ] / sqrt(c_occ), with c_occ =
+    n! / prod(occ!) such tuples (embed); contracts U^dagger along the axes
+    one at a time; and reads row nu as the entry of occupation nu times
+    sqrt(c_nu) sqrt(f_nu) (scale).
+
+    After k contractions the tensor is symmetric in its k turned axes and
+    in its n - k others, so it is held as T[alpha, column, beta], one entry
+    per occupation alpha of the k turned photons and beta of the others.
+    Step k + 1 (steps[k] = (raised, parent, slot)) takes one photon j out
+    of beta (raised[beta', j] is the position of beta' + e_j), turns it,
+
+        T'[A, column, beta'] = sum_j conj(U[j, i]) T[alpha, column, beta' + e_j],
+
+    with A = alpha + e_i, i = slot[A] its first occupied slot and
+    alpha = parent[A], and the last step forms only the kept rows.  A step
+    holds at most m len(alpha) len(beta') entries per column, and columns
+    go CONTRACTION_BYTES of them at a time (at least one): no
+    sector x sector array is formed.
+
+    columns are the sector positions of the factor's columns, all of them
+    until F[:, mask] keeps a subset, as BoundedObservable.restricted slices
+    it: the others embed as zeros.  A real U gives a real F.
+    """
+
+    rotation: np.ndarray
+    embed: np.ndarray
+    steps: tuple
+    scale: np.ndarray
+    columns: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.scale), len(self.columns)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.rotation.dtype
+
+    def __getitem__(self, key) -> "_SectorFactor":
+        rows, columns = key
+        if rows != slice(None):
+            raise IndexError("a sector factor slices its columns only")
+        return dataclasses.replace(self, columns=self.columns[columns])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        dtype = np.result_type(self.dtype, x.dtype)
+        weighted = np.zeros((len(self.embed), x.shape[1]), dtype=dtype)
+        weighted[self.columns] = x
+        weighted *= self.embed[:, None]
+        out = np.empty((self.shape[0], x.shape[1]), dtype=dtype)
+        turn = self.rotation.conjugate()
+        m = len(turn)
+        held = [1] + [len(parent) for _, parent, _ in self.steps[:-1]]  # alphas before each step
+        entries = max(rows * raised.size for rows, (raised, _, _) in zip(held, self.steps))
+        width = max(1, CONTRACTION_BYTES // (entries * dtype.itemsize))
+        for first in range(0, x.shape[1], width):
+            tensor = weighted[:, first:first + width].T[None]  # no photon turned yet
+            for raised, parent, slot in self.steps:
+                # [alpha, column, beta', j] through the raised table, turned over j
+                turned = np.take(tensor, raised, axis=2).reshape(-1, m) @ turn
+                tensor = turned.reshape(*tensor.shape[:2], *raised.shape)[parent, :, :, slot]
+            # beta' is the vacuum alone after the last step
+            out[:, first:first + width] = tensor[:, :, 0] * self.scale[:, None]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +510,16 @@ def exchange_projector(basis: FockBasis) -> BoundedObservable:
     return BoundedObservable([([idx], None)], basis.dimension, label="exchange")
 
 
+def _region_modes(basis: FockBasis, lo: float, hi: float):
+    """(kappa, U): eigh of the slots' kernel of the region [lo, hi], real when the kernel is."""
+    q = np.subtract.outer(basis.modes.k, basis.modes.k)
+    kernel = (hi - lo) / basis.config.box_length * np.exp(-0.5j * q * (hi + lo)) * np.sinc(
+        q * (hi - lo) / (2 * np.pi))
+    v, real = _standing_waves(basis.modes.k)
+    kernel = v @ kernel @ v.conjugate().T
+    return np.linalg.eigh(kernel.real if real else kernel)
+
+
 def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> BoundedObservable:
     """Saturated photon count in a spatial region of the box field.
 
@@ -444,26 +541,27 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     Its eigenvectors are the Fock states |nu> of the modes
     b_i = sum_j conj(U[j, i]) a_j, labelled by the basis's own occupation
     table, and the eigenvalue of |nu> is the exact sum nu @ kappa.  N_S
-    keeps the photon number, so the truncation is exact.  The bras of the
-    n-photon sector, the rows of V_n^dagger, come from those of sector
-    n - 1: <nu| = <nu - e_i| b_i / sqrt(nu_i), with i the first occupied
-    slot of nu.  Each b_i, restricted to sector n, is a(conj U[:, i]) from
-    the basis' lowering entries whose source has n photons, and gives every
-    row whose first occupied slot is i; i and occ - e_i, the parent row, are
-    read from the row's first entry in that table (FockBasis.lowering).  No
-    eigh runs but the one of K, N_S is never formed, and the same code
-    serves every num_modes.
+    keeps the photon number, so the truncation is exact.  On the n-photon
+    sector the map to those eigenvectors' coefficients, V_n^dagger, is
+    Gamma(U)^dagger, the n-fold tensor power of U^dagger on symmetric
+    tensors, which _SectorFactor applies one axis at a time.  Its tables
+    come from the basis' lowering entries (FockBasis.lowering): for each
+    occupation of n photons its first occupied slot i and the row of
+    occ - e_i, and the row of occ + e_j for each occupation of n - 1
+    photons and slot j.  No eigh runs but the one of K, N_S is never
+    formed, and the same code serves every num_modes.
 
-    Each sector gives the dense factor F_n = diag(sqrt(f)) V_n^dagger with
+    Each sector gives the factor F_n = diag(sqrt(f)) V_n^dagger with
     f = min(lambda, 1), less the rows whose lambda is at or below
     len(sector) * eps * max(1, max lambda): so small an eigenvalue holds
     only the rounding of kappa, and its row would add only that.  The
     observable is one block per atom state and photon number n, over that
     sector's indices, and all blocks of one n share F_n; sectors with no
     rows are left out.  No block joins two photon numbers or two atom
-    states.  When the largest sector's dense arrays (two of up to 16 bytes
-    per entry: V_n^dagger and F_n) would not fit in physical memory,
-    DimensionError is raised before either is formed.
+    states.  When one column's widest contraction step (_SectorFactor),
+    m * len(sector k) * len(sector n - 1 - k) entries for k + 1 of n photons
+    turned, could not fit in physical memory, DimensionError is raised
+    before any table is formed.
     """
     cfg = basis.config
     if isinstance(cfg, LatticeConfig):
@@ -471,41 +569,42 @@ def local_photon_observable(basis: FockBasis, region: tuple[float, float]) -> Bo
     lo, hi = float(region[0]), float(region[1])
     if not (0.0 <= lo < hi <= cfg.box_length):
         raise DomainError("region must satisfy 0 <= lo < hi <= box_length")
+    m, top = basis.num_slots, basis.n_max
     photons = basis.occupations.sum(axis=1)
     sizes = np.bincount(photons)
-    require_memory(2 * 16 * int(sizes.max()) ** 2, DimensionError,
-                   f"a {sizes.max()}-dim photon-number sector", "lower n_max or num_modes")
+    # a step's gathered and turned tensors (up to 16 bytes an entry) for one column
+    widest = m * max(int(sizes[k]) * int(sizes[n - 1 - k])
+                     for n in range(1, top + 1) for k in range(n))
+    require_memory(2 * 16 * widest, DimensionError,
+                   f"contracting photon states through {widest} entries per column",
+                   "lower n_max or num_modes")
+    kappa, rotation = _region_modes(basis, lo, hi)
 
-    q = np.subtract.outer(basis.modes.k, basis.modes.k)
-    kernel = (hi - lo) / cfg.box_length * np.exp(-0.5j * q * (hi + lo)) * np.sinc(
-        q * (hi - lo) / (2 * np.pi))
-    v, real = _standing_waves(basis.modes.k)
-    kernel = v @ kernel @ v.conjugate().T
-    kappa, rotation = np.linalg.eigh(kernel.real if real else kernel)
-
-    dst, src, slot, amp = basis.lowering
-    position = np.zeros(basis.num_occupations, dtype=int)  # row of each occupation in its sector
-    bras = np.ones((1, 1), dtype=rotation.dtype)  # <vacuum|
+    dst, src, slot, _ = basis.lowering
+    position = np.zeros(basis.num_occupations, dtype=int)  # of each occupation in its sector
+    count = np.ones(1)  # c_occ = n! / prod(occ!) on sector n, from the vacuum's 1
+    raising, heads = [None], [None]  # per photon number n >= 1
     sectors = []
-    for n, size in enumerate(sizes):
+    for n in range(1, top + 1):
         sector = np.flatnonzero(photons == n)
-        position[sector] = np.arange(size)
-        if n:
-            head = np.searchsorted(src, sector)  # each row's entry for its first occupied slot
-            first, parent, norm = slot[head], position[dst[head]], amp[head]
-            inside = photons[src] == n
-            entries = (position[dst[inside]], position[src[inside]], slot[inside], amp[inside])
-            below, bras = bras, np.empty((size, size), dtype=rotation.dtype)
-            for i in np.unique(first):
-                own = first == i
-                lowering = _smeared(rotation[:, i].conjugate(), entries, (len(below), size))
-                bras[own] = (below[parent[own]] / norm[own, None]) @ lowering
+        position[sector] = np.arange(len(sector))
+        inside = photons[src] == n
+        raised = np.empty((sizes[n - 1], m), dtype=int)  # of occ + e_j, occ on sector n - 1
+        raised[position[dst[inside]], slot[inside]] = position[src[inside]]
+        head = np.searchsorted(src, sector)  # each occupation's entry for its first occupied slot
+        first, parent = slot[head], position[dst[head]]
+        count = n * count[parent] / basis.occupations[sector, first]
+        raising.append(raised)
+        heads.append((parent, first))
         lam = basis.occupations[sector] @ kappa
-        keep = lam > size * np.finfo(float).eps * max(1.0, lam.max(initial=0.0))
-        if keep.any():
-            factor = bras[keep]
-            factor *= np.sqrt(np.minimum(lam[keep], 1.0))[:, None]
-            sectors.append((sector, factor))
+        keep = lam > len(sector) * np.finfo(float).eps * max(1.0, lam.max(initial=0.0))
+        if not keep.any():
+            continue
+        steps = tuple((raising[n - k], *heads[k + 1]) for k in range(n - 1))
+        steps += ((raising[1], parent[keep], first[keep]),)
+        sectors.append((sector, _SectorFactor(
+            rotation, 1.0 / np.sqrt(count), steps,
+            np.sqrt(count[keep] * np.minimum(lam[keep], 1.0)), np.arange(len(sector)))))
 
     blocks = [(basis.states(pair, sector), factor)
               for pair in range(basis.levels_a * basis.levels_b)

@@ -24,8 +24,9 @@ V_k = T_k((H - lo) / rho - 1) psi0, until its tail is below unit roundoff
 at every point.  The three-term recurrence runs once, BLOCK vectors at a
 time, in float64 when H and psi0 are both real; each block leaves its
 observed rows M and its lengths ||V_k||, a thin QR reduces M to a
-triangular factor S, and P(t) = ||T J(rho t)||^2 at each point, in real
-arithmetic: T is real, formed once from S, and J is a real Bessel table.
+triangular factor S (an M of at most K rows is its own S), and
+P(t) = ||T J(rho t)||^2 at each point, in real arithmetic: T is real,
+formed once from S, and J is a real Bessel table.
 The lengths and the table certify the series (_check_accuracy).  Its
 memory is the K observed rows, the factor, one block of vectors and one
 chunk of J, where evolve_grid's states are one entry per point and basis
@@ -297,7 +298,9 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     form a^dagger M^dagger M a would square M's conditioning instead.  An M
     taller than QR_ROWS rows is reduced a chunk at a time,
     S <- qr([S; M_chunk]), because np.linalg.qr copies its argument: the QR
-    holds one chunk, not a second M.
+    holds one chunk, not a second M.  An M of at most K rows is used as S
+    itself: ||M a||^2 is the same sum, and its QR would cost time and a
+    K-column R no smaller than M.
 
     The recurrence runs once, and each block of vectors leaves only its
     observed rows and its lengths ||V_k|| behind (_observed_series), so no
@@ -320,12 +323,14 @@ def chebyshev_expectation(hamiltonian: HermitianOperator, observable: BoundedObs
     radius = (hi - lo) / 2 or 1.0  # a scalar H: any interval holding it serves
     terms = _series_order(radius, times, psi0.size, observable.factor_rows)
     observed, lengths = _observed_series(hamiltonian, lo, radius, observable, psi0, terms)
-    # S <- qr([S; M_chunk]) down the chunks: an M of up to QR_ROWS rows is
-    # one plain QR, and a taller one never has a whole copy
-    factor = np.linalg.qr(observed[:QR_ROWS], mode="r")
-    for first in range(QR_ROWS, len(observed), QR_ROWS):
-        chunk = observed[first:first + QR_ROWS]
-        factor = np.linalg.qr(np.concatenate([factor, chunk]), mode="r")
+    factor = observed  # an M no taller than K is no larger than its S
+    if len(observed) > terms:
+        # S <- qr([S; M_chunk]) down the chunks: an M of up to QR_ROWS rows
+        # is one plain QR, and a taller one never has a whole copy
+        factor = np.linalg.qr(observed[:QR_ROWS], mode="r")
+        for first in range(QR_ROWS, len(observed), QR_ROWS):
+            chunk = observed[first:first + QR_ROWS]
+            factor = np.linalg.qr(np.concatenate([factor, chunk]), mode="r")
     del observed
     # S'^T = diag((2 - delta_k0) (-i)^k) S^T, formed once; its float64 view
     # is T^T with the rows of T = [Re S'; Im S'] interleaved, which leaves

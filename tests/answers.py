@@ -6,7 +6,10 @@ runs every reference config through ``twoatom.cli.main`` at its default
 grid and writes what each run reports to ``tests/answers.json`` beside
 this file; ``tests/test_answers.py`` runs them again and compares.
 A change that moves an answer regenerates the file and says which values
-moved and why.
+moved and why.  Each dichotomy also records, as ``near_threshold``, the
+(t, P) of every grid point within NEAR of ``epsilon_zero``: the points
+whose rounding can flip a zero-candidate count, which the test prints
+beside the new values when a count differs.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from twoatom.cli import main, parse_config_text
 from twoatom.config import ModelConfig
 
 ANSWERS = Path(__file__).with_name("answers.json")
+# |P - epsilon_zero| up to which a dichotomy point is recorded in near_threshold
+NEAR = 1e-12
 
 # name -> (config file text, observable of simulate and dichotomy)
 CONFIGS = {
@@ -36,13 +41,17 @@ CONFIGS = {
 }
 
 
-def _answers(subcommand: str, summary: dict) -> dict:
-    """The answers in one run's JSON summary."""
+def _answers(subcommand: str, summary: dict, csv_text: str) -> dict:
+    """The answers in one run's JSON summary and CSV."""
     if subcommand == "dichotomy":
         report = summary["report"]
-        return {key: report[key] for key in (
+        answers = {key: report[key] for key in (
             "classification", "num_zero_candidates", "num_isolated_zero_candidates",
             "interior_plateaus", "floor_dominated", "log_integral")}
+        points = (map(float, line.split(",")) for line in csv_text.splitlines()[1:])
+        answers["near_threshold"] = [[t, p] for t, p in points
+                                     if abs(p - report["epsilon_zero"]) <= NEAR]
+        return answers
     if subcommand == "simulate":
         return {key: summary[key] for key in ("max_value", "final_value")}
     if subcommand == "weak-causality":
@@ -71,8 +80,9 @@ def run(name: str, subcommand: str, workdir: Path) -> dict:
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"{subcommand} on {name} failed")
-    summary = json.loads((out / f"{subcommand.replace('-', '_')}.json").read_text())
-    return _answers(subcommand, summary)
+    stem = out / subcommand.replace("-", "_")
+    summary = json.loads(stem.with_suffix(".json").read_text())
+    return _answers(subcommand, summary, stem.with_suffix(".csv").read_text())
 
 
 def subcommands(name: str) -> list[str]:

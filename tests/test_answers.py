@@ -4,7 +4,8 @@ Answers are compared, not bytes: counts, classifications and the trend
 exactly, the front at the same grid point, probabilities to 1e-12
 absolute.  Values that differ at rounding level, as across BLAS builds or
 thread counts, pass; a moved answer fails until answers.py regenerates the
-file.
+file.  A dichotomy's near_threshold points are not compared: they explain a
+count, and a failure whose count differs shows them, pinned and new.
 """
 
 import json
@@ -19,6 +20,8 @@ PINNED = json.loads(ANSWERS.read_text())
 EXACT = {"arrival_time", "uncertainty", "cutoff", "modes_retained",
          "num_zero_candidates", "num_isolated_zero_candidates", "interior_plateaus"}
 ABSOLUTE = 1e-12
+# the zero-candidate counts, which the near_threshold points explain
+COUNTS = ("num_zero_candidates", "num_isolated_zero_candidates")
 
 
 def _differences(pinned, value, path: str, exact: bool) -> list[str]:
@@ -26,7 +29,7 @@ def _differences(pinned, value, path: str, exact: bool) -> list[str]:
     if isinstance(pinned, dict):
         if not isinstance(value, dict) or sorted(value) != sorted(pinned):
             return [f"{path}: keys {sorted(value)} against {sorted(pinned)}"]
-        return [line for key in pinned
+        return [line for key in pinned if key != "near_threshold"
                 for line in _differences(pinned[key], value[key], f"{path}.{key}",
                                          exact or key in EXACT)]
     if isinstance(pinned, list):
@@ -47,9 +50,12 @@ def _differences(pinned, value, path: str, exact: bool) -> list[str]:
 @pytest.mark.parametrize("name, subcommand",
                          [(name, sub) for name in CONFIGS for sub in subcommands(name)])
 def test_reference_config_gives_the_pinned_answers(tmp_path, name, subcommand):
-    answers = run(name, subcommand, tmp_path)
-    assert _differences(PINNED[name][subcommand], answers, f"{name}.{subcommand}",
-                        exact=False) == []
+    pinned, answers = PINNED[name][subcommand], run(name, subcommand, tmp_path)
+    lines = _differences(pinned, answers, f"{name}.{subcommand}", exact=False)
+    if any(f".{count}:" in line for line in lines for count in COUNTS):
+        lines += [f"pinned near epsilon_zero: {pinned['near_threshold']}",
+                  f"now near epsilon_zero: {answers['near_threshold']}"]
+    assert lines == [], "\n".join(lines)
 
 
 def test_every_reference_run_is_pinned():
@@ -67,3 +73,16 @@ def test_the_comparison_catches_a_moved_answer():
         assert _differences(pinned, moved, "w", exact=False) == \
             [f"w.{key}: {moved[key]!r} against {pinned[key]!r}"]
     assert _differences(pinned, dict(pinned, detected=False), "w", exact=False) != []
+
+
+def test_a_flipped_count_is_shown_with_the_points_near_the_threshold(monkeypatch):
+    # the rotating-wave box has P(t_1) = 8.2e-14 just under epsilon_zero = 1e-12
+    pinned = PINNED["box_rotating_wave"]["dichotomy"]
+    assert pinned["num_zero_candidates"] == 2
+    assert [t for t, _ in pinned["near_threshold"]][:2] == [0.0, pytest.approx(math.pi / 400)]
+    flipped = dict(pinned, num_zero_candidates=1, near_threshold=[[0.0, 0.0]])
+    monkeypatch.setitem(globals(), "run", lambda *args: flipped)
+    with pytest.raises(AssertionError, match="now near epsilon_zero: \\[\\[0.0, 0.0\\]\\]"):
+        test_reference_config_gives_the_pinned_answers(None, "box_rotating_wave", "dichotomy")
+    # the points themselves are not compared
+    assert _differences(pinned, flipped | {"num_zero_candidates": 2}, "d", exact=False) == []

@@ -711,15 +711,33 @@ def test_criterion_6_auto_matches_dense_at_the_benchmark_shape(tmp_path):
 
 
 def test_photon_sector_beyond_memory_exits_four(tmp_path, small_config, capsys, monkeypatch):
-    # physical memory made smaller than the two dense arrays of the
-    # one-photon sector (4 x 4 entries of up to 16 bytes each)
-    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 2 * 16 * 4**2 - 1)
+    # physical memory made smaller than one column's contraction of the
+    # one-photon sector: two arrays of 4 entries of up to 16 bytes each
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 2 * 16 * 4 - 1)
     out = tmp_path / "run"
     code = main(["simulate", "--config", small_config, "--out", str(out),
                  "--grid", "2,4", "--observable", "photon_region"])
     assert code == 4
-    assert "4-dim photon-number sector" in capsys.readouterr().err
+    assert "contracting photon states through 4 entries per column" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_photon_region_at_n_max_4_forms_no_sector_square(tmp_path):
+    # 16 modes at n_max = 4: the 3876-state four-photon sector as a dense
+    # factor and its bras would be 240 MB; contracted, the whole run peaks
+    # near 40 MiB
+    config = tmp_path / "photons.cfg"
+    config.write_text("num_modes = 16\nn_max = 4\n")
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code = main(["dichotomy", "--config", str(config), "--out", str(out),
+                     "--observable", "photon_region"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2**20
 
 
 def test_dense_eigh_beyond_memory_exits_four(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from twoatom.operators import (
     BoundedObservable,
     HermitianOperator,
     _one_particle_data,
+    _region_modes,
     _smeared,
     build_hamiltonian,
     exchange_projector,
@@ -25,6 +26,11 @@ from twoatom.operators import (
     local_photon_observable,
 )
 from twoatom.propagator import _series_order, expectation_grid, prepare_initial_state
+
+
+def dense(factor):
+    """A block factor as an ndarray: the factor applied to the identity."""
+    return factor @ np.identity(factor.shape[1])
 
 
 def basis_states(basis):
@@ -513,7 +519,7 @@ def test_photon_factor_is_the_sector_factors_on_each_atom_state(config):
     for indices, factor in obs.blocks:
         if indices[-1] < n_occ:
             row = np.zeros((factor.shape[0], n_occ), dtype=complex)
-            row[:, indices] = factor
+            row[:, indices] = dense(factor)
             rows.append(row)
     kron = sparse.kron(sparse.identity(basis.levels_a * basis.levels_b),
                        sparse.csr_matrix(np.vstack(rows)), format="csr")
@@ -532,8 +538,8 @@ def test_photon_factor_is_the_sector_factors_on_each_atom_state(config):
         # the construction
         assert_sectors_match(obs, basis, hand_region_number(basis, 0.0, config.box_length / 2),
                              atol=1e-12)
-        # inside the invariant block of the start: dense blocks only, none
-        # joining two photon numbers or two atom states
+        # inside the invariant block of the start: blocks with one column
+        # per index, none joining two photon numbers or two atom states
         ham = build_hamiltonian(basis)
         block = ham.invariant_block([index_of_bare_state(basis, 1, 0, basis.vacuum)])
         restricted = obs.restricted(block)
@@ -541,7 +547,7 @@ def test_photon_factor_is_the_sector_factors_on_each_atom_state(config):
                          for a, b, occ in basis_states(basis)])
         assert restricted.blocks
         for indices, factor in restricted.blocks:
-            assert isinstance(factor, np.ndarray)
+            assert factor.shape[1] == len(indices)
             assert len(set(keys[block[indices]])) == 1
 
 
@@ -625,6 +631,7 @@ def assert_sectors_match(obs, basis, number, atol):
         assert np.array_equal(indices, np.flatnonzero(photons == photons[indices[0]]))
         lam, vec = np.linalg.eigh(number[np.ix_(indices, indices)])
         oracle = (vec * np.clip(lam, 0.0, 1.0)) @ vec.conjugate().T
+        factor = dense(factor)
         assert np.max(np.abs(factor.conjugate().T @ factor - oracle)) <= atol
     assert len(obs.blocks) == len(first_atom_state) * basis.levels_a * basis.levels_b
 
@@ -696,26 +703,122 @@ def test_photon_sector_vectors_are_orthonormal_with_exact_eigenvalues():
             continue
         f = np.minimum(basis.occupations[indices] @ kappa, 1.0)
         assert factor.shape == (len(indices), len(indices))
+        factor = dense(factor)
         assert np.max(np.abs(factor @ factor.conjugate().T - np.diag(f))) <= 1e-13
         bras = factor / np.sqrt(f)[:, None]
         assert np.max(np.abs(bras.conjugate().T @ bras - np.eye(len(indices)))) <= 1e-13
         assert np.max(np.abs(bras @ bras.conjugate().T - np.eye(len(indices)))) <= 1e-13
 
 
+def bras_oracle(basis, kappa, rotation, top_rows=None):
+    """[(sector, F_n)]: each sector's factor as one dense array, by a recursion over b_i.
+
+    The bras of the n-photon sector, the rows of V_n^dagger, come from those
+    of sector n - 1: <nu| = <nu - e_i| b_i / sqrt(nu_i), with i the first
+    occupied slot of nu and b_i = a(conj U[:, i]), restricted to sector n,
+    from the lowering entries whose source has n photons.  i and the parent
+    row nu - e_i are read from nu's first entry in that table.  F_n is
+    diag(sqrt(min(lambda, 1))) V_n^dagger less the rows with lambda at or
+    below len(sector) * eps * max(1, max lambda).  With top_rows, the
+    n_max sector forms only its first top_rows rows of F_n.
+    """
+    photons = basis.occupations.sum(axis=1)
+    dst, src, slot, amp = basis.lowering
+    position = np.zeros(basis.num_occupations, dtype=int)  # of each occupation in its sector
+    bras = np.ones((1, 1), dtype=rotation.dtype)  # <vacuum|
+    factors = []
+    for n in range(1, basis.n_max + 1):
+        sector = np.flatnonzero(photons == n)
+        size = len(sector)
+        position[sector] = np.arange(size)
+        lam = basis.occupations[sector] @ kappa
+        keep = np.flatnonzero(lam > size * np.finfo(float).eps * max(1.0, lam.max()))
+        formed = np.arange(size) if n < basis.n_max else keep[:top_rows]
+        head = np.searchsorted(src, sector[formed])  # each row's entry for its first slot
+        first, parent, norm = slot[head], position[dst[head]], amp[head]
+        inside = photons[src] == n
+        entries = (position[dst[inside]], position[src[inside]], slot[inside], amp[inside])
+        below, bras = bras, np.empty((len(formed), size), dtype=rotation.dtype)
+        for i in np.unique(first):
+            own = first == i
+            lowering = _smeared(rotation[:, i].conjugate(), entries, (len(below), size))
+            bras[own] = (below[parent[own]] / norm[own, None]) @ lowering
+        kept = np.isin(formed, keep)
+        if kept.any():
+            f = np.minimum(lam[formed[kept]], 1.0)
+            factors.append((sector, bras[kept] * np.sqrt(f)[:, None]))
+    return factors
+
+
+@pytest.mark.parametrize("config, top_rows", [
+    (ModelConfig(num_modes=16, n_max=2), None),
+    (ModelConfig(num_modes=16, n_max=3), None),
+    (ModelConfig(num_modes=30, n_max=2), None),
+    (ModelConfig(num_modes=30, n_max=3), 256),
+    (ModelConfig(num_modes=15, n_max=3), None),
+], ids=["modes16_nmax2", "modes16_nmax3", "modes30_nmax2", "modes30_nmax3", "modes15_odd"])
+def test_photon_contractions_match_the_dense_bras(config, top_rows):
+    # the contractions against the recursion's dense F_n, from the same
+    # eigh of the kernel: on unit columns within 1e-12, and entry by entry
+    # where the oracle forms the whole sector.  At 30 modes and n_max = 3 it
+    # forms 256 rows of the 4960-state top sector; at 15 modes U is complex
+    basis = build_basis(config)
+    region = (0.0, config.box_length / 2)
+    obs = local_photon_observable(basis, region)
+    factors = [factor for indices, factor in obs.blocks if indices[-1] < basis.num_occupations]
+    kappa, rotation = _region_modes(basis, *region)
+    assert rotation.dtype == (np.complex128 if config.num_modes % 2 else np.float64)
+    oracle = bras_oracle(basis, kappa, rotation, top_rows)
+    assert len(oracle) == len(factors) == basis.n_max
+    rng = np.random.default_rng(17)
+    for factor, (sector, expected) in zip(factors, oracle):
+        assert factor.dtype == expected.dtype
+        assert factor.shape[1] == len(sector)
+        columns = rng.standard_normal((len(sector), 8)).view(complex)
+        columns /= np.linalg.norm(columns, axis=0)
+        got = factor @ columns
+        assert np.max(np.abs(got[:len(expected)] - expected @ columns)) <= 1e-12
+        if top_rows is None:
+            assert factor.shape == expected.shape
+            assert np.max(np.abs(dense(factor) - expected)) <= 1e-12
+
+
+def test_sector_factor_slices_columns_as_its_dense_form(monkeypatch):
+    # F[:, mask] is the dense F's columns, the dropped ones embedding as
+    # zeros; with room for two columns of the widest step (343 complex
+    # entries each), nine columns run in five chunks
+    cfg = ModelConfig(num_modes=7, n_max=3)
+    basis = build_basis(cfg)
+    obs = local_photon_observable(basis, (1.0, 4.0))
+    factor = obs.blocks[-1][1]
+    full = dense(factor)
+    mask = np.random.default_rng(2).random(factor.shape[1]) < 0.4
+    sliced = factor[:, mask]
+    assert sliced.shape == (factor.shape[0], mask.sum())
+    assert np.max(np.abs(dense(sliced) - full[:, mask])) <= 1e-15
+    assert np.max(np.abs(dense(sliced[:, 1:]) - full[:, mask][:, 1:])) <= 1e-15
+    with pytest.raises(IndexError):
+        factor[1:, :]
+    columns = np.random.default_rng(4).standard_normal((factor.shape[1], 9))
+    monkeypatch.setattr("twoatom.operators.CONTRACTION_BYTES", 2 * 7**3 * 16)
+    assert np.max(np.abs(factor @ columns - full @ columns)) <= 1e-13
+
+
 def test_photon_sector_too_large_for_memory_is_a_dimension_error(monkeypatch):
-    # 50 modes at n_max = 3: the 22100-dim three-photon sector needs two
-    # dense arrays, 15.6 GB, refused against 8 GB before either is formed
-    basis = build_basis(ModelConfig(num_modes=50, n_max=3, cutoff=100.0))
-    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 8 * 10**9)
+    # 30 modes at n_max = 3: turning the second of three photons holds
+    # 30 * 30 * 30 entries per column, twice, 0.864 MB at 16 bytes each,
+    # refused against 0.5 MB before any table is formed
+    basis = build_basis(ModelConfig(num_modes=30, n_max=3))
+    monkeypatch.setattr("twoatom.config.physical_memory", lambda: 5 * 10**5)
     tracemalloc.start()
     try:
-        with pytest.raises(DimensionError,
-                           match="22100-dim photon-number sector needs 15.6 GB"):
+        with pytest.raises(DimensionError, match="contracting photon states through 27000 "
+                                                 "entries per column needs 0.000864 GB"):
             local_photon_observable(basis, (0.0, 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 2**20
 
 
 def test_photon_factor_keeps_no_row_below_eigh_resolution():
@@ -738,7 +841,7 @@ def test_photon_factor_keeps_no_row_below_eigh_resolution():
 
     obs = local_photon_observable(basis, region)
     for indices, factor in obs.blocks:
-        rows = np.linalg.norm(factor, axis=1)
+        rows = np.linalg.norm(dense(factor), axis=1)
         assert np.all(rows >= np.sqrt(threshold[indices % basis.num_occupations]).max())
 
     lam, vec = np.linalg.eigh(n_s)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
-from twoatom.analysis import build_model, resolve_observable
+from twoatom.analysis import build_model, resolve_observable, series_from_operators
 from twoatom.basis import build_basis, index_of_bare_state
 from twoatom.config import LatticeConfig, ModelConfig, make_time_grid
 from twoatom.errors import ConvergenceError, DomainError
@@ -380,6 +380,48 @@ def test_chebyshev_expectation_complex_hamiltonian_and_start():
         assert np.max(np.abs(values - _dense_series(ham, obs, psi, grid))) <= 1e-12, obs
         # P(0) is <psi|O|psi> itself, not its round trip through the series
         assert values[0] == expectation_grid(obs, psi[None, :])[0]
+
+
+def test_observed_rows_no_more_than_the_series_length_skip_the_qr(monkeypatch):
+    # under rotating_wave the start's block has 34 states: excitation_b
+    # observes 1 row of it and photon_region the 32 one-photon rows, both
+    # fewer than K, so M is its own factor and no QR runs
+    config = ModelConfig(coupling_form="rotating_wave")
+    basis, ham = build_model(config)
+    psi = prepare_initial_state(basis)
+    grid = make_time_grid(2 * config.light_cone_time, 800)
+    block = ham.invariant_block(np.flatnonzero(psi))
+    terms = _series_order(_bracket(ham.block(block))[1], grid, len(block), 0)
+    for name in ("excitation_b", "photon_region"):
+        obs = resolve_observable(config, name)
+        assert obs.restricted(block).factor_rows <= terms
+        dense = series_from_operators(ham, psi, obs, grid, method="dense").values
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "qr", None)
+            values = series_from_operators(ham, psi, obs, grid, method="krylov").values
+        assert np.max(np.abs(values - dense)) <= 1e-12, name
+        assert values[1:].min() > 0.0
+
+
+def test_photon_region_on_part_of_each_sector_matches_the_whole_space():
+    # A at x = 0 meets no sin wave, and B is uncoupled: the start's block
+    # holds only the photons of the cos waves (and, at an odd num_modes, of
+    # the one running wave), so the restricted factors keep part of each
+    # photon-number sector's columns
+    for num_modes in (8, 7):
+        config = ModelConfig(num_modes=num_modes, n_max=2, coupling_scale_b=0.0)
+        basis, ham = build_model(config)
+        psi = prepare_initial_state(basis)
+        obs = resolve_observable(config, "photon_region")
+        block = ham.invariant_block(np.flatnonzero(psi))
+        inside = [np.isin(indices, block) for indices, _ in obs.blocks]
+        assert any(part.any() and not part.all() for part in inside)
+        grid = make_time_grid(6.0, 60)
+        series = series_from_operators(ham, psi, obs, grid, method="krylov").values
+        # the oracle evolves the whole space and keeps every column
+        whole = _dense_series(ham, obs, psi, grid)
+        assert np.max(np.abs(series - whole)) <= 1e-12, num_modes
+        assert series[1:].min() > 0.0
 
 
 def test_chebyshev_expectation_first_rwa_point_is_relatively_exact():
